@@ -8,11 +8,10 @@ reversion, sequential linearization), and ``harness`` (simulation,
 experiments, CLI plumbing).
 """
 
-from .calculus import DerivativeStack, unvec, vec
+from .calculus import DerivativeStack, vec
 from .fem import (
     AssembledSystem,
     CurrentBasis,
-    ForwardSolution,
     IndefiniteSystemError,
     SolutionSet,
     apply_P,

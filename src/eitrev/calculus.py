@@ -187,7 +187,3 @@ def vec(matrix: np.ndarray) -> np.ndarray:
     """Column-stacking vectorization."""
     return np.asarray(matrix).reshape(-1, order="F")
 
-
-def unvec(v: np.ndarray) -> np.ndarray:
-    n = int(round(np.sqrt(v.size)))
-    return np.asarray(v).reshape(n, n, order="F")

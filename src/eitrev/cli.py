@@ -26,6 +26,7 @@ from .harness import (
     draw_target,
     indicators,
     sample_rng,
+    side_forward_map,
     simulate_measurements,
 )
 from .inversion import build_prior
@@ -112,11 +113,11 @@ def _cmd_experiment2(args) -> int:
 def _cmd_indicators(args) -> int:
     case = _load_case(args)
     meas, rec = build_models(case)
-    recon = Reconstructor(rec)
+    lam0 = side_forward_map(rec, rec.param.zero())
     upsilon_data, target, _ = harness.read_measurement(args.data)
     rec_json = json.loads(Path(args.recon).read_text())
     upsilon_i = harness.param_from_json(rec_json["upsilon"])
-    ind = indicators(rec, meas, upsilon_i, target, upsilon_data, recon.lam0)
+    ind = indicators(rec, meas, upsilon_i, target, upsilon_data, lam0)
     row = {
         "res": repr(ind.res),
         "res_rel": repr(ind.res_rel),

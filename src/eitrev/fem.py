@@ -81,36 +81,25 @@ def current_basis(n_electrodes: int) -> CurrentBasis:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
-class ForwardSolution:
-    """Interior potential and zero-mean electrode potential vector."""
-
-    u: np.ndarray  # (n_nodes,)
-    U: np.ndarray  # (M,)
-
-
 class SolutionSet:
     """A batch of forward solutions stored column-wise.
 
-    Behaves as a sequence of :class:`ForwardSolution`; the column layout keeps
-    the many-right-hand-side solves and the bilinear form evaluations fast.
+    Each column holds an interior potential and its zero-mean electrode
+    potential vector; a single solution is a batch of one. The column layout
+    keeps the many-right-hand-side solves and the bilinear form evaluations
+    fast.
     """
 
     def __init__(self, u: np.ndarray, U: np.ndarray):
-        self.u = np.atleast_2d(u) if u.ndim == 2 else u.reshape(len(u), -1)
-        self.U = U if U.ndim == 2 else U.reshape(len(U), -1)
+        self.u = u.reshape(len(u), -1)
+        self.U = U.reshape(len(U), -1)
 
     def __len__(self) -> int:
         return self.u.shape[1]
 
-    def __getitem__(self, i: int) -> ForwardSolution:
-        return ForwardSolution(self.u[:, i].copy(), self.U[:, i].copy())
-
-    @classmethod
-    def from_solutions(cls, sols: "list[ForwardSolution] | SolutionSet") -> "SolutionSet":
-        if isinstance(sols, SolutionSet):
-            return sols
-        return cls(np.column_stack([s.u for s in sols]), np.column_stack([s.U for s in sols]))
+    def __getitem__(self, index: int | slice) -> "SolutionSet":
+        """The selected columns as a batch; an integer selects a batch of one."""
+        return SolutionSet(self.u[:, index], self.U[:, index])
 
     def __add__(self, other: "SolutionSet") -> "SolutionSet":
         return SolutionSet(self.u + other.u, self.U + other.U)
@@ -228,9 +217,9 @@ def _contact_conductance(system: "AssembledSystem", zeta: np.ndarray) -> np.ndar
 class AssembledSystem:
     """Factorized discrete system for one conductivity pair.
 
-    Immutable after construction; the shared factorization may serve
-    concurrent solves. ``solve_count`` and ``factor_count`` account for the
-    triangular solves and factorizations performed.
+    Immutable after construction except for ``solve_count`` and
+    ``factor_count``, which account for the triangular solves and
+    factorizations performed.
     """
 
     def __init__(
@@ -289,10 +278,9 @@ class AssembledSystem:
         n = self.n_interior
         return SolutionSet(x[:n], self.basis.B @ x[n:])
 
-    def energy_norm(self, sol: ForwardSolution | SolutionSet) -> float:
+    def energy_norm(self, sols: SolutionSet) -> float:
         """Norm induced by the (positive definite) system matrix."""
-        batch = SolutionSet.from_solutions([sol]) if isinstance(sol, ForwardSolution) else sol
-        x = np.vstack([batch.u, self.basis.B.T @ batch.U])
+        x = np.vstack([sols.u, self.basis.B.T @ sols.U])
         return float(np.sqrt(np.sum(x * (self.matrix @ x))))
 
     def perturbation(self, eta: ConductivityPair) -> PerturbationOperator:
@@ -334,7 +322,7 @@ def solve_forward(system: AssembledSystem, currents: np.ndarray) -> SolutionSet:
 def apply_P(
     system: AssembledSystem,
     eta: ConductivityPair | PerturbationOperator,
-    inputs: SolutionSet | ForwardSolution,
+    inputs: SolutionSet,
 ) -> SolutionSet:
     """Auxiliary solution operator: solve B_tau(w, v) = -B_eta(input, v).
 
@@ -342,29 +330,22 @@ def apply_P(
     factorization of ``system`` is reused.
     """
     op = eta if isinstance(eta, PerturbationOperator) else system.perturbation(eta)
-    batch = (
-        SolutionSet.from_solutions([inputs]) if isinstance(inputs, ForwardSolution) else inputs
-    )
-    return system.split(system.solve(op.rhs(batch)))
+    return system.split(system.solve(op.rhs(inputs)))
 
 
 def bform_eval(
     system: AssembledSystem,
     eta: ConductivityPair | PerturbationOperator,
-    pair1: ForwardSolution | SolutionSet,
-    pair2: ForwardSolution | SolutionSet,
-) -> float | np.ndarray:
-    """Evaluate the perturbed form on two solutions (or batches, as a Gram matrix).
+    left: SolutionSet,
+    right: SolutionSet,
+) -> np.ndarray:
+    """Gram matrix of the perturbed form over two solution batches.
 
-    For single pairs this is the scalar
-    integral(dsigma grad u1 . grad u2) + integral(dzeta (U1-u1)(U2-u2)).
+    Entry (i, j) is
+    integral(dsigma grad u_i . grad u_j) + integral(dzeta (U_i-u_i)(U_j-u_j)).
     """
     op = eta if isinstance(eta, PerturbationOperator) else system.perturbation(eta)
-    single = isinstance(pair1, ForwardSolution) and isinstance(pair2, ForwardSolution)
-    left = SolutionSet.from_solutions([pair1]) if isinstance(pair1, ForwardSolution) else pair1
-    right = SolutionSet.from_solutions([pair2]) if isinstance(pair2, ForwardSolution) else pair2
-    gram = op.bform(left, right)
-    return float(gram[0, 0]) if single else gram
+    return op.bform(left, right)
 
 
 def forward_map(system: AssembledSystem, basis: CurrentBasis | None = None) -> np.ndarray:

@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -134,37 +134,52 @@ CASES: dict[str, ExperimentCase] = {
 }
 
 
+_CASE_KEYS = (
+    "n_electrodes",
+    "electrode_radius",
+    "contact_radius",
+    "mu_kappa",
+    "mu_zeta",
+    "n_samples",
+    "seed",
+    "cluster_seed",
+)
+_SIDES = ("measurement", "reconstruction")
+
+
+def _check_keys(where: str, mapping: dict, allowed) -> None:
+    unknown = sorted(set(mapping) - set(allowed))
+    if unknown:
+        raise ValueError(f"unknown {where} key(s) {unknown}; allowed: {sorted(allowed)}")
+
+
 def case_from_config(data: dict) -> ExperimentCase:
     """Build a case from a configuration mapping, starting from table defaults.
 
     ``data`` holds the case name under "case" plus optional overrides
     mirroring the :class:`ExperimentCase` fields; side overrides use nested
-    mappings with ``gammas`` given as a mapping of the prior fields.
+    mappings with ``gammas`` given as a mapping of the prior fields. The
+    mapping is left unchanged, and an unknown case name or key raises
+    ``ValueError`` naming it.
     """
-    base = CASES[data.get("case", "C1")]
-    kwargs: dict = {}
-    for side_name in ("measurement", "reconstruction"):
+    name = data.get("case", "C1")
+    if name not in CASES:
+        raise ValueError(f"unknown case {name!r}; choose from {sorted(CASES)}")
+    _check_keys("configuration", data, ("case",) + _SIDES + _CASE_KEYS)
+    base = CASES[name]
+    kwargs = {key: data[key] for key in _CASE_KEYS if key in data}
+    for side_name in _SIDES:
         spec = getattr(base, side_name)
-        override = data.get(side_name, {})
+        override = dict(data.get(side_name, {}))
         if override:
+            _check_keys(side_name, override, [f.name for f in fields(SideSpec)])
             gam = override.pop("gammas", None)
             if gam is not None:
+                _check_keys(f"{side_name} gammas", gam, [f.name for f in fields(PriorGammas)])
                 override["gammas"] = replace(spec.gammas, **gam)
             if "deltas" in override:
                 override["deltas"] = tuple(override["deltas"])
             kwargs[side_name] = replace(spec, **override)
-    for key in (
-        "n_electrodes",
-        "electrode_radius",
-        "contact_radius",
-        "mu_kappa",
-        "mu_zeta",
-        "n_samples",
-        "seed",
-        "cluster_seed",
-    ):
-        if key in data:
-            kwargs[key] = data[key]
     return replace(base, **kwargs)
 
 
@@ -334,20 +349,13 @@ class Reconstructor:
     steps rebuild the stack at each iterate.
     """
 
-    def __init__(
-        self,
-        rec: SideModel,
-        gammas: PriorGammas | None = None,
-        deltas: tuple[float, float] | None = None,
-    ):
+    def __init__(self, rec: SideModel, gammas: PriorGammas | None = None):
         self.rec = rec
         self.gammas = gammas if gammas is not None else rec.spec.gammas
-        self.deltas = deltas if deltas is not None else rec.spec.deltas
         self.prior = build_prior(rec.param, self.gammas)
         self.stack0 = self._make_stack(rec.param.zero())
-        self.noise = build_noise_cov(
-            self.deltas[0], self.deltas[1], self.stack0.lam, rec.basis
-        )
+        deltas = rec.spec.deltas
+        self.noise = build_noise_cov(deltas[0], deltas[1], self.stack0.lam, rec.basis)
         self.inverse0 = TikhonovInverse(self.stack0, self.prior, self.noise)
 
     @property
@@ -470,49 +478,48 @@ def indicators(
 
 
 # ---------------------------------------------------------------------------
-# Experiment 1: statistics over prior draws
+# Studies: statistics over prior draws and the scaling study
 # ---------------------------------------------------------------------------
 
 
+_INDICATORS = ("res", "res_rel", "err", "err_rel")
+
+
 @dataclass(frozen=True, eq=False)
-class Experiment1Result:
+class StudyResult:
+    """Indicators of one study, one entry per item (a prior draw or a grid point)."""
+
     case: ExperimentCase
     methods: tuple[str, ...]
-    ref_res: np.ndarray  # |Lambda(0) - data| per sample
+    ref_res: np.ndarray  # |Lambda(0) - data| per item
+    ref_err: np.ndarray  # |kappa_target| in the measurement norm
     table: dict  # method -> dict of arrays res/res_rel/err/err_rel/clamped
-    target_err: np.ndarray  # |kappa_target| in the measurement norm
-    retained: np.ndarray  # bool mask of samples kept for the means
-    failures: tuple
+    failures: tuple  # (item, method, repr) of the reconstructions that raised
     # diagnostic only: oscillation indicator of the higher-order increments
     eta23_sign_corr: np.ndarray | None = None
+    s_values: np.ndarray | None = None  # scaling factors of a scaling study
+
+    @property
+    def retained(self) -> np.ndarray:
+        """Items kept for the means: the top fifth by initial-guess residual is excluded."""
+        return retained_mask(self.ref_res)
 
     def mean_log10(self, method: str, indicator: str) -> float:
         if method == "0":
-            vals = np.ones_like(self.ref_res) if indicator == "res_rel" else self.target_err
+            vals = np.ones_like(self.ref_res) if indicator == "res_rel" else self.ref_err
         else:
             vals = self.table[method][indicator]
         return float(np.log10(np.mean(vals[self.retained])))
 
     def summary_rows(self) -> list[dict]:
-        rows = []
-        for method in ("0",) + self.methods:
-            if method == "0":
-                rows.append(
-                    {
-                        "method": "0",
-                        "log10_mean_res_rel": self.mean_log10("0", "res_rel"),
-                        "log10_mean_err": self.mean_log10("0", "err"),
-                    }
-                )
-            else:
-                rows.append(
-                    {
-                        "method": method,
-                        "log10_mean_res_rel": self.mean_log10(method, "res_rel"),
-                        "log10_mean_err": self.mean_log10(method, "err"),
-                    }
-                )
-        return rows
+        return [
+            {
+                "method": method,
+                "log10_mean_res_rel": self.mean_log10(method, "res_rel"),
+                "log10_mean_err": self.mean_log10(method, "err"),
+            }
+            for method in ("0",) + self.methods
+        ]
 
 
 def retained_mask(ref_res: np.ndarray, keep_fraction: float = 0.8) -> np.ndarray:
@@ -525,13 +532,64 @@ def retained_mask(ref_res: np.ndarray, keep_fraction: float = 0.8) -> np.ndarray
     return mask
 
 
+def _study(
+    case: ExperimentCase,
+    methods: tuple[str, ...],
+    meas: SideModel,
+    rec: SideModel,
+    items: Iterable[tuple[ParamVector, MeasurementRecord, Reconstructor]],
+    n: int,
+    record_failures: bool,
+) -> StudyResult:
+    """Reconstruct every item with every method and tabulate the indicators.
+
+    Each item gives its target, its simulated measurement and the
+    reconstructor that serves it. A reconstruction that raises is recorded
+    in ``failures`` when ``record_failures`` is set and re-raised otherwise.
+    """
+    ref_res = np.full(n, np.nan)
+    ref_err = np.full(n, np.nan)
+    table = {
+        m: {k: np.full(n, np.nan) for k in _INDICATORS} | {"clamped": np.zeros(n, dtype=bool)}
+        for m in methods
+    }
+    sign_corr = np.full(n, np.nan)
+    failures = []
+    for i, (target, record, recon) in enumerate(items):
+        ref_res[i] = float(np.linalg.norm(recon.lam0 - record.upsilon))
+        ref_err[i] = _pc_norm(meas.partition, target.kappa)
+        for method in methods:
+            try:
+                outcome = recon.run(method, record.upsilon)
+            except Exception as exc:
+                if not record_failures:
+                    raise
+                failures.append((i, method, repr(exc)))
+                continue
+            ind = indicators(rec, meas, outcome.upsilon, target, record.upsilon, recon.lam0)
+            row = table[method]
+            for k in _INDICATORS:
+                row[k][i] = getattr(ind, k)
+            row["clamped"][i] = outcome.clamped
+            if method == "3":
+                sign_corr[i] = outcome.diagnostics.get("eta2_eta3_sign_correlation", np.nan)
+    return StudyResult(
+        case=case,
+        methods=methods,
+        ref_res=ref_res,
+        ref_err=ref_err,
+        table=table,
+        failures=tuple(failures),
+        eta23_sign_corr=sign_corr if "3" in methods else None,
+    )
+
+
 def experiment1(
     case: ExperimentCase,
     methods: Sequence[str] = METHODS,
     n_samples: int | None = None,
     seed: int | None = None,
-    progress: Callable[[int], None] | None = None,
-) -> Experiment1Result:
+) -> StudyResult:
     """Statistical comparison of the reconstruction methods over prior draws.
 
     Draws targets from the measurement-side prior, simulates noisy data,
@@ -540,7 +598,6 @@ def experiment1(
     excluded). Per-sample failures are recorded, not fatal. Deterministic for
     a fixed seed.
     """
-    methods = tuple(methods)
     n = case.n_samples if n_samples is None else n_samples
     seed = case.seed if seed is None else seed
     meas, rec = build_models(case)
@@ -548,66 +605,13 @@ def experiment1(
     meas_prior = build_prior(meas.param, case.measurement.gammas)
     meas_noise = build_noise_cov_for_side(meas, case.measurement.deltas)
 
-    ref_res = np.empty(n)
-    target_err = np.empty(n)
-    table = {
-        m: {k: np.full(n, np.nan) for k in ("res", "res_rel", "err", "err_rel")}
-        | {"clamped": np.zeros(n, dtype=bool)}
-        for m in methods
-    }
-    sign_corr = np.full(n, np.nan)
-    failures = []
-    for i in range(n):
-        rng = sample_rng(seed, i)
-        target = draw_target(meas, meas_prior, rng)
-        record = simulate_measurements(meas, target, meas_noise, rng)
-        ref_res[i] = float(np.linalg.norm(recon.lam0 - record.upsilon))
-        target_err[i] = _pc_norm(meas.partition, target.kappa)
-        for method in methods:
-            try:
-                outcome = recon.run(method, record.upsilon)
-            except Exception as exc:  # recorded, not fatal
-                failures.append((i, method, repr(exc)))
-                continue
-            ind = indicators(rec, meas, outcome.upsilon, target, record.upsilon, recon.lam0)
-            row = table[method]
-            row["res"][i] = ind.res
-            row["res_rel"][i] = ind.res_rel
-            row["err"][i] = ind.err
-            row["err_rel"][i] = ind.err_rel
-            row["clamped"][i] = outcome.clamped
-            if method == "3":
-                sign_corr[i] = outcome.diagnostics.get(
-                    "eta2_eta3_sign_correlation", np.nan
-                )
-        if progress is not None:
-            progress(i)
-    return Experiment1Result(
-        case=case,
-        methods=methods,
-        ref_res=ref_res,
-        table=table,
-        target_err=target_err,
-        retained=retained_mask(ref_res),
-        failures=tuple(failures),
-        eta23_sign_corr=sign_corr if "3" in methods else None,
-    )
+    def draws():
+        for i in range(n):
+            rng = sample_rng(seed, i)
+            target = draw_target(meas, meas_prior, rng)
+            yield target, simulate_measurements(meas, target, meas_noise, rng), recon
 
-
-# ---------------------------------------------------------------------------
-# Experiment 2: scaling study
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True, eq=False)
-class Experiment2Result:
-    case: ExperimentCase
-    methods: tuple[str, ...]
-    s_values: np.ndarray
-    res: dict  # method -> array over s (absolute residual)
-    err: dict  # method -> array over s (absolute domain error)
-    ref_res: np.ndarray  # initial-guess residual per s
-    ref_err: np.ndarray
+    return _study(case, tuple(methods), meas, rec, draws(), n, record_failures=True)
 
 
 def experiment2(
@@ -615,14 +619,14 @@ def experiment2(
     s_values: Sequence[float],
     seed: int | None = None,
     methods: Sequence[str] = METHODS,
-) -> Experiment2Result:
+) -> StudyResult:
     """Scaling study: one prior draw, targets s * draw over a grid of s.
 
     The prior standard deviations for the log-conductivity and the contact
     strengths are scaled along with the target; the noise level tracks the
-    absolute size of the reference data and so does not vanish with s.
+    absolute size of the reference data and so does not vanish with s. The
+    first failed reconstruction raises.
     """
-    methods = tuple(methods)
     seed = case.seed if seed is None else seed
     s_values = np.asarray(list(s_values), dtype=float)
     if np.any(s_values <= 0):
@@ -634,30 +638,17 @@ def experiment2(
     draw = draw_target(meas, meas_prior, rng)
     theta_hat = meas_noise.draw_raw(rng)  # one noise realization for the whole sweep
 
-    res = {m: np.empty(len(s_values)) for m in methods}
-    err = {m: np.empty(len(s_values)) for m in methods}
-    ref_res = np.empty(len(s_values))
-    ref_err = np.empty(len(s_values))
-    for k, s in enumerate(s_values):
-        target = float(s) * draw
-        record = simulate_measurements(meas, target, meas_noise, rng, theta_hat=theta_hat)
-        recon = Reconstructor(rec, gammas=case.reconstruction.gammas.scaled(float(s)))
-        ref_res[k] = float(np.linalg.norm(recon.lam0 - record.upsilon))
-        ref_err[k] = _pc_norm(meas.partition, target.kappa)
-        for method in methods:
-            outcome = recon.run(method, record.upsilon)
-            ind = indicators(rec, meas, outcome.upsilon, target, record.upsilon, recon.lam0)
-            res[method][k] = ind.res
-            err[method][k] = ind.err
-    return Experiment2Result(
-        case=case,
-        methods=methods,
-        s_values=s_values,
-        res=res,
-        err=err,
-        ref_res=ref_res,
-        ref_err=ref_err,
+    def points():
+        for s in s_values:
+            target = float(s) * draw
+            record = simulate_measurements(meas, target, meas_noise, rng, theta_hat=theta_hat)
+            gammas = case.reconstruction.gammas.scaled(float(s))
+            yield target, record, Reconstructor(rec, gammas=gammas)
+
+    result = _study(
+        case, tuple(methods), meas, rec, points(), len(s_values), record_failures=False
     )
+    return replace(result, s_values=s_values)
 
 
 # ---------------------------------------------------------------------------
@@ -722,7 +713,15 @@ def write_reconstruction(outcome: ReconOutcome, path: str | Path) -> None:
     Path(path).write_text(json.dumps(data, indent=1))
 
 
-def write_experiment1_csv(result: Experiment1Result, directory: str | Path) -> None:
+def _method_header(methods: Sequence[str], keys: Sequence[str]) -> list[str]:
+    return [f"{k}_{m.replace(',', '')}" for m in methods for k in keys]
+
+
+def _method_cells(table: dict, methods: Sequence[str], keys: Sequence[str], i: int) -> list[str]:
+    return [_fmt(table[m][k][i]) for m in methods for k in keys]
+
+
+def write_experiment1_csv(result: StudyResult, directory: str | Path) -> None:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     with open(directory / "summary.csv", "w", newline="") as fh:
@@ -732,72 +731,43 @@ def write_experiment1_csv(result: Experiment1Result, directory: str | Path) -> N
             writer.writerow(
                 {k: (v if k == "method" else _fmt(v)) for k, v in row.items()}
             )
-    fields = ["sample", "ref_res", "retained"]
-    for m in result.methods:
-        tag = m.replace(",", "")
-        fields += [f"res_{tag}", f"res_rel_{tag}", f"err_{tag}", f"err_rel_{tag}", f"clamped_{tag}"]
-    if result.eta23_sign_corr is not None:
-        fields.append("eta23_sign_corr")
+    methods, table = result.methods, result.table
+    keys = _INDICATORS + ("clamped",)
+    corr = result.eta23_sign_corr
+    retained = result.retained
     with open(directory / "samples.csv", "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fields)
-        writer.writeheader()
+        writer = csv.writer(fh)
+        header = ["sample", "ref_res", "retained"] + _method_header(methods, keys)
+        writer.writerow(header + (["eta23_sign_corr"] if corr is not None else []))
         for i in range(len(result.ref_res)):
-            row = {
-                "sample": i,
-                "ref_res": _fmt(result.ref_res[i]),
-                "retained": int(result.retained[i]),
-            }
-            if result.eta23_sign_corr is not None:
-                row["eta23_sign_corr"] = _fmt(result.eta23_sign_corr[i])
-            for m in result.methods:
-                tag = m.replace(",", "")
-                t = result.table[m]
-                row[f"res_{tag}"] = _fmt(t["res"][i])
-                row[f"res_rel_{tag}"] = _fmt(t["res_rel"][i])
-                row[f"err_{tag}"] = _fmt(t["err"][i])
-                row[f"err_rel_{tag}"] = _fmt(t["err_rel"][i])
-                row[f"clamped_{tag}"] = int(t["clamped"][i])
+            row = [i, _fmt(result.ref_res[i]), int(retained[i])]
+            row += _method_cells(table, methods, keys, i)
+            if corr is not None:
+                row.append(_fmt(corr[i]))
             writer.writerow(row)
     # Sorted distributions over the full sample, for distribution-style plots.
+    keys = ("res_rel", "err_rel")
+    ranked = {m: {k: np.sort(table[m][k]) for k in keys} for m in methods}
     with open(directory / "distributions.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
-        header = ["rank"]
-        for m in result.methods:
-            tag = m.replace(",", "")
-            header += [f"res_rel_{tag}", f"err_rel_{tag}"]
-        writer.writerow(header)
-        n = len(result.ref_res)
-        sorted_cols = {}
-        for m in result.methods:
-            sorted_cols[m] = (
-                np.sort(result.table[m]["res_rel"]),
-                np.sort(result.table[m]["err_rel"]),
-            )
-        for i in range(n):
-            row = [i]
-            for m in result.methods:
-                row += [_fmt(sorted_cols[m][0][i]), _fmt(sorted_cols[m][1][i])]
-            writer.writerow(row)
+        writer.writerow(["rank"] + _method_header(methods, keys))
+        for i in range(len(result.ref_res)):
+            writer.writerow([i] + _method_cells(ranked, methods, keys, i))
 
 
-def write_experiment2_csv(result: Experiment2Result, directory: str | Path) -> None:
+def write_experiment2_csv(result: StudyResult, directory: str | Path) -> None:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
+    keys = ("res", "err")
     with open(directory / "curves.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
-        header = ["s", "ref_res", "ref_err"]
-        for m in result.methods:
-            tag = m.replace(",", "")
-            header += [f"res_{tag}", f"err_{tag}"]
-        writer.writerow(header)
+        writer.writerow(["s", "ref_res", "ref_err"] + _method_header(result.methods, keys))
         for k, s in enumerate(result.s_values):
             row = [_fmt(s), _fmt(result.ref_res[k]), _fmt(result.ref_err[k])]
-            for m in result.methods:
-                row += [_fmt(result.res[m][k]), _fmt(result.err[m][k])]
-            writer.writerow(row)
+            writer.writerow(row + _method_cells(result.table, result.methods, keys, k))
 
 
 def _fmt(value) -> str:
-    if isinstance(value, (int, np.integer)):
+    if isinstance(value, (int, np.integer, np.bool_)):
         return str(int(value))
     return repr(float(value))

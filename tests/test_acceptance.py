@@ -307,11 +307,11 @@ class TestCriterion7ScalingStudy:
         s_values = [0.1, 0.1 * math.sqrt(2.0), 0.2, 0.8, 0.8 * math.sqrt(2.0), 1.6, 1.6 * math.sqrt(2.0), 3.2]
         result = experiment2(case, s_values, seed=2)
         top = slice(3, 8)
-        slope = _fit_slope(result.s_values[top], result.res["1"][top])
+        slope = _fit_slope(result.s_values[top], result.table["1"]["res"][top])
         floor_ok = True
         details_floor = []
         for m in result.methods:
-            r = result.res[m]
+            r = result.table[m]["res"]
             floor = r[0]
             for k in (0, 1):
                 diff = abs(r[k + 1] - r[k])

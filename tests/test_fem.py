@@ -175,7 +175,7 @@ class TestBformEval:
         system = stack8.system
         current = basis8.B[:, 2]
         sol = fem.solve_forward(system, current)
-        val = fem.bform_eval(system, system.tau, sol[0], sol[0])
+        val = fem.bform_eval(system, system.tau, sol[0], sol[0])[0, 0]
         assert val == pytest.approx(float(current @ sol.U[:, 0]), rel=1e-10)
 
     def test_zero_perturbation(self, stack8):
@@ -183,7 +183,7 @@ class TestBformEval:
             np.zeros(stack8.system.mesh.n_cells),
             np.zeros_like(stack8.system.layout.equad_weights),
         )
-        assert fem.bform_eval(stack8.system, zero, stack8.base[0], stack8.base[1]) == 0.0
+        assert fem.bform_eval(stack8.system, zero, stack8.base[0], stack8.base[1])[0, 0] == 0.0
 
     def test_symmetry(self, stack8, smooth8):
         rng = np.random.default_rng(10)
@@ -192,8 +192,8 @@ class TestBformEval:
             rng.standard_normal(len(tau.sigma)), rng.standard_normal(tau.zeta.shape)
         )
         a, b = stack8.base[0], stack8.base[3]
-        assert fem.bform_eval(stack8.system, eta, a, b) == pytest.approx(
-            fem.bform_eval(stack8.system, eta, b, a), rel=1e-12
+        assert fem.bform_eval(stack8.system, eta, a, b)[0, 0] == pytest.approx(
+            fem.bform_eval(stack8.system, eta, b, a)[0, 0], rel=1e-12
         )
 
     def test_hand_quadrature_on_one_cell(self):
@@ -210,9 +210,9 @@ class TestBformEval:
         eta = ConductivityPair(eta.sigma, np.repeat(eta.zeta[:, :1], eta.zeta.shape[1], axis=1))
         u1, u2 = rng.standard_normal(3), rng.standard_normal(3)
         U1, U2 = rng.standard_normal(2), rng.standard_normal(2)
-        p1 = fem.ForwardSolution(u1, U1)
-        p2 = fem.ForwardSolution(u2, U2)
-        got = fem.bform_eval(system, eta, p1, p2)
+        p1 = fem.SolutionSet(u1, U1)
+        p2 = fem.SolutionSet(u2, U2)
+        got = fem.bform_eval(system, eta, p1, p2)[0, 0]
 
         # hand computation: gradients of the affine interpolants
         verts = mesh.vertices[mesh.cells[0]]

@@ -1,5 +1,6 @@
 """Simulation, indicators, experiment drivers, and file formats."""
 
+import copy
 import math
 from dataclasses import replace
 
@@ -26,6 +27,7 @@ from eitrev.harness import (
     simulate_from_map,
     simulate_measurements,
     write_experiment1_csv,
+    write_experiment2_csv,
     write_matrix,
     write_measurement,
     write_reconstruction,
@@ -227,13 +229,18 @@ class TestExperiment1:
 
 
 class TestExperiment2:
-    def test_deterministic(self, small_case):
+    def test_deterministic(self, small_case, tmp_path):
         svals = [0.5, 1.0]
         a = experiment2(small_case, svals, seed=21, methods=("1", "2"))
         b = experiment2(small_case, svals, seed=21, methods=("1", "2"))
         for m in ("1", "2"):
-            assert np.array_equal(a.res[m], b.res[m])
-            assert np.array_equal(a.err[m], b.err[m])
+            assert np.array_equal(a.table[m]["res"], b.table[m]["res"])
+            assert np.array_equal(a.table[m]["err"], b.table[m]["err"])
+        write_experiment2_csv(a, tmp_path / "a")
+        write_experiment2_csv(b, tmp_path / "b")
+        assert (tmp_path / "a" / "curves.csv").read_bytes() == (
+            tmp_path / "b" / "curves.csv"
+        ).read_bytes()
 
     def test_rejects_nonpositive_scaling(self, small_case):
         with pytest.raises(ValueError):
@@ -318,3 +325,29 @@ class TestCaseConfig:
         assert case.measurement.deltas == (0.0, 0.0)
         assert case.measurement.gammas.gamma_rho == 0.9
         assert case.measurement.gammas.gamma_kappa == 0.6  # untouched default
+
+    def test_config_mapping_is_not_mutated(self):
+        config = {
+            "case": "C2",
+            "measurement": {"deltas": [0.0, 0.0], "gammas": {"gamma_rho": 0.9}},
+            "reconstruction": {"level": 3},
+        }
+        before = copy.deepcopy(config)
+        first = case_from_config(config)
+        second = case_from_config(config)
+        assert first == second
+        assert config == before
+
+    @pytest.mark.parametrize(
+        "config, key",
+        [
+            ({"n_sample": 5}, "n_sample"),
+            ({"meaurement": {"level": 4}}, "meaurement"),
+            ({"measurement": {"levle": 4}}, "levle"),
+            ({"reconstruction": {"gammas": {"gamma_rh": 0.1}}}, "gamma_rh"),
+            ({"case": "C9"}, "C9"),
+        ],
+    )
+    def test_unknown_key_raises_with_its_name(self, config, key):
+        with pytest.raises(ValueError, match=key):
+            case_from_config(config)
