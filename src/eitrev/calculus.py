@@ -29,8 +29,12 @@ _FACTORIALS = {1: 1.0, 2: 2.0, 3: 6.0}
 class DerivativeStack:
     """Base-point solutions and memoized perturbation solves.
 
-    The cache is pure memoization keyed by direction identity and composition
-    path; every entry is reproducible from scratch.
+    Every derivative is a combination of chains: products of perturbation
+    operators, each the solution operator of one derivative of tau along a
+    tuple of directions, applied right-to-left to the base solutions. The
+    memo of directions, operators and chains is pure memoization keyed by
+    direction identity and holds until :meth:`forget`; every entry is
+    reproducible from scratch.
     """
 
     def __init__(self, system: AssembledSystem, param, iota, basis: CurrentBasis | None = None):
@@ -45,7 +49,14 @@ class DerivativeStack:
         self._chains: dict[tuple, SolutionSet] = {}
         self._jacobian: np.ndarray | None = None
 
-    # -- direction bookkeeping ------------------------------------------------
+    def forget(self) -> None:
+        """Drop the memoized directions, operators and chains.
+
+        The base solutions and the cached coordinate Jacobian stay.
+        """
+        self._handles.clear()
+        self._ops.clear()
+        self._chains.clear()
 
     def _handle(self, eta) -> int:
         for i, known in enumerate(self._handles):
@@ -54,56 +65,23 @@ class DerivativeStack:
         self._handles.append(eta)
         return len(self._handles) - 1
 
-    def _op(self, order_key: tuple, directions: Sequence) -> PerturbationOperator:
-        op = self._ops.get(order_key)
-        if op is None:
-            pair = self.param.dtau(self.iota, list(directions))
-            op = self.system.perturbation(pair)
-            self._ops[order_key] = op
-        return op
+    def _chain(self, *factors: tuple) -> SolutionSet:
+        """Operators of the factors applied right-to-left to the base solutions.
 
-    def _op1(self, h: int) -> PerturbationOperator:
-        return self._op(("d1", h), [self._handles[h]])
-
-    def _op2(self, ha: int, hb: int) -> PerturbationOperator:
-        key = ("d2",) + tuple(sorted((ha, hb)))
-        return self._op(key, [self._handles[ha], self._handles[hb]])
-
-    def _op3(self, h: int) -> PerturbationOperator:
-        eta = self._handles[h]
-        return self._op(("d3", h), [eta, eta, eta])
-
-    def _chain(self, key: tuple, op: PerturbationOperator, inputs: SolutionSet) -> SolutionSet:
+        A factor is a tuple of direction handles and stands for the
+        perturbation by the derivative of tau along those directions, which
+        is symmetric in them.
+        """
+        key = tuple(tuple(sorted(f)) for f in factors)
         out = self._chains.get(key)
         if out is None:
-            out = apply_P(self.system, op, inputs)
-            self._chains[key] = out
+            op = self._ops.get(key[0])
+            if op is None:
+                pair = self.param.dtau(self.iota, [self._handles[h] for h in factors[0]])
+                op = self._ops[key[0]] = self.system.perturbation(pair)
+            inputs = self._chain(*factors[1:]) if len(factors) > 1 else self.base
+            out = self._chains[key] = apply_P(self.system, op, inputs)
         return out
-
-    # -- elementary compositions applied to the base solutions ----------------
-
-    def _p1(self, h: int) -> SolutionSet:
-        return self._chain(("P1", h), self._op1(h), self.base)
-
-    def _p1p1(self, ha: int, hb: int) -> SolutionSet:
-        """P'(eta_a) applied to P'(eta_b) base."""
-        return self._chain(("P1P1", ha, hb), self._op1(ha), self._p1(hb))
-
-    def _p1p1p1(self, h: int) -> SolutionSet:
-        return self._chain(("P1P1P1", h), self._op1(h), self._p1p1(h, h))
-
-    def _p2(self, ha: int, hb: int) -> SolutionSet:
-        key = ("P2",) + tuple(sorted((ha, hb)))
-        return self._chain(key, self._op2(ha, hb), self.base)
-
-    def _p2p1(self, h: int) -> SolutionSet:
-        return self._chain(("P2P1", h), self._op2(h, h), self._p1(h))
-
-    def _p1p2(self, h: int) -> SolutionSet:
-        return self._chain(("P1P2", h), self._op1(h), self._p2(h, h))
-
-    def _p3(self, h: int) -> SolutionSet:
-        return self._chain(("P3", h), self._op3(h), self.base)
 
     def _trace(self, sols: SolutionSet) -> np.ndarray:
         return sols.coefficients(self.basis)
@@ -112,36 +90,31 @@ class DerivativeStack:
 
     def dlambda1(self, eta) -> np.ndarray:
         """First derivative along ``eta``, evaluated on all basis currents."""
-        h = self._handle(eta)
-        return self._trace(self._p1(h))
+        e = self._handle(eta)
+        return self._trace(self._chain((e,)))
 
     def dlambda2(self, eta) -> np.ndarray:
         """Second directional derivative along equal directions."""
-        h = self._handle(eta)
-        return self._trace(2.0 * self._p1p1(h, h) + self._p2(h, h))
+        e = self._handle(eta)
+        return self._trace(2.0 * self._chain((e,), (e,)) + self._chain((e, e)))
 
     def dlambda3(self, eta) -> np.ndarray:
         """Third directional derivative along equal directions."""
-        h = self._handle(eta)
+        e = self._handle(eta)
         combo = (
-            6.0 * self._p1p1p1(h)
-            + 3.0 * self._p2p1(h)
-            + 3.0 * self._p1p2(h)
-            + self._p3(h)
+            6.0 * self._chain((e,), (e,), (e,))
+            + 3.0 * self._chain((e, e), (e,))
+            + 3.0 * self._chain((e,), (e, e))
+            + self._chain((e, e, e))
         )
         return self._trace(combo)
 
     def mixed_dlambda2(self, eta_a, eta_b) -> np.ndarray:
         """Mixed second derivative, symmetric in its two directions."""
-        ha = self._handle(eta_a)
-        hb = self._handle(eta_b)
-        combo = self._p1p1(ha, hb) + self._p1p1(hb, ha) + self._p2(ha, hb)
+        a = self._handle(eta_a)
+        b = self._handle(eta_b)
+        combo = self._chain((a,), (b,)) + self._chain((b,), (a,)) + self._chain((a, b))
         return self._trace(combo)
-
-    def dlambda1_identity(self, eta) -> np.ndarray:
-        """First derivative via the bilinear identity; no extra solves."""
-        pair = self.param.dtau(self.iota, [eta])
-        return -self.system.perturbation(pair).bform(self.base, self.base).T
 
     def taylor_eval(self, eta, order: int) -> np.ndarray:
         """Truncated Taylor evaluation of the map at the base point plus eta."""
@@ -165,22 +138,19 @@ class DerivativeStack:
         explicit directions, all coordinate directions of the parametrization
         are used and the result is cached.
         """
-        if directions is None:
-            if self._jacobian is None:
-                self._jacobian = self._coordinate_jacobian()
-            return self._jacobian
-        cols = [vec(self.dlambda1_identity(d)) for d in directions]
-        return np.column_stack(cols)
-
-    def _coordinate_jacobian(self) -> np.ndarray:
-        param = self.param
-        flat_dim = param.dim
-        cols = np.empty(((self.lam.shape[0]) ** 2, flat_dim))
-        for p in range(flat_dim):
-            e = np.zeros(flat_dim)
-            e[p] = 1.0
-            cols[:, p] = vec(self.dlambda1_identity(param.from_flat(e)))
-        return cols
+        coordinate = directions is None
+        if coordinate:
+            if self._jacobian is not None:
+                return self._jacobian
+            directions = [self.param.from_flat(e) for e in np.eye(self.param.dim)]
+        cols = []
+        for d in directions:
+            op = self.system.perturbation(self.param.dtau(self.iota, [d]))
+            cols.append(vec(-op.bform(self.base, self.base).T))
+        J = np.column_stack(cols)
+        if coordinate:
+            self._jacobian = J
+        return J
 
 
 def vec(matrix: np.ndarray) -> np.ndarray:

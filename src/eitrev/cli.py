@@ -35,7 +35,7 @@ from .mesh import cluster_partition, generate_disk_mesh, load_mesh, save_mesh, s
 
 def _load_case(args) -> harness.ExperimentCase:
     data = {}
-    if getattr(args, "config", None):
+    if args.config:
         data = json.loads(Path(args.config).read_text())
     data.setdefault("case", args.case)
     return case_from_config(data)
@@ -139,6 +139,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Smoothened complete electrode model with series-reversion reconstruction",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    case_args = argparse.ArgumentParser(add_help=False)
+    case_args.add_argument("--case", default="C1", choices=sorted(CASES))
+    case_args.add_argument("--config", default=None)
 
     p = sub.add_parser("mesh", help="mesh utilities")
     mesh_sub = p.add_subparsers(dest="mesh_command", required=True)
@@ -153,43 +156,37 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--out", required=True)
     c.set_defaults(func=_cmd_mesh_cluster)
 
-    s = sub.add_parser("simulate", help="simulate one noisy measurement")
-    s.add_argument("--case", default="C1", choices=sorted(CASES))
-    s.add_argument("--config", default=None)
+    s = sub.add_parser("simulate", help="simulate one noisy measurement", parents=[case_args])
     s.add_argument("--seed", type=int, default=1)
     s.add_argument("--sample", type=int, default=0)
     s.add_argument("--out", required=True)
     s.set_defaults(func=_cmd_simulate)
 
-    r = sub.add_parser("reconstruct", help="reconstruct from a measurement record")
-    r.add_argument("--case", default="C1", choices=sorted(CASES))
-    r.add_argument("--config", default=None)
+    r = sub.add_parser(
+        "reconstruct", help="reconstruct from a measurement record", parents=[case_args]
+    )
     r.add_argument("--data", required=True, help="directory written by simulate")
     r.add_argument("--order", type=int, choices=(1, 2, 3), default=None)
     r.add_argument("--sequential", type=int, choices=(1, 2, 3), default=None)
     r.add_argument("--out", required=True)
     r.set_defaults(func=_cmd_reconstruct)
 
-    e1 = sub.add_parser("experiment1", help="statistics over prior draws")
-    e1.add_argument("--case", default="C1", choices=sorted(CASES))
-    e1.add_argument("--config", default=None)
+    e1 = sub.add_parser("experiment1", help="statistics over prior draws", parents=[case_args])
     e1.add_argument("--samples", type=int, default=None)
     e1.add_argument("--seed", type=int, default=None)
     e1.add_argument("--methods", default=None, help="semicolon-separated subset, e.g. '1;2;1,1'")
     e1.add_argument("--out", required=True)
     e1.set_defaults(func=_cmd_experiment1)
 
-    e2 = sub.add_parser("experiment2", help="scaling study for a single draw")
-    e2.add_argument("--case", default="C1", choices=sorted(CASES))
-    e2.add_argument("--config", default=None)
+    e2 = sub.add_parser("experiment2", help="scaling study for a single draw", parents=[case_args])
     e2.add_argument("--s-grid", required=True, help="comma-separated scaling factors")
     e2.add_argument("--seed", type=int, default=None)
     e2.add_argument("--out", required=True)
     e2.set_defaults(func=_cmd_experiment2)
 
-    i = sub.add_parser("indicators", help="evaluate indicators for a reconstruction")
-    i.add_argument("--case", default="C1", choices=sorted(CASES))
-    i.add_argument("--config", default=None)
+    i = sub.add_parser(
+        "indicators", help="evaluate indicators for a reconstruction", parents=[case_args]
+    )
     i.add_argument("--data", required=True)
     i.add_argument("--recon", required=True)
     i.add_argument("--out", default=None)

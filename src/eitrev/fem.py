@@ -236,15 +236,13 @@ class AssembledSystem:
         self.cell_grads = _p1_gradients(mesh)
         self.facet_bary, _ = facet_rule(mesh.dimension)
 
-        sigma = np.asarray(tau.sigma, dtype=float)
-        zeta = np.asarray(tau.zeta, dtype=float)
-        A = _stiffness(self, sigma) + _contact_nodal(self, zeta)
-        R = _contact_coupling(self, zeta)
-        D = _contact_conductance(self, zeta)
+        # the form of tau itself; perturbation() serves derivative directions only
+        form = PerturbationOperator(self, tau)
+        R, D = form.Rmat, form.Dvec
         B = self.basis.B
         K = sp.bmat(
             [
-                [A, sp.csr_matrix(-R @ B)],
+                [form.A, sp.csr_matrix(-R @ B)],
                 [sp.csr_matrix(-(R @ B).T), sp.csr_matrix(B.T @ (D[:, None] * B))],
             ],
             format="csc",

@@ -43,6 +43,15 @@ from .model import AdmissibilityError, ModelConfig, ParamVector, Parametrization
 METHODS = ("1", "2", "3", "1,1", "1,1,1")
 
 
+def _check_methods(methods: Sequence[str]) -> tuple[str, ...]:
+    """The method names as a tuple; an unknown name raises ``ValueError`` naming it."""
+    methods = tuple(methods)
+    for method in methods:
+        if method not in METHODS:
+            raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
+    return methods
+
+
 def sample_rng(seed: int, index: int) -> np.random.Generator:
     """Counter-based generator for one sample stream: Philox keyed by (seed, index)."""
     return np.random.Generator(np.random.Philox(key=[np.uint64(seed), np.uint64(index)]))
@@ -224,15 +233,7 @@ def build_models(case: ExperimentCase) -> tuple[SideModel, SideModel]:
     """Measurement and reconstruction sides; shared when the case is an inverse crime."""
     rec = build_side(case, case.reconstruction)
     if case.inverse_crime:
-        meas = SideModel(
-            spec=case.measurement,
-            mesh=rec.mesh,
-            layout=rec.layout,
-            partition=rec.partition,
-            param=rec.param,
-            basis=rec.basis,
-        )
-        return meas, rec
+        return replace(rec, spec=case.measurement), rec
     return build_side(case, case.measurement), rec
 
 
@@ -379,8 +380,7 @@ class Reconstructor:
         Methods "1", "2", "3" are one-step series reversions of that order;
         "1,1" and "1,1,1" are two and three sequential linearizations.
         """
-        if method not in METHODS:
-            raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
+        _check_methods((method,))
         if "," in method:
             steps = method.count(",") + 1
             seq = sequential_linearize(
@@ -598,6 +598,7 @@ def experiment1(
     excluded). Per-sample failures are recorded, not fatal. Deterministic for
     a fixed seed.
     """
+    methods = _check_methods(methods)
     n = case.n_samples if n_samples is None else n_samples
     seed = case.seed if seed is None else seed
     meas, rec = build_models(case)
@@ -611,7 +612,7 @@ def experiment1(
             target = draw_target(meas, meas_prior, rng)
             yield target, simulate_measurements(meas, target, meas_noise, rng), recon
 
-    return _study(case, tuple(methods), meas, rec, draws(), n, record_failures=True)
+    return _study(case, methods, meas, rec, draws(), n, record_failures=True)
 
 
 def experiment2(
@@ -627,6 +628,7 @@ def experiment2(
     absolute size of the reference data and so does not vanish with s. The
     first failed reconstruction raises.
     """
+    methods = _check_methods(methods)
     seed = case.seed if seed is None else seed
     s_values = np.asarray(list(s_values), dtype=float)
     if np.any(s_values <= 0):
@@ -645,9 +647,7 @@ def experiment2(
             gammas = case.reconstruction.gammas.scaled(float(s))
             yield target, record, Reconstructor(rec, gammas=gammas)
 
-    result = _study(
-        case, tuple(methods), meas, rec, points(), len(s_values), record_failures=False
-    )
+    result = _study(case, methods, meas, rec, points(), len(s_values), record_failures=False)
     return replace(result, s_values=s_values)
 
 

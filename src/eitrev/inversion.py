@@ -225,9 +225,7 @@ class SubspacePseudoInverse:
         self.stack = stack
         self.directions = list(directions)
         self._proj = _vec_projector(stack.basis, in_electrodes, out_electrodes)
-        F = np.column_stack(
-            [vec(stack.dlambda1_identity(w)) for w in self.directions]
-        )
+        F = stack.jacobian(self.directions)
         if self._proj is not None:
             F = self._proj @ F
         self._U, self._s, self._Vt = np.linalg.svd(F, full_matrices=False)
@@ -346,23 +344,28 @@ def revert(
     The recursion inverts the truncated Taylor series: the first increment
     linearizes the residual, the second compensates the quadratic term driven
     by the first, and the third uses both previous increments. The supplied
-    inverse is applied to every operand matrix.
+    inverse is applied to every operand matrix. The stack's derivative memo
+    is cleared on the way out: the increments are fresh objects, so no later
+    call could reuse it.
     """
     if order < 1 or order > 3:
         raise ValueError("reversion order must be between 1 and 3")
-    residual = np.asarray(data, dtype=float) - stack.lam
-    diagnostics = {"operand_norms": [float(np.linalg.norm(residual))]}
-    eta1 = inverse(residual)
-    etas = [eta1]
-    if order >= 2:
-        operand2 = -0.5 * stack.dlambda2(eta1)
-        diagnostics["operand_norms"].append(float(np.linalg.norm(operand2)))
-        eta2 = inverse(operand2)
-        etas.append(eta2)
-    if order >= 3:
-        operand3 = -(stack.dlambda3(eta1) / 6.0 + stack.mixed_dlambda2(eta1, etas[1]))
-        diagnostics["operand_norms"].append(float(np.linalg.norm(operand3)))
-        etas.append(inverse(operand3))
+    try:
+        residual = np.asarray(data, dtype=float) - stack.lam
+        diagnostics = {"operand_norms": [float(np.linalg.norm(residual))]}
+        eta1 = inverse(residual)
+        etas = [eta1]
+        if order >= 2:
+            operand2 = -0.5 * stack.dlambda2(eta1)
+            diagnostics["operand_norms"].append(float(np.linalg.norm(operand2)))
+            eta2 = inverse(operand2)
+            etas.append(eta2)
+        if order >= 3:
+            operand3 = -(stack.dlambda3(eta1) / 6.0 + stack.mixed_dlambda2(eta1, etas[1]))
+            diagnostics["operand_norms"].append(float(np.linalg.norm(operand3)))
+            etas.append(inverse(operand3))
+    finally:
+        stack.forget()
     return ReversionResult(etas=tuple(etas), diagnostics=diagnostics)
 
 

@@ -1,9 +1,14 @@
 """Command line interface: every subcommand end to end on temporary files."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import eitrev
 from eitrev.cli import main
 from eitrev.harness import read_matrix
 from eitrev.mesh import load_mesh, load_partition
@@ -193,3 +198,14 @@ def test_config_override(workdir, tmp_path):
     )
     meta = json.loads((sim_dir / "record.json").read_text())
     assert meta["deltas"] == [0.0, 0.0]
+
+
+def test_unknown_method_exits_nonzero(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(Path(eitrev.__file__).parents[1]))
+    argv = ["experiment1", "--samples", "1", "--methods", "1;4", "--out", str(tmp_path)]
+    proc = subprocess.run(
+        [sys.executable, "-m", "eitrev.cli", *argv], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode != 0
+    assert "unknown method '4'" in proc.stderr
+    assert not (tmp_path / "summary.csv").exists()

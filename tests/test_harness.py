@@ -227,6 +227,15 @@ class TestExperiment1:
         assert result.failures[0][0] == 1  # second sample
         assert np.isnan(result.table["1"]["res"][1])
 
+    def test_unknown_method_raises_before_any_model_is_built(self, small_case, monkeypatch):
+        monkeypatch.setattr(harness, "build_models", _no_models)
+        with pytest.raises(ValueError, match="'4'"):
+            experiment1(small_case, methods=("1", "4"), n_samples=1)
+
+
+def _no_models(case):
+    raise AssertionError("models were built")
+
 
 class TestExperiment2:
     def test_deterministic(self, small_case, tmp_path):
@@ -245,6 +254,11 @@ class TestExperiment2:
     def test_rejects_nonpositive_scaling(self, small_case):
         with pytest.raises(ValueError):
             experiment2(small_case, [0.5, -1.0], seed=1)
+
+    def test_unknown_method_raises_before_any_model_is_built(self, small_case, monkeypatch):
+        monkeypatch.setattr(harness, "build_models", _no_models)
+        with pytest.raises(ValueError, match="'1,2'"):
+            experiment2(small_case, [0.5], seed=1, methods=("1", "1,2"))
 
 
 class TestSerialization:

@@ -207,7 +207,7 @@ class TestSubspacePseudoInverse:
     def test_orthogonal_data_maps_to_zero(self, stack8):
         dirs = subspace_directions(stack8, 5)
         inv = SubspacePseudoInverse(stack8, dirs)
-        F = np.column_stack([vec(stack8.dlambda1_identity(d)) for d in dirs])
+        F = stack8.jacobian(dirs)
         rng = np.random.default_rng(42)
         raw = rng.standard_normal(49)
         q, _ = np.linalg.qr(F)
@@ -229,6 +229,17 @@ class TestRevert:
         result = revert(stack8, inverse, stack8.lam.copy(), order=3)
         for eta in result.etas:
             assert np.all(eta.to_flat() == 0.0)
+
+    def test_memo_lives_for_one_reversion(self, stack8, smooth8, basis8):
+        prior = build_prior(smooth8, PriorGammas(0.1, 1.0, 0.1, 0.02))
+        noise = build_noise_cov(1e-4, 1e-3, stack8.lam, basis8)
+        inverse = TikhonovInverse(stack8, prior, noise)
+        J = stack8.jacobian()
+        rng = np.random.default_rng(45)
+        data = stack8.lam + 1e-3 * rng.standard_normal((7, 7))
+        revert(stack8, inverse, data, order=3)
+        assert stack8._handles == [] and stack8._ops == {} and stack8._chains == {}
+        assert stack8.jacobian() is J
 
     def test_partial_sums_exact(self, stack8, smooth8, basis8):
         prior = build_prior(smooth8, PriorGammas(0.1, 1.0, 0.1, 0.02))
