@@ -363,15 +363,12 @@ class Reconstructor:
     def lam0(self) -> np.ndarray:
         return self.stack0.lam
 
-    def _make_stack(self, iota: ParamVector | None) -> DerivativeStack:
-        iota = self.rec.param.zero() if iota is None else iota
+    def _make_stack(self, iota: ParamVector) -> DerivativeStack:
         tau = self.rec.param.tau(iota)
         system = fem.assemble(self.rec.mesh, self.rec.layout, tau, self.rec.basis)
         return DerivativeStack(system, self.rec.param, iota, self.rec.basis)
 
     def _make_inverse(self, stack: DerivativeStack) -> TikhonovInverse:
-        if stack is self.stack0:
-            return self.inverse0
         return TikhonovInverse(stack, self.prior, self.noise)
 
     def run(self, method: str, data: np.ndarray) -> ReconOutcome:
@@ -600,6 +597,8 @@ def experiment1(
     """
     methods = _check_methods(methods)
     n = case.n_samples if n_samples is None else n_samples
+    if n < 1:
+        raise ValueError(f"n_samples must be at least 1, got {n}")
     seed = case.seed if seed is None else seed
     meas, rec = build_models(case)
     recon = Reconstructor(rec)
@@ -631,6 +630,8 @@ def experiment2(
     methods = _check_methods(methods)
     seed = case.seed if seed is None else seed
     s_values = np.asarray(list(s_values), dtype=float)
+    if s_values.size == 0:
+        raise ValueError("the grid of scaling factors is empty")
     if np.any(s_values <= 0):
         raise ValueError("scaling factors must be positive")
     meas, rec = build_models(case)

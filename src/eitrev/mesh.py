@@ -19,6 +19,8 @@ from functools import cached_property
 from pathlib import Path
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import breadth_first_order
 
 from .quadrature import facet_measure, facet_rule
 
@@ -591,8 +593,12 @@ def _weighted_centers(
     return acc / total[:, None]
 
 
-def _components(cells: np.ndarray, adjacency: list[np.ndarray], member: np.ndarray) -> list[list[int]]:
-    """Connected components of a cell subset under face adjacency."""
+def _components(cells: np.ndarray, adjacency: list[np.ndarray]) -> list[list[int]]:
+    """Connected components of a cell subset under face adjacency.
+
+    Each component is a sorted cell list; the largest comes first and ties
+    go to the component with the smallest cell.
+    """
     remaining = set(cells.tolist())
     comps = []
     while remaining:
@@ -601,35 +607,13 @@ def _components(cells: np.ndarray, adjacency: list[np.ndarray], member: np.ndarr
         remaining.discard(seed)
         comp = [seed]
         while stack:
-            c = stack.pop()
-            for nb in adjacency[c]:
-                if nb in remaining and member[nb]:
-                    remaining.discard(int(nb))
-                    comp.append(int(nb))
-                    stack.append(int(nb))
+            for nb in adjacency[stack.pop()].tolist():
+                if nb in remaining:
+                    remaining.discard(nb)
+                    comp.append(nb)
+                    stack.append(nb)
         comps.append(sorted(comp))
-    return comps
-
-
-def _is_connected_without(
-    cells: np.ndarray, adjacency: list[np.ndarray], labels: np.ndarray, drop: int
-) -> bool:
-    remaining = [c for c in cells if c != drop]
-    if not remaining:
-        return False
-    member = np.zeros(len(labels), dtype=bool)
-    member[remaining] = True
-    stack = [remaining[0]]
-    member[remaining[0]] = False
-    seen = 1
-    while stack:
-        c = stack.pop()
-        for nb in adjacency[c]:
-            if member[nb]:
-                member[nb] = False
-                seen += 1
-                stack.append(int(nb))
-    return seen == len(remaining)
+    return sorted(comps, key=lambda c: (-len(c), c[0]))
 
 
 def _move_cell(
@@ -641,15 +625,11 @@ def _move_cell(
     receiver: int,
 ) -> bool:
     """Move the best rim cell of ``donor`` into adjacent ``receiver``."""
-    candidates = [
-        c
-        for c in np.where(labels == donor)[0]
-        if any(labels[nb] == receiver for nb in adjacency[c])
-    ]
+    donor_cells = np.flatnonzero(labels == donor)
+    candidates = [c for c in donor_cells if (labels[adjacency[c]] == receiver).any()]
     candidates.sort(key=lambda c: (np.linalg.norm(points[c] - centers[receiver]), c))
-    donor_cells = np.where(labels == donor)[0]
     for c in candidates:
-        if _is_connected_without(donor_cells, adjacency, labels, c):
+        if len(_components(donor_cells[donor_cells != c], adjacency)) == 1:
             labels[c] = receiver
             return True
     return False
@@ -677,39 +657,30 @@ def _balance_clusters(
     stuck: set[int] = set()
     blocked: set[tuple[int, int]] = set()
     for _ in range(_BALANCE_MAX_MOVES):
-        counts = np.bincount(labels, minlength=n_clusters)
-        deficient = [
-            int(c)
-            for c in np.argsort(counts, kind="stable")
-            if counts[c] <= counts.max() - 2 and c not in stuck
-        ]
-        if not deficient:
+        counts = np.bincount(labels, minlength=n_clusters).tolist()
+        top = max(counts)
+        smallest = min(
+            (c for c in range(n_clusters) if counts[c] <= top - 2 and c not in stuck),
+            key=lambda c: (counts[c], c),
+            default=-1,
+        )
+        if smallest < 0:
             break
-        smallest = deficient[0]
         la, lb = labels[edges[:, 0]], labels[edges[:, 1]]
-        cross = edges[la != lb]
-        graph: list[set[int]] = [set() for _ in range(n_clusters)]
-        for a, b in zip(labels[cross[:, 0]], labels[cross[:, 1]]):
-            graph[a].add(int(b))
-            graph[b].add(int(a))
-        # Breadth-first search for the nearest unblocked donor with two more cells.
-        parent = {smallest: -1}
-        frontier = [smallest]
-        donor = -1
-        while frontier and donor < 0:
-            nxt = []
-            for g in frontier:
-                for h in sorted(graph[g]):
-                    if h in parent:
-                        continue
-                    parent[h] = g
-                    if counts[h] >= counts[smallest] + 2 and (smallest, h) not in blocked:
-                        donor = h
-                        break
-                    nxt.append(h)
-                if donor >= 0:
-                    break
-            frontier = nxt
+        cross = la != lb
+        graph = np.zeros((n_clusters, n_clusters), dtype=bool)
+        graph[la[cross], lb[cross]] = True
+        graph[lb[cross], la[cross]] = True
+        # The nearest unblocked donor with two more cells, in breadth-first order;
+        # a CSR matrix built from a dense array lists neighbours by index.
+        order, parent = breadth_first_order(
+            csr_matrix(graph), smallest, return_predecessors=True
+        )
+        need = counts[smallest] + 2
+        donor = next(
+            (h for h in order[1:].tolist() if counts[h] >= need and (smallest, h) not in blocked),
+            -1,
+        )
         if donor < 0:
             stuck.add(smallest)
             continue
@@ -717,18 +688,15 @@ def _balance_clusters(
         centers = _weighted_centers(points, weights, labels, n_clusters)
         trial = labels.copy()
         node = donor
-        ok = True
-        while parent[node] != -1:
+        while node != smallest:
             if not _move_cell(trial, adjacency, points, centers, node, parent[node]):
-                ok = False
+                blocked.add((smallest, donor))
                 break
             node = parent[node]
-        if ok:
+        else:
             labels = trial
             stuck.clear()
             blocked.clear()
-        else:
-            blocked.add((smallest, donor))
     return labels
 
 
@@ -780,13 +748,7 @@ def cluster_partition(mesh: SimplicialMesh, n_clusters: int, seed: int) -> Parti
         centers = _weighted_centers(points, weights, labels, n_clusters)
         moved = False
         for i in range(n_clusters):
-            cells = np.where(labels == i)[0]
-            member = labels == i
-            comps = _components(cells, adjacency, member)
-            if len(comps) <= 1:
-                continue
-            comps.sort(key=lambda c: (-len(c), c[0]))
-            for frag in comps[1:]:
+            for frag in _components(np.flatnonzero(labels == i), adjacency)[1:]:
                 neighbor_clusters = sorted(
                     {
                         int(labels[nb])
@@ -811,17 +773,20 @@ def cluster_partition(mesh: SimplicialMesh, n_clusters: int, seed: int) -> Parti
     labels = _balance_clusters(labels, points, weights, adjacency, n_clusters)
 
     for i in range(n_clusters):
-        cells = np.where(labels == i)[0]
+        cells = np.flatnonzero(labels == i)
         if cells.size == 0:
             raise PartitionError(f"cluster {i} is empty after repair")
-        if len(_components(cells, adjacency, labels == i)) != 1:
+        if len(_components(cells, adjacency)) != 1:
             raise PartitionError(f"cluster {i} is disconnected after repair")
 
     centers = _weighted_centers(points, weights, labels, n_clusters)
-    part = Partition(mesh=mesh, cluster_of=labels, centers=centers)
-    part.cluster_of.setflags(write=False)
-    part.centers.setflags(write=False)
-    return part
+    return _frozen_partition(mesh, labels, centers)
+
+
+def _frozen_partition(mesh: SimplicialMesh, labels: np.ndarray, centers: np.ndarray) -> Partition:
+    for arr in (labels, centers):
+        arr.setflags(write=False)
+    return Partition(mesh=mesh, cluster_of=labels, centers=centers)
 
 
 def nearest_neighbor_project(
@@ -860,5 +825,8 @@ def load_partition(mesh: SimplicialMesh, path: str | Path) -> Partition:
     counts = np.bincount(labels, minlength=k)
     if np.any(counts == 0):
         raise MeshFormatError("partition file skips a cluster index")
+    for i in range(k):
+        if len(_components(np.flatnonzero(labels == i), mesh.cell_adjacency)) != 1:
+            raise MeshFormatError(f"cluster {i} in partition file {path} is not connected")
     centers = _weighted_centers(mesh.cell_centroids, mesh.cell_volumes, labels, k)
-    return Partition(mesh=mesh, cluster_of=labels, centers=centers)
+    return _frozen_partition(mesh, labels, centers)

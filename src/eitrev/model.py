@@ -163,13 +163,17 @@ def eval_zeta_cem(
     both the density and the integral.
     """
     theta = np.asarray(theta, dtype=float)
-    M = layout.n_electrodes
-    if theta.shape != (M,):
+    if theta.shape != (layout.n_electrodes,):
         raise ValueError("theta length must equal the electrode count")
-    areas = np.array([layout.contact_measure(m) for m in range(M)])
+    return _cem_density(layout, np.exp(config.mu_zeta + theta))
+
+
+def _cem_density(layout: ElectrodeLayout, coeff: np.ndarray) -> np.ndarray:
+    """Density coeff_m / |e_m| on the contact region e_m, zero elsewhere, per quadrature node."""
+    areas = np.array([layout.contact_measure(m) for m in range(layout.n_electrodes)])
     if np.any(areas <= 0):
         raise ValueError("every contact region must have positive area")
-    per_facet = np.exp(config.mu_zeta + theta)[layout.efacet_electrode]
+    per_facet = coeff[layout.efacet_electrode]
     per_facet = np.where(layout.contact_mask, per_facet / areas[layout.efacet_electrode], 0.0)
     return np.repeat(per_facet[:, None], layout.equad_weights.shape[1], axis=1)
 
@@ -469,16 +473,10 @@ def dtau(
     if not np.any(contact_active):
         return ConductivityPair(dsigma, dzeta)
     if iota.kind == "cem":
-        areas = np.array([layout.contact_measure(m) for m in range(M)])
         coeff = np.exp(config.mu_zeta + iota.rho)
         for d in directions:
             coeff = coeff * d.rho
-        per_facet = coeff[layout.efacet_electrode]
-        per_facet = np.where(
-            layout.contact_mask, per_facet / areas[layout.efacet_electrode], 0.0
-        )
-        dzeta = np.repeat(per_facet[:, None], layout.equad_weights.shape[1], axis=1)
-        return ConductivityPair(dsigma, dzeta)
+        return ConductivityPair(dsigma, _cem_density(layout, coeff))
 
     for m in range(M):
         if not contact_active[m]:

@@ -209,3 +209,24 @@ def test_unknown_method_exits_nonzero(tmp_path):
     assert proc.returncode != 0
     assert "unknown method '4'" in proc.stderr
     assert not (tmp_path / "summary.csv").exists()
+
+
+def _run_cli(argv):
+    env = dict(os.environ, PYTHONPATH=str(Path(eitrev.__file__).parents[1]))
+    return subprocess.run(
+        [sys.executable, "-m", "eitrev.cli", *argv], env=env, capture_output=True, text=True
+    )
+
+
+def test_zero_samples_exits_nonzero(tmp_path):
+    proc = _run_cli(["experiment1", "--samples", "0", "--methods", "1", "--out", str(tmp_path)])
+    assert proc.returncode != 0
+    assert "n_samples must be at least 1" in proc.stderr
+    assert not (tmp_path / "summary.csv").exists()
+
+
+def test_empty_grid_exits_nonzero(tmp_path):
+    proc = _run_cli(["experiment2", "--s-grid", ",", "--out", str(tmp_path)])
+    assert proc.returncode != 0
+    assert "grid of scaling factors is empty" in proc.stderr
+    assert not (tmp_path / "curves.csv").exists()

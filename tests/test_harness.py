@@ -232,6 +232,13 @@ class TestExperiment1:
         with pytest.raises(ValueError, match="'4'"):
             experiment1(small_case, methods=("1", "4"), n_samples=1)
 
+    def test_no_samples_raises_before_any_model_is_built(self, small_case, monkeypatch):
+        monkeypatch.setattr(harness, "build_models", _no_models)
+        with pytest.raises(ValueError, match="n_samples"):
+            experiment1(small_case, n_samples=0)
+        with pytest.raises(ValueError, match="n_samples"):
+            experiment1(replace(small_case, n_samples=0))
+
 
 def _no_models(case):
     raise AssertionError("models were built")
@@ -259,6 +266,11 @@ class TestExperiment2:
         monkeypatch.setattr(harness, "build_models", _no_models)
         with pytest.raises(ValueError, match="'1,2'"):
             experiment2(small_case, [0.5], seed=1, methods=("1", "1,2"))
+
+    def test_empty_grid_raises_before_any_model_is_built(self, small_case, monkeypatch):
+        monkeypatch.setattr(harness, "build_models", _no_models)
+        with pytest.raises(ValueError, match="empty"):
+            experiment2(small_case, [], seed=1)
 
 
 class TestSerialization:

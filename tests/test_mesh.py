@@ -1,5 +1,7 @@
 """Geometry layer: meshes, electrode layouts, partitions, projections."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -237,6 +239,41 @@ class TestPartition:
         again = load_partition(disk2, path)
         assert np.array_equal(again.cluster_of, part20.cluster_of)
         assert np.allclose(again.centers, part20.centers)
+
+    def test_loaded_partition_is_read_only(self, tmp_path, part20, disk2):
+        path = tmp_path / "part.txt"
+        save_partition(part20, path)
+        again = load_partition(disk2, path)
+        assert not again.cluster_of.flags.writeable
+        assert not again.centers.flags.writeable
+
+    def test_disconnected_cluster_in_file_is_rejected(self, tmp_path, disk2):
+        assert 100 not in disk2.cell_adjacency[0]
+        labels = np.zeros(disk2.n_cells, dtype=int)
+        labels[[0, 100]] = 1
+        path = tmp_path / "part.txt"
+        path.write_text("\n".join(map(str, labels)) + "\n")
+        with pytest.raises(MeshFormatError, match="cluster 1 "):
+            load_partition(disk2, path)
+
+    # sha256 of ``cluster_of`` as little-endian int64, pinned so that a rewrite
+    # of the repair or balancing passes cannot silently move a single label.
+    # (4, 200, 7) is the reconstruction side of the C3 measurement case.
+    @pytest.mark.parametrize(
+        "level, n_clusters, seed, digest",
+        [
+            (2, 20, 1, "2282a85a8d050c0ca9e1d6ddd22d72ae5a8a9ab99a450b3c86c26ce222e7f6c5"),
+            (3, 80, 7, "6c07080e67865b175d4884461660420a2749058c2f5ffb06f60cc0c96d022140"),
+            (2, 11, 5, "f78ee05d1be24d35b3a8ee8c4b53596348079515b14b7d8acab01085e2263400"),
+            (3, 50, 0, "7d99343a5bce1b767e478d4c1a459aeff0ea38307717345213fe4e8ee0c60bbd"),
+            (1, 10, 1, "9911d0f7abbb92b6dd852683580881c1f9706512f05583cb17e16ed635fe2b27"),
+            (4, 200, 7, "0116cbe12f814aa536b55c47fbeeb89928afa1f3d53c4d978d30daea0bb5b78c"),
+        ],
+    )
+    def test_labels_are_pinned(self, level, n_clusters, seed, digest):
+        part = cluster_partition(generate_disk_mesh(level), n_clusters, seed)
+        labels = part.cluster_of.astype("<i8").tobytes()
+        assert hashlib.sha256(labels).hexdigest() == digest
 
 
 class TestNearestNeighborProject:
