@@ -15,7 +15,6 @@ from .fem import (
     IndefiniteSystemError,
     SolutionSet,
     apply_P,
-    assemble,
     bform_eval,
     current_basis,
     forward_map,

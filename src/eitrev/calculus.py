@@ -14,14 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .fem import (
-    AssembledSystem,
-    CurrentBasis,
-    PerturbationOperator,
-    SolutionSet,
-    apply_P,
-    solve_forward,
-)
+from .fem import AssembledSystem, PerturbationOperator, SolutionSet, apply_P, solve_forward
 
 _FACTORIALS = {1: 1.0, 2: 2.0, 3: 6.0}
 
@@ -37,11 +30,11 @@ class DerivativeStack:
     reproducible from scratch.
     """
 
-    def __init__(self, system: AssembledSystem, param, iota, basis: CurrentBasis | None = None):
+    def __init__(self, system: AssembledSystem, param, iota):
         self.system = system
         self.param = param
         self.iota = iota
-        self.basis = basis if basis is not None else system.basis
+        self.basis = system.basis
         self.base = solve_forward(system, self.basis.B)
         self.lam = self.base.coefficients(self.basis)
         self._handles: list = []

@@ -10,6 +10,7 @@ is shared by every subsequent solve, including all perturbation solves.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -52,8 +53,12 @@ class CurrentBasis:
         return self.B.shape[0]
 
 
+@cache
 def current_basis(n_electrodes: int) -> CurrentBasis:
-    """Build the canonical bases for ``n_electrodes`` electrodes."""
+    """The canonical bases for ``n_electrodes`` electrodes, built once per count.
+
+    The arrays are read-only, so every caller can share them.
+    """
     M = n_electrodes
     if M < 2:
         raise ValueError("at least two electrodes are required")
@@ -71,9 +76,10 @@ def current_basis(n_electrodes: int) -> CurrentBasis:
     for m in range(M - 1):
         Bhat[m, m] = 1.0
         Bhat[m + 1, m] = -1.0
-    return CurrentBasis(
-        B=B, Bhat=Bhat, B_pinv=np.linalg.pinv(B), Bhat_pinv=np.linalg.pinv(Bhat)
-    )
+    B_pinv, Bhat_pinv = np.linalg.pinv(B), np.linalg.pinv(Bhat)
+    for arr in (B, Bhat, B_pinv, Bhat_pinv):
+        arr.setflags(write=False)
+    return CurrentBasis(B=B, Bhat=Bhat, B_pinv=B_pinv, Bhat_pinv=Bhat_pinv)
 
 
 # ---------------------------------------------------------------------------
@@ -215,24 +221,19 @@ def _contact_conductance(system: "AssembledSystem", zeta: np.ndarray) -> np.ndar
 
 
 class AssembledSystem:
-    """Factorized discrete system for one conductivity pair.
+    """Factorized discrete system for one conductivity pair on an electrode layout.
 
-    Immutable after construction except for ``solve_count`` and
+    The mesh is the layout's and the basis the shared one for its electrode
+    count. Immutable after construction except for ``solve_count`` and
     ``factor_count``, which account for the triangular solves and
     factorizations performed.
     """
 
-    def __init__(
-        self,
-        mesh: SimplicialMesh,
-        layout: ElectrodeLayout,
-        tau: ConductivityPair,
-        basis: CurrentBasis | None = None,
-    ):
-        self.mesh = mesh
+    def __init__(self, layout: ElectrodeLayout, tau: ConductivityPair):
+        mesh = self.mesh = layout.mesh
         self.layout = layout
         self.tau = tau
-        self.basis = basis if basis is not None else current_basis(layout.n_electrodes)
+        self.basis = current_basis(layout.n_electrodes)
         self.cell_grads = _p1_gradients(mesh)
         self.facet_bary, _ = facet_rule(mesh.dimension)
 
@@ -283,16 +284,6 @@ class AssembledSystem:
 
     def perturbation(self, eta: ConductivityPair) -> PerturbationOperator:
         return PerturbationOperator(self, eta)
-
-
-def assemble(
-    mesh: SimplicialMesh,
-    layout: ElectrodeLayout,
-    tau: ConductivityPair,
-    basis: CurrentBasis | None = None,
-) -> AssembledSystem:
-    """Assemble and factorize the coupled system for a conductivity pair."""
-    return AssembledSystem(mesh, layout, tau, basis)
 
 
 # ---------------------------------------------------------------------------
@@ -346,13 +337,12 @@ def bform_eval(
     return op.bform(left, right)
 
 
-def forward_map(system: AssembledSystem, basis: CurrentBasis | None = None) -> np.ndarray:
+def forward_map(system: AssembledSystem) -> np.ndarray:
     """Current-to-voltage map in the orthonormal mean-free basis.
 
     Entry (j, i) is the inner product of the j-th basis current with the
     electrode potentials driven by the i-th; reciprocity makes the matrix
     symmetric for real conductivities.
     """
-    basis = basis if basis is not None else system.basis
-    sols = solve_forward(system, basis.B)
-    return sols.coefficients(basis)
+    sols = solve_forward(system, system.basis.B)
+    return sols.coefficients(system.basis)

@@ -31,6 +31,7 @@ from .inversion import (
     sequential_linearize,
 )
 from .mesh import (
+    MAX_DISK_REFINEMENT,
     Partition,
     cluster_partition,
     define_electrodes,
@@ -72,6 +73,18 @@ class SideSpec:
     deltas: tuple[float, float]
     gammas: PriorGammas
 
+    def __post_init__(self) -> None:
+        if len(self.deltas) != 2:
+            raise ValueError(f"deltas must hold two noise levels, got {self.deltas!r}")
+        if not isinstance(self.level, int) or not 0 <= self.level <= MAX_DISK_REFINEMENT:
+            raise ValueError(
+                f"level must be an integer in 0..{MAX_DISK_REFINEMENT}, got {self.level!r}"
+            )
+        if self.n_clusters < 1:
+            raise ValueError(f"n_clusters must be at least 1, got {self.n_clusters!r}")
+        if self.contact not in ("smooth", "cem"):
+            raise ValueError(f"contact must be 'smooth' or 'cem', got {self.contact!r}")
+
 
 @dataclass(frozen=True)
 class ExperimentCase:
@@ -96,6 +109,8 @@ class ExperimentCase:
     cluster_seed: int = 7
 
     def __post_init__(self) -> None:
+        if self.n_electrodes < 2:
+            raise ValueError(f"n_electrodes must be at least 2, got {self.n_electrodes!r}")
         if self.reconstruction.contact != "smooth":
             raise ValueError("the reconstruction side always uses the smooth contact model")
         for spec in (self.measurement, self.reconstruction):
@@ -199,14 +214,14 @@ def case_from_config(data: dict) -> ExperimentCase:
 
 @dataclass(frozen=True, eq=False)
 class SideModel:
-    """Geometry and parametrization of one side of an experiment."""
+    """One side of an experiment: its spec and its parametrization.
+
+    The parametrization holds the side's geometry: ``param.layout`` with its
+    mesh and ``param.partition``.
+    """
 
     spec: SideSpec
-    mesh: object
-    layout: object
-    partition: Partition
     param: Parametrization
-    basis: fem.CurrentBasis
 
 
 def build_side(case: ExperimentCase, spec: SideSpec) -> SideModel:
@@ -218,15 +233,7 @@ def build_side(case: ExperimentCase, spec: SideSpec) -> SideModel:
         case.contact_radius,
     )
     partition = cluster_partition(mesh, spec.n_clusters, seed=case.cluster_seed)
-    param = Parametrization(case.config, partition, layout, spec.contact)
-    return SideModel(
-        spec=spec,
-        mesh=mesh,
-        layout=layout,
-        partition=partition,
-        param=param,
-        basis=fem.current_basis(case.n_electrodes),
-    )
+    return SideModel(spec, Parametrization(case.config, partition, layout, spec.contact))
 
 
 def build_models(case: ExperimentCase) -> tuple[SideModel, SideModel]:
@@ -238,15 +245,14 @@ def build_models(case: ExperimentCase) -> tuple[SideModel, SideModel]:
 
 
 def side_forward_map(side: SideModel, iota: ParamVector, strict: bool = True) -> np.ndarray:
-    tau = side.param.tau(iota, strict=strict)
-    system = fem.assemble(side.mesh, side.layout, tau, side.basis)
-    return fem.forward_map(system, side.basis)
+    system = fem.AssembledSystem(side.param.layout, side.param.tau(iota, strict=strict))
+    return fem.forward_map(system)
 
 
 def build_noise_cov_for_side(side: SideModel, deltas: tuple[float, float]) -> NoiseModel:
     """Noise model scaled by the side's own reference measurements."""
     lam0 = side_forward_map(side, side.param.zero())
-    return build_noise_cov(deltas[0], deltas[1], lam0, side.basis)
+    return build_noise_cov(deltas[0], deltas[1], lam0)
 
 
 # ---------------------------------------------------------------------------
@@ -300,11 +306,10 @@ def simulate_measurements(
     if not side.param.admissible(target):
         raise AdmissibilityError("target parameters are inadmissible on the measurement side")
     lam = side_forward_map(side, target)
-    return simulate_from_map(side.basis, lam, target, noise, rng, theta_hat)
+    return simulate_from_map(lam, target, noise, rng, theta_hat)
 
 
 def simulate_from_map(
-    basis: fem.CurrentBasis,
     lam: np.ndarray,
     target: ParamVector,
     noise: NoiseModel,
@@ -312,6 +317,7 @@ def simulate_from_map(
     theta_hat: np.ndarray | None = None,
 ) -> MeasurementRecord:
     """Noise stage of the simulator for a precomputed noiseless map."""
+    basis = noise.basis
     U = basis.B @ lam @ basis.B_pinv @ basis.Bhat
     if theta_hat is None:
         theta_hat = noise.draw_raw(rng)
@@ -356,7 +362,7 @@ class Reconstructor:
         self.prior = build_prior(rec.param, self.gammas)
         self.stack0 = self._make_stack(rec.param.zero())
         deltas = rec.spec.deltas
-        self.noise = build_noise_cov(deltas[0], deltas[1], self.stack0.lam, rec.basis)
+        self.noise = build_noise_cov(deltas[0], deltas[1], self.stack0.lam)
         self.inverse0 = TikhonovInverse(self.stack0, self.prior, self.noise)
 
     @property
@@ -364,9 +370,8 @@ class Reconstructor:
         return self.stack0.lam
 
     def _make_stack(self, iota: ParamVector) -> DerivativeStack:
-        tau = self.rec.param.tau(iota)
-        system = fem.assemble(self.rec.mesh, self.rec.layout, tau, self.rec.basis)
-        return DerivativeStack(system, self.rec.param, iota, self.rec.basis)
+        param = self.rec.param
+        return DerivativeStack(fem.AssembledSystem(param.layout, param.tau(iota)), param, iota)
 
     def _make_inverse(self, stack: DerivativeStack) -> TikhonovInverse:
         return TikhonovInverse(stack, self.prior, self.noise)
@@ -462,14 +467,13 @@ def indicators(
     else:
         res_rel = res / denom
 
-    if rec.partition is meas.partition:
+    rec_part, meas_part = rec.param.partition, meas.param.partition
+    if rec_part is meas_part:
         kappa_on_meas = upsilon_i.kappa
     else:
-        kappa_on_meas = nearest_neighbor_project(
-            rec.partition, upsilon_i.kappa, meas.partition
-        )
-    err = _pc_norm(meas.partition, kappa_on_meas - target.kappa)
-    target_norm = _pc_norm(meas.partition, target.kappa)
+        kappa_on_meas = nearest_neighbor_project(rec_part, upsilon_i.kappa, meas_part)
+    err = _pc_norm(meas_part, kappa_on_meas - target.kappa)
+    target_norm = _pc_norm(meas_part, target.kappa)
     err_rel = err / target_norm if target_norm > 0 else (0.0 if err == 0.0 else float("inf"))
     return Indicators(res=res, res_rel=res_rel, err=err, err_rel=err_rel)
 
@@ -554,7 +558,7 @@ def _study(
     failures = []
     for i, (target, record, recon) in enumerate(items):
         ref_res[i] = float(np.linalg.norm(recon.lam0 - record.upsilon))
-        ref_err[i] = _pc_norm(meas.partition, target.kappa)
+        ref_err[i] = _pc_norm(meas.param.partition, target.kappa)
         for method in methods:
             try:
                 outcome = recon.run(method, record.upsilon)

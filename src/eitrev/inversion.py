@@ -16,7 +16,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .calculus import DerivativeStack, vec
-from .fem import CurrentBasis
+from .fem import CurrentBasis, current_basis
 
 RANK_CUTOFF = 1e-12
 _JITTER_TRIES = 3
@@ -55,7 +55,6 @@ class PriorModel:
     chol: np.ndarray  # lower Cholesky factor
     inv: np.ndarray
     gammas: PriorGammas
-    kind: str
 
     @property
     def dim(self) -> int:
@@ -99,7 +98,9 @@ def build_prior(param, gammas: PriorGammas) -> PriorModel:
                 raise
             cov = cov + jitter * np.eye(cov.shape[0])
     inv = sla.cho_solve((chol, True), np.eye(cov.shape[0]))
-    return PriorModel(cov=cov, chol=chol, inv=inv, gammas=gammas, kind=param.kind)
+    for arr in (cov, chol, inv):
+        arr.setflags(write=False)
+    return PriorModel(cov=cov, chol=chol, inv=inv, gammas=gammas)
 
 
 # ---------------------------------------------------------------------------
@@ -129,19 +130,19 @@ class NoiseModel:
         return self.pattern_std * rng.standard_normal(self.pattern_std.shape)
 
 
-def build_noise_cov(
-    delta1: float, delta2: float, lam_ref: np.ndarray, basis: CurrentBasis
-) -> NoiseModel:
+def build_noise_cov(delta1: float, delta2: float, lam_ref: np.ndarray) -> NoiseModel:
     """Noise covariance induced by the physical measurement protocol.
 
     Per-pattern noise is independent Gaussian with variance
     (delta1 max|U|)^2 + (delta2 |U_i^{(m)}|)^2 built from the noiseless
-    measurements at the reference parameters; the covariance of the data
-    matrix follows by pushing the per-column mean removal and the basis
-    changes through the vectorization exactly.
+    measurements at the reference parameters, an (M-1) x (M-1) map whose
+    shape fixes the electrode count M; the covariance of the data matrix
+    follows by pushing the per-column mean removal and the basis changes
+    through the vectorization exactly.
     """
+    M = lam_ref.shape[0] + 1
+    basis = current_basis(M)
     B, Bhat = basis.B, basis.Bhat
-    M = B.shape[0]
     U0 = B @ lam_ref @ basis.B_pinv @ Bhat  # noiseless physical measurements
     peak = np.abs(U0).max()
     var = (delta1 * peak) ** 2 + (delta2 * np.abs(U0)) ** 2

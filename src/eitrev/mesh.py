@@ -88,23 +88,23 @@ class SimplicialMesh:
 
     @cached_property
     def cell_volumes(self) -> np.ndarray:
-        return _signed_volumes(self.vertices, self.cells)
+        return _freeze(_signed_volumes(self.vertices, self.cells))
 
     @cached_property
     def cell_centroids(self) -> np.ndarray:
-        return self.vertices[self.cells].mean(axis=1)
+        return _freeze(self.vertices[self.cells].mean(axis=1))
 
     @cached_property
     def boundary_centroids(self) -> np.ndarray:
-        return self.vertices[self.boundary_facets].mean(axis=1)
+        return _freeze(self.vertices[self.boundary_facets].mean(axis=1))
 
     @cached_property
     def boundary_measures(self) -> np.ndarray:
         coords = self.vertices[self.boundary_facets]
-        return np.array([facet_measure(c) for c in coords])
+        return _freeze(np.array([facet_measure(c) for c in coords]))
 
     @cached_property
-    def cell_adjacency(self) -> list[np.ndarray]:
+    def cell_adjacency(self) -> tuple[np.ndarray, ...]:
         """Face-adjacent neighbor cells for every cell."""
         facets: dict[tuple[int, ...], list[int]] = {}
         d = self.dimension
@@ -118,7 +118,7 @@ class SimplicialMesh:
                 a, b = owners
                 neighbors[a].append(b)
                 neighbors[b].append(a)
-        return [np.array(sorted(n), dtype=int) for n in neighbors]
+        return tuple(_freeze(np.array(sorted(n), dtype=int)) for n in neighbors)
 
 
 def _signed_volumes(vertices: np.ndarray, cells: np.ndarray) -> np.ndarray:
@@ -141,6 +141,8 @@ def build_mesh(dimension: int, vertices: np.ndarray, cells: np.ndarray) -> Simpl
     cells = np.ascontiguousarray(cells, dtype=int)
     if vertices.ndim != 2 or vertices.shape[1] != dimension:
         raise MeshFormatError("vertex array shape does not match dimension")
+    if not np.all(np.isfinite(vertices)):
+        raise MeshFormatError("vertex coordinates must be finite")
     if cells.ndim != 2 or cells.shape[1] != dimension + 1:
         raise MeshFormatError("cell array shape does not match dimension")
     if cells.size and (cells.min() < 0 or cells.max() >= len(vertices)):
@@ -180,10 +182,15 @@ def build_mesh(dimension: int, vertices: np.ndarray, cells: np.ndarray) -> Simpl
     boundary_facets = np.array(bfacets, dtype=int)[order]
     boundary_cells = np.array(bcells, dtype=int)[order]
 
-    mesh = SimplicialMesh(dimension, vertices, cells, boundary_facets, boundary_cells)
-    for arr in (mesh.vertices, mesh.cells, mesh.boundary_facets, mesh.boundary_cells):
+    _freeze(vertices, cells, boundary_facets, boundary_cells)
+    return SimplicialMesh(dimension, vertices, cells, boundary_facets, boundary_cells)
+
+
+def _freeze(*arrays: np.ndarray) -> np.ndarray:
+    """Make the arrays read-only; return the first, so a cached property can freeze its value."""
+    for arr in arrays:
         arr.setflags(write=False)
-    return mesh
+    return arrays[0]
 
 
 def _orient_outward(vertices: np.ndarray, cell: np.ndarray, facet: np.ndarray) -> np.ndarray:
@@ -352,7 +359,6 @@ class ElectrodeLayout:
     """
 
     mesh: SimplicialMesh
-    midpoints: np.ndarray  # (M, dim)
     electrodes: tuple[np.ndarray, ...]
     contact_regions: tuple[np.ndarray, ...]
     local_maps: tuple[LocalMap, ...]
@@ -362,7 +368,6 @@ class ElectrodeLayout:
     efacet_electrode: np.ndarray  # (n_ef,) owning electrode
     efacet_slices: tuple[slice, ...]  # per-electrode range into efacets
     efacet_vertices: np.ndarray  # (n_ef, dim) vertex ids
-    equad_points: np.ndarray  # (n_ef, n_q, dim)
     equad_local: np.ndarray  # (n_ef, n_q, 2)
     equad_weights: np.ndarray  # (n_ef, n_q) physical weights
     efacet_measures: np.ndarray  # (n_ef,)
@@ -494,6 +499,7 @@ def define_electrodes(
         extent = np.abs(proj).max()
         if extent <= 0:
             raise LayoutError(f"electrode {m} is degenerate")
+        _freeze(origin, axes)
         local_maps.append(LocalMap(origin, axes, 1.0 / extent))
 
     # Electrode-major quadrature cache.
@@ -526,9 +532,11 @@ def define_electrodes(
             np.array([local_maps[m].to_local(mesh.vertices[list(r)]) for r in rims])
         )
 
-    layout = ElectrodeLayout(
+    contact_mask = np.array(contact_mask, dtype=bool)
+    _freeze(*electrodes, *contacts, *rim_local, efacets, efacet_electrode, efacet_vertices)
+    _freeze(equad_local, equad_weights, measures, contact_mask)
+    return ElectrodeLayout(
         mesh=mesh,
-        midpoints=midpoints,
         electrodes=tuple(electrodes),
         contact_regions=tuple(contacts),
         local_maps=tuple(local_maps),
@@ -536,16 +544,12 @@ def define_electrodes(
         efacet_electrode=efacet_electrode,
         efacet_slices=tuple(slices),
         efacet_vertices=efacet_vertices,
-        equad_points=equad_points,
         equad_local=equad_local,
         equad_weights=equad_weights,
         efacet_measures=measures,
-        contact_mask=np.array(contact_mask, dtype=bool),
+        contact_mask=contact_mask,
         rim_local=tuple(rim_local),
     )
-    for arr in (layout.efacets, layout.equad_points, layout.equad_local, layout.equad_weights):
-        arr.setflags(write=False)
-    return layout
 
 
 def disk_electrode_midpoints(n_electrodes: int, phase: float = 0.0) -> np.ndarray:
@@ -573,27 +577,22 @@ class Partition:
 
     @cached_property
     def cluster_cells(self) -> tuple[np.ndarray, ...]:
-        return tuple(
-            np.where(self.cluster_of == i)[0] for i in range(self.n_clusters)
-        )
+        return tuple(_freeze(np.flatnonzero(self.cluster_of == i)) for i in range(self.n_clusters))
 
     @cached_property
     def cluster_volumes(self) -> np.ndarray:
         vols = self.mesh.cell_volumes
-        return np.array([vols[c].sum() for c in self.cluster_cells])
+        return _freeze(np.array([vols[c].sum() for c in self.cluster_cells]))
 
 
 def _weighted_centers(
     points: np.ndarray, weights: np.ndarray, labels: np.ndarray, k: int
 ) -> np.ndarray:
-    acc = np.zeros((k, points.shape[1]))
-    np.add.at(acc, labels, points * weights[:, None])
-    total = np.zeros(k)
-    np.add.at(total, labels, weights)
-    return acc / total[:, None]
+    acc = [np.bincount(labels, weights=p * weights, minlength=k) for p in points.T]
+    return np.column_stack(acc) / np.bincount(labels, weights=weights, minlength=k)[:, None]
 
 
-def _components(cells: np.ndarray, adjacency: list[np.ndarray]) -> list[list[int]]:
+def _components(cells: np.ndarray, adjacency: tuple[np.ndarray, ...]) -> list[list[int]]:
     """Connected components of a cell subset under face adjacency.
 
     Each component is a sorted cell list; the largest comes first and ties
@@ -618,7 +617,7 @@ def _components(cells: np.ndarray, adjacency: list[np.ndarray]) -> list[list[int
 
 def _move_cell(
     labels: np.ndarray,
-    adjacency: list[np.ndarray],
+    adjacency: tuple[np.ndarray, ...],
     points: np.ndarray,
     centers: np.ndarray,
     donor: int,
@@ -639,7 +638,7 @@ def _balance_clusters(
     labels: np.ndarray,
     points: np.ndarray,
     weights: np.ndarray,
-    adjacency: list[np.ndarray],
+    adjacency: tuple[np.ndarray, ...],
     n_clusters: int,
 ) -> np.ndarray:
     """Even out cluster cell counts while preserving connectivity.
@@ -784,8 +783,7 @@ def cluster_partition(mesh: SimplicialMesh, n_clusters: int, seed: int) -> Parti
 
 
 def _frozen_partition(mesh: SimplicialMesh, labels: np.ndarray, centers: np.ndarray) -> Partition:
-    for arr in (labels, centers):
-        arr.setflags(write=False)
+    _freeze(labels, centers)
     return Partition(mesh=mesh, cluster_of=labels, centers=centers)
 
 

@@ -44,7 +44,7 @@ class ParamVector:
     per-electrode contact centers ``xi`` in local electrode coordinates.
 
     Instances support vector-space algebra and a flat serialization in the
-    order (kappa, rho, xi).
+    order (kappa, rho, xi); :class:`Parametrization` reads flat vectors back.
     """
 
     kappa: np.ndarray
@@ -60,26 +60,6 @@ class ParamVector:
         if self.xi is not None:
             parts.append(self.xi.ravel())
         return np.concatenate(parts).astype(float)
-
-    @classmethod
-    def from_flat(
-        cls, vec: np.ndarray, n_clusters: int, n_electrodes: int, kind: str
-    ) -> "ParamVector":
-        vec = np.asarray(vec, dtype=float)
-        expected = n_clusters + (n_electrodes if kind == "cem" else 3 * n_electrodes)
-        if vec.shape != (expected,):
-            raise ValueError(f"expected flat vector of length {expected}")
-        kappa = vec[:n_clusters].copy()
-        rho = vec[n_clusters : n_clusters + n_electrodes].copy()
-        xi = None
-        if kind == "smooth":
-            xi = vec[n_clusters + n_electrodes :].reshape(n_electrodes, 2).copy()
-        return cls(kappa=kappa, rho=rho, xi=xi)
-
-    @classmethod
-    def zeros(cls, n_clusters: int, n_electrodes: int, kind: str) -> "ParamVector":
-        xi = np.zeros((n_electrodes, 2)) if kind == "smooth" else None
-        return cls(np.zeros(n_clusters), np.zeros(n_electrodes), xi)
 
     def __add__(self, other: "ParamVector") -> "ParamVector":
         xi = None if self.xi is None else self.xi + other.xi
@@ -519,8 +499,9 @@ class Parametrization:
     """Map from parameter vectors to admissible conductivity pairs.
 
     Bundles the model constants and geometry needed to evaluate tau and its
-    derivatives, and owns the flat-vector serialization order used by priors
-    and by the regularized inversion.
+    derivatives, and owns the flat-vector layout (kappa, rho, xi) used by
+    priors and by the regularized inversion. The partition and the electrode
+    layout must live on the same mesh.
     """
 
     config: ModelConfig
@@ -531,6 +512,8 @@ class Parametrization:
     def __post_init__(self) -> None:
         if self.kind not in ("cem", "smooth"):
             raise ValueError("kind must be 'cem' or 'smooth'")
+        if self.partition.mesh is not self.layout.mesh:
+            raise ValueError("the partition and the electrode layout are on different meshes")
 
     @property
     def n_clusters(self) -> int:
@@ -546,13 +529,16 @@ class Parametrization:
         return self.n_clusters + (M if self.kind == "cem" else 3 * M)
 
     def zero(self) -> ParamVector:
-        return ParamVector.zeros(self.n_clusters, self.n_electrodes, self.kind)
-
-    def to_flat(self, iota: ParamVector) -> np.ndarray:
-        return iota.to_flat()
+        return self.from_flat(np.zeros(self.dim))
 
     def from_flat(self, vec: np.ndarray) -> ParamVector:
-        return ParamVector.from_flat(vec, self.n_clusters, self.n_electrodes, self.kind)
+        """Split a flat vector of length :attr:`dim` into (kappa, rho, xi)."""
+        vec = np.asarray(vec, dtype=float)
+        if vec.shape != (self.dim,):
+            raise ValueError(f"expected flat vector of length {self.dim}")
+        k, M = self.n_clusters, self.n_electrodes
+        xi = vec[k + M :].reshape(M, 2).copy() if self.kind == "smooth" else None
+        return ParamVector(vec[:k].copy(), vec[k : k + M].copy(), xi)
 
     def tau(self, iota: ParamVector, strict: bool = True) -> ConductivityPair:
         sigma = eval_sigma(self.config, self.partition, iota.kappa)

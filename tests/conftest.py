@@ -75,17 +75,17 @@ def basis16():
 
 
 @pytest.fixture(scope="session")
-def stack8(disk2, layout8, smooth8, basis8):
+def stack8(layout8, smooth8):
     iota = smooth8.zero()
-    system = fem.assemble(disk2, layout8, smooth8.tau(iota), basis8)
-    return DerivativeStack(system, smooth8, iota, basis8)
+    system = fem.AssembledSystem(layout8, smooth8.tau(iota))
+    return DerivativeStack(system, smooth8, iota)
 
 
 @pytest.fixture(scope="session")
-def stack16(disk3, layout16, smooth16, basis16):
+def stack16(layout16, smooth16):
     iota = smooth16.zero()
-    system = fem.assemble(disk3, layout16, smooth16.tau(iota), basis16)
-    return DerivativeStack(system, smooth16, iota, basis16)
+    system = fem.AssembledSystem(layout16, smooth16.tau(iota))
+    return DerivativeStack(system, smooth16, iota)
 
 
 class LinearParametrization:
@@ -106,9 +106,6 @@ class LinearParametrization:
 
     def zero(self):
         return np.zeros(self.dim)
-
-    def to_flat(self, x):
-        return np.asarray(x, dtype=float)
 
     def from_flat(self, vec):
         return np.asarray(vec, dtype=float).copy()

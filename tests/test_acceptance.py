@@ -64,10 +64,8 @@ class TestCriterion1TaylorRemainders:
         lam_s = {}
         for s in svals:
             tau_s = smooth16.tau(stack16.iota + s * eta)
-            system = fem.assemble(
-                stack16.system.mesh, stack16.system.layout, tau_s, stack16.basis
-            )
-            lam_s[s] = fem.forward_map(system, stack16.basis)
+            system = fem.AssembledSystem(stack16.system.layout, tau_s)
+            lam_s[s] = fem.forward_map(system)
         slopes = {}
         for order, tol in ((1, 0.15), (2, 0.15), (3, 0.2)):
             rems = [
@@ -115,15 +113,8 @@ class TestCriterion2ReversionConvergence:
         errs = {1: [], 2: [], 3: []}
         for t in tvals:
             target = t * w
-            data = fem.forward_map(
-                fem.assemble(
-                    stack16.system.mesh,
-                    stack16.system.layout,
-                    smooth16.tau(target),
-                    stack16.basis,
-                ),
-                stack16.basis,
-            )
+            system = fem.AssembledSystem(stack16.system.layout, smooth16.tau(target))
+            data = fem.forward_map(system)
             result = revert(stack16, inverse, data, order=3)
             for K in (1, 2, 3):
                 errs[K].append(np.linalg.norm((target - result.partial_sum(K)).to_flat()))
@@ -186,7 +177,7 @@ class TestCriterion3DerivativeCorrectness:
                 for idx in combo:
                     e = np.zeros(44)
                     e[idx] = 1.0
-                    dirs.append(ParamVector.from_flat(e, 20, 8, "smooth"))
+                    dirs.append(smooth8.from_flat(e))
                 closed = dtau(config, layout8, part20, iota, dirs).zeta
                 approx = fd(zeta_of, dirs, base, order).astype(float)
                 rel = surf_l2(closed - approx) / max(surf_l2(closed), 1e-300)
@@ -208,10 +199,7 @@ class TestCriterion3DerivativeCorrectness:
         svals = [2.0 ** (-k) for k in range(3, 9)]
         rems = []
         for s in svals:
-            lam_s = fem.forward_map(
-                fem.assemble(disk2, layout8, smooth8.tau(s * eta), stack8.basis),
-                stack8.basis,
-            )
+            lam_s = fem.forward_map(fem.AssembledSystem(layout8, smooth8.tau(s * eta)))
             rems.append(np.linalg.norm(lam_s - stack8.lam - s * d1))
         slope = _fit_slope(svals, rems)
         ok = worst < 1e-5 and abs(slope - 2.0) <= 0.1
@@ -229,15 +217,15 @@ class TestCriterion4Reciprocity:
         for _ in range(100):
             sigma = np.exp(-3.0 + 0.5 * rng.standard_normal(disk2.n_cells))
             zeta = 0.5 * np.exp(0.3 * rng.standard_normal(layout8.equad_weights.shape))
-            lam = fem.forward_map(fem.assemble(disk2, layout8, ConductivityPair(sigma, zeta)))
+            lam = fem.forward_map(fem.AssembledSystem(layout8, ConductivityPair(sigma, zeta)))
             worst = max(worst, np.linalg.norm(lam - lam.T) / np.linalg.norm(lam))
         tau = ConductivityPair(
             np.exp(-3.0 + 0.2 * rng.standard_normal(disk2.n_cells)),
             np.full(layout8.equad_weights.shape, 0.4),
         )
-        lam1 = fem.forward_map(fem.assemble(disk2, layout8, tau))
+        lam1 = fem.forward_map(fem.AssembledSystem(layout8, tau))
         s = 2.7
-        lam_s = fem.forward_map(fem.assemble(disk2, layout8, s * tau))
+        lam_s = fem.forward_map(fem.AssembledSystem(layout8, s * tau))
         scale_err = np.abs(lam_s - lam1 / s).max() / np.abs(lam1).max()
         ok = worst < 1e-10 and scale_err < 1e-12
         detail = (
@@ -250,7 +238,7 @@ class TestCriterion4Reciprocity:
 class TestCriterion5NoiseCovariance:
     @pytest.mark.parametrize("deltas", [(0.005, 0.05), (0.01, 0.1)])
     def test_monte_carlo_covariance(self, stack16, basis16, deltas):
-        noise = build_noise_cov(deltas[0], deltas[1], stack16.lam, basis16)
+        noise = build_noise_cov(deltas[0], deltas[1], stack16.lam)
         M = 16
         rng = sample_rng(105, 0)
         n = 100_000
@@ -328,7 +316,7 @@ class TestCriterion7ScalingStudy:
 class TestCriterion8Equivalences:
     def test_equivalences(self, stack16, smooth16, basis16):
         prior = build_prior(smooth16, CASES["C1"].reconstruction.gammas)
-        noise = build_noise_cov(1e-4, 1e-3, stack16.lam, basis16)
+        noise = build_noise_cov(1e-4, 1e-3, stack16.lam)
         inverse = TikhonovInverse(stack16, prior, noise)
         rng = np.random.default_rng(108)
         data = stack16.lam + 1e-3 * rng.standard_normal(stack16.lam.shape)

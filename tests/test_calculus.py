@@ -20,7 +20,7 @@ def eta8():
 
 class TestDirectionalDerivatives:
     def test_zero_direction(self, stack8):
-        zero = ParamVector.zeros(20, 8, "smooth")
+        zero = stack8.param.zero()
         assert np.all(stack8.dlambda1(zero) == 0.0)
         assert np.all(stack8.dlambda2(zero) == 0.0)
         assert np.all(stack8.dlambda3(zero) == 0.0)
@@ -56,10 +56,7 @@ class TestDirectionalDerivatives:
         rems = []
         for s in svals:
             tau_s = param.tau(stack8.iota + s * eta8)
-            lam_s = fem.forward_map(
-                fem.assemble(system.mesh, system.layout, tau_s, stack8.basis),
-                stack8.basis,
-            )
+            lam_s = fem.forward_map(fem.AssembledSystem(system.layout, tau_s))
             rems.append(np.linalg.norm(lam_s - stack8.taylor_eval(s * eta8, order)))
         slope = np.polyfit(np.log(svals), np.log(rems), 1)[0]
         assert slope == pytest.approx(order + 1, abs=tol)
@@ -116,7 +113,7 @@ class TestJacobian:
             assert np.abs(J[:, p] - col).max() < 1e-12 * max(scale, 1.0)
 
     def test_zero_direction_zero_column(self, stack8):
-        zero = ParamVector.zeros(20, 8, "smooth")
+        zero = stack8.param.zero()
         assert np.all(stack8.jacobian([zero]) == 0.0)
 
     def test_interior_cluster_less_sensitive(self, stack16):
@@ -138,7 +135,7 @@ class TestJacobian:
 
 class TestTaylorEval:
     def test_zero_direction_returns_base(self, stack8):
-        zero = ParamVector.zeros(20, 8, "smooth")
+        zero = stack8.param.zero()
         assert np.allclose(stack8.taylor_eval(zero, 1), stack8.lam)
         assert np.allclose(stack8.taylor_eval(zero, 3), stack8.lam)
 
@@ -162,7 +159,7 @@ class TestTaylorEval:
             for _ in range(3)
         ]
         linear = linear_parametrization(tau0, modes)
-        stack = DerivativeStack(system, linear, linear.zero(), stack8.basis)
+        stack = DerivativeStack(system, linear, linear.zero())
         x = np.array([0.7, -0.4, 1.1])
 
         got = stack.taylor_eval(x, 3)
@@ -187,7 +184,7 @@ class TestTaylorEval:
             for _ in range(2)
         ]
         linear = linear_parametrization(tau0, modes)
-        stack = DerivativeStack(system, linear, linear.zero(), stack8.basis)
+        stack = DerivativeStack(system, linear, linear.zero())
         x = np.array([0.9, 0.3])
         d2 = stack.dlambda2(x)
         eta_pair = linear.dtau(linear.zero(), [x])
@@ -200,8 +197,8 @@ class TestTaylorEval:
 class TestAccountingAndCache:
     def test_dlambda3_solve_budget(self, disk2, layout8, smooth8, basis8, eta8):
         iota = smooth8.zero()
-        system = fem.assemble(disk2, layout8, smooth8.tau(iota), basis8)
-        stack = DerivativeStack(system, smooth8, iota, basis8)
+        system = fem.AssembledSystem(layout8, smooth8.tau(iota))
+        stack = DerivativeStack(system, smooth8, iota)
         base_solves = system.solve_count  # the M-1 base solutions
         stack.dlambda3(eta8)
         used = system.solve_count - base_solves
@@ -209,15 +206,13 @@ class TestAccountingAndCache:
 
     def test_cache_is_pure_memoization(self, disk2, layout8, smooth8, basis8, eta8):
         iota = smooth8.zero()
-        system = fem.assemble(disk2, layout8, smooth8.tau(iota), basis8)
-        stack = DerivativeStack(system, smooth8, iota, basis8)
+        system = fem.AssembledSystem(layout8, smooth8.tau(iota))
+        stack = DerivativeStack(system, smooth8, iota)
         first = stack.dlambda3(eta8)
         solves = system.solve_count
         second = stack.dlambda3(eta8)
         assert system.solve_count == solves
         assert np.array_equal(first, second)
         # a fresh stack reproduces the cached values from scratch
-        fresh = DerivativeStack(
-            fem.assemble(disk2, layout8, smooth8.tau(iota), basis8), smooth8, iota, basis8
-        )
+        fresh = DerivativeStack(fem.AssembledSystem(layout8, smooth8.tau(iota)), smooth8, iota)
         assert np.allclose(fresh.dlambda3(eta8), first, rtol=1e-12)

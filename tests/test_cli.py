@@ -230,3 +230,13 @@ def test_empty_grid_exits_nonzero(tmp_path):
     assert proc.returncode != 0
     assert "grid of scaling factors is empty" in proc.stderr
     assert not (tmp_path / "curves.csv").exists()
+
+
+def test_bad_config_value_exits_nonzero(tmp_path):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps({"measurement": {"deltas": [1e-4]}}))
+    proc = _run_cli(["experiment1", "--config", str(cfg), "--out", str(tmp_path)])
+    assert proc.returncode != 0
+    last = proc.stderr.strip().splitlines()[-1]
+    assert last.startswith("ValueError") and "deltas" in last
+    assert not (tmp_path / "summary.csv").exists()

@@ -52,6 +52,13 @@ class TestCurrentBasis:
             np.array([[1, 0, 0], [-1, 1, 0], [0, -1, 1], [0, 0, -1]], dtype=float),
         )
 
+    def test_one_shared_read_only_basis_per_count(self, layout8, smooth8):
+        basis = fem.current_basis(8)
+        assert fem.current_basis(8) is basis
+        assert fem.AssembledSystem(layout8, smooth8.tau(smooth8.zero())).basis is basis
+        for arr in (basis.B, basis.Bhat, basis.B_pinv, basis.Bhat_pinv):
+            assert not arr.flags.writeable
+
 
 class TestAssemble:
     def test_spd_fails_when_contact_vanishes(self, disk2, layout8, smooth8):
@@ -59,24 +66,24 @@ class TestAssemble:
         zeta = tau.zeta.copy()
         zeta[layout8.efacet_slices[3]] = 0.0
         with pytest.raises(IndefiniteSystemError):
-            fem.assemble(disk2, layout8, ConductivityPair(tau.sigma, zeta))
+            fem.AssembledSystem(layout8, ConductivityPair(tau.sigma, zeta))
 
     def test_matrix_doubles_with_tau(self, disk2, layout8, smooth8):
         tau = smooth8.tau(smooth8.zero())
-        k1 = fem.assemble(disk2, layout8, tau).matrix
-        k2 = fem.assemble(disk2, layout8, 2.0 * tau).matrix
+        k1 = fem.AssembledSystem(layout8, tau).matrix
+        k2 = fem.AssembledSystem(layout8, 2.0 * tau).matrix
         diff = (k2 - 2.0 * k1).toarray()
         assert np.abs(diff).max() < 1e-14 * np.abs(k1.toarray()).max()
 
     def test_symmetric(self, disk2, layout8, smooth8):
-        K = fem.assemble(disk2, layout8, smooth8.tau(smooth8.zero())).matrix
+        K = fem.AssembledSystem(layout8, smooth8.tau(smooth8.zero())).matrix
         asym = (K - K.T).toarray()
         assert np.abs(asym).max() < 1e-13
 
     def test_positive_pivots_for_admissible_tau(self, disk2, layout8):
         rng = np.random.default_rng(4)
         for _ in range(5):
-            fem.assemble(disk2, layout8, random_tau(layout8, rng))  # must not raise
+            fem.AssembledSystem(layout8, random_tau(layout8, rng))  # must not raise
 
 
 class TestSolveForward:
@@ -151,7 +158,7 @@ class TestApplyP:
         dsigma = tau.sigma * (0.5 * rng.standard_normal(len(tau.sigma)))
         dzeta = tau.zeta * 0.4
         eta = ConductivityPair(dsigma, dzeta)
-        system = fem.assemble(disk2, layout8, tau, basis8)
+        system = fem.AssembledSystem(layout8, tau)
         current = basis8.B[:, 0]
         base = fem.solve_forward(system, current)
         step = fem.apply_P(system, eta, base)
@@ -159,7 +166,7 @@ class TestApplyP:
         rems = []
         for s in svals:
             shifted = ConductivityPair(tau.sigma + s * dsigma, tau.zeta + s * dzeta)
-            sol_s = fem.solve_forward(fem.assemble(disk2, layout8, shifted, basis8), current)
+            sol_s = fem.solve_forward(fem.AssembledSystem(layout8, shifted), current)
             diff = fem.SolutionSet(
                 sol_s.u - base.u - s * step.u, sol_s.U - base.U - s * step.U
             )
@@ -199,10 +206,8 @@ class TestBformEval:
     def test_hand_quadrature_on_one_cell(self):
         # independent oracle: affine interpolation and dense Gauss quadrature
         mesh, layout = one_cell_setup()
-        system = fem.assemble(
-            mesh,
-            layout,
-            ConductivityPair(np.array([0.8]), np.full(layout.equad_weights.shape, 0.3)),
+        system = fem.AssembledSystem(
+            layout, ConductivityPair(np.array([0.8]), np.full(layout.equad_weights.shape, 0.3))
         )
         rng = np.random.default_rng(11)
         eta = ConductivityPair(rng.standard_normal(1), rng.standard_normal(layout.equad_weights.shape))
@@ -242,22 +247,22 @@ class TestForwardMap:
     def test_reciprocity_random_tau(self, disk2, layout8):
         rng = np.random.default_rng(12)
         for _ in range(10):
-            lam = fem.forward_map(fem.assemble(disk2, layout8, random_tau(layout8, rng)))
+            lam = fem.forward_map(fem.AssembledSystem(layout8, random_tau(layout8, rng)))
             assert np.linalg.norm(lam - lam.T) < 1e-10 * np.linalg.norm(lam)
 
     def test_uniform_sigma_increase_lowers_power(self, disk2, layout8, smooth8, basis8):
         tau = smooth8.tau(smooth8.zero())
-        lam1 = fem.forward_map(fem.assemble(disk2, layout8, tau, basis8), basis8)
+        lam1 = fem.forward_map(fem.AssembledSystem(layout8, tau))
         tau2 = ConductivityPair(1.5 * tau.sigma, tau.zeta)
-        lam2 = fem.forward_map(fem.assemble(disk2, layout8, tau2, basis8), basis8)
+        lam2 = fem.forward_map(fem.AssembledSystem(layout8, tau2))
         current = np.zeros(7)
         current[0] = 1.0
         assert current @ lam2 @ current < current @ lam1 @ current
 
     def test_scaling_inverse_in_tau(self, disk2, layout8, smooth8, basis8):
         tau = smooth8.tau(smooth8.zero())
-        lam = fem.forward_map(fem.assemble(disk2, layout8, tau, basis8), basis8)
-        lam3 = fem.forward_map(fem.assemble(disk2, layout8, 3.0 * tau, basis8), basis8)
+        lam = fem.forward_map(fem.AssembledSystem(layout8, tau))
+        lam3 = fem.forward_map(fem.AssembledSystem(layout8, 3.0 * tau))
         assert np.allclose(lam3, lam / 3.0, rtol=1e-12)
 
     def test_mesh_refinement_trend(self, config):
@@ -271,7 +276,7 @@ class TestForwardMap:
 
             part = cluster_partition(mesh, 10, seed=1)
             param = Parametrization(config, part, layout, "smooth")
-            lams.append(fem.forward_map(fem.assemble(mesh, layout, param.tau(param.zero()))))
+            lams.append(fem.forward_map(fem.AssembledSystem(layout, param.tau(param.zero()))))
         d12 = np.linalg.norm(lams[1] - lams[0])
         d23 = np.linalg.norm(lams[2] - lams[1])
         assert d23 <= d12 / 2.0
@@ -328,7 +333,7 @@ class TestShuntLimit:
             tau = ConductivityPair(
                 np.ones(mesh.n_cells), np.full(layout.equad_weights.shape, zeta_value)
             )
-            sols = fem.solve_forward(fem.assemble(mesh, layout, tau, basis), current)
+            sols = fem.solve_forward(fem.AssembledSystem(layout, tau), current)
             u_oracle, U_oracle = dense_solve(zeta_value)
             assert np.allclose(sols.u[:, 0], u_oracle, atol=1e-9 * max(1, abs(U_oracle).max()))
             assert np.allclose(sols.U[:, 0], U_oracle, atol=1e-9 * max(1, abs(U_oracle).max()))
@@ -350,7 +355,7 @@ class TestShuntLimit:
 
 class TestAccounting:
     def test_one_factorization_many_solves(self, disk2, layout8, smooth8, basis8):
-        system = fem.assemble(disk2, layout8, smooth8.tau(smooth8.zero()), basis8)
+        system = fem.AssembledSystem(layout8, smooth8.tau(smooth8.zero()))
         assert system.factor_count == 1
         assert system.solve_count == 0
         fem.solve_forward(system, basis8.B)

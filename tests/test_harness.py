@@ -100,7 +100,8 @@ class TestSimulate:
         meas, _ = sides
         noise = build_noise_cov_for_side(meas, (0.01, 0.0))
         lam0 = side_forward_map(meas, meas.param.zero())
-        U0 = meas.basis.B @ lam0 @ meas.basis.B_pinv @ meas.basis.Bhat
+        basis = noise.basis
+        U0 = basis.B @ lam0 @ basis.B_pinv @ basis.Bhat
         assert np.allclose(noise.pattern_std, 0.01 * np.abs(U0).max(), rtol=1e-12)
 
     def test_monte_carlo_mean_recovers_noiseless(self, sides):
@@ -112,7 +113,7 @@ class TestSimulate:
         n = 10_000
         acc = np.zeros_like(lam)
         for _ in range(n):
-            acc += simulate_from_map(meas.basis, lam, target, noise, rng).upsilon
+            acc += simulate_from_map(lam, target, noise, rng).upsilon
         mean = acc / n
         band = 3.0 * math.sqrt(np.trace(noise.cov) / n)
         assert np.linalg.norm(mean - lam) < band
@@ -122,7 +123,7 @@ class TestSimulate:
         noise = build_noise_cov_for_side(meas, (0.0, 0.0))
         xi = np.zeros((16, 2))
         xi[0] = [5.0, 0.0]
-        bad = ParamVector(np.zeros(meas.partition.n_clusters), np.zeros(16), xi)
+        bad = ParamVector(np.zeros(meas.param.partition.n_clusters), np.zeros(16), xi)
         with pytest.raises(AdmissibilityError):
             simulate_measurements(meas, bad, noise, sample_rng(1, 0))
 
@@ -154,10 +155,10 @@ class TestIndicators:
 
     def test_domain_error_volume_weighted_oracle(self, sides):
         meas, rec = sides
-        vols = meas.partition.cluster_volumes
+        vols = meas.param.partition.cluster_volumes
         rng = np.random.default_rng(7)
-        kappa_t = rng.standard_normal(meas.partition.n_clusters)
-        kappa_r = rng.standard_normal(rec.partition.n_clusters)
+        kappa_t = rng.standard_normal(meas.param.partition.n_clusters)
+        kappa_r = rng.standard_normal(rec.param.partition.n_clusters)
         target = ParamVector(kappa_t, np.zeros(16), np.zeros((16, 2)))
         upsilon_i = ParamVector(kappa_r, np.zeros(16), np.zeros((16, 2)))
         data = np.zeros((15, 15))
@@ -376,4 +377,18 @@ class TestCaseConfig:
     )
     def test_unknown_key_raises_with_its_name(self, config, key):
         with pytest.raises(ValueError, match=key):
+            case_from_config(config)
+
+    @pytest.mark.parametrize(
+        "config, field",
+        [
+            ({"measurement": {"deltas": [1e-4]}}, "deltas"),
+            ({"reconstruction": {"level": -1}}, "level"),
+            ({"measurement": {"contact": "foo"}}, "contact"),
+            ({"reconstruction": {"n_clusters": 0}}, "n_clusters"),
+            ({"n_electrodes": 1}, "n_electrodes"),
+        ],
+    )
+    def test_bad_value_raises_with_its_field(self, config, field):
+        with pytest.raises(ValueError, match=field):
             case_from_config(config)

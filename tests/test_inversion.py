@@ -75,23 +75,23 @@ class TestPrior:
 
 class TestNoise:
     def test_zero_levels_zero_covariance(self, stack8, basis8):
-        noise = build_noise_cov(0.0, 0.0, stack8.lam, basis8)
+        noise = build_noise_cov(0.0, 0.0, stack8.lam)
         assert np.all(noise.cov == 0.0)
         assert np.all(noise.pattern_std == 0.0)
 
     def test_delta2_zero_gives_constant_std(self, stack8, basis8):
-        noise = build_noise_cov(0.01, 0.0, stack8.lam, basis8)
+        noise = build_noise_cov(0.01, 0.0, stack8.lam)
         assert np.allclose(noise.pattern_std, noise.pattern_std[0, 0])
 
     def test_noise_scale_from_peak_measurement(self, stack8, basis8):
-        noise = build_noise_cov(0.01, 0.0, stack8.lam, basis8)
+        noise = build_noise_cov(0.01, 0.0, stack8.lam)
         U0 = basis8.B @ stack8.lam @ basis8.B_pinv @ basis8.Bhat
         assert noise.pattern_std[0, 0] == pytest.approx(0.01 * np.abs(U0).max(), rel=1e-13)
 
     @pytest.mark.parametrize("deltas", [(5e-5, 5e-4), (1e-4, 1e-3), (5e-4, 5e-3)])
     def test_monte_carlo_covariance(self, stack8, basis8, deltas):
         # oracle: empirical covariance of the transformed physical noise
-        noise = build_noise_cov(deltas[0], deltas[1], stack8.lam, basis8)
+        noise = build_noise_cov(deltas[0], deltas[1], stack8.lam)
         M = 8
         rng = np.random.Generator(np.random.Philox(key=[99, 0]))
         n = 100_000
@@ -107,7 +107,7 @@ class TestNoise:
         assert rel < 0.05
 
     def test_inverse_is_pseudo_inverse(self, stack8, basis8):
-        noise = build_noise_cov(1e-4, 1e-3, stack8.lam, basis8)
+        noise = build_noise_cov(1e-4, 1e-3, stack8.lam)
         approx = noise.cov @ noise.inv @ noise.cov
         assert np.allclose(approx, noise.cov, rtol=1e-8, atol=1e-12 * np.abs(noise.cov).max())
 
@@ -116,20 +116,20 @@ def _small_prior(dim, variance):
     cov = variance * np.eye(dim)
     chol = np.sqrt(variance) * np.eye(dim)
     inv = np.eye(dim) / variance
-    return PriorModel(cov=cov, chol=chol, inv=inv, gammas=PriorGammas(1, 1, 1), kind="test")
+    return PriorModel(cov=cov, chol=chol, inv=inv, gammas=PriorGammas(1, 1, 1))
 
 
 class TestTikhonov:
     def test_zero_data_zero_solution(self, stack8, smooth8, basis8):
         prior = build_prior(smooth8, PriorGammas(0.1, 1.0, 0.1, 0.02))
-        noise = build_noise_cov(1e-4, 1e-3, stack8.lam, basis8)
+        noise = build_noise_cov(1e-4, 1e-3, stack8.lam)
         inverse = TikhonovInverse(stack8, prior, noise)
         out = inverse(np.zeros((7, 7)))
         assert np.all(out.to_flat() == 0.0)
 
     def test_weak_prior_approaches_least_squares(self, stack8, basis8):
         J5 = stack8.jacobian()[:, [0, 3, 7, 21, 30]]
-        noise = build_noise_cov(1e-4, 1e-3, stack8.lam, basis8)
+        noise = build_noise_cov(1e-4, 1e-3, stack8.lam)
         rng = np.random.default_rng(31)
         psi = rng.standard_normal((7, 7))
         eta = solve_tikhonov(J5, _small_prior(5, 1e6), noise, psi)
@@ -141,14 +141,13 @@ class TestTikhonov:
     def test_matches_dense_bayes_formula(self, stack8, basis8):
         # oracle: posterior-mean identity using the covariance form
         J5 = stack8.jacobian()[:, [0, 3, 7, 21, 30]]
-        noise = build_noise_cov(1e-3, 1e-2, stack8.lam, basis8)
+        noise = build_noise_cov(1e-3, 1e-2, stack8.lam)
         prior_cov = np.diag([0.5, 0.2, 0.1, 0.4, 0.3])
         prior = PriorModel(
             cov=prior_cov,
             chol=np.linalg.cholesky(prior_cov),
             inv=np.linalg.inv(prior_cov),
             gammas=PriorGammas(1, 1, 1),
-            kind="test",
         )
         rng = np.random.default_rng(32)
         psi = rng.standard_normal((7, 7))
@@ -159,7 +158,7 @@ class TestTikhonov:
 
     def test_first_order_optimality(self, stack8, smooth8, basis8):
         prior = build_prior(smooth8, PriorGammas(0.1, 1.0, 0.1, 0.02))
-        noise = build_noise_cov(1e-4, 1e-3, stack8.lam, basis8)
+        noise = build_noise_cov(1e-4, 1e-3, stack8.lam)
         inverse = TikhonovInverse(stack8, prior, noise)
         rng = np.random.default_rng(33)
         psi = rng.standard_normal((7, 7))
@@ -224,7 +223,7 @@ class TestSubspacePseudoInverse:
 class TestRevert:
     def test_zero_residual_collapses(self, stack8, smooth8, basis8):
         prior = build_prior(smooth8, PriorGammas(0.1, 1.0, 0.1, 0.02))
-        noise = build_noise_cov(1e-4, 1e-3, stack8.lam, basis8)
+        noise = build_noise_cov(1e-4, 1e-3, stack8.lam)
         inverse = TikhonovInverse(stack8, prior, noise)
         result = revert(stack8, inverse, stack8.lam.copy(), order=3)
         for eta in result.etas:
@@ -232,7 +231,7 @@ class TestRevert:
 
     def test_memo_lives_for_one_reversion(self, stack8, smooth8, basis8):
         prior = build_prior(smooth8, PriorGammas(0.1, 1.0, 0.1, 0.02))
-        noise = build_noise_cov(1e-4, 1e-3, stack8.lam, basis8)
+        noise = build_noise_cov(1e-4, 1e-3, stack8.lam)
         inverse = TikhonovInverse(stack8, prior, noise)
         J = stack8.jacobian()
         rng = np.random.default_rng(45)
@@ -243,7 +242,7 @@ class TestRevert:
 
     def test_partial_sums_exact(self, stack8, smooth8, basis8):
         prior = build_prior(smooth8, PriorGammas(0.1, 1.0, 0.1, 0.02))
-        noise = build_noise_cov(1e-4, 1e-3, stack8.lam, basis8)
+        noise = build_noise_cov(1e-4, 1e-3, stack8.lam)
         inverse = TikhonovInverse(stack8, prior, noise)
         rng = np.random.default_rng(44)
         data = stack8.lam + 1e-3 * rng.standard_normal((7, 7))
@@ -265,14 +264,11 @@ class TestRevert:
             for _ in range(4)
         ]
         linear = linear_parametrization(tau0, modes)
-        stack = DerivativeStack(system, linear, linear.zero(), stack8.basis)
+        stack = DerivativeStack(system, linear, linear.zero())
         dirs = [np.eye(4)[i] for i in range(4)]
         inv = SubspacePseudoInverse(stack, dirs)
         target = np.array([0.3, -0.2, 0.15, 0.05])
-        data = fem.forward_map(
-            fem.assemble(system.mesh, system.layout, linear.tau(target), stack8.basis),
-            stack8.basis,
-        )
+        data = fem.forward_map(fem.AssembledSystem(system.layout, linear.tau(target)))
         result = revert(stack, inv, data, order=2)
         eta1 = result.etas[0]
         pair1 = linear.dtau(linear.zero(), [eta1])
@@ -299,12 +295,7 @@ class TestRevert:
         errs = {1: [], 2: [], 3: []}
         for t in tvals:
             target = t * w
-            data = fem.forward_map(
-                fem.assemble(
-                    system.mesh, system.layout, stack.param.tau(target), stack.basis
-                ),
-                stack.basis,
-            )
+            data = fem.forward_map(fem.AssembledSystem(system.layout, stack.param.tau(target)))
             result = revert(stack, inv, data, order=3)
             for K in (1, 2, 3):
                 errs[K].append(
@@ -318,7 +309,7 @@ class TestRevert:
 class TestSequential:
     def _tikhonov_setup(self, stack, smooth8, basis8):
         prior = build_prior(smooth8, PriorGammas(0.1, 1.0, 0.1, 0.02))
-        noise = build_noise_cov(1e-4, 1e-3, stack.lam, basis8)
+        noise = build_noise_cov(1e-4, 1e-3, stack.lam)
         return prior, noise
 
     def test_step_one_equals_first_order_reversion(self, stack8, smooth8, basis8):
@@ -341,13 +332,13 @@ class TestSequential:
 
     def test_zero_data_residual_stays_zero(self, disk2, layout8, smooth8, basis8):
         iota = smooth8.zero()
-        system = fem.assemble(disk2, layout8, smooth8.tau(iota), basis8)
-        stack = DerivativeStack(system, smooth8, iota, basis8)
+        system = fem.AssembledSystem(layout8, smooth8.tau(iota))
+        stack = DerivativeStack(system, smooth8, iota)
         prior, noise = self._tikhonov_setup(stack, smooth8, basis8)
 
         def make_stack(up):
-            sys_j = fem.assemble(disk2, layout8, smooth8.tau(up), basis8)
-            return DerivativeStack(sys_j, smooth8, up, basis8)
+            sys_j = fem.AssembledSystem(layout8, smooth8.tau(up))
+            return DerivativeStack(sys_j, smooth8, up)
 
         def make_inverse(st):
             return TikhonovInverse(st, prior, noise)
@@ -371,16 +362,14 @@ class TestSequential:
             0.05 * rng.standard_normal(8),
             0.01 * rng.standard_normal((8, 2)),
         )
-        data = fem.forward_map(
-            fem.assemble(disk2, layout8, smooth8.tau(target), basis8), basis8
-        )
-        system = fem.assemble(disk2, layout8, smooth8.tau(iota0), basis8)
-        stack = DerivativeStack(system, smooth8, iota0, basis8)
+        data = fem.forward_map(fem.AssembledSystem(layout8, smooth8.tau(target)))
+        system = fem.AssembledSystem(layout8, smooth8.tau(iota0))
+        stack = DerivativeStack(system, smooth8, iota0)
         prior, noise = self._tikhonov_setup(stack, smooth8, basis8)
 
         def make_stack(up):
-            sys_j = fem.assemble(disk2, layout8, smooth8.tau(up), basis8)
-            return DerivativeStack(sys_j, smooth8, up, basis8)
+            sys_j = fem.AssembledSystem(layout8, smooth8.tau(up))
+            return DerivativeStack(sys_j, smooth8, up)
 
         def make_inverse(st):
             return TikhonovInverse(st, prior, noise)
@@ -391,9 +380,7 @@ class TestSequential:
         )
         residuals = [float(vec(data - stack.lam) @ noise.inv @ vec(data - stack.lam))]
         for it in seq.iterates:
-            lam_it = fem.forward_map(
-                fem.assemble(disk2, layout8, smooth8.tau(it), basis8), basis8
-            )
+            lam_it = fem.forward_map(fem.AssembledSystem(layout8, smooth8.tau(it)))
             r = vec(data - lam_it)
             residuals.append(float(r @ noise.inv @ r))
         for a, b in zip(residuals[:-1], residuals[1:]):

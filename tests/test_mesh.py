@@ -1,10 +1,12 @@
 """Geometry layer: meshes, electrode layouts, partitions, projections."""
 
+import dataclasses
 import hashlib
 
 import numpy as np
 import pytest
 
+from eitrev import fem
 from eitrev.mesh import (
     ElectrodeOverlapError,
     EmptyElectrodeError,
@@ -20,6 +22,18 @@ from eitrev.mesh import (
     save_mesh,
     save_partition,
 )
+
+
+def _arrays(value):
+    """Every array reachable from a value through dataclass fields and tuples."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif dataclasses.is_dataclass(value):
+        for f in dataclasses.fields(value):
+            yield from _arrays(getattr(value, f.name))
+    elif isinstance(value, tuple):
+        for item in value:
+            yield from _arrays(item)
 
 
 def _write(tmp_path, text):
@@ -84,6 +98,11 @@ class TestLoadMesh:
         path = _write(tmp_path, "dim 2\nvertices 3\n0 0\n1 0\n0 1\ncells 1\n0 2 1\n")
         mesh = load_mesh(path)
         assert mesh.cell_volumes[0] > 0
+
+    def test_non_finite_coordinate_rejected(self, tmp_path):
+        path = _write(tmp_path, "dim 2\nvertices 3\n0 0\n1 nan\n0 1\ncells 1\n0 1 2\n")
+        with pytest.raises(MeshFormatError, match="finite"):
+            load_mesh(path)
 
 
 class TestDiskMesh:
@@ -172,6 +191,23 @@ class TestElectrodes:
             loc = layout16.local_maps[m].to_local(mesh.vertices[verts])
             assert np.abs(loc).max() == pytest.approx(1.0)
             assert np.abs(loc).max() <= 1.0 + 1e-12
+
+    def test_layout_and_basis_arrays_are_read_only(self, layout16):
+        arrays = list(_arrays(layout16)) + list(_arrays(fem.current_basis(8)))
+        assert len(arrays) > 3 * 16
+        assert [a.shape for a in arrays if a.flags.writeable] == []
+
+    def test_derived_geometry_is_read_only(self, disk2, part20):
+        arrays = [
+            disk2.cell_volumes,
+            disk2.cell_centroids,
+            disk2.boundary_centroids,
+            disk2.boundary_measures,
+            *disk2.cell_adjacency,
+            *part20.cluster_cells,
+            part20.cluster_volumes,
+        ]
+        assert [a.shape for a in arrays if a.flags.writeable] == []
 
     def test_quadrature_weights_sum_to_measures(self, layout16):
         assert np.allclose(

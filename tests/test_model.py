@@ -5,9 +5,16 @@ import math
 import numpy as np
 import pytest
 
+from eitrev.mesh import (
+    cluster_partition,
+    define_electrodes,
+    disk_electrode_midpoints,
+    generate_disk_mesh,
+)
 from eitrev.model import (
     AdmissibilityError,
     ParamVector,
+    Parametrization,
     bump,
     contact_admissible,
     dtau,
@@ -247,16 +254,16 @@ def smooth_point(smooth8):
 
 
 class TestDtau:
-    def test_zero_direction_gives_zero(self, config, layout8, part20, smooth_point):
-        zero = ParamVector.zeros(20, 8, "smooth")
+    def test_zero_direction_gives_zero(self, config, layout8, part20, smooth8, smooth_point):
+        zero = smooth8.zero()
         out = dtau(config, layout8, part20, smooth_point, [zero])
         assert np.all(out.sigma == 0.0)
         assert np.all(out.zeta == 0.0)
 
-    def test_second_derivative_of_exponential(self, config, layout8, part20):
+    def test_second_derivative_of_exponential(self, config, layout8, part20, smooth8):
         # at kappa = 0 with both directions the indicator of one cluster, the
         # domain part is exp(mu_kappa) on that cluster and zero elsewhere
-        iota = ParamVector.zeros(20, 8, "smooth")
+        iota = smooth8.zero()
         e = np.zeros(20)
         e[6] = 1.0
         d = ParamVector(e, np.zeros(8), np.zeros((8, 2)))
@@ -265,8 +272,8 @@ class TestDtau:
         assert np.allclose(out.sigma[on], math.exp(-3.0))
         assert np.all(out.sigma[~on] == 0.0)
 
-    def test_order_guard(self, config, layout8, part20, smooth_point):
-        d = ParamVector.zeros(20, 8, "smooth")
+    def test_order_guard(self, config, layout8, part20, smooth8, smooth_point):
+        d = smooth8.zero()
         with pytest.raises(ValueError):
             dtau(config, layout8, part20, smooth_point, [d] * 4)
         with pytest.raises(ValueError):
@@ -299,7 +306,7 @@ class TestDtau:
         approx = fd(base, order).astype(float)
         assert surface_l2(layout8, closed - approx) < 1e-5 * surface_l2(layout8, closed)
 
-    def test_cross_electrode_partials_vanish(self, config, layout8, part20, smooth_point):
+    def test_cross_electrode_partials_vanish(self, config, layout8, part20, smooth8, smooth_point):
         # the density is a sum of per-electrode terms, so mixed partials
         # across electrodes are identically zero
         e1 = np.zeros(44)
@@ -311,7 +318,7 @@ class TestDtau:
             layout8,
             part20,
             smooth_point,
-            [ParamVector.from_flat(e1, 20, 8, "smooth"), ParamVector.from_flat(e2, 20, 8, "smooth")],
+            [smooth8.from_flat(e1), smooth8.from_flat(e2)],
         )
         assert np.all(out.zeta == 0.0)
 
@@ -323,7 +330,7 @@ class TestDtau:
         for idx in coords:
             e = np.zeros(44)
             e[idx] = 1.0
-            dirs.append(ParamVector.from_flat(e, 20, 8, "smooth"))
+            dirs.append(smooth8.from_flat(e))
         closed = dtau(config, layout8, part20, smooth_point, dirs).zeta
         flat_zeta = FlatZeta(config, layout8, 20)
         h = np.longdouble(1e-4)
@@ -430,13 +437,22 @@ class TestDtau:
         assert slope == pytest.approx(4.0, abs=0.3)
 
 
+class TestParametrization:
+    def test_partition_and_layout_on_different_meshes_rejected(self, config, part20, layout16):
+        with pytest.raises(ValueError, match="different meshes"):
+            Parametrization(config, part20, layout16, "smooth")
+
+
 class TestParamVector:
-    def test_flat_roundtrip_smooth(self):
+    def test_flat_roundtrip_smooth(self, config):
+        mesh = generate_disk_mesh(1)
+        layout = define_electrodes(mesh, disk_electrode_midpoints(3), 0.3, 0.2)
+        param = Parametrization(config, cluster_partition(mesh, 5, seed=1), layout, "smooth")
         rng = np.random.default_rng(2)
         pv = ParamVector(
             rng.standard_normal(5), rng.standard_normal(3), rng.standard_normal((3, 2))
         )
-        again = ParamVector.from_flat(pv.to_flat(), 5, 3, "smooth")
+        again = param.from_flat(pv.to_flat())
         assert np.array_equal(again.kappa, pv.kappa)
         assert np.array_equal(again.rho, pv.rho)
         assert np.array_equal(again.xi, pv.xi)
@@ -452,6 +468,6 @@ class TestParamVector:
         assert np.array_equal(s.to_flat(), [21.0, 42.0, 63.0, 84.0])
         assert np.array_equal((a - a).to_flat(), np.zeros(4))
 
-    def test_wrong_length_rejected(self):
+    def test_wrong_length_rejected(self, smooth8):
         with pytest.raises(ValueError):
-            ParamVector.from_flat(np.zeros(4), 2, 1, "smooth")
+            smooth8.from_flat(np.zeros(4))

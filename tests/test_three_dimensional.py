@@ -77,17 +77,16 @@ def test_smooth_contacts_and_reciprocity(cube_setup):
         sl = layout.efacet_slices[m]
         cond = float((layout.equad_weights[sl] * tau.zeta[sl]).sum())
         assert cond == pytest.approx(np.exp(-3.0), rel=1e-12)
-    lam = fem.forward_map(fem.assemble(mesh, layout, tau))
+    lam = fem.forward_map(fem.AssembledSystem(layout, tau))
     assert lam.shape == (3, 3)
     assert np.linalg.norm(lam - lam.T) < 1e-12 * np.linalg.norm(lam)
 
 
 def test_derivative_slope_in_3d(cube_setup):
     mesh, layout, partition, param = cube_setup
-    basis = fem.current_basis(4)
     iota = param.zero()
-    system = fem.assemble(mesh, layout, param.tau(iota), basis)
-    stack = DerivativeStack(system, param, iota, basis)
+    system = fem.AssembledSystem(layout, param.tau(iota))
+    stack = DerivativeStack(system, param, iota)
     rng = np.random.default_rng(71)
     eta = ParamVector(
         0.4 * rng.standard_normal(partition.n_clusters),
@@ -97,9 +96,7 @@ def test_derivative_slope_in_3d(cube_setup):
     svals = [2.0 ** (-k) for k in range(2, 8)]
     rems = []
     for s in svals:
-        lam_s = fem.forward_map(
-            fem.assemble(mesh, layout, param.tau(iota + s * eta), basis), basis
-        )
+        lam_s = fem.forward_map(fem.AssembledSystem(layout, param.tau(iota + s * eta)))
         rems.append(np.linalg.norm(lam_s - stack.taylor_eval(s * eta, 1)))
     slope = np.polyfit(np.log(svals), np.log(rems), 1)[0]
     assert slope == pytest.approx(2.0, abs=0.15)
