@@ -142,7 +142,8 @@ class PerturbationOperator:
 
     Precomputes the sparse stiffness and contact coupling blocks for one
     perturbation so that repeated right-hand side builds and bilinear form
-    evaluations are cheap.
+    evaluations are cheap. A block whose input is identically zero is not
+    built; the blocks that remain are the same as with it.
     """
 
     def __init__(self, system: "AssembledSystem", eta: ConductivityPair):
@@ -155,9 +156,18 @@ class PerturbationOperator:
             raise ValueError("sigma perturbation must be a per-cell field")
         if dzeta.shape != layout.equad_weights.shape:
             raise ValueError("zeta perturbation must sample the facet quadrature")
-        self.A = _stiffness(system, dsigma) + _contact_nodal(system, dzeta)
-        self.Rmat = _contact_coupling(system, dzeta)  # (n, M)
-        self.Dvec = _contact_conductance(system, dzeta)  # (M,)
+        n, M = mesh.n_vertices, layout.n_electrodes
+        A = _stiffness(system, dsigma) if dsigma.any() else sp.csr_matrix((n, n))
+        if dzeta.any():
+            A = A + _contact_nodal(system, dzeta)
+            self.Rmat = _contact_coupling(system, dzeta)  # (n, M)
+            self.Dvec = _contact_conductance(system, dzeta)  # (M,)
+        else:
+            # a sparse sum drops explicit zeros; without it A must drop them
+            # itself to keep the entries the sum would have
+            A.eliminate_zeros()
+            self.Rmat, self.Dvec = np.zeros((n, M)), np.zeros(M)
+        self.A = A
 
     def bform(self, left: SolutionSet, right: SolutionSet) -> np.ndarray:
         """Gram matrix of the perturbed form over two solution batches."""

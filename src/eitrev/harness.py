@@ -10,6 +10,7 @@ mesh, partition, and contact model exactly as the case table prescribes.
 
 from __future__ import annotations
 
+import copy
 import csv
 import json
 from dataclasses import dataclass, field, fields, replace
@@ -24,6 +25,7 @@ from .inversion import (
     NoiseModel,
     PriorGammas,
     PriorModel,
+    SequentialResult,
     TikhonovInverse,
     build_noise_cov,
     build_prior,
@@ -351,19 +353,36 @@ class ReconOutcome:
 class Reconstructor:
     """All five reconstruction methods over a fixed reconstruction model.
 
-    The base stack at the origin, the prior, the noise model and the
-    regularized inverse are built once and shared across samples; sequential
-    steps rebuild the stack at each iterate.
+    The base stack at the origin (with its coordinate Jacobian), the noise
+    model, the prior and the regularized inverse are built once and shared
+    across samples; :meth:`with_gammas` gives a reconstructor for another
+    prior that shares the stack and the noise model. Sequential steps rebuild
+    the stack at each iterate, and the longest sequential chain computed for
+    the last data matrix is kept, so a longer chain on the same data goes on
+    from it.
     """
 
     def __init__(self, rec: SideModel, gammas: PriorGammas | None = None):
         self.rec = rec
-        self.gammas = gammas if gammas is not None else rec.spec.gammas
-        self.prior = build_prior(rec.param, self.gammas)
         self.stack0 = self._make_stack(rec.param.zero())
         deltas = rec.spec.deltas
         self.noise = build_noise_cov(deltas[0], deltas[1], self.stack0.lam)
+        self._set_prior(gammas if gammas is not None else rec.spec.gammas)
+
+    def _set_prior(self, gammas: PriorGammas) -> None:
+        self.prior = build_prior(self.rec.param, gammas)
         self.inverse0 = TikhonovInverse(self.stack0, self.prior, self.noise)
+        self._sequential: tuple[np.ndarray, SequentialResult] | None = None
+
+    def with_gammas(self, gammas: PriorGammas) -> "Reconstructor":
+        """A reconstructor with another prior on the same model.
+
+        It shares the origin stack, its cached Jacobian and the noise model,
+        and builds only its own prior and regularized inverse.
+        """
+        other = copy.copy(self)
+        other._set_prior(gammas)
+        return other
 
     @property
     def lam0(self) -> np.ndarray:
@@ -376,6 +395,28 @@ class Reconstructor:
     def _make_inverse(self, stack: DerivativeStack) -> TikhonovInverse:
         return TikhonovInverse(stack, self.prior, self.noise)
 
+    def _run_sequential(self, data: np.ndarray, steps: int) -> SequentialResult:
+        """Sequential linearization, going on from the kept chain on equal data."""
+        kept = self._sequential
+        start = kept[1] if kept is not None and np.array_equal(kept[0], data) else None
+        seq = sequential_linearize(
+            self._make_stack,
+            self._make_inverse,
+            data,
+            steps,
+            initial_stack=self.stack0,
+            initial_inverse=self.inverse0,
+            start=start,
+        )
+        if start is None or len(seq.iterates) > len(start.iterates):
+            # later runs read the kept data and iterates, so nothing may write to them
+            kept_data = np.array(data, dtype=float)
+            for arr in [kept_data] + [a for it in seq.iterates for a in (it.kappa, it.rho, it.xi)]:
+                if arr is not None:
+                    arr.setflags(write=False)
+            self._sequential = (kept_data, seq)
+        return seq
+
     def run(self, method: str, data: np.ndarray) -> ReconOutcome:
         """Reconstruct from a data matrix with one of the named methods.
 
@@ -384,15 +425,7 @@ class Reconstructor:
         """
         _check_methods((method,))
         if "," in method:
-            steps = method.count(",") + 1
-            seq = sequential_linearize(
-                self._make_stack,
-                self._make_inverse,
-                data,
-                steps,
-                initial_stack=self.stack0,
-                initial_inverse=self.inverse0,
-            )
+            seq = self._run_sequential(data, method.count(",") + 1)
             return ReconOutcome(
                 method=method,
                 upsilon=seq.iterates[-1],
@@ -628,8 +661,10 @@ def experiment2(
 
     The prior standard deviations for the log-conductivity and the contact
     strengths are scaled along with the target; the noise level tracks the
-    absolute size of the reference data and so does not vanish with s. The
-    first failed reconstruction raises.
+    absolute size of the reference data and so does not vanish with s. Only
+    the prior changes with s: the origin model (stack, Jacobian, noise model)
+    is built once, at the first grid point, and shared through
+    :meth:`Reconstructor.with_gammas`. The first failed reconstruction raises.
     """
     methods = _check_methods(methods)
     seed = case.seed if seed is None else seed
@@ -646,11 +681,16 @@ def experiment2(
     theta_hat = meas_noise.draw_raw(rng)  # one noise realization for the whole sweep
 
     def points():
+        recon = None
         for s in s_values:
             target = float(s) * draw
             record = simulate_measurements(meas, target, meas_noise, rng, theta_hat=theta_hat)
             gammas = case.reconstruction.gammas.scaled(float(s))
-            yield target, record, Reconstructor(rec, gammas=gammas)
+            if recon is None:
+                recon = Reconstructor(rec, gammas=gammas)
+            else:
+                recon = recon.with_gammas(gammas)
+            yield target, record, recon
 
     result = _study(case, methods, meas, rec, points(), len(s_values), record_failures=False)
     return replace(result, s_values=s_values)

@@ -383,25 +383,32 @@ def sequential_linearize(
     make_inverse: Callable[[DerivativeStack], Callable[[np.ndarray], object]],
     data: np.ndarray,
     steps: int,
-    initial_stack: DerivativeStack | None = None,
-    initial_inverse: Callable[[np.ndarray], object] | None = None,
+    *,
+    initial_stack: DerivativeStack,
+    initial_inverse: Callable[[np.ndarray], object],
+    start: SequentialResult | None = None,
 ) -> SequentialResult:
     """Iterated linearized updates rebased at every iterate.
 
     Each step applies the regularized inverse, rebuilt at the current
-    iterate, to the current data residual. One step coincides with the
-    first-order reversion for the same stack and inverse. Iterates leaving
-    the admissible parameter set are clamped back and flagged.
+    iterate, to the current data residual; the first step uses the initial
+    stack and inverse at the origin. One step coincides with the first-order
+    reversion for the same stack and inverse. Iterates leaving the admissible
+    parameter set are clamped back and flagged.
+
+    ``start`` is an earlier result for the same data and initial inverse: its
+    iterates are taken as they are (at most ``steps`` of them) and the chain
+    goes on from its last one, with the same iterates a run from the origin
+    would give.
     """
     if steps < 1:
         raise ValueError("steps must be at least 1")
     data = np.asarray(data, dtype=float)
-    stack = initial_stack if initial_stack is not None else make_stack(None)
-    inverse = initial_inverse if initial_inverse is not None else make_inverse(stack)
-    upsilon = stack.param.zero()
-    iterates = []
-    clamp_flags = []
-    for step in range(steps):
+    iterates = list(start.iterates[:steps]) if start is not None else []
+    clamp_flags = list(start.clamped[:steps]) if start is not None else []
+    upsilon = iterates[-1] if iterates else initial_stack.param.zero()
+    stack, inverse = initial_stack, initial_inverse
+    for step in range(len(iterates), steps):
         if step > 0:
             stack = make_stack(upsilon)
             inverse = make_inverse(stack)

@@ -240,3 +240,22 @@ def test_bad_config_value_exits_nonzero(tmp_path):
     last = proc.stderr.strip().splitlines()[-1]
     assert last.startswith("ValueError") and "deltas" in last
     assert not (tmp_path / "summary.csv").exists()
+
+
+def test_missing_config_file_is_one_error_line(tmp_path):
+    missing = tmp_path / "absent.json"
+    proc = _run_cli(["simulate", "--config", str(missing), "--out", str(tmp_path / "sim")])
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == [proc.stderr.strip()]
+    assert proc.stderr.startswith("FileNotFoundError: ") and str(missing) in proc.stderr
+
+
+def test_malformed_mesh_file_is_one_error_line(tmp_path):
+    mesh_path = tmp_path / "mesh.txt"
+    mesh_path.write_text("dim 2\nvertices 3\n0 0\n1 0\n0 one\ncells 1\n0 1 2\n")
+    argv = ["mesh", "cluster", "--mesh", str(mesh_path), "--clusters", "1"]
+    proc = _run_cli(argv + ["--out", str(tmp_path / "part.txt")])
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == [proc.stderr.strip()]
+    assert proc.stderr.startswith("MeshFormatError: malformed mesh file")
+    assert not (tmp_path / "part.txt").exists()

@@ -370,3 +370,62 @@ class TestAccounting:
         )
         assert system.solve_count == 13
         assert system.factor_count == 1
+
+
+class TestPerturbationBlocks:
+    """A block of an identically zero input is skipped and nothing else changes."""
+
+    @staticmethod
+    def _full_forms(system, pair, sols):
+        # every block built, as a perturbation with both inputs nonzero is
+        dsigma = np.asarray(pair.sigma, dtype=float)
+        dzeta = np.asarray(pair.zeta, dtype=float)
+        A = fem._stiffness(system, dsigma) + fem._contact_nodal(system, dzeta)
+        R = fem._contact_coupling(system, dzeta)
+        D = fem._contact_conductance(system, dzeta)
+        u, U = sols.u, sols.U
+        bform = u.T @ (A @ u) - u.T @ (R @ U) - U.T @ (R.T @ u) + U.T @ (D[:, None] * U)
+        f_u = A @ u - R @ U
+        f_c = system.basis.B.T @ (D[:, None] * U - R.T @ u)
+        return bform, -np.vstack([f_u, f_c])
+
+    @pytest.mark.parametrize("kind", ["smooth", "cem"])
+    @pytest.mark.parametrize("at_origin", [True, False])
+    def test_coordinate_forms_equal_full_block_forms(
+        self, kind, at_origin, smooth8, cem8, monkeypatch
+    ):
+        param = smooth8 if kind == "smooth" else cem8
+        iota = param.zero()
+        if not at_origin:
+            rng = np.random.default_rng(12)
+            iota = param.from_flat(0.05 * rng.standard_normal(param.dim))
+            assert param.admissible(iota)
+        system = fem.AssembledSystem(param.layout, param.tau(iota))
+        base = fem.solve_forward(system, system.basis.B)
+        n_kappa, M = param.partition.n_clusters, param.n_electrodes
+        coordinates = {"kappa": 3, "rho": n_kappa + 2}
+        if kind == "smooth":
+            coordinates["xi"] = n_kappa + M + 5
+
+        built = []
+
+        def recorded(name, block):
+            def wrapper(*args):
+                built.append(name)
+                return block(*args)
+
+            return wrapper
+
+        for name in ("_stiffness", "_contact_nodal", "_contact_coupling", "_contact_conductance"):
+            monkeypatch.setattr(fem, name, recorded(name, getattr(fem, name)))
+        for coordinate, index in coordinates.items():
+            pair = param.dtau(iota, [param.from_flat(np.eye(param.dim)[index])])
+            built.clear()
+            op = system.perturbation(pair)
+            if coordinate == "kappa":
+                assert built == ["_stiffness"]
+            else:
+                assert "_stiffness" not in built and len(built) == 3
+            bform, rhs = self._full_forms(system, pair, base)
+            assert np.array_equal(op.bform(base, base), bform), coordinate
+            assert np.array_equal(op.rhs(base), rhs), coordinate

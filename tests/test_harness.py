@@ -274,6 +274,110 @@ class TestExperiment2:
             experiment2(small_case, [], seed=1)
 
 
+    def test_one_origin_model_per_call(self, small_case, monkeypatch):
+        stacks, noise_models = [], []
+
+        def counted(log, build):
+            def wrapper(*args, **kwargs):
+                log.append(args)
+                return build(*args, **kwargs)
+
+            return wrapper
+
+        for name, log in (("DerivativeStack", stacks), ("build_noise_cov", noise_models)):
+            monkeypatch.setattr(harness, name, counted(log, getattr(harness, name)))
+        experiment2(small_case, [0.5, 1.0, 2.0], seed=21, methods=("1", "2"))
+        assert len(stacks) == 1
+        # one noise model for the measurement side, one for the reconstruction side
+        assert len(noise_models) == 2
+
+
+class TestReconstructor:
+    @pytest.fixture(scope="class")
+    def data(self, sides):
+        meas, _ = sides
+        prior = build_prior(meas.param, CASES["C1"].measurement.gammas)
+        noise = build_noise_cov_for_side(meas, CASES["C1"].measurement.deltas)
+        rng = sample_rng(31, 0)
+        return simulate_measurements(meas, draw_target(meas, prior, rng), noise, rng).upsilon
+
+    @staticmethod
+    def _flat(outcome):
+        return [c.to_flat() for c in outcome.components], outcome.clamped
+
+    def _assert_same(self, a, b):
+        (ca, fa), (cb, fb) = self._flat(a), self._flat(b)
+        assert len(ca) == len(cb) and fa == fb
+        assert all(np.array_equal(x, y) for x, y in zip(ca, cb))
+
+    @pytest.fixture
+    def stack_builds(self, monkeypatch):
+        built = []
+        make_stack = Reconstructor._make_stack
+
+        def counted(self, iota):
+            built.append(iota)
+            return make_stack(self, iota)
+
+        monkeypatch.setattr(Reconstructor, "_make_stack", counted)
+        return built
+
+    def test_longer_chain_goes_on_from_the_kept_one(self, sides, data, stack_builds):
+        _, rec = sides
+        fresh = {m: Reconstructor(rec).run(m, data) for m in ("1,1", "1,1,1")}
+        recon = Reconstructor(rec)
+        stack_builds.clear()
+        two = recon.run("1,1", data)
+        three = recon.run("1,1,1", data)
+        assert len(stack_builds) == 2
+        self._assert_same(two, fresh["1,1"])
+        self._assert_same(three, fresh["1,1,1"])
+        # a shorter chain on the same data is a prefix of the kept one
+        self._assert_same(recon.run("1,1", data.copy()), fresh["1,1"])
+        assert len(stack_builds) == 2
+        # other data starts again from the origin
+        recon.run("1,1", data + 1e-6)
+        assert len(stack_builds) == 3
+
+    def test_failed_step_keeps_nothing(self, sides, data, monkeypatch):
+        _, rec = sides
+        expected = Reconstructor(rec).run("1,1,1", data)
+        recon = Reconstructor(rec)
+        recon.run("1,1", data)
+        make_stack = Reconstructor._make_stack
+
+        def failing(self, iota):
+            raise RuntimeError("synthetic failure")
+
+        monkeypatch.setattr(Reconstructor, "_make_stack", failing)
+        with pytest.raises(RuntimeError):
+            recon.run("1,1,1", data)
+        monkeypatch.setattr(Reconstructor, "_make_stack", make_stack)
+        self._assert_same(recon.run("1,1,1", data), expected)
+
+    def test_kept_chain_is_read_only_and_its_data_a_copy(self, sides, data, stack_builds):
+        _, rec = sides
+        recon = Reconstructor(rec)
+        stack_builds.clear()
+        mutable = data.copy()
+        outcome = recon.run("1,1", mutable)
+        mutable += 1.0
+        assert not outcome.upsilon.kappa.flags.writeable
+        self._assert_same(recon.run("1,1", data), outcome)
+        assert len(stack_builds) == 1
+
+    def test_with_gammas_shares_the_origin_model(self, sides, data):
+        _, rec = sides
+        gammas = rec.spec.gammas.scaled(2.0)
+        base = Reconstructor(rec)
+        other = base.with_gammas(gammas)
+        assert other.stack0 is base.stack0 and other.noise is base.noise
+        assert other.prior.gammas == gammas and base.prior.gammas == rec.spec.gammas
+        fresh = Reconstructor(rec, gammas=gammas)
+        for method in ("2", "1,1"):
+            self._assert_same(other.run(method, data), fresh.run(method, data))
+
+
 class TestSerialization:
     def test_matrix_roundtrip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(9)
