@@ -59,10 +59,10 @@ def _cmd_mesh_cluster(args) -> int:
 
 def _cmd_simulate(args) -> int:
     case = _load_case(args)
+    rng = sample_rng(args.seed, args.sample)
     meas, _ = build_models(case)
     prior = build_prior(meas.param, case.measurement.gammas)
     noise = build_noise_cov_for_side(meas, case.measurement.deltas)
-    rng = sample_rng(args.seed, args.sample)
     target = draw_target(meas, prior, rng)
     record = simulate_measurements(meas, target, noise, rng)
     harness.write_measurement(record, args.out)

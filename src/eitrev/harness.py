@@ -35,6 +35,7 @@ from .inversion import (
 from .mesh import (
     MAX_DISK_REFINEMENT,
     Partition,
+    check_seed,
     cluster_partition,
     define_electrodes,
     disk_electrode_midpoints,
@@ -57,7 +58,8 @@ def _check_methods(methods: Sequence[str]) -> tuple[str, ...]:
 
 def sample_rng(seed: int, index: int) -> np.random.Generator:
     """Counter-based generator for one sample stream: Philox keyed by (seed, index)."""
-    return np.random.Generator(np.random.Philox(key=[np.uint64(seed), np.uint64(index)]))
+    key = [np.uint64(check_seed(seed)), np.uint64(check_seed(index, "sample index"))]
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 # ---------------------------------------------------------------------------
@@ -113,6 +115,8 @@ class ExperimentCase:
     def __post_init__(self) -> None:
         if self.n_electrodes < 2:
             raise ValueError(f"n_electrodes must be at least 2, got {self.n_electrodes!r}")
+        check_seed(self.seed)
+        check_seed(self.cluster_seed, "cluster_seed")
         if self.reconstruction.contact != "smooth":
             raise ValueError("the reconstruction side always uses the smooth contact model")
         for spec in (self.measurement, self.reconstruction):
@@ -636,7 +640,7 @@ def experiment1(
     n = case.n_samples if n_samples is None else n_samples
     if n < 1:
         raise ValueError(f"n_samples must be at least 1, got {n}")
-    seed = case.seed if seed is None else seed
+    seed = case.seed if seed is None else check_seed(seed)
     meas, rec = build_models(case)
     recon = Reconstructor(rec)
     meas_prior = build_prior(meas.param, case.measurement.gammas)
@@ -667,12 +671,12 @@ def experiment2(
     :meth:`Reconstructor.with_gammas`. The first failed reconstruction raises.
     """
     methods = _check_methods(methods)
-    seed = case.seed if seed is None else seed
+    seed = case.seed if seed is None else check_seed(seed)
     s_values = np.asarray(list(s_values), dtype=float)
     if s_values.size == 0:
         raise ValueError("the grid of scaling factors is empty")
-    if np.any(s_values <= 0):
-        raise ValueError("scaling factors must be positive")
+    if not np.all(np.isfinite(s_values) & (s_values > 0)):
+        raise ValueError(f"scaling factors must be positive and finite, got {s_values.tolist()}")
     meas, rec = build_models(case)
     meas_prior = build_prior(meas.param, case.measurement.gammas)
     meas_noise = build_noise_cov_for_side(meas, case.measurement.deltas)

@@ -19,8 +19,6 @@ from functools import cached_property
 from pathlib import Path
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import breadth_first_order
 
 from .quadrature import facet_measure, facet_rule
 
@@ -105,20 +103,35 @@ class SimplicialMesh:
 
     @cached_property
     def cell_adjacency(self) -> tuple[np.ndarray, ...]:
-        """Face-adjacent neighbor cells for every cell."""
-        facets: dict[tuple[int, ...], list[int]] = {}
-        d = self.dimension
-        for ci, cell in enumerate(self.cells):
-            for k in range(d + 1):
-                key = tuple(sorted(np.delete(cell, k)))
-                facets.setdefault(key, []).append(ci)
-        neighbors: list[list[int]] = [[] for _ in range(self.n_cells)]
-        for owners in facets.values():
-            if len(owners) == 2:
-                a, b = owners
-                neighbors[a].append(b)
-                neighbors[b].append(a)
-        return tuple(_freeze(np.array(sorted(n), dtype=int)) for n in neighbors)
+        """Face-adjacent neighbor cells for every cell, each in ascending order."""
+        n_local = self.dimension + 1
+        entries, starts, sizes = _facet_incidence(self.cells)
+        first = starts[sizes == 2]
+        a, b = entries[first] // n_local, entries[first + 1] // n_local
+        cell, neighbor = np.concatenate([a, b]), np.concatenate([b, a])
+        order = np.lexsort((neighbor, cell))
+        split = np.cumsum(np.bincount(cell, minlength=self.n_cells))[:-1]
+        return tuple(_freeze(n) for n in np.split(neighbor[order], split))
+
+
+def _facet_incidence(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The facets of all cells, grouped by vertex set.
+
+    Entry ``e`` is the facet of cell ``e // (d + 1)`` that omits its local
+    vertex ``e % (d + 1)``. Returns the entries sorted by facet, the start
+    of each group of equal facets and the group sizes; within a group the
+    entries keep ascending order.
+    """
+    n_local = cells.shape[1]
+    omit = np.array([[j for j in range(n_local) if j != k] for k in range(n_local)])
+    keys = np.sort(cells[:, omit], axis=2).reshape(-1, n_local - 1)
+    entries = np.lexsort(keys.T[::-1])
+    keys = keys[entries]
+    new = np.ones(len(keys), dtype=bool)
+    new[1:] = np.any(keys[1:] != keys[:-1], axis=1)
+    starts = np.flatnonzero(new)
+    sizes = np.diff(np.append(starts, len(keys)))
+    return entries, starts, sizes
 
 
 def _signed_volumes(vertices: np.ndarray, cells: np.ndarray) -> np.ndarray:
@@ -156,31 +169,23 @@ def build_mesh(dimension: int, vertices: np.ndarray, cells: np.ndarray) -> Simpl
     if np.any(vol <= 0):
         raise TopologyError("mesh contains a degenerate (zero volume) cell")
 
-    sorted_cells = {tuple(sorted(c)) for c in cells}
-    if len(sorted_cells) != len(cells):
+    if len(np.unique(np.sort(cells, axis=1), axis=0)) != len(cells):
         raise TopologyError("mesh contains duplicated cells")
 
     # Facet incidence: boundary facets belong to exactly one cell.
-    incidence: dict[tuple[int, ...], list[tuple[int, int]]] = {}
-    for ci, cell in enumerate(cells):
-        for k in range(dimension + 1):
-            key = tuple(sorted(np.delete(cell, k)))
-            incidence.setdefault(key, []).append((ci, k))
-    bfacets = []
-    bcells = []
-    for owners in incidence.values():
-        if len(owners) > 2:
-            raise TopologyError("non-manifold facet shared by more than two cells")
-        if len(owners) == 1:
-            ci, k = owners[0]
-            facet = np.delete(cells[ci], k)
-            bfacets.append(_orient_outward(vertices, cells[ci], facet))
-            bcells.append(ci)
-    if not bfacets:
+    entries, starts, sizes = _facet_incidence(cells)
+    if np.any(sizes > 2):
+        raise TopologyError("non-manifold facet shared by more than two cells")
+    bcells, omitted = np.divmod(entries[starts[sizes == 1]], dimension + 1)
+    if bcells.size == 0:
         raise TopologyError("mesh has no boundary")
+    bfacets = [
+        _orient_outward(vertices, cells[ci], np.delete(cells[ci], k))
+        for ci, k in zip(bcells, omitted)
+    ]
     order = np.lexsort(np.array(bfacets, dtype=int).T[::-1])
     boundary_facets = np.array(bfacets, dtype=int)[order]
-    boundary_cells = np.array(bcells, dtype=int)[order]
+    boundary_cells = bcells[order]
 
     _freeze(vertices, cells, boundary_facets, boundary_cells)
     return SimplicialMesh(dimension, vertices, cells, boundary_facets, boundary_cells)
@@ -585,6 +590,17 @@ class Partition:
         return _freeze(np.array([vols[c].sum() for c in self.cluster_cells]))
 
 
+def check_seed(seed: int, name: str = "seed") -> int:
+    """``seed`` as an int; ``ValueError`` unless it is an integer in 0..2**64-1.
+
+    Philox keys are unsigned 64-bit words, so this is every seed a generator
+    of this package accepts.
+    """
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2**64:
+        raise ValueError(f"{name} must be an integer in 0..2**64-1, got {seed!r}")
+    return int(seed)
+
+
 def _weighted_centers(
     points: np.ndarray, weights: np.ndarray, labels: np.ndarray, k: int
 ) -> np.ndarray:
@@ -615,23 +631,118 @@ def _components(cells: np.ndarray, adjacency: tuple[np.ndarray, ...]) -> list[li
     return sorted(comps, key=lambda c: (-len(c), c[0]))
 
 
-def _move_cell(
-    labels: np.ndarray,
-    adjacency: tuple[np.ndarray, ...],
-    points: np.ndarray,
-    centers: np.ndarray,
-    donor: int,
-    receiver: int,
-) -> bool:
-    """Move the best rim cell of ``donor`` into adjacent ``receiver``."""
-    donor_cells = np.flatnonzero(labels == donor)
-    candidates = [c for c in donor_cells if (labels[adjacency[c]] == receiver).any()]
-    candidates.sort(key=lambda c: (np.linalg.norm(points[c] - centers[receiver]), c))
-    for c in candidates:
-        if len(_components(donor_cells[donor_cells != c], adjacency)) == 1:
-            labels[c] = receiver
-            return True
-    return False
+class _ClusterState:
+    """Cluster labels kept up to date under single-cell moves.
+
+    Alongside the labels (a list, and an array mirror for the weighted
+    centers) it holds the cell counts and the rims: ``rims[a][b]`` is the set
+    of cells of cluster ``a`` with a face neighbour in cluster ``b``, kept
+    only while non-empty, so the keys of ``rims[a]`` are the clusters next
+    to ``a``.
+    """
+
+    def __init__(self, labels: np.ndarray, adjacency: tuple[np.ndarray, ...], k: int):
+        self.array = labels.copy()
+        self.labels = labels.tolist()
+        self.adjacency = [a.tolist() for a in adjacency]
+        self.counts = np.bincount(labels, minlength=k).tolist()
+        self.rims: list[dict[int, set[int]]] = [{} for _ in range(k)]
+        # Sorted neighbour lists, rebuilt when a cluster gains or loses a neighbour.
+        self._neighbours: list[list[int] | None] = [None] * k
+        for c, a in enumerate(self.labels):
+            for nb in self.adjacency[c]:
+                if self.labels[nb] != a:
+                    self._enter(a, self.labels[nb], c)
+
+    def _enter(self, a: int, b: int, c: int) -> None:
+        rim = self.rims[a].get(b)
+        if rim is None:
+            rim = self.rims[a][b] = set()
+            self._neighbours[a] = None
+        rim.add(c)
+
+    def _leave(self, a: int, b: int, c: int) -> None:
+        rim = self.rims[a][b]
+        rim.discard(c)
+        if not rim:
+            del self.rims[a][b]
+            self._neighbours[a] = None
+
+    def neighbours(self, a: int) -> list[int]:
+        """The clusters face-adjacent to cluster ``a``, in ascending order."""
+        nbs = self._neighbours[a]
+        if nbs is None:
+            nbs = self._neighbours[a] = sorted(self.rims[a])
+        return nbs
+
+    def move(self, c: int, source: int, target: int) -> None:
+        label, adjacency = self.labels, self.adjacency
+        for b in {label[nb] for nb in adjacency[c]} - {source}:
+            self._leave(source, b, c)
+        label[c] = self.array[c] = target
+        self.counts[source] -= 1
+        self.counts[target] += 1
+        for nb in adjacency[c]:
+            b = label[nb]
+            if b != target:
+                self._enter(target, b, c)
+                self._enter(b, target, nb)
+            if b != source and source not in map(label.__getitem__, adjacency[nb]):
+                self._leave(b, source, nb)
+
+    def nearest_donor(
+        self, smallest: int, need: int, blocked: set[tuple[int, int]]
+    ) -> tuple[int, dict[int, int]]:
+        """The first cluster with ``need`` cells in breadth-first order from ``smallest``.
+
+        Neighbours are expanded in ascending index order; returns the donor
+        (-1 when there is none) and the breadth-first parent of every
+        cluster reached so far.
+        """
+        counts, neighbours = self.counts, self.neighbours
+        parent = {smallest: -1}
+        queue = [smallest]
+        for node in queue:
+            for nb in neighbours(node):
+                if nb not in parent:
+                    parent[nb] = node
+                    if counts[nb] >= need and (smallest, nb) not in blocked:
+                        return nb, parent
+                    queue.append(nb)
+        return -1, parent
+
+    def stays_connected(self, c: int) -> bool:
+        """Whether the (connected) cluster of ``c`` stays non-empty and connected without it."""
+        label, adjacency = self.labels, self.adjacency
+        own = label[c]
+        kin = [nb for nb in adjacency[c] if label[nb] == own]
+        if len(kin) < 2:
+            return bool(kin)
+        missing = set(kin[1:])
+        seen = {c, kin[0]}
+        stack = [kin[0]]
+        while stack:
+            for nb in adjacency[stack.pop()]:
+                if nb not in seen and label[nb] == own:
+                    seen.add(nb)
+                    missing.discard(nb)
+                    if not missing:
+                        return True
+                    stack.append(nb)
+        return False
+
+    def rim_cell(self, points: np.ndarray, centers: np.ndarray, donor: int, receiver: int) -> int:
+        """The cell of ``donor`` that ``receiver`` takes, or -1 when none may go.
+
+        Of the donor cells next to ``receiver``, the nearest to the receiver's
+        center (ties to the lower index) whose removal keeps the donor
+        connected.
+        """
+        candidates = sorted(
+            self.rims[donor].get(receiver, ()),
+            key=lambda c: (np.linalg.norm(points[c] - centers[receiver]), c),
+        )
+        return next((c for c in candidates if self.stays_connected(c)), -1)
 
 
 def _balance_clusters(
@@ -646,57 +757,44 @@ def _balance_clusters(
     Repeatedly shifts one cell along the shortest cluster-adjacency path from
     the nearest over-full cluster toward the currently smallest cluster. Each
     successful chain strictly decreases the sum of squared counts, so the
-    loop terminates.
+    loop terminates. Every cluster must be connected on entry.
     """
-    labels = labels.copy()
-    edges = np.array(
-        [(c, int(nb)) for c in range(len(labels)) for nb in adjacency[c] if nb > c],
-        dtype=int,
-    ).reshape(-1, 2)
+    state = _ClusterState(labels, adjacency, n_clusters)
+    counts = state.counts
     stuck: set[int] = set()
     blocked: set[tuple[int, int]] = set()
     for _ in range(_BALANCE_MAX_MOVES):
-        counts = np.bincount(labels, minlength=n_clusters).tolist()
-        top = max(counts)
-        smallest = min(
-            (c for c in range(n_clusters) if counts[c] <= top - 2 and c not in stuck),
-            key=lambda c: (counts[c], c),
-            default=-1,
-        )
-        if smallest < 0:
+        # The smallest cluster not stuck (ties to the lower index), if it is
+        # two cells short of the largest.
+        sizes = np.array(counts)
+        top = sizes.max()
+        sizes[list(stuck)] = top
+        smallest = int(np.argmin(sizes))
+        if sizes[smallest] > top - 2:
             break
-        la, lb = labels[edges[:, 0]], labels[edges[:, 1]]
-        cross = la != lb
-        graph = np.zeros((n_clusters, n_clusters), dtype=bool)
-        graph[la[cross], lb[cross]] = True
-        graph[lb[cross], la[cross]] = True
-        # The nearest unblocked donor with two more cells, in breadth-first order;
-        # a CSR matrix built from a dense array lists neighbours by index.
-        order, parent = breadth_first_order(
-            csr_matrix(graph), smallest, return_predecessors=True
-        )
-        need = counts[smallest] + 2
-        donor = next(
-            (h for h in order[1:].tolist() if counts[h] >= need and (smallest, h) not in blocked),
-            -1,
-        )
+        donor, parent = state.nearest_donor(smallest, counts[smallest] + 2, blocked)
         if donor < 0:
             stuck.add(smallest)
             continue
-        # Shift one cell along the path donor -> ... -> smallest, atomically.
-        centers = _weighted_centers(points, weights, labels, n_clusters)
-        trial = labels.copy()
+        # Shift one cell along the path donor -> ... -> smallest; a chain that
+        # cannot finish is undone move by move.
+        centers = _weighted_centers(points, weights, state.array, n_clusters)
+        moves = []
         node = donor
         while node != smallest:
-            if not _move_cell(trial, adjacency, points, centers, node, parent[node]):
+            c = state.rim_cell(points, centers, node, parent[node])
+            if c < 0:
                 blocked.add((smallest, donor))
+                for cell, source, target in reversed(moves):
+                    state.move(cell, target, source)
                 break
+            state.move(c, node, parent[node])
+            moves.append((c, node, parent[node]))
             node = parent[node]
         else:
-            labels = trial
             stuck.clear()
             blocked.clear()
-    return labels
+    return state.array
 
 
 def cluster_partition(mesh: SimplicialMesh, n_clusters: int, seed: int) -> Partition:
@@ -710,6 +808,7 @@ def cluster_partition(mesh: SimplicialMesh, n_clusters: int, seed: int) -> Parti
     """
     if n_clusters < 1 or n_clusters > mesh.n_cells:
         raise ValueError("n_clusters must be between 1 and the cell count")
+    seed = check_seed(seed)
     points = mesh.cell_centroids
     weights = mesh.cell_volumes
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))

@@ -259,3 +259,39 @@ def test_malformed_mesh_file_is_one_error_line(tmp_path):
     assert proc.stderr.splitlines() == [proc.stderr.strip()]
     assert proc.stderr.startswith("MeshFormatError: malformed mesh file")
     assert not (tmp_path / "part.txt").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, config",
+    [
+        (["mesh", "cluster", "--clusters", "1", "--seed", "-1"], None),
+        (["experiment1", "--samples", "1", "--seed", "-1"], None),
+        (["experiment1", "--samples", "1"], {"cluster_seed": -3}),
+    ],
+    ids=["mesh-cluster", "experiment1", "config-cluster-seed"],
+)
+def test_out_of_range_seed_is_one_error_line(tmp_path, argv, config):
+    out = tmp_path / "out"
+    if argv[0] == "mesh":
+        mesh_path = tmp_path / "mesh.txt"
+        mesh_path.write_text("dim 2\nvertices 3\n0 0\n1 0\n0 1\ncells 1\n0 1 2\n")
+        argv = argv + ["--mesh", str(mesh_path)]
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        argv = argv + ["--config", str(cfg)]
+    proc = _run_cli(argv + ["--out", str(out)])
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == [proc.stderr.strip()]
+    assert proc.stderr.startswith("ValueError: ")
+    assert "seed must be an integer in 0..2**64-1" in proc.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("grid", ["nan", "0.5,inf"])
+def test_non_finite_grid_is_one_error_line(tmp_path, grid):
+    proc = _run_cli(["experiment2", "--s-grid", grid, "--out", str(tmp_path / "out")])
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == [proc.stderr.strip()]
+    assert proc.stderr.startswith("ValueError: scaling factors must be positive and finite")
+    assert not (tmp_path / "out").exists()

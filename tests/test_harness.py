@@ -71,6 +71,11 @@ class TestDraws:
         corr = np.corrcoef(draws[i], draws[j])[0, 1]
         assert corr == pytest.approx(math.exp(-0.5), abs=0.05)
 
+    @pytest.mark.parametrize("seed, index", [(-1, 0), (2**64, 0), (0, -1)])
+    def test_sample_stream_outside_key_range_raises(self, seed, index):
+        with pytest.raises(ValueError, match="must be an integer in 0..2"):
+            sample_rng(seed, index)
+
     def test_target_locations_fixed_at_center(self, sides):
         meas, _ = sides
         prior = build_prior(meas.param, PriorGammas(0.1, 1.0, 0.1, 0.02))
@@ -240,6 +245,12 @@ class TestExperiment1:
         with pytest.raises(ValueError, match="n_samples"):
             experiment1(replace(small_case, n_samples=0))
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_bad_seed_raises_before_any_model_is_built(self, small_case, monkeypatch, seed):
+        monkeypatch.setattr(harness, "build_models", _no_models)
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            experiment1(small_case, n_samples=1, seed=seed)
+
 
 def _no_models(case):
     raise AssertionError("models were built")
@@ -272,6 +283,19 @@ class TestExperiment2:
         monkeypatch.setattr(harness, "build_models", _no_models)
         with pytest.raises(ValueError, match="empty"):
             experiment2(small_case, [], seed=1)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_scaling_raises_before_any_model_is_built(
+        self, small_case, monkeypatch, bad
+    ):
+        monkeypatch.setattr(harness, "build_models", _no_models)
+        with pytest.raises(ValueError, match="positive and finite"):
+            experiment2(small_case, [0.5, bad], seed=1)
+
+    def test_bad_seed_raises_before_any_model_is_built(self, small_case, monkeypatch):
+        monkeypatch.setattr(harness, "build_models", _no_models)
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            experiment2(small_case, [0.5], seed=-1)
 
 
     def test_one_origin_model_per_call(self, small_case, monkeypatch):
@@ -491,6 +515,10 @@ class TestCaseConfig:
             ({"measurement": {"contact": "foo"}}, "contact"),
             ({"reconstruction": {"n_clusters": 0}}, "n_clusters"),
             ({"n_electrodes": 1}, "n_electrodes"),
+            ({"seed": -3}, "seed"),
+            ({"cluster_seed": -3}, "cluster_seed"),
+            ({"seed": 2**64}, "seed"),
+            ({"cluster_seed": 2.5}, "cluster_seed"),
         ],
     )
     def test_bad_value_raises_with_its_field(self, config, field):

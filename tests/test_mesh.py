@@ -12,6 +12,8 @@ from eitrev.mesh import (
     EmptyElectrodeError,
     MeshFormatError,
     TopologyError,
+    _ClusterState,
+    _components,
     cluster_partition,
     define_electrodes,
     disk_electrode_midpoints,
@@ -34,6 +36,15 @@ def _arrays(value):
     elif isinstance(value, tuple):
         for item in value:
             yield from _arrays(item)
+
+
+def _adjacency_by_shared_vertices(mesh):
+    """Brute force: two cells are neighbours when they share ``dimension`` vertices."""
+    incidence = np.zeros((mesh.n_cells, mesh.n_vertices), dtype=int)
+    np.put_along_axis(incidence, mesh.cells, 1, axis=1)
+    shared = incidence @ incidence.T
+    np.fill_diagonal(shared, 0)
+    return [np.flatnonzero(row == mesh.dimension).tolist() for row in shared]
 
 
 def _write(tmp_path, text):
@@ -135,6 +146,10 @@ class TestDiskMesh:
         b = generate_disk_mesh(2)
         assert np.array_equal(a.vertices, b.vertices)
         assert np.array_equal(a.cells, b.cells)
+
+    def test_cell_adjacency_matches_shared_facets(self, disk2):
+        assert _adjacency_by_shared_vertices(disk2) == [n.tolist() for n in disk2.cell_adjacency]
+        assert all(not n.flags.writeable for n in disk2.cell_adjacency)
 
     def test_boundary_facets_cover_boundary_once(self, disk2):
         # every boundary facet belongs to exactly one cell
@@ -269,6 +284,47 @@ class TestPartition:
         with pytest.raises(ValueError):
             cluster_partition(disk2, 0, seed=0)
 
+    @pytest.mark.parametrize("seed", [-1, 2**64, 1.5, True])
+    def test_seed_outside_philox_key_range_is_rejected(self, disk2, seed):
+        with pytest.raises(ValueError, match="seed must be an integer in 0..2\\*\\*64-1"):
+            cluster_partition(disk2, 4, seed)
+
+    def test_largest_seed_is_accepted(self, disk2):
+        assert cluster_partition(disk2, 4, 2**64 - 1).n_clusters == 4
+
+    def test_cluster_state_moves_and_undo(self, disk2, part20):
+        # The incremental rims and counts after a run of moves equal those
+        # built from scratch, and undoing the moves restores the start.
+        adjacency = disk2.cell_adjacency
+        state = _ClusterState(part20.cluster_of, adjacency, 20)
+        start = (list(state.counts), [{b: set(r) for b, r in rims.items()} for rims in state.rims])
+        rng = np.random.default_rng(3)
+        moves = []
+        for _ in range(40):
+            a = int(rng.integers(20))
+            b = sorted(state.rims[a])[int(rng.integers(len(state.rims[a])))]
+            c = min(state.rims[a][b])
+            state.move(c, a, b)
+            moves.append((c, a, b))
+            fresh = _ClusterState(state.array, adjacency, 20)
+            assert state.labels == state.array.tolist() == fresh.labels
+            assert state.counts == fresh.counts
+            assert state.rims == fresh.rims
+            assert all(state.neighbours(i) == sorted(fresh.rims[i]) for i in range(20))
+        for c, a, b in reversed(moves):
+            state.move(c, b, a)
+        assert np.array_equal(state.array, part20.cluster_of)
+        assert (state.counts, state.rims) == start
+
+    def test_removal_check_matches_component_count(self, disk3, part80):
+        # A cell may leave its cluster exactly when the rest is one component.
+        state = _ClusterState(part80.cluster_of, disk3.cell_adjacency, 80)
+        for cells in part80.cluster_cells:
+            for c in cells:
+                rest = cells[cells != c]
+                whole = len(_components(rest, disk3.cell_adjacency)) == 1
+                assert state.stays_connected(int(c)) == whole
+
     def test_partition_file_roundtrip(self, tmp_path, part20, disk2):
         path = tmp_path / "part.txt"
         save_partition(part20, path)
@@ -304,6 +360,10 @@ class TestPartition:
             (3, 50, 0, "7d99343a5bce1b767e478d4c1a459aeff0ea38307717345213fe4e8ee0c60bbd"),
             (1, 10, 1, "9911d0f7abbb92b6dd852683580881c1f9706512f05583cb17e16ed635fe2b27"),
             (4, 200, 7, "0116cbe12f814aa536b55c47fbeeb89928afa1f3d53c4d978d30daea0bb5b78c"),
+            # These three run many failed balancing chains, which are undone.
+            (4, 100, 2, "3dc9f6eb25a6ddbc67c09f3b8ca3f95315bba749dd43a5b9df9c61a46bbb5163"),
+            (3, 30, 3, "1081040b5fbcac7bf99f1bcd94a00380e9224d7b87452b59a6a4d8f4ba59f405"),
+            (2, 40, 9, "b2ea03310d859a367ca95091dd9b4cd9747537893c02e3c90acd30b29ea2a975"),
         ],
     )
     def test_labels_are_pinned(self, level, n_clusters, seed, digest):

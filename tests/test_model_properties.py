@@ -1,0 +1,91 @@
+"""Derivative and clamp invariants over generated base points and directions."""
+
+import numpy as np
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from eitrev.model import ParamVector
+
+
+def _close(x, y):
+    scale = max(np.abs(x).max(), np.abs(y).max(), 1e-300)
+    return np.allclose(x, y, rtol=1e-9, atol=1e-11 * scale)
+
+
+def _same_pair(p, q):
+    return _close(p.sigma, q.sigma) and _close(p.zeta, q.zeta)
+
+
+def _base_point(param, rng, xi_scale=0.05):
+    iota = param.from_flat(np.zeros(param.dim))
+    xi = None if iota.xi is None else xi_scale * rng.standard_normal(iota.xi.shape)
+    return ParamVector(
+        0.3 * rng.standard_normal(iota.kappa.shape), 0.2 * rng.standard_normal(iota.rho.shape), xi
+    )
+
+
+def _direction(param, rng, active):
+    """A random direction whose contact part vanishes on the inactive electrodes."""
+    d = param.from_flat(rng.standard_normal(param.dim))
+    xi = None if d.xi is None else np.where(active[:, None], d.xi, 0.0)
+    return ParamVector(d.kappa, np.where(active, d.rho, 0.0), xi)
+
+
+def _draw_point(data, params, n_directions):
+    """A parametrization, an admissible base point and random directions.
+
+    Each direction has its contact part switched off on a drawn set of
+    electrodes, which exercises the skipping of inactive electrodes.
+    """
+    param = params[data.draw(st.sampled_from(sorted(params)), label="kind")]
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    electrodes = st.lists(st.booleans(), min_size=8, max_size=8)
+    masks = data.draw(
+        st.lists(electrodes, min_size=n_directions, max_size=n_directions), label="active"
+    )
+    iota = _base_point(param, rng)
+    assume(param.admissible(iota))
+    return param, iota, [_direction(param, rng, np.array(m)) for m in masks]
+
+
+@settings(deadline=None, max_examples=20)
+@given(data=st.data())
+def test_dtau_is_linear_in_each_direction(smooth8, cem8, data):
+    order = data.draw(st.integers(1, 3), label="order")
+    param, iota, dirs = _draw_point(data, {"smooth": smooth8, "cem": cem8}, order + 1)
+    slot = data.draw(st.integers(0, order - 1), label="slot")
+    a = data.draw(st.floats(-2.0, 2.0), label="a")
+    b = data.draw(st.floats(-2.0, 2.0), label="b")
+    u, v, rest = dirs[0], dirs[1], dirs[2:]
+
+    def with_slot(d):
+        return param.dtau(iota, rest[:slot] + [d] + rest[slot:])
+
+    combined = with_slot(a * u + b * v)
+    assert _same_pair(combined, a * with_slot(u) + b * with_slot(v))
+
+
+@settings(deadline=None, max_examples=20)
+@given(data=st.data())
+def test_dtau_is_symmetric_in_its_directions(smooth8, cem8, data):
+    order = data.draw(st.integers(2, 3), label="order")
+    param, iota, dirs = _draw_point(data, {"smooth": smooth8, "cem": cem8}, order)
+    perm = data.draw(st.permutations(range(order)), label="permutation")
+    permuted = param.dtau(iota, [dirs[i] for i in perm])
+    assert _same_pair(permuted, param.dtau(iota, dirs))
+
+
+@settings(deadline=None, max_examples=20)
+@given(
+    kind=st.sampled_from(["smooth", "cem"]),
+    seed=st.integers(0, 2**32 - 1),
+    xi_scale=st.floats(0.0, 1.5),
+)
+def test_clamp_is_idempotent(smooth8, cem8, kind, seed, xi_scale):
+    param = {"smooth": smooth8, "cem": cem8}[kind]
+    iota = _base_point(param, np.random.default_rng(seed), xi_scale)
+    clamped, moved = param.clamp(iota)
+    assert param.admissible(clamped)
+    assert moved == (not param.admissible(iota))
+    again, moved_again = param.clamp(clamped)
+    assert again is clamped and not moved_again

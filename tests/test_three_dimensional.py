@@ -5,7 +5,7 @@ import pytest
 
 from eitrev import fem
 from eitrev.calculus import DerivativeStack
-from eitrev.mesh import build_mesh, cluster_partition, define_electrodes
+from eitrev.mesh import TopologyError, build_mesh, cluster_partition, define_electrodes
 from eitrev.model import ModelConfig, ParamVector, Parametrization
 
 
@@ -55,6 +55,25 @@ def test_mesh_and_boundary(cube_setup):
     assert mesh.n_boundary_facets == 48  # 6 faces x 4 subsquares x 2 triangles
     assert np.all(mesh.cell_volumes > 0)
     assert mesh.cell_volumes.sum() == pytest.approx(1.0, rel=1e-12)
+
+
+def test_cell_adjacency_matches_shared_facets(cube_setup):
+    mesh, *_ = cube_setup
+    cells = [set(c) for c in mesh.cells.tolist()]
+    brute = [
+        [j for j, other in enumerate(cells) if j != i and len(cell & other) == 3]
+        for i, cell in enumerate(cells)
+    ]
+    assert [n.tolist() for n in mesh.cell_adjacency] == brute
+
+
+def test_face_shared_by_three_tetrahedra_is_rejected():
+    vertices = np.array(
+        [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1], [0, 0, -1], [1, 1, 1]], dtype=float
+    )
+    cells = np.array([[0, 1, 2, 3], [0, 1, 2, 4], [0, 1, 2, 5]])
+    with pytest.raises(TopologyError, match="non-manifold"):
+        build_mesh(3, vertices, cells)
 
 
 def test_electrode_patches_and_charts(cube_setup):
