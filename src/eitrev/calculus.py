@@ -15,6 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .fem import AssembledSystem, PerturbationOperator, SolutionSet, apply_P, solve_forward
+from .model import AdmissibilityError
 
 _FACTORIALS = {1: 1.0, 2: 2.0, 3: 6.0}
 
@@ -28,9 +29,14 @@ class DerivativeStack:
     memo of directions, operators and chains is pure memoization keyed by
     direction identity and holds until :meth:`forget`; every entry is
     reproducible from scratch.
+
+    Construction raises :class:`~eitrev.model.AdmissibilityError` for an
+    inadmissible base point; every later derivative of tau relies on that.
     """
 
     def __init__(self, system: AssembledSystem, param, iota):
+        if not param.admissible(iota):
+            raise AdmissibilityError("the base point of a derivative stack is inadmissible")
         self.system = system
         self.param = param
         self.iota = iota

@@ -324,8 +324,7 @@ class ReversionResult:
     def order(self) -> int:
         return len(self.etas)
 
-    def partial_sum(self, order: int | None = None):
-        order = self.order if order is None else order
+    def partial_sum(self, order: int):
         if order < 1 or order > self.order:
             raise ValueError("partial sum order out of range")
         out = self.etas[0]

@@ -14,6 +14,7 @@ All values are immutable after construction and safe to share across threads.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -557,9 +558,9 @@ def define_electrodes(
     )
 
 
-def disk_electrode_midpoints(n_electrodes: int, phase: float = 0.0) -> np.ndarray:
+def disk_electrode_midpoints(n_electrodes: int) -> np.ndarray:
     """Equispaced electrode midpoints on the unit circle."""
-    angles = phase + 2.0 * np.pi * np.arange(n_electrodes) / n_electrodes
+    angles = 2.0 * np.pi * np.arange(n_electrodes) / n_electrodes
     return np.column_stack([np.cos(angles), np.sin(angles)])
 
 
@@ -757,7 +758,8 @@ def _balance_clusters(
     Repeatedly shifts one cell along the shortest cluster-adjacency path from
     the nearest over-full cluster toward the currently smallest cluster. Each
     successful chain strictly decreases the sum of squared counts, so the
-    loop terminates. Every cluster must be connected on entry.
+    loop terminates; at ``_BALANCE_MAX_MOVES`` iterations it stops with a
+    ``RuntimeWarning``. Every cluster must be connected on entry.
     """
     state = _ClusterState(labels, adjacency, n_clusters)
     counts = state.counts
@@ -794,6 +796,13 @@ def _balance_clusters(
         else:
             stuck.clear()
             blocked.clear()
+    else:
+        warnings.warn(
+            f"cluster balancing stopped at its cap of {_BALANCE_MAX_MOVES} iterations "
+            f"with cluster sizes {min(counts)}..{max(counts)}",
+            RuntimeWarning,
+            stacklevel=3,
+        )
     return state.array
 
 
@@ -828,7 +837,10 @@ def cluster_partition(mesh: SimplicialMesh, n_clusters: int, seed: int) -> Parti
 
     labels = np.zeros(mesh.n_cells, dtype=int)
     for _ in range(_KMEANS_MAX_ITER):
-        dist = np.linalg.norm(points[:, None, :] - centers[None, :, :], axis=2)
+        # Summed one coordinate at a time, with no (n_cells, k, d) temporary.
+        dist = np.sqrt(
+            sum((points[:, i, None] - centers[:, i]) ** 2 for i in range(points.shape[1]))
+        )
         new_labels = np.argmin(dist, axis=1)
         # Re-seed empty clusters from the farthest-off cell.
         for i in range(n_clusters):

@@ -15,7 +15,9 @@ finite-difference tests.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
+from itertools import combinations
 from typing import Sequence
 
 import numpy as np
@@ -167,13 +169,7 @@ def bump(y: np.ndarray, xi: np.ndarray, config: ModelConfig) -> np.ndarray:
     y = np.asarray(y)
     d = y - np.asarray(xi)
     t = np.sum(d * d, axis=-1) / config.R**2
-    return _bump_of_t(t, config.a)
-
-
-def _bump_of_t(t: np.ndarray, a: float) -> np.ndarray:
-    inside = t < 1.0 - 1e-8
-    safe = np.where(inside, t, 0.0)
-    return np.where(inside, np.exp(a - a / (1.0 - safe)), np.zeros_like(t))
+    return _bump_h123(t, config.a)[0]
 
 
 def _bump_h123(t: np.ndarray, a: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -309,11 +305,7 @@ def _distance_to_patch(layout: ElectrodeLayout, m: int, xi: np.ndarray) -> float
 
 
 def contact_admissible(
-    layout: ElectrodeLayout,
-    m: int,
-    xi: np.ndarray,
-    config: ModelConfig,
-    margin: float = ADMISSIBILITY_MARGIN,
+    layout: ElectrodeLayout, m: int, xi: np.ndarray, config: ModelConfig
 ) -> bool:
     """Whether the contact disk of radius R around xi stays on electrode m.
 
@@ -327,12 +319,12 @@ def contact_admissible(
             dist = float(np.linalg.norm(xi - rim[0]))
         else:
             dist = _point_segment_distance(xi, rim[0], rim[1])
-        if dist < config.R + margin:
+        if dist < config.R + ADMISSIBILITY_MARGIN:
             return False
     dmin = _distance_to_patch(layout, m, xi)
     if layout.mesh.dimension == 3:
         return dmin <= 1e-12
-    return dmin <= config.R - margin
+    return dmin <= config.R - ADMISSIBILITY_MARGIN
 
 
 def eval_zeta_smooth(
@@ -378,42 +370,6 @@ def eval_zeta_smooth(
 # ---------------------------------------------------------------------------
 
 
-def _product_expansion(
-    scale: float, r: Sequence[float], g_derivs: list[np.ndarray]
-) -> np.ndarray:
-    """Multilinear derivative of exp(rho) * G(xi) up to order three.
-
-    ``r`` holds the rho-components of the directions and ``g_derivs`` the
-    derivatives of G for every subset of the xi-components in a fixed order:
-    order 1: [G, DG(x1)]; order 2: [G, DG(x1), DG(x2), D2G(x1,x2)]; order 3:
-    [G, DG(x1), DG(x2), DG(x3), D2G(x2,x3), D2G(x1,x3), D2G(x1,x2), D3G].
-    """
-    k = len(r)
-    if k == 0:
-        return scale * g_derivs[0]
-    if k == 1:
-        return scale * (r[0] * g_derivs[0] + g_derivs[1])
-    if k == 2:
-        return scale * (
-            r[0] * r[1] * g_derivs[0]
-            + r[0] * g_derivs[2]
-            + r[1] * g_derivs[1]
-            + g_derivs[3]
-        )
-    if k == 3:
-        return scale * (
-            r[0] * r[1] * r[2] * g_derivs[0]
-            + r[0] * r[1] * g_derivs[3]
-            + r[0] * r[2] * g_derivs[2]
-            + r[1] * r[2] * g_derivs[1]
-            + r[0] * g_derivs[4]
-            + r[1] * g_derivs[5]
-            + r[2] * g_derivs[6]
-            + g_derivs[7]
-        )
-    raise ValueError("derivative order above three is unsupported")
-
-
 def dtau(
     config: ModelConfig,
     layout: ElectrodeLayout,
@@ -427,6 +383,9 @@ def dtau(
     part is exp(mu_kappa + kappa_i) times the product of the direction
     components on each cluster; the contact part differentiates the cem
     exponential or the normalized bump in closed form.
+
+    The base point must be admissible and is not checked here;
+    :class:`~eitrev.calculus.DerivativeStack` checks it once, at construction.
     """
     k = len(directions)
     if k < 1 or k > 3:
@@ -458,39 +417,22 @@ def dtau(
             coeff = coeff * d.rho
         return ConductivityPair(dsigma, _cem_density(layout, coeff))
 
-    for m in range(M):
-        if not contact_active[m]:
-            continue
-        if not contact_admissible(layout, m, iota.xi[m], config):
-            raise AdmissibilityError(f"base point is inadmissible on electrode {m}")
+    # Leibniz rule for exp(rho_m + mu_zeta) G(xi_m): one term per subset S of the
+    # directions, largest first and lexicographic within one size.
+    subsets = [S for size in range(k, -1, -1) for S in combinations(range(k), size)]
+    for m in np.flatnonzero(contact_active):
         sl = layout.efacet_slices[m]
         el = _SmoothElectrode(
             layout.equad_local[sl], layout.equad_weights[sl], iota.xi[m], config
         )
         r = [float(d.rho[m]) for d in directions]
         xs = [np.asarray(d.xi[m], dtype=float) for d in directions]
-        if k == 1:
-            g = [_normalized_derivs(el, []), _normalized_derivs(el, [xs[0]])]
-        elif k == 2:
-            g = [
-                _normalized_derivs(el, []),
-                _normalized_derivs(el, [xs[0]]),
-                _normalized_derivs(el, [xs[1]]),
-                _normalized_derivs(el, [xs[0], xs[1]]),
-            ]
-        else:
-            g = [
-                _normalized_derivs(el, []),
-                _normalized_derivs(el, [xs[0]]),
-                _normalized_derivs(el, [xs[1]]),
-                _normalized_derivs(el, [xs[2]]),
-                _normalized_derivs(el, [xs[1], xs[2]]),
-                _normalized_derivs(el, [xs[0], xs[2]]),
-                _normalized_derivs(el, [xs[0], xs[1]]),
-                _normalized_derivs(el, xs),
-            ]
-        scale = float(np.exp(iota.rho[m] + config.mu_zeta))
-        dzeta[sl] = _product_expansion(scale, r, g)
+        total = None
+        for S in subsets:
+            g = _normalized_derivs(el, [x for j, x in enumerate(xs) if j not in S])
+            term = math.prod(r[i] for i in S) * g if S else g
+            total = term if total is None else total + term
+        dzeta[sl] = float(np.exp(iota.rho[m] + config.mu_zeta)) * total
     return ConductivityPair(dsigma, dzeta)
 
 
@@ -568,9 +510,10 @@ class Parametrization:
         image's surface centroid until it re-enters the admissible set. The
         flag reports whether any component was moved.
         """
-        if self.kind == "cem" or self.admissible(iota):
+        if self.kind == "cem":
             return iota, False
         xi = iota.xi.copy()
+        moved = False
         for m in range(self.n_electrodes):
             if contact_admissible(self.layout, m, xi[m], self.config):
                 continue
@@ -591,4 +534,5 @@ class Parametrization:
                 else:
                     hi = mid
             xi[m] = anchor + lo * (xi[m] - anchor)
-        return replace(iota, xi=xi), True
+            moved = True
+        return (replace(iota, xi=xi), True) if moved else (iota, False)

@@ -5,7 +5,7 @@ import pytest
 
 from eitrev import fem
 from eitrev.calculus import DerivativeStack, vec
-from eitrev.model import ConductivityPair, ParamVector
+from eitrev.model import AdmissibilityError, ConductivityPair, ParamVector
 
 
 @pytest.fixture(scope="module")
@@ -216,3 +216,16 @@ class TestAccountingAndCache:
         # a fresh stack reproduces the cached values from scratch
         fresh = DerivativeStack(fem.AssembledSystem(layout8, smooth8.tau(iota)), smooth8, iota)
         assert np.allclose(fresh.dlambda3(eta8), first, rtol=1e-12)
+
+
+class TestBasePoint:
+    def test_inadmissible_base_point_is_rejected_at_construction(self, layout8, smooth8):
+        iota = smooth8.zero()
+        xi = iota.xi.copy()
+        xi[2] = [0.55, 0.0]
+        bad = ParamVector(iota.kappa, iota.rho, xi)
+        assert not smooth8.admissible(bad)
+        system = fem.AssembledSystem(layout8, smooth8.tau(bad, strict=False))
+        with pytest.raises(AdmissibilityError):
+            DerivativeStack(system, smooth8, bad)
+        assert system.solve_count == 0  # rejected before the base solves

@@ -220,6 +220,65 @@ class TestSubspacePseudoInverse:
             SubspacePseudoInverse(stack8, dirs + [dirs[0]])
 
 
+def _restrict(matrix, in_electrodes, out_electrodes, basis):
+    """project_in_out, with None standing for every electrode as in the inverses."""
+    every = range(basis.n_electrodes)
+    return project_in_out(
+        matrix,
+        every if in_electrodes is None else in_electrodes,
+        every if out_electrodes is None else out_electrodes,
+        basis,
+    )
+
+
+def _restricted_columns(jacobian, in_electrodes, out_electrodes, basis):
+    """Each Jacobian column reshaped to a matrix, restricted, and stacked back."""
+    n = basis.B.shape[1]
+    return np.column_stack(
+        [
+            vec(_restrict(col.reshape(n, n, order="F"), in_electrodes, out_electrodes, basis))
+            for col in jacobian.T
+        ]
+    )
+
+
+# (in_electrodes, out_electrodes) passed to the inverses; None keeps all of them.
+_IN_OUT = [([0, 1, 2, 3, 4], [2, 3, 4, 5, 6, 7]), ([1, 3, 5, 7], None), (None, [0, 2, 4, 5, 6])]
+
+
+class TestInOutOptions:
+    """The inverses with feed/measure subsets solve the restricted problem."""
+
+    @pytest.mark.parametrize("in_electrodes, out_electrodes", _IN_OUT)
+    def test_tikhonov_matches_restricted_jacobian(
+        self, stack8, smooth8, basis8, in_electrodes, out_electrodes
+    ):
+        prior = build_prior(smooth8, PriorGammas(0.1, 1.0, 0.1, 0.02))
+        noise = build_noise_cov(1e-4, 1e-3, stack8.lam)
+        inverse = TikhonovInverse(stack8, prior, noise, in_electrodes, out_electrodes)
+        J = _restricted_columns(stack8.jacobian(), in_electrodes, out_electrodes, basis8)
+        psi = np.random.default_rng(71).standard_normal((7, 7))
+        restricted = _restrict(psi, in_electrodes, out_electrodes, basis8)
+        expect = solve_tikhonov(J, prior, noise, restricted)
+        got = inverse(psi).to_flat()
+        assert np.allclose(inverse.jacobian, J, rtol=0, atol=1e-12 * np.abs(J).max())
+        assert np.allclose(got, expect, rtol=0, atol=1e-10 * np.abs(expect).max())
+
+    @pytest.mark.parametrize("in_electrodes, out_electrodes", _IN_OUT)
+    def test_subspace_matches_restricted_least_squares(
+        self, stack8, basis8, in_electrodes, out_electrodes
+    ):
+        dirs = subspace_directions(stack8, 5)
+        inverse = SubspacePseudoInverse(stack8, dirs, in_electrodes, out_electrodes)
+        F = _restricted_columns(stack8.jacobian(dirs), in_electrodes, out_electrodes, basis8)
+        psi = np.random.default_rng(72).standard_normal((7, 7))
+        rhs = vec(_restrict(psi, in_electrodes, out_electrodes, basis8))
+        coef = np.linalg.lstsq(F, rhs, rcond=None)[0]
+        got = inverse(psi).to_flat()
+        expect = sum(c * d.to_flat() for c, d in zip(coef, dirs))
+        assert np.allclose(got, expect, rtol=0, atol=1e-10 * np.abs(expect).max())
+
+
 class TestRevert:
     def test_zero_residual_collapses(self, stack8, smooth8, basis8):
         prior = build_prior(smooth8, PriorGammas(0.1, 1.0, 0.1, 0.02))

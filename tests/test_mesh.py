@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import warnings
 
 import numpy as np
 import pytest
@@ -370,6 +371,16 @@ class TestPartition:
         part = cluster_partition(generate_disk_mesh(level), n_clusters, seed)
         labels = part.cluster_of.astype("<i8").tobytes()
         assert hashlib.sha256(labels).hexdigest() == digest
+
+    def test_balancing_cap_is_reported(self, monkeypatch, disk3):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cluster_partition(disk3, 80, seed=7)
+        monkeypatch.setattr("eitrev.mesh._BALANCE_MAX_MOVES", 5)
+        with pytest.warns(RuntimeWarning, match="cap of 5 iterations") as record:
+            part = cluster_partition(disk3, 80, seed=7)
+        sizes = np.bincount(part.cluster_of)
+        assert f"cluster sizes {sizes.min()}..{sizes.max()}" in str(record[0].message)
 
 
 class TestNearestNeighborProject:

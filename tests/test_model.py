@@ -1,5 +1,6 @@
 """Parametrizations: values, admissibility, and closed-form derivatives."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -435,6 +436,38 @@ class TestDtau:
             rems.append(surface_l2(layout8, shifted.zeta - model))
         slope = np.polyfit(np.log(svals), np.log(rems), 1)[0]
         assert slope == pytest.approx(4.0, abs=0.3)
+
+    # sha256 of the little-endian sigma and zeta bytes of two calls (random
+    # directions, then coordinate directions on electrode 2), pinned so that a
+    # rewrite of the derivative expansion cannot move a single rounding.
+    @pytest.mark.parametrize(
+        "kind, order, digest",
+        [
+            ("smooth", 1, "60f659d11811032e2db2235ceb66a5bbebb7c72cf0952cb6b8df5c2eea06937d"),
+            ("smooth", 2, "f3afe926ca3d466297c607678b0d934594bf6dee2ce9c92a37fd18541bd15455"),
+            ("smooth", 3, "d85d3e54e4acfaab38fc54a874ea18fb62e0d9dfa7081f5f6ac2a2e3781c8731"),
+            ("cem", 1, "a2e1edb833ba0454f1a98763fb8f5fe1becb083e0846154140ff1fea1c55a9bc"),
+            ("cem", 2, "9fdcd9bce46581de46a78e5a5f777bafa73facdc88a262fec860330a36d3f8cf"),
+            ("cem", 3, "22a42e534740fb8cdd65ecf3ac0b1d04838fcf3a131f9169b28631797c56f131"),
+        ],
+    )
+    def test_outputs_are_pinned(self, smooth8, cem8, smooth_point, kind, order, digest):
+        if kind == "smooth":
+            param, iota = smooth8, smooth_point
+        else:
+            param, iota = cem8, ParamVector(smooth_point.kappa, smooth_point.rho)
+        rng = np.random.default_rng(70 + order)
+        rho2, xi2 = param.n_clusters + 2, param.n_clusters + param.n_electrodes + 4
+        coordinate = [rho2, xi2, xi2 + 1] if kind == "smooth" else [rho2] * 3
+        sha = hashlib.sha256()
+        for dirs in (
+            [param.from_flat(rng.standard_normal(param.dim)) for _ in range(order)],
+            [param.from_flat(np.eye(param.dim)[i]) for i in coordinate[:order]],
+        ):
+            out = param.dtau(iota, dirs)
+            sha.update(out.sigma.astype("<f8").tobytes())
+            sha.update(out.zeta.astype("<f8").tobytes())
+        assert sha.hexdigest() == digest
 
 
 class TestParametrization:
