@@ -1,11 +1,12 @@
 """Smoothened complete electrode model of EIT with series-reversion reconstruction.
 
 The package is organized in layers: ``mesh`` (geometry, electrode patches,
-partitions), ``model`` (conductivity parametrizations and their derivatives),
-``fem`` (the variational solver), ``calculus`` (derivatives of the
-current-to-voltage map), ``inversion`` (regularized and subspace inverses,
-reversion, sequential linearization), and ``harness`` (simulation,
-experiments, CLI plumbing).
+partitions, and the ``scatter`` plans of their sparse assembly), ``model``
+(conductivity parametrizations and their derivatives), ``fem`` (the
+variational solver), ``calculus`` (derivatives of the current-to-voltage
+map), ``inversion`` (regularized and subspace inverses, reversion,
+sequential linearization), and ``harness`` (simulation, experiments, CLI
+plumbing).
 """
 
 from .calculus import DerivativeStack, vec

@@ -16,9 +16,8 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .mesh import ElectrodeLayout, SimplicialMesh
+from .mesh import ElectrodeLayout
 from .model import ConductivityPair
-from .quadrature import facet_rule
 
 
 class IndefiniteSystemError(RuntimeError):
@@ -125,18 +124,6 @@ class SolutionSet:
 # ---------------------------------------------------------------------------
 
 
-def _p1_gradients(mesh: SimplicialMesh) -> np.ndarray:
-    """Constant gradients of the nodal hat functions per cell, (nc, d+1, d)."""
-    d = mesh.dimension
-    coords = mesh.vertices[mesh.cells]  # (nc, d+1, d)
-    edges = coords[:, 1:, :] - coords[:, :1, :]  # (nc, d, d)
-    inv = np.linalg.inv(edges)  # rows of inv.T are gradients of vertices 1..d
-    grads = np.empty((mesh.n_cells, d + 1, d))
-    grads[:, 1:, :] = np.swapaxes(inv, 1, 2)
-    grads[:, 0, :] = -grads[:, 1:, :].sum(axis=1)
-    return grads
-
-
 class PerturbationOperator:
     """Sesquilinear form with a fixed perturbation pair in place of (sigma, zeta).
 
@@ -187,34 +174,26 @@ class PerturbationOperator:
 
 def _stiffness(system: "AssembledSystem", sigma: np.ndarray) -> sp.csr_matrix:
     mesh = system.mesh
-    d = mesh.dimension
-    cellmats = np.einsum(
-        "c,cid,cjd->cij", mesh.cell_volumes * sigma, system.cell_grads, system.cell_grads
-    )
-    cells = mesh.cells
-    rows = np.repeat(cells, d + 1, axis=1).ravel()
-    cols = np.tile(cells, (1, d + 1)).ravel()
-    return sp.coo_matrix(
-        (cellmats.ravel(), (rows, cols)), shape=(mesh.n_vertices,) * 2
-    ).tocsr()
+    support = np.flatnonzero(sigma)
+    weights = mesh.cell_volumes[support] * sigma[support]
+    grads = mesh.cell_gradients[support]
+    cellmats = np.einsum("c,cid,cjd->cij", weights, grads, grads)
+    return mesh.cell_plan.assemble(support, cellmats)
 
 
 def _contact_nodal(system: "AssembledSystem", zeta: np.ndarray) -> sp.csr_matrix:
     layout = system.layout
     wz = layout.equad_weights * zeta
-    fmats = np.einsum("fq,qa,qb->fab", wz, system.facet_bary, system.facet_bary)
-    fv = layout.efacet_vertices
-    d = fv.shape[1]
-    rows = np.repeat(fv, d, axis=1).ravel()
-    cols = np.tile(fv, (1, d)).ravel()
-    n = system.mesh.n_vertices
-    return sp.coo_matrix((fmats.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+    support = np.flatnonzero(wz.any(axis=1))
+    bary = layout.facet_bary
+    fmats = np.einsum("fq,qa,qb->fab", wz[support], bary, bary)
+    return layout.facet_plan.assemble(support, fmats)
 
 
 def _contact_coupling(system: "AssembledSystem", zeta: np.ndarray) -> np.ndarray:
     layout = system.layout
     wz = layout.equad_weights * zeta
-    fvals = np.einsum("fq,qa->fa", wz, system.facet_bary)
+    fvals = np.einsum("fq,qa->fa", wz, layout.facet_bary)
     R = np.zeros((system.mesh.n_vertices, layout.n_electrodes))
     fv = layout.efacet_vertices
     for a in range(fv.shape[1]):
@@ -244,8 +223,6 @@ class AssembledSystem:
         self.layout = layout
         self.tau = tau
         self.basis = current_basis(layout.n_electrodes)
-        self.cell_grads = _p1_gradients(mesh)
-        self.facet_bary, _ = facet_rule(mesh.dimension)
 
         # the form of tau itself; perturbation() serves derivative directions only
         form = PerturbationOperator(self, tau)

@@ -393,8 +393,10 @@ class Reconstructor:
         return self.stack0.lam
 
     def _make_stack(self, iota: ParamVector) -> DerivativeStack:
+        # the stack checks the base point, so tau need not check it first
         param = self.rec.param
-        return DerivativeStack(fem.AssembledSystem(param.layout, param.tau(iota)), param, iota)
+        tau = param.tau(iota, strict=False)
+        return DerivativeStack(fem.AssembledSystem(param.layout, tau), param, iota)
 
     def _make_inverse(self, stack: DerivativeStack) -> TikhonovInverse:
         return TikhonovInverse(stack, self.prior, self.noise)

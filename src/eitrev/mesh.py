@@ -22,6 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .quadrature import facet_measure, facet_rule
+from .scatter import ScatterPlan
 
 MAX_DISK_REFINEMENT = 8
 _KMEANS_MAX_ITER = 100
@@ -101,6 +102,23 @@ class SimplicialMesh:
     def boundary_measures(self) -> np.ndarray:
         coords = self.vertices[self.boundary_facets]
         return _freeze(np.array([facet_measure(c) for c in coords]))
+
+    @cached_property
+    def cell_gradients(self) -> np.ndarray:
+        """Constant gradients of the nodal hat functions per cell, (n_cells, d+1, d)."""
+        d = self.dimension
+        coords = self.vertices[self.cells]  # (nc, d+1, d)
+        edges = coords[:, 1:, :] - coords[:, :1, :]  # (nc, d, d)
+        inv = np.linalg.inv(edges)  # rows of inv.T are gradients of vertices 1..d
+        grads = np.empty((self.n_cells, d + 1, d))
+        grads[:, 1:, :] = np.swapaxes(inv, 1, 2)
+        grads[:, 0, :] = -grads[:, 1:, :].sum(axis=1)
+        return _freeze(grads)
+
+    @cached_property
+    def cell_plan(self) -> ScatterPlan:
+        """How per-cell (d+1) x (d+1) matrices sum into the nodal CSR matrix."""
+        return ScatterPlan(self.cells, self.n_vertices)
 
     @cached_property
     def cell_adjacency(self) -> tuple[np.ndarray, ...]:
@@ -383,6 +401,16 @@ class ElectrodeLayout:
     @property
     def n_electrodes(self) -> int:
         return len(self.electrodes)
+
+    @cached_property
+    def facet_bary(self) -> np.ndarray:
+        """Barycentric nodes of the facet quadrature rule, (n_q, d)."""
+        return _freeze(facet_rule(self.mesh.dimension)[0])
+
+    @cached_property
+    def facet_plan(self) -> ScatterPlan:
+        """How per-facet d x d matrices sum into the nodal CSR matrix."""
+        return ScatterPlan(self.efacet_vertices, self.mesh.n_vertices)
 
     def contact_measure(self, m: int) -> float:
         """Surface measure of the contact region e_m."""

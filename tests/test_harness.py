@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from eitrev import harness
+from eitrev import harness, model
 from eitrev.harness import (
     CASES,
     Reconstructor,
@@ -389,6 +389,34 @@ class TestReconstructor:
         assert not outcome.upsilon.kappa.flags.writeable
         self._assert_same(recon.run("1,1", data), outcome)
         assert len(stack_builds) == 1
+
+    @pytest.fixture(scope="class")
+    def recon(self, sides):
+        return Reconstructor(sides[1])
+
+    @pytest.mark.parametrize("xi_m", [[0.99, 0.0], [0.8, 0.0], [3.0, 0.0]])
+    def test_inadmissible_stack_point_is_rejected(self, sides, recon, xi_m):
+        _, rec = sides
+        iota = rec.param.zero()
+        xi = iota.xi.copy()
+        xi[2] = xi_m
+        bad = ParamVector(iota.kappa, iota.rho, xi)
+        assert not rec.param.admissible(bad)
+        with pytest.raises(AdmissibilityError):
+            recon._make_stack(bad)
+
+    def test_stack_point_is_checked_once(self, sides, recon, monkeypatch):
+        _, rec = sides
+        calls = []
+        check = model.contact_admissible
+
+        def counted(*args):
+            calls.append(args[1])
+            return check(*args)
+
+        monkeypatch.setattr(model, "contact_admissible", counted)
+        recon._make_stack(rec.param.zero())
+        assert calls == list(range(rec.param.n_electrodes))
 
     def test_with_gammas_shares_the_origin_model(self, sides, data):
         _, rec = sides
