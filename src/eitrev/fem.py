@@ -130,7 +130,9 @@ class PerturbationOperator:
     Precomputes the sparse stiffness and contact coupling blocks for one
     perturbation so that repeated right-hand side builds and bilinear form
     evaluations are cheap. A block whose input is identically zero is not
-    built; the blocks that remain are the same as with it.
+    built: with a zero contact input ``Rmat`` and ``Dvec`` are ``None`` and
+    the forms skip their terms. The results are the same, bit for bit, as
+    with every block built.
     """
 
     def __init__(self, system: "AssembledSystem", eta: ConductivityPair):
@@ -143,22 +145,22 @@ class PerturbationOperator:
             raise ValueError("sigma perturbation must be a per-cell field")
         if dzeta.shape != layout.equad_weights.shape:
             raise ValueError("zeta perturbation must sample the facet quadrature")
-        n, M = mesh.n_vertices, layout.n_electrodes
-        A = _stiffness(system, dsigma) if dsigma.any() else sp.csr_matrix((n, n))
+        self.Rmat: np.ndarray | None = None  # (n, M)
+        self.Dvec: np.ndarray | None = None  # (M,)
         if dzeta.any():
-            A = A + _contact_nodal(system, dzeta)
-            self.Rmat = _contact_coupling(system, dzeta)  # (n, M)
-            self.Dvec = _contact_conductance(system, dzeta)  # (M,)
+            A, self.Rmat, self.Dvec = _contact_blocks(layout, dzeta)
+            if dsigma.any():
+                A = _stiffness(system, dsigma) + A
         else:
-            # a sparse sum drops explicit zeros; without it A must drop them
-            # itself to keep the entries the sum would have
-            A.eliminate_zeros()
-            self.Rmat, self.Dvec = np.zeros((n, M)), np.zeros(M)
+            A = _stiffness(system, dsigma)
         self.A = A
 
     def bform(self, left: SolutionSet, right: SolutionSet) -> np.ndarray:
         """Gram matrix of the perturbed form over two solution batches."""
         t1 = left.u.T @ (self.A @ right.u)
+        if self.Rmat is None:
+            # adding the zero contact terms turns a zero of t1 into +0.0
+            return t1 + 0.0
         t2 = left.u.T @ (self.Rmat @ right.U)
         t3 = left.U.T @ (self.Rmat.T @ right.u)
         t4 = left.U.T @ (self.Dvec[:, None] * right.U)
@@ -167,7 +169,11 @@ class PerturbationOperator:
     def rhs(self, inputs: SolutionSet) -> np.ndarray:
         """Load vectors of -B_eta(input, .) in the reduced unknowns."""
         B = self.system.basis.B
-        f_u = self.A @ inputs.u - self.Rmat @ inputs.U
+        f_u = self.A @ inputs.u
+        if self.Rmat is None:
+            # the zero contact products are +0.0, so the electrode rows are -0.0
+            return -np.vstack([f_u, np.zeros((B.shape[1], f_u.shape[1]))])
+        f_u = f_u - self.Rmat @ inputs.U
         f_c = B.T @ (self.Dvec[:, None] * inputs.U - self.Rmat.T @ inputs.u)
         return -np.vstack([f_u, f_c])
 
@@ -181,32 +187,29 @@ def _stiffness(system: "AssembledSystem", sigma: np.ndarray) -> sp.csr_matrix:
     return mesh.cell_plan.assemble(support, cellmats)
 
 
-def _contact_nodal(system: "AssembledSystem", zeta: np.ndarray) -> sp.csr_matrix:
-    layout = system.layout
+def _contact_blocks(
+    layout: ElectrodeLayout, zeta: np.ndarray
+) -> tuple[sp.csr_matrix, np.ndarray, np.ndarray]:
+    """The nodal block, the coupling ``R`` (n, M) and the conductances ``D`` (M,) of ``zeta``.
+
+    Only the electrode facets where ``equad_weights * zeta`` is not all zero
+    take part. The others would add only zeros to sums that start at +0.0,
+    and such a sum is the same without them, bit for bit.
+    """
     wz = layout.equad_weights * zeta
-    support = np.flatnonzero(wz.any(axis=1))
+    facets = np.flatnonzero(wz.any(axis=1))
+    wz = wz[facets]
     bary = layout.facet_bary
-    fmats = np.einsum("fq,qa,qb->fab", wz[support], bary, bary)
-    return layout.facet_plan.assemble(support, fmats)
-
-
-def _contact_coupling(system: "AssembledSystem", zeta: np.ndarray) -> np.ndarray:
-    layout = system.layout
-    wz = layout.equad_weights * zeta
-    fvals = np.einsum("fq,qa->fa", wz, layout.facet_bary)
-    R = np.zeros((system.mesh.n_vertices, layout.n_electrodes))
-    fv = layout.efacet_vertices
-    for a in range(fv.shape[1]):
-        np.add.at(R, (fv[:, a], layout.efacet_electrode), fvals[:, a])
-    return R
-
-
-def _contact_conductance(system: "AssembledSystem", zeta: np.ndarray) -> np.ndarray:
-    layout = system.layout
-    per_facet = (layout.equad_weights * zeta).sum(axis=1)
+    C = layout.facet_plan.assemble(facets, np.einsum("fq,qa,qb->fab", wz, bary, bary))
+    fvals = np.einsum("fq,qa->fa", wz, bary)
+    vertices = layout.efacet_vertices[facets]
+    electrode = layout.efacet_electrode[facets]
+    R = np.zeros((layout.mesh.n_vertices, layout.n_electrodes))
+    for a in range(vertices.shape[1]):
+        np.add.at(R, (vertices[:, a], electrode), fvals[:, a])
     D = np.zeros(layout.n_electrodes)
-    np.add.at(D, layout.efacet_electrode, per_facet)
-    return D
+    np.add.at(D, electrode, wz.sum(axis=1))
+    return C, R, D
 
 
 class AssembledSystem:
@@ -226,6 +229,8 @@ class AssembledSystem:
 
         # the form of tau itself; perturbation() serves derivative directions only
         form = PerturbationOperator(self, tau)
+        if form.Rmat is None:
+            raise IndefiniteSystemError("the contact density vanishes identically")
         R, D = form.Rmat, form.Dvec
         B = self.basis.B
         K = sp.bmat(

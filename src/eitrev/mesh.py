@@ -412,10 +412,14 @@ class ElectrodeLayout:
         """How per-facet d x d matrices sum into the nodal CSR matrix."""
         return ScatterPlan(self.efacet_vertices, self.mesh.n_vertices)
 
-    def contact_measure(self, m: int) -> float:
-        """Surface measure of the contact region e_m."""
-        sl = self.efacet_slices[m]
-        return float(self.efacet_measures[sl][self.contact_mask[sl]].sum())
+    @cached_property
+    def contact_measures(self) -> np.ndarray:
+        """Surface measure of each contact region e_m, (M,)."""
+        return _freeze(
+            np.array(
+                [self.efacet_measures[sl][self.contact_mask[sl]].sum() for sl in self.efacet_slices]
+            )
+        )
 
     def unmap(self, m: int, y: np.ndarray) -> np.ndarray:
         """Invert the local chart on electrode ``m`` for a point of its image.

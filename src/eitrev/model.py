@@ -152,7 +152,7 @@ def eval_zeta_cem(
 
 def _cem_density(layout: ElectrodeLayout, coeff: np.ndarray) -> np.ndarray:
     """Density coeff_m / |e_m| on the contact region e_m, zero elsewhere, per quadrature node."""
-    areas = np.array([layout.contact_measure(m) for m in range(layout.n_electrodes)])
+    areas = layout.contact_measures
     if np.any(areas <= 0):
         raise ValueError("every contact region must have positive area")
     per_facet = coeff[layout.efacet_electrode]

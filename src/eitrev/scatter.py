@@ -4,9 +4,10 @@ Assembling a sparse matrix from per-element blocks through
 ``coo_matrix(...).tocsr()`` sorts and sums every term on every call. A
 :class:`ScatterPlan` does the sorting once per element set and records, for
 each entry of the result, which terms it sums and in which order. Applying
-the plan repeats exactly the additions of scipy's conversion, so the result
-equals ``tocsr`` bit for bit: the same structure, the same explicit zeros and
-the same rounding in every entry.
+the plan repeats exactly the additions of scipy's conversion on the terms of
+the given elements, so the result equals ``tocsr`` followed by
+``eliminate_zeros()`` bit for bit: the same structure and the same rounding
+in every entry.
 """
 
 from __future__ import annotations
@@ -31,6 +32,26 @@ def _summation_order(rows: np.ndarray, cols: np.ndarray, n: int) -> sp.csr_matri
     return probe
 
 
+def _rank_steps(starts: np.ndarray, n_terms: np.ndarray, order: np.ndarray) -> tuple:
+    """For each rank ``j >= 1``: the groups with more than ``j`` terms and their ``j``-th term.
+
+    Group ``g`` holds the terms ``order[starts[g]:starts[g] + n_terms[g]]``.
+    """
+    steps = []
+    for j in range(1, int(n_terms.max(initial=0))):
+        groups = np.flatnonzero(n_terms > j)
+        steps.append((groups, order[starts[groups] + j]))
+    return tuple(steps)
+
+
+def _group_starts(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Where each run of equal ``keys`` starts, and its length."""
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    starts = np.flatnonzero(first)
+    return starts, np.diff(np.append(starts, len(keys)))
+
+
 class ScatterPlan:
     """How the ``(k, k)`` local matrices of fixed elements sum into an ``n x n`` CSR matrix.
 
@@ -39,7 +60,13 @@ class ScatterPlan:
     ``elements[e, b]``, as in the COO triplets of a standard assembly. The
     plan stores the COO position of the first term of every output entry
     and, for each rank ``j >= 1``, the entries with more than ``j`` terms and
-    the position of their ``j``-th term. All arrays are read-only.
+    the position of their ``j``-th term. It also maps every term to its
+    entry and its rank there, so the entries that some elements reach are
+    found without touching the rest. All these arrays are read-only.
+
+    The reaches of recent supports are kept in a memo that holds at most
+    twice the plan's own term count, so the clusters of any partition fit
+    in it together; the least recently used reach goes first.
     """
 
     def __init__(self, elements: np.ndarray, n: int):
@@ -49,36 +76,71 @@ class ScatterPlan:
         probe = _summation_order(rows, cols, n)
         order = probe.data.astype(np.intp)
         term_rows = np.repeat(np.arange(n), np.diff(probe.indptr))
-        first = np.ones(len(order), dtype=bool)
-        first[1:] = (probe.indices[1:] != probe.indices[:-1]) | (term_rows[1:] != term_rows[:-1])
-        starts = np.flatnonzero(first)
-        n_terms = np.diff(np.append(starts, len(order)))
+        starts, n_terms = _group_starts(term_rows * n + probe.indices)
         self.local_shape = (n_elements, k, k)
         self.shape = (n, n)
         self.first = order[starts]
-        ranks = []
-        for j in range(1, int(n_terms.max())):
-            entries = np.flatnonzero(n_terms > j)
-            ranks.append((entries, order[starts[entries] + j]))
-        self.ranks = tuple(ranks)
+        self.ranks = _rank_steps(starts, n_terms, order)
         self.indices = probe.indices[starts]
         self.indptr = np.searchsorted(starts, probe.indptr).astype(probe.indptr.dtype)
-        for arr in (self.first, self.indices, self.indptr, *(a for r in self.ranks for a in r)):
+        self.term_entry = np.empty(len(order), dtype=np.intp)
+        self.term_entry[order] = np.repeat(np.arange(len(starts)), n_terms)
+        self.term_rank = np.empty(len(order), dtype=np.intp)
+        self.term_rank[order] = np.arange(len(order)) - np.repeat(starts, n_terms)
+        for arr in (
+            self.first,
+            self.indices,
+            self.indptr,
+            self.term_entry,
+            self.term_rank,
+            *(a for r in self.ranks for a in r),
+        ):
             arr.setflags(write=False)
+        self._reaches: dict[bytes, tuple] = {}
+        self._reach_terms = 0
 
     def assemble(self, support: np.ndarray, local: np.ndarray) -> sp.csr_matrix:
         """The sum of the local matrices ``local`` of the elements ``support``.
 
-        Every other element contributes a block of zeros, so the result has
-        the full structure of the plan, explicit zeros included. It owns its
-        arrays: changing it in place leaves the plan intact.
+        ``support`` holds distinct element ids in increasing order, as
+        ``np.flatnonzero`` gives them, and ``local`` one matrix for each.
+
+        Only the entries those elements reach are summed, each from their
+        own terms in scipy's order; an entry that sums to zero is dropped.
+        The result owns its arrays: changing it in place leaves the plan
+        intact.
         """
-        terms = np.zeros(self.local_shape)
-        terms[support] = local
-        terms = terms.reshape(-1)
-        data = terms[self.first]
-        for entries, positions in self.ranks:
-            data[entries] += terms[positions]
-        return sp.csr_matrix(
-            (data, self.indices.copy(), self.indptr.copy()), shape=self.shape
-        )
+        terms = np.asarray(local, dtype=float).reshape(-1)
+        if len(support) == self.local_shape[0]:
+            entries, first, ranks = None, self.first, self.ranks
+        else:
+            entries, first, ranks = self._reach(np.asarray(support, dtype=np.intp))
+        data = terms[first]
+        for groups, positions in ranks:
+            data[groups] += terms[positions]
+        if not data.all():
+            kept = np.flatnonzero(data)
+            data = data[kept]
+            entries = kept if entries is None else entries[kept]
+        if entries is None:
+            return sp.csr_matrix((data, self.indices.copy(), self.indptr.copy()), shape=self.shape)
+        indptr = np.searchsorted(entries, self.indptr).astype(self.indptr.dtype)
+        return sp.csr_matrix((data, self.indices[entries], indptr), shape=self.shape)
+
+    def _reach(self, support: np.ndarray) -> tuple:
+        """The entries ``support`` reaches and how its terms, by local position, sum into them."""
+        key = support.tobytes()
+        reach = self._reaches.pop(key, None)
+        if reach is None:
+            kk = self.local_shape[1] * self.local_shape[2]
+            positions = (support[:, None] * kk + np.arange(kk)).ravel()
+            entry, rank = self.term_entry[positions], self.term_rank[positions]
+            order = np.lexsort((rank, entry))
+            starts, n_terms = _group_starts(entry[order])
+            steps = _rank_steps(starts, n_terms, order)
+            reach = (entry[order[starts]], order[starts], steps, len(positions))
+            self._reach_terms += len(positions)
+            while self._reach_terms > 2 * len(self.term_entry) and self._reaches:
+                self._reach_terms -= self._reaches.pop(next(iter(self._reaches)))[3]
+        self._reaches[key] = reach
+        return reach[:3]

@@ -217,6 +217,30 @@ class TestAccountingAndCache:
         fresh = DerivativeStack(fem.AssembledSystem(layout8, smooth8.tau(iota)), smooth8, iota)
         assert np.allclose(fresh.dlambda3(eta8), first, rtol=1e-12)
 
+    @pytest.mark.parametrize("kind", ["smooth", "cem"])
+    def test_jacobian_build_takes_one_dtau_and_perturbation_per_coordinate(
+        self, layout8, smooth8, cem8, kind, monkeypatch
+    ):
+        # the benchmark's per-build work counts are read off these two calls
+        param = smooth8 if kind == "smooth" else cem8
+        iota = param.zero()
+        stack = DerivativeStack(fem.AssembledSystem(layout8, param.tau(iota)), param, iota)
+        calls = {"dtau": 0, "perturbation": 0}
+
+        def counted(name, method):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return method(*args, **kwargs)
+
+            return wrapper
+
+        for owner, name in ((type(param), "dtau"), (fem.AssembledSystem, "perturbation")):
+            monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
+        stack.jacobian()
+        assert calls == {"dtau": param.dim, "perturbation": param.dim}
+        stack.jacobian()
+        assert calls == {"dtau": param.dim, "perturbation": param.dim}
+
 
 class TestBasePoint:
     def test_inadmissible_base_point_is_rejected_at_construction(self, layout8, smooth8):

@@ -225,6 +225,17 @@ class TestElectrodes:
         ]
         assert [a.shape for a in arrays if a.flags.writeable] == []
 
+    def test_contact_measures_are_cached_per_region_sums(self, layout16):
+        measures = layout16.contact_measures
+        assert measures is layout16.contact_measures
+        assert not measures.flags.writeable
+        expect = [
+            float(layout16.efacet_measures[sl][layout16.contact_mask[sl]].sum())
+            for sl in layout16.efacet_slices
+        ]
+        assert measures.tobytes() == np.array(expect).tobytes()
+        assert np.all(measures > 0.0)
+
     def test_quadrature_weights_sum_to_measures(self, layout16):
         assert np.allclose(
             layout16.equad_weights.sum(axis=1), layout16.efacet_measures

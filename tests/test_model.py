@@ -1,5 +1,6 @@
 """Parametrizations: values, admissibility, and closed-form derivatives."""
 
+import dataclasses
 import hashlib
 import math
 
@@ -76,6 +77,13 @@ class TestZetaCem:
         for m in range(8):
             expect = math.exp(-3.0) * (2.0 if m == 2 else 1.0)
             assert electrode_integral(layout8, zeta, m) == pytest.approx(expect, rel=1e-14)
+
+    def test_rejects_a_contact_region_of_zero_area(self, config, layout8):
+        mask = layout8.contact_mask.copy()
+        mask[layout8.efacet_slices[5]] = False
+        layout = dataclasses.replace(layout8, contact_mask=mask)
+        with pytest.raises(ValueError, match="positive area"):
+            eval_zeta_cem(config, layout, np.zeros(8))
 
     def test_vanishes_off_contact_region(self, config, layout8):
         zeta = eval_zeta_cem(config, layout8, np.zeros(8))

@@ -1,4 +1,4 @@
-"""Assembly through a scatter plan equals scipy's COO-to-CSR conversion bit for bit."""
+"""Assembly through a scatter plan equals scipy's COO-to-CSR conversion, zeros dropped, bit for bit."""
 
 import numpy as np
 import pytest
@@ -31,12 +31,19 @@ def system(request):
     return _system(request.param)
 
 
-def _coo_reference(elements, local, n):
+def _coo_with_zeros(elements, local, n):
     """The assembly as scipy does it: COO triplets of every element, then tocsr."""
     k = elements.shape[1]
     rows = np.repeat(elements, k, axis=1).ravel()
     cols = np.tile(elements, (1, k)).ravel()
     return sp.coo_matrix((local.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+
+
+def _coo_reference(elements, local, n):
+    """scipy's assembly with its exact zeros dropped, as every sparse sum drops them."""
+    ref = _coo_with_zeros(elements, local, n)
+    ref.eliminate_zeros()
+    return ref
 
 
 def _stiffness_reference(system, sigma):
@@ -106,33 +113,108 @@ class TestScatterPlan:
         rng = np.random.default_rng(4)
         for name, zeta in _zeta_fields(system.layout, rng).items():
             ref = _contact_reference(system, zeta)
-            assert _same_bits(fem._contact_nodal(system, zeta), ref), name
+            assert _same_bits(fem._contact_blocks(system.layout, zeta)[0], ref), name
 
-    def test_explicit_zeros_are_kept(self, system):
-        sigma = _sigma_fields(system.mesh, np.random.default_rng(5))["one cluster"]
+    def test_no_explicit_zero_is_kept(self, system):
+        mesh = system.mesh
+        sigma = _sigma_fields(mesh, np.random.default_rng(5))["one cluster"]
         A = fem._stiffness(system, sigma)
-        assert A.nnz == _stiffness_reference(system, sigma).nnz
-        assert np.count_nonzero(A.data) < A.nnz
+        grads = mesh.cell_gradients
+        cellmats = np.einsum("c,cid,cjd->cij", mesh.cell_volumes * sigma, grads, grads)
+        with_zeros = _coo_with_zeros(mesh.cells, cellmats, mesh.n_vertices)
+        assert np.count_nonzero(with_zeros.data) < with_zeros.nnz
+        assert np.count_nonzero(A.data) == A.nnz < with_zeros.nnz
+        assert A.has_canonical_format
 
     def test_changing_a_result_leaves_the_plan_intact(self, system):
         rng = np.random.default_rng(6)
         fields = _sigma_fields(system.mesh, rng)
         plan = system.mesh.cell_plan
-        before = [plan.first.copy(), plan.indices.copy(), plan.indptr.copy()]
-        A = fem._stiffness(system, fields["one cluster"])
-        A.eliminate_zeros()
-        A.data[:] = np.nan
-        assert all(
-            np.array_equal(a, b) for a, b in zip(before, [plan.first, plan.indices, plan.indptr])
-        )
-        sigma = fields["random signed"]
-        assert _same_bits(fem._stiffness(system, sigma), _stiffness_reference(system, sigma))
+        arrays = ("first", "indices", "indptr", "term_entry", "term_rank")
+        before = [getattr(plan, name).copy() for name in arrays]
+        for name in ("one cluster", "random signed"):
+            A = fem._stiffness(system, fields[name])
+            A.data[:] = np.nan
+            A.indices[:] = 0
+            A.indptr[:] = 0
+        assert all(np.array_equal(a, getattr(plan, name)) for a, name in zip(before, arrays))
+        for name in ("one cluster", "random signed"):
+            sigma = fields[name]
+            assert _same_bits(fem._stiffness(system, sigma), _stiffness_reference(system, sigma))
 
     def test_plan_is_built_once_per_mesh(self, system):
         assert system.mesh.cell_plan is system.mesh.cell_plan
         assert system.layout.facet_plan is system.layout.facet_plan
         assert not system.mesh.cell_gradients.flags.writeable
         assert not system.layout.facet_bary.flags.writeable
+
+
+class TestReach:
+    """Supports that the mesh fields above do not produce, straight through the plan."""
+
+    @staticmethod
+    def _check(plan, elements, support, local):
+        full = np.zeros(plan.local_shape)
+        full[support] = local
+        ref = _coo_reference(elements, full, plan.shape[0])
+        assert _same_bits(plan.assemble(support, local), ref)
+        return ref
+
+    def test_empty_support(self, system):
+        mesh = system.mesh
+        plan = mesh.cell_plan
+        k = mesh.cells.shape[1]
+        ref = self._check(plan, mesh.cells, np.array([], dtype=np.intp), np.zeros((0, k, k)))
+        assert ref.nnz == 0
+
+    def test_terms_that_cancel_to_zero(self, system):
+        mesh = system.mesh
+        cells = mesh.cells
+        k = cells.shape[1]
+        # cell 0 and a neighbour b with opposite terms on their shared facet,
+        # and one more term on the vertex of cell 0 that b lacks
+        b = next(c for c in range(1, mesh.n_cells) if np.isin(cells[c], cells[0]).sum() == k - 1)
+        local = np.zeros((2, k, k))
+        local[0] = np.random.default_rng(8).standard_normal((k, k))
+        lone = np.flatnonzero(~np.isin(cells[0], cells[b]))[0]
+        local[0][lone, :] = local[0][:, lone] = 0.0
+        local[0][lone, lone] = 1.0
+        at_0 = {v: i for i, v in enumerate(cells[0])}
+        for i, vi in enumerate(cells[b]):
+            for j, vj in enumerate(cells[b]):
+                if vi in at_0 and vj in at_0:
+                    local[1][i, j] = -local[0][at_0[vi], at_0[vj]]
+        ref = self._check(mesh.cell_plan, cells, np.array([0, b]), local)
+        assert ref.nnz == 1 and ref[cells[0][lone], cells[0][lone]] == 1.0
+
+    def test_full_support(self, system):
+        mesh = system.mesh
+        plan = mesh.cell_plan
+        rng = np.random.default_rng(9)
+        local = rng.standard_normal(plan.local_shape)
+        local[rng.random(mesh.n_cells) < 0.3] = 0.0
+        local[0] = -0.0
+        self._check(plan, mesh.cells, np.arange(mesh.n_cells), local)
+
+    def test_memo_hands_out_no_array_and_keeps_its_bound(self, system):
+        mesh = system.mesh
+        plan = ScatterPlan(mesh.cells, mesh.n_vertices)
+        rng = np.random.default_rng(10)
+        support = np.sort(rng.choice(mesh.n_cells, min(5, mesh.n_cells - 1), replace=False))
+        local = rng.standard_normal((len(support),) + plan.local_shape[1:])
+        first = plan.assemble(support, local)
+        for arr in (first.data, first.indices, first.indptr):
+            arr[:] = 0
+        self._check(plan, mesh.cells, support, local)
+        bound = 2 * np.prod(plan.local_shape)
+        for _ in range(60):
+            size = rng.integers(1, mesh.n_cells)
+            other = np.sort(rng.choice(mesh.n_cells, size, replace=False))
+            local = rng.standard_normal((size,) + plan.local_shape[1:])
+            self._check(plan, mesh.cells, other, local)
+            held = sum(reach[3] for reach in plan._reaches.values())
+            assert held == plan._reach_terms <= bound
+        assert 0 < len(plan._reaches) < 60
 
 
 @pytest.mark.parametrize("name", ["disk4", "cube3"])
