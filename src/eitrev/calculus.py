@@ -28,7 +28,9 @@ class DerivativeStack:
     tuple of directions, applied right-to-left to the base solutions. The
     memo of directions, operators and chains is pure memoization keyed by
     direction identity and holds until :meth:`forget`; every entry is
-    reproducible from scratch.
+    reproducible from scratch. Besides it the stack keeps the read-only
+    contact data of its base point (``bumps``, from the parametrization's
+    ``bump_data``) for the stack's lifetime and hands it to every ``dtau``.
 
     Construction raises :class:`~eitrev.model.AdmissibilityError` for an
     inadmissible base point; every later derivative of tau relies on that.
@@ -40,6 +42,7 @@ class DerivativeStack:
         self.system = system
         self.param = param
         self.iota = iota
+        self.bumps = param.bump_data(iota)
         self.basis = system.basis
         self.base = solve_forward(system, self.basis.B)
         self.lam = self.base.coefficients(self.basis)
@@ -51,7 +54,8 @@ class DerivativeStack:
     def forget(self) -> None:
         """Drop the memoized directions, operators and chains.
 
-        The base solutions and the cached coordinate Jacobian stay.
+        The base solutions, the contact data and the cached coordinate
+        Jacobian stay.
         """
         self._handles.clear()
         self._ops.clear()
@@ -76,7 +80,8 @@ class DerivativeStack:
         if out is None:
             op = self._ops.get(key[0])
             if op is None:
-                pair = self.param.dtau(self.iota, [self._handles[h] for h in factors[0]])
+                directions = [self._handles[h] for h in factors[0]]
+                pair = self.param.dtau(self.iota, directions, self.bumps)
                 op = self._ops[key[0]] = self.system.perturbation(pair)
             inputs = self._chain(*factors[1:]) if len(factors) > 1 else self.base
             out = self._chains[key] = apply_P(self.system, op, inputs)
@@ -144,7 +149,7 @@ class DerivativeStack:
             directions = [self.param.from_flat(e) for e in np.eye(self.param.dim)]
         cols = []
         for d in directions:
-            op = self.system.perturbation(self.param.dtau(self.iota, [d]))
+            op = self.system.perturbation(self.param.dtau(self.iota, [d], self.bumps))
             cols.append(vec(-op.bform(self.base, self.base).T))
         J = np.column_stack(cols)
         if coordinate:

@@ -15,10 +15,9 @@ finite-difference tests.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from itertools import combinations
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -183,93 +182,173 @@ def _bump_h123(t: np.ndarray, a: float) -> tuple[np.ndarray, np.ndarray, np.ndar
     return h, h1, h2, h3
 
 
-class _SmoothElectrode:
-    """Bump values and their center derivatives on one electrode's nodes."""
+class _BumpGroup(NamedTuple):
+    """Bump data of the electrodes that share one facet count, stacked on axis 0.
 
-    def __init__(self, local: np.ndarray, weights: np.ndarray, xi: np.ndarray, config: ModelConfig):
-        dtype = np.result_type(local, np.asarray(xi))
-        self.w = weights.astype(dtype)
-        d = local.astype(dtype) - np.asarray(xi, dtype=dtype)
-        self.d = d  # (n_f, n_q, 2), node minus center
+    Every array has one row per electrode; per-electrode scalars are shaped
+    (G, 1, 1) so that they broadcast over the (G, n_f, n_q) node arrays.
+    """
+
+    electrodes: np.ndarray  # (G,) electrode indices
+    rows: np.ndarray  # (G, n_f) electrode-facet rows
+    d: np.ndarray  # (G, n_f, n_q, 2) node minus center
+    w: np.ndarray  # (G, n_f, n_q) quadrature weights
+    h: np.ndarray  # bump values at the nodes
+    h1: np.ndarray  # and their first three t-derivatives
+    h2: np.ndarray
+    h3: np.ndarray
+    Z: np.ndarray  # quadrature integral of h and its powers, each (G, 1, 1)
+    Z2: np.ndarray
+    Z3: np.ndarray
+    Z4: np.ndarray
+    scale: np.ndarray  # exp(rho_m + mu_zeta)
+
+    def take(self, sel: np.ndarray) -> "_BumpGroup":
+        """The rows ``sel`` (ascending) of every array; views when they are contiguous."""
+        if sel[-1] - sel[0] + 1 == len(sel):
+            sel = slice(sel[0], sel[-1] + 1)
+        return _BumpGroup._make([a[sel] for a in self])
+
+
+class BumpData:
+    """Smooth-contact bumps at one base point, for every electrode, read-only.
+
+    Holds the node offsets from the contact center, the bump values and their
+    first three derivatives in t = |y - xi|^2 / R^2, the quadrature weights,
+    the normalization integrals and exp(rho_m + mu_zeta). Electrodes with
+    equal facet counts are stacked into one group, so one array operation
+    serves a group, ragged 3D layouts included. Every per-electrode
+    reduction and scalar keeps the operation order of a single electrode,
+    which makes the results independent of the grouping bit for bit.
+
+    A :class:`~eitrev.calculus.DerivativeStack` builds this once for its
+    base point and passes it to every :meth:`Parametrization.dtau` call.
+    """
+
+    def __init__(
+        self, config: ModelConfig, layout: ElectrodeLayout, rho: np.ndarray, xi: np.ndarray
+    ):
+        self.rho, self.xi = rho, xi
+        local = layout.equad_local
+        dtype = np.result_type(local, xi)
+        xi = np.asarray(xi, dtype=dtype)
+        scale = np.exp(rho + np.result_type(rho, dtype).type(config.mu_zeta))
         self.R2 = dtype.type(config.R) ** 2
+        d = local.astype(dtype) - xi[layout.efacet_electrode][:, None, :]
         t = np.sum(d * d, axis=-1) / self.R2
-        self.h, self.h1, self.h2, self.h3 = _bump_h123(t, dtype.type(config.a))
+        h = _bump_h123(t, dtype.type(config.a))
+        w = layout.equad_weights.astype(dtype)
+        counts = np.array([sl.stop - sl.start for sl in layout.efacet_slices])
+        self.groups: list[_BumpGroup] = []
+        for n_f in np.unique(counts):
+            electrodes = np.flatnonzero(counts == n_f)
+            slices = [layout.efacet_slices[m] for m in electrodes]
+            rows = np.stack([np.arange(sl.start, sl.stop) for sl in slices])
+            hs = [v[rows] for v in h]
+            ws = w[rows]
+            Z = (ws * hs[0]).reshape(len(electrodes), -1).sum(axis=1)
+            # A float64 scalar's ** (libm pow) and an array's ** (square, SIMD
+            # pow) can differ in the last bit; keep the scalar rounding.
+            powers = [np.array([z**p for z in Z], dtype=Z.dtype) for p in (2, 3, 4)]
+            per_electrode = [v[:, None, None] for v in (Z, *powers, scale[electrodes])]
+            group = _BumpGroup(electrodes, rows, d[rows], ws, *hs, *per_electrode)
+            for a in group:
+                a.flags.writeable = False
+            self.groups.append(group)
 
-    # First three directional derivatives of the node values with respect
-    # to the center, for directions x in R^2. dt(x) = -2 (y - xi) . x / R^2.
-    def _dt(self, x: np.ndarray) -> np.ndarray:
-        return -2.0 * (self.d @ np.asarray(x, dtype=self.d.dtype)) / self.R2
 
-    def value(self) -> np.ndarray:
-        return self.h
+class _Expansion:
+    """Derivatives of the normalized bump u/Z of one group along one call's directions.
 
-    def d1(self, x1: np.ndarray) -> np.ndarray:
-        return self.h1 * self._dt(x1)
+    Directions are told apart by identity: a direction that recurs in the
+    call has its node derivatives and their integrals computed once.
+    """
 
-    def d2(self, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
-        ddt = 2.0 * float(np.dot(x1, x2)) / self.R2
-        return self.h2 * self._dt(x1) * self._dt(x2) + self.h1 * ddt
+    def __init__(self, group: _BumpGroup, directions: Sequence[ParamVector], R2):
+        self.g = group
+        self.R2 = R2
+        self.handles = [next(i for i, e in enumerate(directions) if e is d) for d in directions]
+        self.X = {
+            h: np.asarray(directions[h].xi[group.electrodes], dtype=group.d.dtype)
+            for h in set(self.handles)
+        }
+        self._memo: dict[tuple, np.ndarray] = {}
 
-    def d3(self, x1: np.ndarray, x2: np.ndarray, x3: np.ndarray) -> np.ndarray:
-        t1, t2, t3 = self._dt(x1), self._dt(x2), self._dt(x3)
-        d12 = 2.0 * float(np.dot(x1, x2)) / self.R2
-        d13 = 2.0 * float(np.dot(x1, x3)) / self.R2
-        d23 = 2.0 * float(np.dot(x2, x3)) / self.R2
-        return self.h3 * t1 * t2 * t3 + self.h2 * (t1 * d23 + t2 * d13 + t3 * d12)
+    def _cached(self, key: tuple, make) -> np.ndarray:
+        out = self._memo.get(key)
+        if out is None:
+            out = self._memo[key] = make()
+        return out
 
     def integral(self, values: np.ndarray) -> np.ndarray:
-        return (self.w * values).sum()
+        return (self.g.w * values).reshape(len(values), -1).sum(axis=1)[:, None, None]
 
-
-def _normalized_derivs(
-    el: _SmoothElectrode, xs: Sequence[np.ndarray]
-) -> np.ndarray:
-    """Directional derivative of u(xi)/Z(xi) of order len(xs) at the nodes.
-
-    u is the bump sampled at the electrode quadrature nodes and Z its
-    quadrature integral; the quotient rule is expanded explicitly through
-    order three.
-    """
-    u = el.value()
-    Z = el.integral(u)
-    if len(xs) == 0:
-        return u / Z
-    if len(xs) == 1:
-        du = el.d1(xs[0])
-        dZ = el.integral(du)
-        return du / Z - u * dZ / Z**2
-    if len(xs) == 2:
-        du1, du2 = el.d1(xs[0]), el.d1(xs[1])
-        d2u = el.d2(xs[0], xs[1])
-        dZ1, dZ2 = el.integral(du1), el.integral(du2)
-        d2Z = el.integral(d2u)
-        return (
-            d2u / Z
-            - (du1 * dZ2 + du2 * dZ1) / Z**2
-            - u * d2Z / Z**2
-            + 2.0 * u * dZ1 * dZ2 / Z**3
+    # Center derivatives of the node values, for directions x in R^2:
+    # dt(x) = -2 (y - xi) . x / R^2 and ddt(x1, x2) = 2 x1 . x2 / R^2.
+    def dt(self, i: int) -> np.ndarray:
+        # one (n_q, 2) @ (2,) product per facet, as for a single electrode
+        return self._cached(
+            ("dt", i),
+            lambda: -2.0 * np.matmul(self.g.d, self.X[i][:, None, :, None])[..., 0] / self.R2,
         )
-    if len(xs) == 3:
-        du = [el.d1(x) for x in xs]
-        d2u = {
-            (0, 1): el.d2(xs[0], xs[1]),
-            (0, 2): el.d2(xs[0], xs[2]),
-            (1, 2): el.d2(xs[1], xs[2]),
-        }
-        d3u = el.d3(*xs)
-        dZ = [el.integral(g) for g in du]
-        d2Z = {k: el.integral(v) for k, v in d2u.items()}
-        d3Z = el.integral(d3u)
+
+    def ddt(self, i: int, j: int) -> np.ndarray:
+        # one dot product of two 2-vectors per electrode, as np.dot takes it
+        return 2.0 * np.matmul(self.X[i][:, None, :], self.X[j][:, :, None]) / self.R2
+
+    def du(self, i: int) -> np.ndarray:
+        return self._cached(("du", i), lambda: self.g.h1 * self.dt(i))
+
+    def dZ(self, i: int) -> np.ndarray:
+        return self._cached(("dZ", i), lambda: self.integral(self.du(i)))
+
+    def d2u(self, i: int, j: int) -> np.ndarray:
+        g = self.g
+        return self._cached(
+            ("d2u", i, j), lambda: g.h2 * self.dt(i) * self.dt(j) + g.h1 * self.ddt(i, j)
+        )
+
+    def d2Z(self, i: int, j: int) -> np.ndarray:
+        return self._cached(("d2Z", i, j), lambda: self.integral(self.d2u(i, j)))
+
+    def normalized(self, *hs: int) -> np.ndarray:
+        """Derivative of u/Z along the directions with handles ``hs``, at the nodes.
+
+        The quotient rule is expanded explicitly through order three.
+        """
+        g = self.g
+        u, Z, Z2, Z3, Z4 = g.h, g.Z, g.Z2, g.Z3, g.Z4
+        if len(hs) == 0:
+            return u / Z
+        if len(hs) == 1:
+            return self.du(hs[0]) / Z - u * self.dZ(hs[0]) / Z2
+        if len(hs) == 2:
+            a, b = hs
+            du1, du2, dZ1, dZ2 = self.du(a), self.du(b), self.dZ(a), self.dZ(b)
+            return (
+                self.d2u(a, b) / Z
+                - (du1 * dZ2 + du2 * dZ1) / Z2
+                - u * self.d2Z(a, b) / Z2
+                + 2.0 * u * dZ1 * dZ2 / Z3
+            )
+        a, b, c = hs
+        du = [self.du(a), self.du(b), self.du(c)]
+        dZ = [self.dZ(a), self.dZ(b), self.dZ(c)]
+        d2u = {(0, 1): self.d2u(a, b), (0, 2): self.d2u(a, c), (1, 2): self.d2u(b, c)}
+        d2Z = {(0, 1): self.d2Z(a, b), (0, 2): self.d2Z(a, c), (1, 2): self.d2Z(b, c)}
+        t1, t2, t3 = self.dt(a), self.dt(b), self.dt(c)
+        d12, d13, d23 = self.ddt(a, b), self.ddt(a, c), self.ddt(b, c)
+        d3u = g.h3 * t1 * t2 * t3 + g.h2 * (t1 * d23 + t2 * d13 + t3 * d12)
+        d3Z = self.integral(d3u)
         return (
             d3u / Z
-            - (d2u[(0, 1)] * dZ[2] + d2u[(0, 2)] * dZ[1] + d2u[(1, 2)] * dZ[0]) / Z**2
-            - (du[0] * d2Z[(1, 2)] + du[1] * d2Z[(0, 2)] + du[2] * d2Z[(0, 1)]) / Z**2
-            + 2.0 * (du[0] * dZ[1] * dZ[2] + du[1] * dZ[0] * dZ[2] + du[2] * dZ[0] * dZ[1]) / Z**3
-            - u * d3Z / Z**2
-            + 2.0 * u * (d2Z[(0, 1)] * dZ[2] + d2Z[(0, 2)] * dZ[1] + d2Z[(1, 2)] * dZ[0]) / Z**3
-            - 6.0 * u * dZ[0] * dZ[1] * dZ[2] / Z**4
+            - (d2u[(0, 1)] * dZ[2] + d2u[(0, 2)] * dZ[1] + d2u[(1, 2)] * dZ[0]) / Z2
+            - (du[0] * d2Z[(1, 2)] + du[1] * d2Z[(0, 2)] + du[2] * d2Z[(0, 1)]) / Z2
+            + 2.0 * (du[0] * dZ[1] * dZ[2] + du[1] * dZ[0] * dZ[2] + du[2] * dZ[0] * dZ[1]) / Z3
+            - u * d3Z / Z2
+            + 2.0 * u * (d2Z[(0, 1)] * dZ[2] + d2Z[(0, 2)] * dZ[1] + d2Z[(1, 2)] * dZ[0]) / Z3
+            - 6.0 * u * dZ[0] * dZ[1] * dZ[2] / Z4
         )
-    raise ValueError("derivative order above three is unsupported")
 
 
 def _point_segment_distance(p: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
@@ -346,22 +425,23 @@ def eval_zeta_smooth(
     M = layout.n_electrodes
     if rho.shape != (M,) or xi.shape != (M, 2):
         raise ValueError("contact parameters must provide (rho_m, xi_m) per electrode")
-    dtype = np.result_type(rho, xi, layout.equad_local)
-    zeta = np.zeros(layout.equad_weights.shape, dtype=dtype)
-    for m in range(M):
-        if strict and not contact_admissible(layout, m, np.asarray(xi[m], dtype=float), config):
-            raise AdmissibilityError(
-                f"contact location {np.asarray(xi[m], float)} leaves electrode {m}"
-            )
-        sl = layout.efacet_slices[m]
-        el = _SmoothElectrode(layout.equad_local[sl], layout.equad_weights[sl], xi[m], config)
-        psi = el.value()
-        Z = el.integral(psi)
-        if not Z > 1e-300:
-            raise AdmissibilityError(
-                f"contact normalization integral vanishes on electrode {m}"
-            )
-        zeta[sl] = np.exp(rho[m] + dtype.type(config.mu_zeta)) * psi / Z
+    if strict:
+        for m in range(M):
+            if not contact_admissible(layout, m, np.asarray(xi[m], dtype=float), config):
+                raise AdmissibilityError(
+                    f"contact location {np.asarray(xi[m], float)} leaves electrode {m}"
+                )
+    bumps = BumpData(config, layout, rho, xi)
+    vanishing = [
+        m for g in bumps.groups for m, Z in zip(g.electrodes, g.Z.ravel()) if not Z > 1e-300
+    ]
+    if vanishing:
+        raise AdmissibilityError(
+            f"contact normalization integral vanishes on electrode {min(vanishing)}"
+        )
+    zeta = np.zeros(layout.equad_weights.shape, dtype=np.result_type(rho, xi, layout.equad_local))
+    for g in bumps.groups:
+        zeta[g.rows.ravel()] = (g.scale * g.h / g.Z).reshape(-1, zeta.shape[1])
     return zeta
 
 
@@ -376,6 +456,7 @@ def dtau(
     partition: Partition,
     iota: ParamVector,
     directions: Sequence[ParamVector],
+    bumps: BumpData | None = None,
 ) -> ConductivityPair:
     """Directional derivative of the conductivity pair, orders one to three.
 
@@ -386,6 +467,8 @@ def dtau(
 
     The base point must be admissible and is not checked here;
     :class:`~eitrev.calculus.DerivativeStack` checks it once, at construction.
+    For the smooth model, ``bumps`` is the :class:`BumpData` of ``iota`` when
+    the caller holds it; without it the call builds its own.
     """
     k = len(directions)
     if k < 1 or k > 3:
@@ -394,22 +477,21 @@ def dtau(
         raise ValueError("directions must match the parametrization variant")
 
     base = np.exp(config.mu_kappa + iota.kappa)
-    prod = np.ones_like(base)
-    for d in directions:
+    prod = directions[0].kappa
+    for d in directions[1:]:
         prod = prod * d.kappa
     dsigma = (base * prod)[partition.cluster_of]
 
-    M = layout.n_electrodes
     dzeta = np.zeros_like(layout.equad_weights)
     # Multilinearity: electrode m contributes only when every direction has a
     # nonzero contact component there.
-    contact_active = np.ones(M, dtype=bool)
+    contact_active = None
     for d in directions:
         active = d.rho != 0
         if d.xi is not None:
-            active = active | np.any(d.xi != 0, axis=1)
-        contact_active &= active
-    if not np.any(contact_active):
+            active |= (d.xi != 0).any(axis=1)
+        contact_active = active if contact_active is None else contact_active & active
+    if not contact_active.any():
         return ConductivityPair(dsigma, dzeta)
     if iota.kind == "cem":
         coeff = np.exp(config.mu_zeta + iota.rho)
@@ -417,22 +499,40 @@ def dtau(
             coeff = coeff * d.rho
         return ConductivityPair(dsigma, _cem_density(layout, coeff))
 
+    if bumps is None:
+        bumps = BumpData(config, layout, iota.rho, iota.xi)
+    elif bumps.rho is not iota.rho or bumps.xi is not iota.xi:
+        raise ValueError("the bump data belongs to another base point")
     # Leibniz rule for exp(rho_m + mu_zeta) G(xi_m): one term per subset S of the
-    # directions, largest first and lexicographic within one size.
+    # directions, largest first and lexicographic within one size. Two subsets
+    # whose remaining directions are the same objects in the same order give
+    # the same term, computed once: their own directions then agree up to
+    # order, and a product of two factors commutes exactly.
     subsets = [S for size in range(k, -1, -1) for S in combinations(range(k), size)]
-    for m in np.flatnonzero(contact_active):
-        sl = layout.efacet_slices[m]
-        el = _SmoothElectrode(
-            layout.equad_local[sl], layout.equad_weights[sl], iota.xi[m], config
-        )
-        r = [float(d.rho[m]) for d in directions]
-        xs = [np.asarray(d.xi[m], dtype=float) for d in directions]
+    for group in bumps.groups:
+        sel = np.flatnonzero(contact_active[group.electrodes])
+        if sel.size == 0:
+            continue
+        if sel.size < len(group.electrodes):
+            group = group.take(sel)
+        expansion = _Expansion(group, directions, bumps.R2)
+        handles = expansion.handles
+        r = [d.rho[group.electrodes][:, None, None] for d in directions]
+        terms: dict[tuple, np.ndarray] = {}
         total = None
         for S in subsets:
-            g = _normalized_derivs(el, [x for j, x in enumerate(xs) if j not in S])
-            term = math.prod(r[i] for i in S) * g if S else g
+            rest = tuple(handles[j] for j in range(k) if j not in S)
+            term = terms.get(rest)
+            if term is None:
+                term = expansion.normalized(*rest)
+                if S:
+                    coeff = r[S[0]]
+                    for i in S[1:]:
+                        coeff = coeff * r[i]
+                    term = coeff * term
+                terms[rest] = term
             total = term if total is None else total + term
-        dzeta[sl] = float(np.exp(iota.rho[m] + config.mu_zeta)) * total
+        dzeta[group.rows.ravel()] = (group.scale * total).reshape(-1, dzeta.shape[1])
     return ConductivityPair(dsigma, dzeta)
 
 
@@ -492,8 +592,19 @@ class Parametrization:
             )
         return ConductivityPair(sigma, np.asarray(zeta, dtype=float))
 
-    def dtau(self, iota: ParamVector, directions: Sequence[ParamVector]) -> ConductivityPair:
-        return dtau(self.config, self.layout, self.partition, iota, directions)
+    def dtau(
+        self,
+        iota: ParamVector,
+        directions: Sequence[ParamVector],
+        bumps: BumpData | None = None,
+    ) -> ConductivityPair:
+        return dtau(self.config, self.layout, self.partition, iota, directions, bumps)
+
+    def bump_data(self, iota: ParamVector) -> BumpData | None:
+        """Read-only contact data of a base point for :meth:`dtau`; None for cem."""
+        if self.kind == "cem":
+            return None
+        return BumpData(self.config, self.layout, iota.rho, iota.xi)
 
     def admissible(self, iota: ParamVector) -> bool:
         if self.kind == "cem":

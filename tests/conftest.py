@@ -119,7 +119,10 @@ class LinearParametrization:
     def tau(self, x, strict=True):
         return self.tau0 + self._combine(x)
 
-    def dtau(self, x, directions):
+    def bump_data(self, x):
+        return None
+
+    def dtau(self, x, directions, bumps=None):
         if len(directions) == 1:
             return self._combine(directions[0])
         zero_pair = 0.0 * self.modes[0]

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from eitrev import fem
+from eitrev import fem, model
 from eitrev.calculus import DerivativeStack, vec
 from eitrev.model import AdmissibilityError, ConductivityPair, ParamVector
 
@@ -240,6 +240,39 @@ class TestAccountingAndCache:
         assert calls == {"dtau": param.dim, "perturbation": param.dim}
         stack.jacobian()
         assert calls == {"dtau": param.dim, "perturbation": param.dim}
+
+
+    @pytest.mark.parametrize("kind", ["smooth", "cem"])
+    def test_stack_builds_its_bump_data_once(self, layout8, smooth8, cem8, eta8, kind, monkeypatch):
+        param = smooth8 if kind == "smooth" else cem8
+        iota = param.zero()
+        system = fem.AssembledSystem(layout8, param.tau(iota))
+        builds = []
+        build = model.BumpData.__init__
+
+        def counted(self, *args, **kwargs):
+            builds.append(self)
+            build(self, *args, **kwargs)
+
+        monkeypatch.setattr(model.BumpData, "__init__", counted)
+        stack = DerivativeStack(system, param, iota)
+        expected = [stack.bumps] if kind == "smooth" else []
+        assert builds == expected
+        eta = eta8 if kind == "smooth" else ParamVector(eta8.kappa, eta8.rho)
+        other = 0.5 * eta
+        stack.dlambda3(eta)
+        stack.mixed_dlambda2(eta, other)
+        stack.jacobian()
+        stack.forget()
+        stack.dlambda2(eta)
+        assert builds == expected
+        if kind == "cem":
+            assert stack.bumps is None
+            return
+        for group in stack.bumps.groups:
+            for values in group:
+                with pytest.raises(ValueError):
+                    values.flat[0] = 0
 
 
 class TestBasePoint:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -15,6 +16,7 @@ from eitrev.mesh import (
 )
 from eitrev.model import (
     AdmissibilityError,
+    _bump_h123,
     ParamVector,
     Parametrization,
     bump,
@@ -476,6 +478,127 @@ class TestDtau:
             sha.update(out.sigma.astype("<f8").tobytes())
             sha.update(out.zeta.astype("<f8").tobytes())
         assert sha.hexdigest() == digest
+
+    # The same pins for direction lists that repeat one object, where terms of
+    # the expansion along identical remaining directions can be shared.
+    @pytest.mark.parametrize(
+        "pattern, digest",
+        [
+            ("a", "e542773bfcb433e87d8ace76da56a71bedfe49013d44846e9a518f993cd9b965"),
+            ("aa", "315f4fa296ecb26583080929a648d1d5e770030a0230d3d364169ecd17837037"),
+            ("aaa", "9045208c322d51662aacfdc4c7b92cbaeb9e5283d916fc088919043cce3e1777"),
+            ("ab", "bdb1c8fa4932ebae82e09fc10bd2cd86d8b11094795e9d9803f88e189ac67606"),
+            ("aab", "f8d3a01e92fb9ea7f25f063b4e4f39050a72580713be19daf37b18497b7681d0"),
+            ("aba", "c0d57a2f3d0ebf16e693ae1c12a7125b1394e8a3bd92b5fc03b314f8271c5b91"),
+            ("bab", "3cb04c6073aaeaaff6c1393328c2a953feb9445a23a2c08ab2a7e8225cc5297c"),
+        ],
+    )
+    def test_repeated_directions_are_pinned(self, smooth8, smooth_point, pattern, digest):
+        rng = np.random.default_rng(90)
+        a, b = (smooth8.from_flat(rng.standard_normal(smooth8.dim)) for _ in range(2))
+        dirs = [{"a": a, "b": b}[c] for c in pattern]
+        # built inside the call, and held by the caller as a stack holds it
+        for bumps in (None, smooth8.bump_data(smooth_point)):
+            out = smooth8.dtau(smooth_point, dirs, bumps)
+            sha = hashlib.sha256()
+            sha.update(out.sigma.astype("<f8").tobytes())
+            sha.update(out.zeta.astype("<f8").tobytes())
+            assert sha.hexdigest() == digest
+
+    def test_bump_data_of_another_point_is_rejected(self, smooth8, smooth_point):
+        with pytest.raises(ValueError, match="another base point"):
+            smooth8.dtau(smooth_point, [smooth_point], smooth8.bump_data(smooth8.zero()))
+
+    def test_cem_has_no_bump_data(self, cem8):
+        assert cem8.bump_data(cem8.zero()) is None
+
+    # uniform facet counts, then two ragged layouts (5/6 and 8/9 facets)
+    @pytest.mark.parametrize("n_electrodes, width", [(16, 0.15), (7, 0.25), (5, 0.4)])
+    def test_matches_the_per_electrode_loop(self, config, disk3, n_electrodes, width):
+        M = n_electrodes
+        layout = define_electrodes(disk3, disk_electrode_midpoints(M), width, 0.6 * width)
+        param = Parametrization(config, cluster_partition(disk3, 30, seed=3), layout, "smooth")
+        rng = np.random.default_rng(M)
+        iota = ParamVector(
+            np.zeros(30), 0.2 * rng.standard_normal(M), 0.03 * rng.standard_normal((M, 2))
+        )
+        assert param.admissible(iota)
+        a, b, c = (param.from_flat(rng.standard_normal(param.dim)) for _ in range(3))
+        on = rng.random(M) < 0.5  # a scattered subset of the electrodes
+        s = ParamVector(a.kappa, np.where(on, a.rho, 0.0), np.where(on[:, None], a.xi, 0.0))
+        bumps = param.bump_data(iota)
+        patterns = ([a], [a, a], [a, a, a], [a, b], [a, a, b], [a, b, a], [a, b, c], [s], [s, b, s])
+        for dirs in patterns:
+            got = param.dtau(iota, dirs, bumps).zeta
+            assert got.tobytes() == _loop_dzeta(config, layout, iota, dirs).tobytes()
+
+
+def _loop_dzeta(config, layout, iota, directions):
+    """Contact part of dtau one electrode at a time, in the arithmetic the kernel must keep."""
+    R2 = np.float64(config.R) ** 2
+    dzeta = np.zeros_like(layout.equad_weights)
+    k = len(directions)
+    subsets = [S for size in range(k, -1, -1) for S in itertools.combinations(range(k), size)]
+    for m in range(layout.n_electrodes):
+        if not all(e.rho[m] != 0 or np.any(e.xi[m] != 0) for e in directions):
+            continue
+        sl = layout.efacet_slices[m]
+        w = layout.equad_weights[sl]
+        y = layout.equad_local[sl] - iota.xi[m]
+        u, h1, h2, h3 = _bump_h123(np.sum(y * y, axis=-1) / R2, np.float64(config.a))
+        Z = (w * u).sum()
+
+        def dt(x):
+            return -2.0 * (y @ x) / R2
+
+        def ddt(x1, x2):
+            return 2.0 * float(np.dot(x1, x2)) / R2
+
+        def d2(x1, x2):
+            return h2 * dt(x1) * dt(x2) + h1 * ddt(x1, x2)
+
+        def quotient(xs):
+            du = [h1 * dt(x) for x in xs]
+            dZ = [(w * v).sum() for v in du]
+            if len(xs) == 0:
+                return u / Z
+            if len(xs) == 1:
+                return du[0] / Z - u * dZ[0] / Z**2
+            if len(xs) == 2:
+                d2u = d2(*xs)
+                return (
+                    d2u / Z
+                    - (du[0] * dZ[1] + du[1] * dZ[0]) / Z**2
+                    - u * (w * d2u).sum() / Z**2
+                    + 2.0 * u * dZ[0] * dZ[1] / Z**3
+                )
+            d2u = {(i, j): d2(xs[i], xs[j]) for i, j in ((0, 1), (0, 2), (1, 2))}
+            d2Z = {key: (w * v).sum() for key, v in d2u.items()}
+            t1, t2, t3 = (dt(x) for x in xs)
+            d3u = h3 * t1 * t2 * t3 + h2 * (
+                t1 * ddt(xs[1], xs[2]) + t2 * ddt(xs[0], xs[2]) + t3 * ddt(xs[0], xs[1])
+            )
+            return (
+                d3u / Z
+                - (d2u[(0, 1)] * dZ[2] + d2u[(0, 2)] * dZ[1] + d2u[(1, 2)] * dZ[0]) / Z**2
+                - (du[0] * d2Z[(1, 2)] + du[1] * d2Z[(0, 2)] + du[2] * d2Z[(0, 1)]) / Z**2
+                + 2.0 * (du[0] * dZ[1] * dZ[2] + du[1] * dZ[0] * dZ[2] + du[2] * dZ[0] * dZ[1])
+                / Z**3
+                - u * (w * d3u).sum() / Z**2
+                + 2.0 * u * (d2Z[(0, 1)] * dZ[2] + d2Z[(0, 2)] * dZ[1] + d2Z[(1, 2)] * dZ[0])
+                / Z**3
+                - 6.0 * u * dZ[0] * dZ[1] * dZ[2] / Z**4
+            )
+
+        r = [float(e.rho[m]) for e in directions]
+        xs = [np.asarray(e.xi[m], dtype=float) for e in directions]
+        total = None
+        for S in subsets:
+            g = quotient([x for j, x in enumerate(xs) if j not in S])
+            term = math.prod(r[i] for i in S) * g if S else g
+            total = term if total is None else total + term
+        dzeta[sl] = float(np.exp(iota.rho[m] + config.mu_zeta)) * total
+    return dzeta
 
 
 class TestParametrization:

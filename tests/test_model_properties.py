@@ -4,7 +4,9 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from eitrev.model import ParamVector
+from eitrev import fem
+from eitrev.calculus import DerivativeStack
+from eitrev.model import ParamVector, Parametrization
 
 
 def _close(x, y):
@@ -73,6 +75,38 @@ def test_dtau_is_symmetric_in_its_directions(smooth8, cem8, data):
     perm = data.draw(st.permutations(range(order)), label="permutation")
     permuted = param.dtau(iota, [dirs[i] for i in perm])
     assert _same_pair(permuted, param.dtau(iota, dirs))
+
+
+def _same_bytes(p, q):
+    return p.sigma.tobytes() == q.sigma.tobytes() and p.zeta.tobytes() == q.zeta.tobytes()
+
+
+@settings(deadline=None, max_examples=20)
+@given(data=st.data())
+def test_dtau_shares_terms_only_as_equal_values_would(smooth8, cem8, data):
+    param, iota, (a, b) = _draw_point(data, {"smooth": smooth8, "cem": cem8}, 2)
+    bumps = param.bump_data(iota)
+    assert _same_bytes(param.dtau(iota, [a, a, b], bumps), param.dtau(iota, [a, 1.0 * a, b], bumps))
+    assert _same_bytes(param.dtau(iota, [a, a, b]), param.dtau(iota, [a, 1.0 * a, b]))
+
+
+class _DistinctDirections(Parametrization):
+    """Hands ``dtau`` a distinct copy of every direction, so no term can be shared."""
+
+    def dtau(self, iota, directions, bumps=None):
+        return super().dtau(iota, [1.0 * d for d in directions], bumps)
+
+
+@settings(deadline=None, max_examples=8)
+@given(data=st.data())
+def test_stack_derivatives_share_terms_only_as_equal_values_would(smooth8, cem8, data):
+    param, iota, (a, b) = _draw_point(data, {"smooth": smooth8, "cem": cem8}, 2)
+    distinct = _DistinctDirections(param.config, param.partition, param.layout, param.kind)
+    system = fem.AssembledSystem(param.layout, param.tau(iota))
+    stacks = [DerivativeStack(system, p, iota) for p in (param, distinct)]
+    for name, args in (("dlambda2", (a,)), ("dlambda3", (a,)), ("mixed_dlambda2", (a, b))):
+        shared, copied = (getattr(stack, name)(*args) for stack in stacks)
+        assert shared.tobytes() == copied.tobytes()
 
 
 @settings(deadline=None, max_examples=20)
