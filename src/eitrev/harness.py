@@ -311,7 +311,7 @@ def simulate_measurements(
     """
     if not side.param.admissible(target):
         raise AdmissibilityError("target parameters are inadmissible on the measurement side")
-    lam = side_forward_map(side, target)
+    lam = side_forward_map(side, target, strict=False)
     return simulate_from_map(lam, target, noise, rng, theta_hat)
 
 

@@ -351,36 +351,65 @@ class _Expansion:
         )
 
 
-def _point_segment_distance(p: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
-    ab = b - a
-    denom = float(ab @ ab)
-    if denom == 0.0:
-        return float(np.linalg.norm(p - a))
-    t = np.clip(float((p - a) @ ab) / denom, 0.0, 1.0)
-    return float(np.linalg.norm(p - (a + t * ab)))
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of the concatenated ranges [starts_i, starts_i + counts_i) and where each begins."""
+    first = np.cumsum(counts) - counts
+    return np.arange(counts.sum()) + np.repeat(starts - first, counts), first
 
 
-def _distance_to_patch(layout: ElectrodeLayout, m: int, xi: np.ndarray) -> float:
-    """Distance from xi to the local image of electrode m (0 when inside)."""
-    sl = layout.efacet_slices[m]
-    verts = layout.efacet_vertices[sl]
-    lm = layout.local_maps[m]
-    best = np.inf
-    for fv in verts:
-        loc = lm.to_local(layout.mesh.vertices[fv])
-        if loc.shape[0] == 2:
-            best = min(best, _point_segment_distance(xi, loc[0], loc[1]))
-        else:
-            bary = np.linalg.solve(
-                np.vstack([loc.T, np.ones(3)]), np.array([xi[0], xi[1], 1.0])
-            )
-            if np.all(bary >= -1e-12):
-                return 0.0
-            for i in range(3):
-                best = min(
-                    best, _point_segment_distance(xi, loc[i], loc[(i + 1) % 3])
-                )
-    return float(best)
+def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    # one (1, 2) @ (2, 1) product per row, which numpy computes as the dot of two 2-vectors
+    return np.matmul(u[:, None, :], v[:, :, None])[:, 0, 0]
+
+
+def _segment_distances(
+    p: np.ndarray, a: np.ndarray, ab: np.ndarray, ab2: np.ndarray
+) -> np.ndarray:
+    """Distance from each point p_i to the segment from a_i to a_i + ab_i, with ab2_i = |ab_i|^2.
+
+    A segment of length zero is the point a_i.
+    """
+    # a point at infinity meets 0 * inf here; its distances come out nan or
+    # inf, which fail the patch test, so the point is inadmissible all the same
+    with np.errstate(invalid="ignore"):
+        t = np.divide(_dot(p - a, ab), ab2, out=np.zeros(len(p)), where=ab2 != 0.0)
+        d = p - (a + np.clip(t, 0.0, 1.0)[:, None] * ab)
+        return np.sqrt(_dot(d, d))
+
+
+def _admissible_contacts(
+    layout: ElectrodeLayout, electrodes: np.ndarray, xi: np.ndarray, config: ModelConfig
+) -> np.ndarray:
+    """Whether the contact disk of radius R around xi[i] stays on electrode electrodes[i].
+
+    Every rim entity of the electrode image must be at least R away from the
+    center, and the center must hit the patch image: inside a facet image for
+    surface patches, within R of the facet polyline for 2D meshes, whose
+    electrode image is a curve. One pass over the flattened
+    :attr:`~eitrev.mesh.ElectrodeLayout.contact_geometry` decides all the
+    electrodes asked for.
+    """
+    g = layout.contact_geometry
+    electrodes = np.asarray(electrodes, dtype=int)
+    xi = np.asarray(xi, dtype=float)
+    if xi.shape != (len(electrodes), 2):
+        raise ValueError(f"expected contact locations of shape ({len(electrodes)}, 2)")
+    counts = g.n_seg[electrodes]
+    rows, first = _ranges(g.seg_start[electrodes], counts)
+    p = np.repeat(xi, counts, axis=0)
+    dist = _segment_distances(p, g.a[rows], g.ab[rows], g.ab2[rows])
+    # reduce the rim rows and the facet rows of each electrode separately
+    bounds = np.column_stack([first, first + g.n_rim[electrodes]]).ravel()
+    near_rim = np.logical_or.reduceat(dist < config.R + ADMISSIBILITY_MARGIN, bounds)[0::2]
+    to_patch = np.minimum.reduceat(dist, bounds)[1::2]
+    if g.dimension == 2:
+        return ~near_rim & (to_patch <= config.R - ADMISSIBILITY_MARGIN)
+    counts = g.n_facets[electrodes]
+    rows, first = _ranges(g.facet_start[electrodes], counts)
+    rhs = np.column_stack([np.repeat(xi, counts, axis=0), np.ones(len(rows))])
+    bary = np.linalg.solve(g.tri[rows], rhs[..., None])[..., 0]
+    inside = np.logical_or.reduceat((bary >= -1e-12).all(axis=1), first)
+    return ~near_rim & (inside | (to_patch <= 1e-12))
 
 
 def contact_admissible(
@@ -391,19 +420,15 @@ def contact_admissible(
     Every rim entity of the electrode image must be at least R away from xi,
     and xi must hit the patch image: inside it for surface patches, within
     R of the facet polyline for 2D meshes, whose electrode image is a curve.
+    This is the one-electrode view of the kernel that checks all electrodes.
     """
-    xi = np.asarray(xi, dtype=float)
-    for rim in layout.rim_local[m]:
-        if rim.shape[0] == 1:
-            dist = float(np.linalg.norm(xi - rim[0]))
-        else:
-            dist = _point_segment_distance(xi, rim[0], rim[1])
-        if dist < config.R + ADMISSIBILITY_MARGIN:
-            return False
-    dmin = _distance_to_patch(layout, m, xi)
-    if layout.mesh.dimension == 3:
-        return dmin <= 1e-12
-    return dmin <= config.R - ADMISSIBILITY_MARGIN
+    return bool(_admissible_contacts(layout, [m], np.asarray(xi)[None], config)[0])
+
+
+def _inadmissible(layout: ElectrodeLayout, xi: np.ndarray, config: ModelConfig) -> np.ndarray:
+    """The electrodes whose contact location in xi, shaped (M, 2), is inadmissible, ascending."""
+    everyone = np.arange(layout.n_electrodes)
+    return np.flatnonzero(~_admissible_contacts(layout, everyone, xi, config))
 
 
 def eval_zeta_smooth(
@@ -426,11 +451,12 @@ def eval_zeta_smooth(
     if rho.shape != (M,) or xi.shape != (M, 2):
         raise ValueError("contact parameters must provide (rho_m, xi_m) per electrode")
     if strict:
-        for m in range(M):
-            if not contact_admissible(layout, m, np.asarray(xi[m], dtype=float), config):
-                raise AdmissibilityError(
-                    f"contact location {np.asarray(xi[m], float)} leaves electrode {m}"
-                )
+        outside = _inadmissible(layout, xi, config)
+        if outside.size:
+            m = outside[0]
+            raise AdmissibilityError(
+                f"contact location {np.asarray(xi[m], float)} leaves electrode {m}"
+            )
     bumps = BumpData(config, layout, rho, xi)
     vanishing = [
         m for g in bumps.groups for m, Z in zip(g.electrodes, g.Z.ravel()) if not Z > 1e-300
@@ -609,41 +635,40 @@ class Parametrization:
     def admissible(self, iota: ParamVector) -> bool:
         if self.kind == "cem":
             return True
-        return all(
-            contact_admissible(self.layout, m, iota.xi[m], self.config)
-            for m in range(self.n_electrodes)
-        )
+        return _inadmissible(self.layout, iota.xi, self.config).size == 0
 
     def clamp(self, iota: ParamVector) -> tuple[ParamVector, bool]:
         """Pull inadmissible contact locations back inside their electrodes.
 
         Each offending center is moved along the ray toward the electrode
-        image's surface centroid until it re-enters the admissible set. The
+        image's surface centroid until it re-enters the admissible set: 60
+        bisection steps, taken by all offending electrodes in lockstep. The
         flag reports whether any component was moved.
         """
         if self.kind == "cem":
             return iota, False
+        bad = _inadmissible(self.layout, iota.xi, self.config)
+        if bad.size == 0:
+            return iota, False
+        target = np.asarray(iota.xi[bad], dtype=float)
+        anchor = self.layout.contact_geometry.anchors[bad]
+        anchor_ok = _admissible_contacts(self.layout, bad, anchor, self.config)
+        finite = np.isfinite(target).all(axis=1)
+        if not (anchor_ok & finite).all():
+            i = np.argmin(anchor_ok & finite)
+            if not anchor_ok[i]:
+                raise AdmissibilityError(f"electrode {bad[i]} has no admissible contact location")
+            raise AdmissibilityError(
+                f"contact location {target[i]} of electrode {bad[i]} is not finite"
+            )
+        lo, hi = np.zeros(bad.size), np.ones(bad.size)
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            inside = _admissible_contacts(
+                self.layout, bad, anchor + mid[:, None] * (target - anchor), self.config
+            )
+            lo = np.where(inside, mid, lo)
+            hi = np.where(inside, hi, mid)
         xi = iota.xi.copy()
-        moved = False
-        for m in range(self.n_electrodes):
-            if contact_admissible(self.layout, m, xi[m], self.config):
-                continue
-            sl = self.layout.efacet_slices[m]
-            w = self.layout.equad_weights[sl]
-            anchor = (w[..., None] * self.layout.equad_local[sl]).sum(axis=(0, 1)) / w.sum()
-            if not contact_admissible(self.layout, m, anchor, self.config):
-                raise AdmissibilityError(
-                    f"electrode {m} has no admissible contact location"
-                )
-            lo, hi = 0.0, 1.0
-            for _ in range(60):
-                mid = 0.5 * (lo + hi)
-                if contact_admissible(
-                    self.layout, m, anchor + mid * (xi[m] - anchor), self.config
-                ):
-                    lo = mid
-                else:
-                    hi = mid
-            xi[m] = anchor + lo * (xi[m] - anchor)
-            moved = True
-        return (replace(iota, xi=xi), True) if moved else (iota, False)
+        xi[bad] = anchor + lo[:, None] * (target - anchor)
+        return replace(iota, xi=xi), True

@@ -47,6 +47,20 @@ def sides(small_case):
     return build_models(small_case)
 
 
+@pytest.fixture
+def layout_checks(monkeypatch):
+    """The electrodes of every admissibility check made while the test runs, one list per check."""
+    calls = []
+    check = model._admissible_contacts
+
+    def counted(layout, electrodes, xi, config):
+        calls.append(np.asarray(electrodes).tolist())
+        return check(layout, electrodes, xi, config)
+
+    monkeypatch.setattr(model, "_admissible_contacts", counted)
+    return calls
+
+
 class TestDraws:
     def test_same_seed_same_draw(self, smooth8):
         prior = build_prior(smooth8, PriorGammas(0.1, 1.0, 0.1, 0.02))
@@ -122,6 +136,14 @@ class TestSimulate:
         mean = acc / n
         band = 3.0 * math.sqrt(np.trace(noise.cov) / n)
         assert np.linalg.norm(mean - lam) < band
+
+    def test_target_is_checked_once(self, sides, layout_checks):
+        meas, _ = sides
+        noise = build_noise_cov_for_side(meas, (0.01, 0.0))
+        target = meas.param.zero()
+        layout_checks.clear()
+        simulate_measurements(meas, target, noise, sample_rng(1, 0))
+        assert layout_checks == [list(range(meas.param.n_electrodes))]
 
     def test_inadmissible_target_rejected(self, sides):
         meas, _ = sides
@@ -405,18 +427,10 @@ class TestReconstructor:
         with pytest.raises(AdmissibilityError):
             recon._make_stack(bad)
 
-    def test_stack_point_is_checked_once(self, sides, recon, monkeypatch):
+    def test_stack_point_is_checked_once(self, sides, recon, layout_checks):
         _, rec = sides
-        calls = []
-        check = model.contact_admissible
-
-        def counted(*args):
-            calls.append(args[1])
-            return check(*args)
-
-        monkeypatch.setattr(model, "contact_admissible", counted)
         recon._make_stack(rec.param.zero())
-        assert calls == list(range(rec.param.n_electrodes))
+        assert layout_checks == [list(range(rec.param.n_electrodes))]
 
     def test_with_gammas_shares_the_origin_model(self, sides, data):
         _, rec = sides

@@ -11,10 +11,12 @@ from eitrev import fem
 from eitrev.mesh import (
     ElectrodeOverlapError,
     EmptyElectrodeError,
+    LayoutError,
     MeshFormatError,
     TopologyError,
     _ClusterState,
     _components,
+    build_mesh,
     cluster_partition,
     define_electrodes,
     disk_electrode_midpoints,
@@ -235,6 +237,33 @@ class TestElectrodes:
         ]
         assert measures.tobytes() == np.array(expect).tobytes()
         assert np.all(measures > 0.0)
+
+    def test_contact_geometry_is_cached_and_read_only(self, layout16):
+        geometry = layout16.contact_geometry
+        assert geometry is layout16.contact_geometry
+        arrays = list(_arrays(geometry))
+        assert len(arrays) == len(geometry) - 1
+        assert [a.shape for a in arrays if a.flags.writeable] == []
+        # 2D: two rim points, then one segment per facet, for every electrode
+        assert geometry.n_rim.tolist() == [2] * 16
+        assert (geometry.n_seg - geometry.n_rim).tolist() == geometry.n_facets.tolist()
+        assert geometry.tri.shape == (0, 3, 3)
+
+    def test_patch_that_closes_on_itself_is_rejected(self):
+        # a 3 x 3 grid of unit squares without the middle one: electrode 0
+        # takes the whole inner boundary loop, which has no rim
+        index = {(i, j): 4 * i + j for i in range(4) for j in range(4)}
+        vertices = np.array([[i, j] for i in range(4) for j in range(4)], dtype=float)
+        cells = []
+        for i in range(3):
+            for j in range(3):
+                if (i, j) != (1, 1):
+                    a, b, c, d = index[i, j], index[i + 1, j], index[i + 1, j + 1], index[i, j + 1]
+                    cells += [[a, b, c], [a, c, d]]
+        mesh = build_mesh(2, vertices, np.array(cells))
+        midpoints = np.array([[1.5, 1.5], [1.5, 0.0]])
+        with pytest.raises(LayoutError, match="electrode 0 has no rim"):
+            define_electrodes(mesh, midpoints, 0.8, 0.6)
 
     def test_quadrature_weights_sum_to_measures(self, layout16):
         assert np.allclose(
