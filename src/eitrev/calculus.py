@@ -15,7 +15,6 @@ from typing import Sequence
 import numpy as np
 
 from .fem import AssembledSystem, PerturbationOperator, SolutionSet, apply_P, solve_forward
-from .model import AdmissibilityError
 
 _FACTORIALS = {1: 1.0, 2: 2.0, 3: 6.0}
 
@@ -32,14 +31,13 @@ class DerivativeStack:
     contact data of its base point (``bumps``, from the parametrization's
     ``bump_data``) for the stack's lifetime and hands it to every ``dtau``.
 
-    Construction raises :class:`~eitrev.model.AdmissibilityError` for an
-    inadmissible base point; every later derivative of tau relies on that.
+    The stack assembles and factors the system at ``param.tau(iota)`` itself,
+    and ``tau`` raises :class:`~eitrev.model.AdmissibilityError` for an
+    inadmissible base point first; every later derivative of tau relies on that.
     """
 
-    def __init__(self, system: AssembledSystem, param, iota):
-        if not param.admissible(iota):
-            raise AdmissibilityError("the base point of a derivative stack is inadmissible")
-        self.system = system
+    def __init__(self, param, iota):
+        self.system = system = AssembledSystem(param.layout, param.tau(iota))
         self.param = param
         self.iota = iota
         self.bumps = param.bump_data(iota)

@@ -37,7 +37,8 @@ def _load_case(args) -> harness.ExperimentCase:
     data = {}
     if args.config:
         data = json.loads(Path(args.config).read_text())
-    data.setdefault("case", args.case)
+    if isinstance(data, dict):  # case_from_config rejects anything else
+        data.setdefault("case", args.case)
     return case_from_config(data)
 
 
@@ -72,9 +73,6 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_reconstruct(args) -> int:
     case = _load_case(args)
-    if (args.order is None) == (args.sequential is None):
-        print("exactly one of --order or --sequential is required", file=sys.stderr)
-        return 2
     method = str(args.order) if args.order else ",".join(["1"] * args.sequential)
     _, rec = build_models(case)
     recon = Reconstructor(rec)
@@ -166,8 +164,9 @@ def build_parser() -> argparse.ArgumentParser:
         "reconstruct", help="reconstruct from a measurement record", parents=[case_args]
     )
     r.add_argument("--data", required=True, help="directory written by simulate")
-    r.add_argument("--order", type=int, choices=(1, 2, 3), default=None)
-    r.add_argument("--sequential", type=int, choices=(1, 2, 3), default=None)
+    mode = r.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--order", type=int, choices=(1, 2, 3))
+    mode.add_argument("--sequential", type=int, choices=(1, 2, 3))
     r.add_argument("--out", required=True)
     r.set_defaults(func=_cmd_reconstruct)
 
@@ -195,8 +194,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Run one subcommand; a rejected input is one stderr line and exit status 2."""
-    args = build_parser().parse_args(argv)
+    """Run one subcommand and return its exit status.
+
+    A rejected input is one stderr line and exit status 2; so is a rejected
+    command line, after argparse's usage line.
+    """
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse has written its message
+        return exc.code
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

@@ -13,6 +13,8 @@ from __future__ import annotations
 import copy
 import csv
 import json
+import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -56,6 +58,22 @@ def _check_methods(methods: Sequence[str]) -> tuple[str, ...]:
     return methods
 
 
+def _check_count(key: str, value, low: int) -> None:
+    """``ValueError`` naming ``key`` unless ``value`` is an integer of at least ``low``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    if value < low:
+        raise ValueError(f"{key} must be at least {low}, got {value!r}")
+
+
+def _check_number(key: str, value, positive: bool = False) -> None:
+    """``ValueError`` naming ``key`` unless ``value`` is a finite real, positive if asked."""
+    ok = not isinstance(value, bool) and isinstance(value, (int, float, np.integer, np.floating))
+    if not ok or not math.isfinite(value) or (positive and not value > 0):
+        kind = "a finite positive number" if positive else "a finite number"
+        raise ValueError(f"{key} must be {kind}, got {value!r}")
+
+
 def sample_rng(seed: int, index: int) -> np.random.Generator:
     """Counter-based generator for one sample stream: Philox keyed by (seed, index)."""
     key = [np.uint64(check_seed(seed)), np.uint64(check_seed(index, "sample index"))]
@@ -78,16 +96,24 @@ class SideSpec:
     gammas: PriorGammas
 
     def __post_init__(self) -> None:
-        if len(self.deltas) != 2:
+        if not isinstance(self.deltas, tuple) or len(self.deltas) != 2:
             raise ValueError(f"deltas must hold two noise levels, got {self.deltas!r}")
-        if not isinstance(self.level, int) or not 0 <= self.level <= MAX_DISK_REFINEMENT:
+        for delta in self.deltas:
+            _check_number("deltas", delta)
+            if delta < 0:
+                raise ValueError(f"deltas must be nonnegative, got {self.deltas!r}")
+        level_ok = isinstance(self.level, int) and not isinstance(self.level, bool)
+        if not level_ok or not 0 <= self.level <= MAX_DISK_REFINEMENT:
             raise ValueError(
                 f"level must be an integer in 0..{MAX_DISK_REFINEMENT}, got {self.level!r}"
             )
-        if self.n_clusters < 1:
-            raise ValueError(f"n_clusters must be at least 1, got {self.n_clusters!r}")
+        _check_count("n_clusters", self.n_clusters, 1)
         if self.contact not in ("smooth", "cem"):
             raise ValueError(f"contact must be 'smooth' or 'cem', got {self.contact!r}")
+        # build_prior needs all but gamma_xi positive on every side, gamma_xi on smooth ones
+        for f in fields(PriorGammas):
+            positive = f.name != "gamma_xi"
+            _check_number(f.name, getattr(self.gammas, f.name), positive)
 
 
 @dataclass(frozen=True)
@@ -113,15 +139,21 @@ class ExperimentCase:
     cluster_seed: int = 7
 
     def __post_init__(self) -> None:
-        if self.n_electrodes < 2:
-            raise ValueError(f"n_electrodes must be at least 2, got {self.n_electrodes!r}")
+        _check_count("n_electrodes", self.n_electrodes, 2)
+        _check_count("n_samples", self.n_samples, 1)
+        for key in ("electrode_radius", "contact_radius"):
+            _check_number(key, getattr(self, key), positive=True)
+        if not self.contact_radius < self.electrode_radius:
+            raise ValueError(
+                f"contact_radius must be smaller than electrode_radius, got "
+                f"{self.contact_radius!r} >= {self.electrode_radius!r}"
+            )
+        _check_number("mu_kappa", self.mu_kappa)
+        _check_number("mu_zeta", self.mu_zeta)
         check_seed(self.seed)
         check_seed(self.cluster_seed, "cluster_seed")
         if self.reconstruction.contact != "smooth":
             raise ValueError("the reconstruction side always uses the smooth contact model")
-        for spec in (self.measurement, self.reconstruction):
-            if min(spec.deltas) < 0 or min(spec.gammas.gamma_kappa, spec.gammas.gamma_rho) <= 0:
-                raise ValueError("noise levels must be nonnegative and variances positive")
 
     @property
     def inverse_crime(self) -> bool:
@@ -177,6 +209,11 @@ _CASE_KEYS = (
 _SIDES = ("measurement", "reconstruction")
 
 
+def _check_mapping(where: str, value) -> None:
+    if not isinstance(value, Mapping):
+        raise ValueError(f"{where} must be a mapping, got {value!r}")
+
+
 def _check_keys(where: str, mapping: dict, allowed) -> None:
     unknown = sorted(set(mapping) - set(allowed))
     if unknown:
@@ -189,25 +226,29 @@ def case_from_config(data: dict) -> ExperimentCase:
     ``data`` holds the case name under "case" plus optional overrides
     mirroring the :class:`ExperimentCase` fields; side overrides use nested
     mappings with ``gammas`` given as a mapping of the prior fields. The
-    mapping is left unchanged, and an unknown case name or key raises
-    ``ValueError`` naming it.
+    mapping is left unchanged. An unknown case name or key, and a value of
+    the wrong type or out of range, raise ``ValueError`` naming it.
     """
+    _check_mapping("configuration", data)
     name = data.get("case", "C1")
-    if name not in CASES:
+    if not isinstance(name, str) or name not in CASES:
         raise ValueError(f"unknown case {name!r}; choose from {sorted(CASES)}")
     _check_keys("configuration", data, ("case",) + _SIDES + _CASE_KEYS)
     base = CASES[name]
     kwargs = {key: data[key] for key in _CASE_KEYS if key in data}
     for side_name in _SIDES:
         spec = getattr(base, side_name)
-        override = dict(data.get(side_name, {}))
+        override = data.get(side_name, {})
+        _check_mapping(side_name, override)
+        override = dict(override)
         if override:
             _check_keys(side_name, override, [f.name for f in fields(SideSpec)])
             gam = override.pop("gammas", None)
             if gam is not None:
+                _check_mapping(f"{side_name} gammas", gam)
                 _check_keys(f"{side_name} gammas", gam, [f.name for f in fields(PriorGammas)])
                 override["gammas"] = replace(spec.gammas, **gam)
-            if "deltas" in override:
+            if isinstance(override.get("deltas"), list):
                 override["deltas"] = tuple(override["deltas"])
             kwargs[side_name] = replace(spec, **override)
     return replace(base, **kwargs)
@@ -250,8 +291,9 @@ def build_models(case: ExperimentCase) -> tuple[SideModel, SideModel]:
     return build_side(case, case.measurement), rec
 
 
-def side_forward_map(side: SideModel, iota: ParamVector, strict: bool = True) -> np.ndarray:
-    system = fem.AssembledSystem(side.param.layout, side.param.tau(iota, strict=strict))
+def side_forward_map(side: SideModel, iota: ParamVector) -> np.ndarray:
+    """Noiseless map at ``iota``; an inadmissible point raises ``AdmissibilityError``."""
+    system = fem.AssembledSystem(side.param.layout, side.param.tau(iota))
     return fem.forward_map(system)
 
 
@@ -308,10 +350,9 @@ def simulate_measurements(
     independent Gaussian noise, each voltage vector is normalized to zero
     mean, and the collection is mapped back into the orthonormal-basis data
     matrix. A fixed noise realization may be supplied instead of drawing one.
+    An inadmissible target raises ``AdmissibilityError``.
     """
-    if not side.param.admissible(target):
-        raise AdmissibilityError("target parameters are inadmissible on the measurement side")
-    lam = side_forward_map(side, target, strict=False)
+    lam = side_forward_map(side, target)
     return simulate_from_map(lam, target, noise, rng, theta_hat)
 
 
@@ -368,7 +409,7 @@ class Reconstructor:
 
     def __init__(self, rec: SideModel, gammas: PriorGammas | None = None):
         self.rec = rec
-        self.stack0 = self._make_stack(rec.param.zero())
+        self.stack0 = DerivativeStack(rec.param, rec.param.zero())
         deltas = rec.spec.deltas
         self.noise = build_noise_cov(deltas[0], deltas[1], self.stack0.lam)
         self._set_prior(gammas if gammas is not None else rec.spec.gammas)
@@ -392,28 +433,15 @@ class Reconstructor:
     def lam0(self) -> np.ndarray:
         return self.stack0.lam
 
-    def _make_stack(self, iota: ParamVector) -> DerivativeStack:
-        # the stack checks the base point, so tau need not check it first
-        param = self.rec.param
-        tau = param.tau(iota, strict=False)
-        return DerivativeStack(fem.AssembledSystem(param.layout, tau), param, iota)
-
-    def _make_inverse(self, stack: DerivativeStack) -> TikhonovInverse:
-        return TikhonovInverse(stack, self.prior, self.noise)
+    def _rebase(self, iota: ParamVector) -> TikhonovInverse:
+        """The regularized inverse linearized at ``iota``."""
+        return TikhonovInverse(DerivativeStack(self.rec.param, iota), self.prior, self.noise)
 
     def _run_sequential(self, data: np.ndarray, steps: int) -> SequentialResult:
         """Sequential linearization, going on from the kept chain on equal data."""
         kept = self._sequential
         start = kept[1] if kept is not None and np.array_equal(kept[0], data) else None
-        seq = sequential_linearize(
-            self._make_stack,
-            self._make_inverse,
-            data,
-            steps,
-            initial_stack=self.stack0,
-            initial_inverse=self.inverse0,
-            start=start,
-        )
+        seq = sequential_linearize(self._rebase, data, steps, self.inverse0, start)
         if start is None or len(seq.iterates) > len(start.iterates):
             # later runs read the kept data and iterates, so nothing may write to them
             kept_data = np.array(data, dtype=float)
@@ -496,7 +524,7 @@ def indicators(
     measurement partition when the partitions differ.
     """
     try:
-        lam_i = side_forward_map(rec, upsilon_i, strict=False)
+        lam_i = side_forward_map(rec, upsilon_i)
         res = float(np.linalg.norm(lam_i - data))
     except AdmissibilityError:
         res = float("inf")
@@ -523,6 +551,7 @@ def indicators(
 
 
 _INDICATORS = ("res", "res_rel", "err", "err_rel")
+KEEP_FRACTION = 0.8  # share of items kept for the means
 
 
 @dataclass(frozen=True, eq=False)
@@ -562,10 +591,10 @@ class StudyResult:
         ]
 
 
-def retained_mask(ref_res: np.ndarray, keep_fraction: float = 0.8) -> np.ndarray:
-    """Bottom fraction of samples by initial-guess residual, ties by index."""
+def retained_mask(ref_res: np.ndarray) -> np.ndarray:
+    """The bottom KEEP_FRACTION of samples by initial-guess residual, ties by index."""
     n = len(ref_res)
-    keep = int(np.floor(keep_fraction * n))
+    keep = int(np.floor(KEEP_FRACTION * n))
     order = np.lexsort((np.arange(n), ref_res))
     mask = np.zeros(n, dtype=bool)
     mask[order[:keep]] = True
@@ -640,8 +669,7 @@ def experiment1(
     """
     methods = _check_methods(methods)
     n = case.n_samples if n_samples is None else n_samples
-    if n < 1:
-        raise ValueError(f"n_samples must be at least 1, got {n}")
+    _check_count("n_samples", n, 1)
     seed = case.seed if seed is None else check_seed(seed)
     meas, rec = build_models(case)
     recon = Reconstructor(rec)

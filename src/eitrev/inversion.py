@@ -378,41 +378,40 @@ class SequentialResult:
 
 
 def sequential_linearize(
-    make_stack: Callable[[object], DerivativeStack],
-    make_inverse: Callable[[DerivativeStack], Callable[[np.ndarray], object]],
+    rebase: Callable[[object], Callable[[np.ndarray], object]],
     data: np.ndarray,
     steps: int,
-    *,
-    initial_stack: DerivativeStack,
     initial_inverse: Callable[[np.ndarray], object],
     start: SequentialResult | None = None,
 ) -> SequentialResult:
     """Iterated linearized updates rebased at every iterate.
 
-    Each step applies the regularized inverse, rebuilt at the current
-    iterate, to the current data residual; the first step uses the initial
-    stack and inverse at the origin. One step coincides with the first-order
-    reversion for the same stack and inverse. Iterates leaving the admissible
+    Each step applies the regularized inverse at the current iterate to the
+    current data residual. ``rebase(upsilon)`` returns the inverse at an
+    iterate; the step reads the forward map and the parametrization from
+    that inverse's ``stack``. The first step uses ``initial_inverse``, whose
+    stack stands at the origin. One step coincides with the first-order
+    reversion for the same inverse. Iterates leaving the admissible
     parameter set are clamped back and flagged.
 
     ``start`` is an earlier result for the same data and initial inverse: its
     iterates are taken as they are (at most ``steps`` of them) and the chain
     goes on from its last one, with the same iterates a run from the origin
-    would give.
+    would give. ``rebase`` is called once per step after the first that
+    ``start`` does not supply.
     """
     if steps < 1:
         raise ValueError("steps must be at least 1")
     data = np.asarray(data, dtype=float)
     iterates = list(start.iterates[:steps]) if start is not None else []
     clamp_flags = list(start.clamped[:steps]) if start is not None else []
-    upsilon = iterates[-1] if iterates else initial_stack.param.zero()
-    stack, inverse = initial_stack, initial_inverse
+    inverse = initial_inverse
+    upsilon = iterates[-1] if iterates else inverse.stack.param.zero()
     for step in range(len(iterates), steps):
         if step > 0:
-            stack = make_stack(upsilon)
-            inverse = make_inverse(stack)
-        update = inverse(data - stack.lam)
-        upsilon, flagged = stack.param.clamp(upsilon + update)
+            inverse = rebase(upsilon)
+        stack = inverse.stack
+        upsilon, flagged = stack.param.clamp(upsilon + inverse(data - stack.lam))
         iterates.append(upsilon)
         clamp_flags.append(flagged)
     return SequentialResult(iterates=tuple(iterates), clamped=tuple(clamp_flags))

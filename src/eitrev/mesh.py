@@ -73,7 +73,6 @@ class SimplicialMesh:
     vertices: np.ndarray  # (n_vertices, dim)
     cells: np.ndarray  # (n_cells, dim + 1)
     boundary_facets: np.ndarray  # (n_bfacets, dim), outward oriented
-    boundary_cells: np.ndarray  # (n_bfacets,) index of the owning cell
 
     @property
     def n_vertices(self) -> int:
@@ -205,10 +204,9 @@ def build_mesh(dimension: int, vertices: np.ndarray, cells: np.ndarray) -> Simpl
     ]
     order = np.lexsort(np.array(bfacets, dtype=int).T[::-1])
     boundary_facets = np.array(bfacets, dtype=int)[order]
-    boundary_cells = bcells[order]
 
-    _freeze(vertices, cells, boundary_facets, boundary_cells)
-    return SimplicialMesh(dimension, vertices, cells, boundary_facets, boundary_cells)
+    _freeze(vertices, cells, boundary_facets)
+    return SimplicialMesh(dimension, vertices, cells, boundary_facets)
 
 
 def _freeze(*arrays: np.ndarray) -> np.ndarray:

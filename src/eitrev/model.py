@@ -432,31 +432,26 @@ def _inadmissible(layout: ElectrodeLayout, xi: np.ndarray, config: ModelConfig) 
 
 
 def eval_zeta_smooth(
-    config: ModelConfig,
-    layout: ElectrodeLayout,
-    rho: np.ndarray,
-    xi: np.ndarray,
-    strict: bool = True,
+    config: ModelConfig, layout: ElectrodeLayout, rho: np.ndarray, xi: np.ndarray
 ) -> np.ndarray:
     """Normalized bump density exp(rho_m + mu_zeta) psi_xi / integral(psi_xi).
 
     The integral of the returned density over electrode m equals
-    exp(rho_m + mu_zeta) by construction of the shared quadrature. With
-    ``strict`` the contact locations must be admissible; otherwise only a
-    vanishing normalization integral raises.
+    exp(rho_m + mu_zeta) by construction of the shared quadrature. An
+    inadmissible contact location or a vanishing normalization integral
+    raises :class:`AdmissibilityError`.
     """
     rho = np.asarray(rho)
     xi = np.asarray(xi)
     M = layout.n_electrodes
     if rho.shape != (M,) or xi.shape != (M, 2):
         raise ValueError("contact parameters must provide (rho_m, xi_m) per electrode")
-    if strict:
-        outside = _inadmissible(layout, xi, config)
-        if outside.size:
-            m = outside[0]
-            raise AdmissibilityError(
-                f"contact location {np.asarray(xi[m], float)} leaves electrode {m}"
-            )
+    outside = _inadmissible(layout, xi, config)
+    if outside.size:
+        m = outside[0]
+        raise AdmissibilityError(
+            f"contact location {np.asarray(xi[m], float)} leaves electrode {m}"
+        )
     bumps = BumpData(config, layout, rho, xi)
     vanishing = [
         m for g in bumps.groups for m, Z in zip(g.electrodes, g.Z.ravel()) if not Z > 1e-300
@@ -492,7 +487,8 @@ def dtau(
     exponential or the normalized bump in closed form.
 
     The base point must be admissible and is not checked here;
-    :class:`~eitrev.calculus.DerivativeStack` checks it once, at construction.
+    :class:`~eitrev.calculus.DerivativeStack` checks it once, through
+    :meth:`Parametrization.tau`, when it is built.
     For the smooth model, ``bumps`` is the :class:`BumpData` of ``iota`` when
     the caller holds it; without it the call builds its own.
     """
@@ -608,14 +604,13 @@ class Parametrization:
         xi = vec[k + M :].reshape(M, 2).copy() if self.kind == "smooth" else None
         return ParamVector(vec[:k].copy(), vec[k : k + M].copy(), xi)
 
-    def tau(self, iota: ParamVector, strict: bool = True) -> ConductivityPair:
+    def tau(self, iota: ParamVector) -> ConductivityPair:
+        """Conductivity pair at ``iota``; an inadmissible point raises ``AdmissibilityError``."""
         sigma = eval_sigma(self.config, self.partition, iota.kappa)
         if self.kind == "cem":
             zeta = eval_zeta_cem(self.config, self.layout, iota.rho)
         else:
-            zeta = eval_zeta_smooth(
-                self.config, self.layout, iota.rho, iota.xi, strict=strict
-            )
+            zeta = eval_zeta_smooth(self.config, self.layout, iota.rho, iota.xi)
         return ConductivityPair(sigma, np.asarray(zeta, dtype=float))
 
     def dtau(

@@ -75,28 +75,25 @@ def basis16():
 
 
 @pytest.fixture(scope="session")
-def stack8(layout8, smooth8):
-    iota = smooth8.zero()
-    system = fem.AssembledSystem(layout8, smooth8.tau(iota))
-    return DerivativeStack(system, smooth8, iota)
+def stack8(smooth8):
+    return DerivativeStack(smooth8, smooth8.zero())
 
 
 @pytest.fixture(scope="session")
-def stack16(layout16, smooth16):
-    iota = smooth16.zero()
-    system = fem.AssembledSystem(layout16, smooth16.tau(iota))
-    return DerivativeStack(system, smooth16, iota)
+def stack16(smooth16):
+    return DerivativeStack(smooth16, smooth16.zero())
 
 
 class LinearParametrization:
     """Test parametrization with an identically vanishing second derivative.
 
     tau(x) = tau0 + sum_p x_p * mode_p over a list of conductivity-pair
-    modes, so the first derivative is the constant linear map and all higher
-    derivatives are zero.
+    modes on the electrode layout ``layout``, so the first derivative is the
+    constant linear map and all higher derivatives are zero.
     """
 
-    def __init__(self, tau0: ConductivityPair, modes: list[ConductivityPair]):
+    def __init__(self, layout, tau0: ConductivityPair, modes: list[ConductivityPair]):
+        self.layout = layout
         self.tau0 = tau0
         self.modes = list(modes)
 
@@ -116,7 +113,7 @@ class LinearParametrization:
             out = out + float(c) * mode
         return out
 
-    def tau(self, x, strict=True):
+    def tau(self, x):
         return self.tau0 + self._combine(x)
 
     def bump_data(self, x):
@@ -127,9 +124,6 @@ class LinearParametrization:
             return self._combine(directions[0])
         zero_pair = 0.0 * self.modes[0]
         return zero_pair
-
-    def admissible(self, x):
-        return True
 
     def clamp(self, x):
         return x, False

@@ -142,9 +142,7 @@ class TestCriterion3DerivativeCorrectness:
         vols = disk2.cell_volumes
 
         def zeta_of(flat):
-            return eval_zeta_smooth(
-                config, layout8, flat[20:28], flat[28:].reshape(8, 2), strict=False
-            )
+            return eval_zeta_smooth(config, layout8, flat[20:28], flat[28:].reshape(8, 2))
 
         def sigma_of(flat):
             return np.exp(np.longdouble(config.mu_kappa) + flat[:20])[part20.cluster_of]
@@ -321,14 +319,7 @@ class TestCriterion8Equivalences:
         rng = np.random.default_rng(108)
         data = stack16.lam + 1e-3 * rng.standard_normal(stack16.lam.shape)
         rev = revert(stack16, inverse, data, order=1)
-        seq = sequential_linearize(
-            lambda up: None,
-            lambda st: inverse,
-            data,
-            steps=1,
-            initial_stack=stack16,
-            initial_inverse=inverse,
-        )
+        seq = sequential_linearize(lambda up: None, data, 1, inverse)
         bit_exact = np.array_equal(
             seq.iterates[0].to_flat(), rev.partial_sum(1).to_flat()
         )

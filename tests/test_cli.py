@@ -102,6 +102,16 @@ def test_reconstruct_requires_exactly_one_mode(workdir):
     assert code == 2
 
 
+@pytest.mark.parametrize("modes", [[], ["--order", "1", "--sequential", "2"]], ids=["none", "both"])
+def test_reconstruct_mode_is_checked_before_anything_runs(tmp_path, modes):
+    out = tmp_path / "rec.json"
+    argv = ["reconstruct", "--data", str(tmp_path / "absent"), "--out", str(out)]
+    proc = _run_cli(argv + modes)
+    assert proc.returncode == 2
+    assert "--order" in proc.stderr.splitlines()[-1]
+    assert not out.exists()
+
+
 def test_sequential_reconstruction(workdir):
     sim_dir = workdir / "sim"
     rec_path = workdir / "rec_seq.json"
@@ -240,6 +250,29 @@ def test_bad_config_value_exits_nonzero(tmp_path):
     last = proc.stderr.strip().splitlines()[-1]
     assert last.startswith("ValueError") and "deltas" in last
     assert not (tmp_path / "summary.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "config, key",
+    [
+        ({"measurement": [1, 2]}, "measurement"),
+        ({"measurement": {"deltas": 5}}, "deltas"),
+        ({"electrode_radius": "a"}, "electrode_radius"),
+        ([1, 2], "configuration"),
+        ({"contact_radius": 0.2}, "contact_radius"),
+        ({"n_samples": "3"}, "n_samples"),
+    ],
+    ids=["side-list", "deltas-number", "radius-string", "top-level-list", "radii", "n_samples"],
+)
+def test_config_value_of_wrong_type_is_one_error_line(tmp_path, config, key):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    proc = _run_cli(["experiment1", "--config", str(cfg), "--samples", "1", "--out", str(out)])
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == [proc.stderr.strip()]
+    assert proc.stderr.startswith("ValueError: ") and key in proc.stderr
+    assert not out.exists()
 
 
 def test_missing_config_file_is_one_error_line(tmp_path):

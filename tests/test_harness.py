@@ -198,7 +198,7 @@ class TestIndicators:
 class TestRetention:
     def test_bottom_fraction_with_ties(self):
         ref = np.array([5.0, 1.0, 5.0, 0.5, 2.0])
-        mask = retained_mask(ref, keep_fraction=0.8)
+        mask = retained_mask(ref)
         # keeps 4 of 5; the tie at 5.0 breaks toward the lower index
         assert mask.tolist() == [True, True, False, True, True]
 
@@ -359,13 +359,13 @@ class TestReconstructor:
     @pytest.fixture
     def stack_builds(self, monkeypatch):
         built = []
-        make_stack = Reconstructor._make_stack
+        rebase = Reconstructor._rebase
 
         def counted(self, iota):
             built.append(iota)
-            return make_stack(self, iota)
+            return rebase(self, iota)
 
-        monkeypatch.setattr(Reconstructor, "_make_stack", counted)
+        monkeypatch.setattr(Reconstructor, "_rebase", counted)
         return built
 
     def test_longer_chain_goes_on_from_the_kept_one(self, sides, data, stack_builds):
@@ -390,15 +390,15 @@ class TestReconstructor:
         expected = Reconstructor(rec).run("1,1,1", data)
         recon = Reconstructor(rec)
         recon.run("1,1", data)
-        make_stack = Reconstructor._make_stack
+        rebase = Reconstructor._rebase
 
         def failing(self, iota):
             raise RuntimeError("synthetic failure")
 
-        monkeypatch.setattr(Reconstructor, "_make_stack", failing)
+        monkeypatch.setattr(Reconstructor, "_rebase", failing)
         with pytest.raises(RuntimeError):
             recon.run("1,1,1", data)
-        monkeypatch.setattr(Reconstructor, "_make_stack", make_stack)
+        monkeypatch.setattr(Reconstructor, "_rebase", rebase)
         self._assert_same(recon.run("1,1,1", data), expected)
 
     def test_kept_chain_is_read_only_and_its_data_a_copy(self, sides, data, stack_builds):
@@ -425,11 +425,11 @@ class TestReconstructor:
         bad = ParamVector(iota.kappa, iota.rho, xi)
         assert not rec.param.admissible(bad)
         with pytest.raises(AdmissibilityError):
-            recon._make_stack(bad)
+            recon._rebase(bad)
 
     def test_stack_point_is_checked_once(self, sides, recon, layout_checks):
         _, rec = sides
-        recon._make_stack(rec.param.zero())
+        recon._rebase(rec.param.zero())
         assert layout_checks == [list(range(rec.param.n_electrodes))]
 
     def test_with_gammas_shares_the_origin_model(self, sides, data):
@@ -561,6 +561,24 @@ class TestCaseConfig:
             ({"cluster_seed": -3}, "cluster_seed"),
             ({"seed": 2**64}, "seed"),
             ({"cluster_seed": 2.5}, "cluster_seed"),
+            ([1, 2], "configuration"),
+            ({"measurement": [1, 2]}, "measurement"),
+            ({"reconstruction": {"gammas": 0.1}}, "reconstruction gammas"),
+            ({"measurement": {"deltas": 5}}, "deltas"),
+            ({"measurement": {"deltas": [1e-4, "a"]}}, "deltas"),
+            ({"measurement": {"deltas": [-1e-4, 0.0]}}, "deltas"),
+            ({"reconstruction": {"gammas": {"gamma_rho": "a"}}}, "gamma_rho"),
+            ({"measurement": {"gammas": {"lambda_kappa": 0.0}}}, "lambda_kappa"),
+            ({"reconstruction": {"n_clusters": "80"}}, "n_clusters"),
+            ({"electrode_radius": "a"}, "electrode_radius"),
+            ({"electrode_radius": float("inf")}, "electrode_radius"),
+            ({"contact_radius": -0.1}, "contact_radius"),
+            ({"contact_radius": 0.15}, "contact_radius"),
+            ({"mu_kappa": None}, "mu_kappa"),
+            ({"n_samples": 0}, "n_samples"),
+            ({"n_samples": 2.0}, "n_samples"),
+            ({"n_samples": True}, "n_samples"),
+            ({"reconstruction": {"level": True}}, "level"),
         ],
     )
     def test_bad_value_raises_with_its_field(self, config, field):

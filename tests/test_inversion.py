@@ -9,6 +9,7 @@ from eitrev.inversion import (
     AssumptionViolatedError,
     PriorGammas,
     PriorModel,
+    SequentialResult,
     SubspacePseudoInverse,
     TikhonovInverse,
     build_noise_cov,
@@ -322,8 +323,8 @@ class TestRevert:
             )
             for _ in range(4)
         ]
-        linear = linear_parametrization(tau0, modes)
-        stack = DerivativeStack(system, linear, linear.zero())
+        linear = linear_parametrization(system.layout, tau0, modes)
+        stack = DerivativeStack(linear, linear.zero())
         dirs = [np.eye(4)[i] for i in range(4)]
         inv = SubspacePseudoInverse(stack, dirs)
         target = np.array([0.3, -0.2, 0.15, 0.05])
@@ -371,6 +372,13 @@ class TestSequential:
         noise = build_noise_cov(1e-4, 1e-3, stack.lam)
         return prior, noise
 
+    @staticmethod
+    def _rebase(param, prior, noise):
+        def rebase(upsilon):
+            return TikhonovInverse(DerivativeStack(param, upsilon), prior, noise)
+
+        return rebase
+
     def test_step_one_equals_first_order_reversion(self, stack8, smooth8, basis8):
         prior, noise = self._tikhonov_setup(stack8, smooth8, basis8)
         inverse = TikhonovInverse(stack8, prior, noise)
@@ -379,36 +387,49 @@ class TestSequential:
         rev = revert(stack8, inverse, data, order=1)
         seq = sequential_linearize(
             lambda iota: (_ for _ in ()).throw(AssertionError("no rebuild for 1 step")),
-            lambda st: inverse,
             data,
-            steps=1,
-            initial_stack=stack8,
-            initial_inverse=inverse,
+            1,
+            inverse,
         )
         assert np.array_equal(
             seq.iterates[0].to_flat(), rev.partial_sum(1).to_flat()
         )
 
+    def test_rebase_runs_once_per_step_after_the_first_not_supplied(
+        self, stack8, smooth8, basis8
+    ):
+        prior, noise = self._tikhonov_setup(stack8, smooth8, basis8)
+        inverse = TikhonovInverse(stack8, prior, noise)
+        data = stack8.lam + 1e-3 * np.random.default_rng(53).standard_normal((7, 7))
+        points = []
+
+        def rebase(upsilon):
+            points.append(upsilon)
+            return inverse
+
+        def same(xs, ys):
+            return len(xs) == len(ys) and all(
+                np.array_equal(x.to_flat(), y.to_flat()) for x, y in zip(xs, ys)
+            )
+
+        full = sequential_linearize(rebase, data, 3, inverse)
+        assert same(points, full.iterates[:2])
+        for supplied, steps in ((1, 3), (2, 3), (3, 3), (3, 2)):
+            points.clear()
+            start = SequentialResult(full.iterates[:supplied], full.clamped[:supplied])
+            seq = sequential_linearize(rebase, data, steps, inverse, start)
+            assert len(points) == steps - min(supplied, steps)
+            assert same(points, full.iterates[supplied - 1 : steps - 1])
+            assert same(seq.iterates, full.iterates[:steps])
+
     def test_zero_data_residual_stays_zero(self, disk2, layout8, smooth8, basis8):
-        iota = smooth8.zero()
-        system = fem.AssembledSystem(layout8, smooth8.tau(iota))
-        stack = DerivativeStack(system, smooth8, iota)
+        stack = DerivativeStack(smooth8, smooth8.zero())
         prior, noise = self._tikhonov_setup(stack, smooth8, basis8)
-
-        def make_stack(up):
-            sys_j = fem.AssembledSystem(layout8, smooth8.tau(up))
-            return DerivativeStack(sys_j, smooth8, up)
-
-        def make_inverse(st):
-            return TikhonovInverse(st, prior, noise)
-
         seq = sequential_linearize(
-            make_stack,
-            make_inverse,
+            self._rebase(smooth8, prior, noise),
             stack.lam.copy(),
-            steps=3,
-            initial_stack=stack,
-            initial_inverse=TikhonovInverse(stack, prior, noise),
+            3,
+            TikhonovInverse(stack, prior, noise),
         )
         for it in seq.iterates:
             assert np.all(it.to_flat() == 0.0)
@@ -422,20 +443,10 @@ class TestSequential:
             0.01 * rng.standard_normal((8, 2)),
         )
         data = fem.forward_map(fem.AssembledSystem(layout8, smooth8.tau(target)))
-        system = fem.AssembledSystem(layout8, smooth8.tau(iota0))
-        stack = DerivativeStack(system, smooth8, iota0)
+        stack = DerivativeStack(smooth8, iota0)
         prior, noise = self._tikhonov_setup(stack, smooth8, basis8)
-
-        def make_stack(up):
-            sys_j = fem.AssembledSystem(layout8, smooth8.tau(up))
-            return DerivativeStack(sys_j, smooth8, up)
-
-        def make_inverse(st):
-            return TikhonovInverse(st, prior, noise)
-
         seq = sequential_linearize(
-            make_stack, make_inverse, data, steps=3,
-            initial_stack=stack, initial_inverse=TikhonovInverse(stack, prior, noise),
+            self._rebase(smooth8, prior, noise), data, 3, TikhonovInverse(stack, prior, noise)
         )
         residuals = [float(vec(data - stack.lam) @ noise.inv @ vec(data - stack.lam))]
         for it in seq.iterates:

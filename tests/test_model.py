@@ -17,6 +17,7 @@ from eitrev.mesh import (
 from eitrev.model import (
     AdmissibilityError,
     _bump_h123,
+    ModelConfig,
     ParamVector,
     Parametrization,
     bump,
@@ -167,11 +168,21 @@ class TestZetaSmooth:
         with pytest.raises(AdmissibilityError):
             eval_zeta_smooth(config, layout16, np.zeros(16), xi)
 
-    def test_far_center_vanishing_normalization(self, config, layout16):
+    def test_far_center_vanishing_normalization(self, layout16):
+        # a contact narrower than the node spacing, centred on an interior facet
+        # vertex of every electrode: admissible, yet far from every quadrature node
+        config = ModelConfig(R=0.01)
+        g = layout16.contact_geometry
         xi = np.zeros((16, 2))
-        xi[5] = [50.0, 50.0]
-        with pytest.raises(AdmissibilityError):
-            eval_zeta_smooth(config, layout16, np.zeros(16), xi, strict=False)
+        for m in range(16):
+            rim = slice(g.seg_start[m], g.seg_start[m] + g.n_rim[m])
+            facets = slice(rim.stop, g.seg_start[m] + g.n_seg[m])
+            ends = np.concatenate([g.a[facets], g.a[facets] + g.ab[facets]])
+            to_rim = np.linalg.norm(ends[:, None] - g.a[rim][None], axis=2).min(axis=1)
+            xi[m] = ends[np.argmax(to_rim)]
+            assert contact_admissible(layout16, m, xi[m], config)
+        with pytest.raises(AdmissibilityError, match="vanishes on electrode 0"):
+            eval_zeta_smooth(config, layout16, np.zeros(16), xi)
 
     def test_quadrature_richardson(self, config):
         # The fixed facet rule integrates the bump with an error that decays
@@ -245,7 +256,7 @@ class FlatZeta:
     def __call__(self, flat):
         rho = flat[self.n_c : self.n_c + self.M]
         xi = flat[self.n_c + self.M :].reshape(self.M, 2)
-        return eval_zeta_smooth(self.config, self.layout, rho, xi, strict=False)
+        return eval_zeta_smooth(self.config, self.layout, rho, xi)
 
 
 def surface_l2(layout, values):

@@ -104,8 +104,7 @@ def test_smooth_contacts_and_reciprocity(cube_setup):
 def test_derivative_slope_in_3d(cube_setup):
     mesh, layout, partition, param = cube_setup
     iota = param.zero()
-    system = fem.AssembledSystem(layout, param.tau(iota))
-    stack = DerivativeStack(system, param, iota)
+    stack = DerivativeStack(param, iota)
     rng = np.random.default_rng(71)
     eta = ParamVector(
         0.4 * rng.standard_normal(partition.n_clusters),
