@@ -13,7 +13,6 @@ from __future__ import annotations
 import copy
 import csv
 import json
-import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
@@ -31,6 +30,7 @@ from .inversion import (
     TikhonovInverse,
     build_noise_cov,
     build_prior,
+    check_number,
     revert,
     sequential_linearize,
 )
@@ -66,14 +66,6 @@ def _check_count(key: str, value, low: int) -> None:
         raise ValueError(f"{key} must be at least {low}, got {value!r}")
 
 
-def _check_number(key: str, value, positive: bool = False) -> None:
-    """``ValueError`` naming ``key`` unless ``value`` is a finite real, positive if asked."""
-    ok = not isinstance(value, bool) and isinstance(value, (int, float, np.integer, np.floating))
-    if not ok or not math.isfinite(value) or (positive and not value > 0):
-        kind = "a finite positive number" if positive else "a finite number"
-        raise ValueError(f"{key} must be {kind}, got {value!r}")
-
-
 def sample_rng(seed: int, index: int) -> np.random.Generator:
     """Counter-based generator for one sample stream: Philox keyed by (seed, index)."""
     key = [np.uint64(check_seed(seed)), np.uint64(check_seed(index, "sample index"))]
@@ -99,7 +91,7 @@ class SideSpec:
         if not isinstance(self.deltas, tuple) or len(self.deltas) != 2:
             raise ValueError(f"deltas must hold two noise levels, got {self.deltas!r}")
         for delta in self.deltas:
-            _check_number("deltas", delta)
+            check_number("deltas", delta)
             if delta < 0:
                 raise ValueError(f"deltas must be nonnegative, got {self.deltas!r}")
         level_ok = isinstance(self.level, int) and not isinstance(self.level, bool)
@@ -110,10 +102,6 @@ class SideSpec:
         _check_count("n_clusters", self.n_clusters, 1)
         if self.contact not in ("smooth", "cem"):
             raise ValueError(f"contact must be 'smooth' or 'cem', got {self.contact!r}")
-        # build_prior needs all but gamma_xi positive on every side, gamma_xi on smooth ones
-        for f in fields(PriorGammas):
-            positive = f.name != "gamma_xi"
-            _check_number(f.name, getattr(self.gammas, f.name), positive)
 
 
 @dataclass(frozen=True)
@@ -142,14 +130,14 @@ class ExperimentCase:
         _check_count("n_electrodes", self.n_electrodes, 2)
         _check_count("n_samples", self.n_samples, 1)
         for key in ("electrode_radius", "contact_radius"):
-            _check_number(key, getattr(self, key), positive=True)
+            check_number(key, getattr(self, key), positive=True)
         if not self.contact_radius < self.electrode_radius:
             raise ValueError(
                 f"contact_radius must be smaller than electrode_radius, got "
                 f"{self.contact_radius!r} >= {self.electrode_radius!r}"
             )
-        _check_number("mu_kappa", self.mu_kappa)
-        _check_number("mu_zeta", self.mu_zeta)
+        check_number("mu_kappa", self.mu_kappa)
+        check_number("mu_zeta", self.mu_zeta)
         check_seed(self.seed)
         check_seed(self.cluster_seed, "cluster_seed")
         if self.reconstruction.contact != "smooth":

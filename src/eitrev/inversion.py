@@ -9,6 +9,7 @@ inverse is reused for every order of the recursion.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -31,6 +32,18 @@ class AssumptionViolatedError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
+def check_number(key: str, value, positive: bool = False) -> None:
+    """``ValueError`` naming ``key`` unless ``value`` is a finite real, positive if asked."""
+    ok = not isinstance(value, bool) and isinstance(value, (int, float, np.integer, np.floating))
+    try:
+        ok = ok and math.isfinite(value) and (value > 0 or not positive)
+    except OverflowError:  # an int too large for a float
+        ok = False
+    if not ok:
+        kind = "a finite positive number" if positive else "a finite number"
+        raise ValueError(f"{key} must be {kind}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class PriorGammas:
     """Standard deviations and correlation length of the Gaussian prior."""
@@ -39,6 +52,12 @@ class PriorGammas:
     lambda_kappa: float
     gamma_rho: float
     gamma_xi: float = 0.02
+
+    def __post_init__(self) -> None:
+        # gamma_xi is checked positive by build_prior, and only for the smooth model
+        for name in ("gamma_kappa", "lambda_kappa", "gamma_rho"):
+            check_number(name, getattr(self, name), positive=True)
+        check_number("gamma_xi", self.gamma_xi)
 
     def scaled(self, s: float) -> "PriorGammas":
         """Scale the log-conductivity and log-conductance deviations only."""
@@ -74,8 +93,6 @@ def build_prior(param, gammas: PriorGammas) -> PriorModel:
     A tiny diagonal jitter is added (at most three times) if rounding spoils
     positive definiteness.
     """
-    if min(gammas.gamma_kappa, gammas.lambda_kappa, gammas.gamma_rho) <= 0:
-        raise ValueError("prior standard deviations and correlation length must be positive")
     centers = param.partition.centers
     diff = centers[:, None, :] - centers[None, :, :]
     sq = np.sum(diff * diff, axis=2)

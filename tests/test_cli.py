@@ -94,22 +94,14 @@ def test_simulate_reconstruct_indicators(workdir):
     assert values[1] < 1.0  # the reconstruction improves on the initial guess
 
 
-def test_reconstruct_requires_exactly_one_mode(workdir):
+def test_reconstruct_requires_exactly_one_mode(workdir, tmp_path, capsys):
     sim_dir = workdir / "sim"
-    code = main(
-        ["reconstruct", "--case", "C1", "--data", str(sim_dir), "--out", "x.json"]
-    )
-    assert code == 2
-
-
-@pytest.mark.parametrize("modes", [[], ["--order", "1", "--sequential", "2"]], ids=["none", "both"])
-def test_reconstruct_mode_is_checked_before_anything_runs(tmp_path, modes):
     out = tmp_path / "rec.json"
-    argv = ["reconstruct", "--data", str(tmp_path / "absent"), "--out", str(out)]
-    proc = _run_cli(argv + modes)
-    assert proc.returncode == 2
-    assert "--order" in proc.stderr.splitlines()[-1]
-    assert not out.exists()
+    argv = ["reconstruct", "--case", "C1", "--data", str(sim_dir), "--out", str(out)]
+    for modes in ([], ["--order", "1", "--sequential", "2"]):
+        assert main(argv + modes) == 2
+        assert "--order" in capsys.readouterr().err.splitlines()[-1]
+        assert not out.exists()
 
 
 def test_sequential_reconstruction(workdir):
@@ -261,8 +253,17 @@ def test_bad_config_value_exits_nonzero(tmp_path):
         ([1, 2], "configuration"),
         ({"contact_radius": 0.2}, "contact_radius"),
         ({"n_samples": "3"}, "n_samples"),
+        ({"mu_kappa": 10**400}, "mu_kappa"),
     ],
-    ids=["side-list", "deltas-number", "radius-string", "top-level-list", "radii", "n_samples"],
+    ids=[
+        "side-list",
+        "deltas-number",
+        "radius-string",
+        "top-level-list",
+        "radii",
+        "n_samples",
+        "huge-int",
+    ],
 )
 def test_config_value_of_wrong_type_is_one_error_line(tmp_path, config, key):
     cfg = tmp_path / "bad.json"

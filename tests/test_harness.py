@@ -579,6 +579,10 @@ class TestCaseConfig:
             ({"n_samples": 2.0}, "n_samples"),
             ({"n_samples": True}, "n_samples"),
             ({"reconstruction": {"level": True}}, "level"),
+            ({"mu_kappa": 10**400}, "mu_kappa"),
+            ({"electrode_radius": 10**400}, "electrode_radius"),
+            ({"measurement": {"deltas": [10**400, 0.0]}}, "deltas"),
+            ({"reconstruction": {"gammas": {"gamma_xi": 10**400}}}, "gamma_xi"),
         ],
     )
     def test_bad_value_raises_with_its_field(self, config, field):
