@@ -7,6 +7,12 @@ variational solver), ``calculus`` (derivatives of the current-to-voltage
 map), ``inversion`` (regularized and subspace inverses, reversion,
 sequential linearization), and ``harness`` (simulation, experiments, CLI
 plumbing).
+
+Each concept has one entry point: ``Parametrization.tau`` and
+``Parametrization.dtau`` evaluate the conductivity pair and its
+derivatives, ``AssembledSystem.perturbation`` gives the operator whose
+``apply`` is a perturbation solve and whose ``bform`` is the perturbed
+form, and a ``DerivativeStack`` holds the derivatives of the map at a point.
 """
 
 from .calculus import DerivativeStack, vec
@@ -15,8 +21,6 @@ from .fem import (
     CurrentBasis,
     IndefiniteSystemError,
     SolutionSet,
-    apply_P,
-    bform_eval,
     current_basis,
     forward_map,
     solve_forward,
@@ -26,7 +30,6 @@ from .harness import (
     ExperimentCase,
     Reconstructor,
     build_models,
-    draw_from_prior,
     experiment1,
     experiment2,
     indicators,
@@ -69,10 +72,6 @@ from .model import (
     Parametrization,
     bump,
     contact_admissible,
-    dtau,
-    eval_sigma,
-    eval_zeta_cem,
-    eval_zeta_smooth,
 )
 
 __version__ = "0.1.0"

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .fem import AssembledSystem, PerturbationOperator, SolutionSet, apply_P, solve_forward
+from .fem import AssembledSystem, PerturbationOperator, SolutionSet, solve_forward
 
 _FACTORIALS = {1: 1.0, 2: 2.0, 3: 6.0}
 
@@ -82,7 +82,7 @@ class DerivativeStack:
                 pair = self.param.dtau(self.iota, directions, self.bumps)
                 op = self._ops[key[0]] = self.system.perturbation(pair)
             inputs = self._chain(*factors[1:]) if len(factors) > 1 else self.base
-            out = self._chains[key] = apply_P(self.system, op, inputs)
+            out = self._chains[key] = op.apply(inputs)
         return out
 
     def _trace(self, sols: SolutionSet) -> np.ndarray:

@@ -34,11 +34,18 @@ from .mesh import cluster_partition, generate_disk_mesh, load_mesh, save_mesh, s
 
 
 def _load_case(args) -> harness.ExperimentCase:
-    data = {}
-    if args.config:
-        data = json.loads(Path(args.config).read_text())
-    if isinstance(data, dict):  # case_from_config rejects anything else
-        data.setdefault("case", args.case)
+    """The case of ``--case`` and ``--config``; C1 when neither names one.
+
+    When both name a case they must name the same one.
+    """
+    data = json.loads(Path(args.config).read_text()) if args.config else {}
+    if args.case is not None and isinstance(data, dict):  # case_from_config rejects the rest
+        named = data.get("case", args.case)
+        if named != args.case:
+            raise ValueError(
+                f"--case {args.case} differs from the case {named!r} of {args.config}"
+            )
+        data = {**data, "case": args.case}
     return case_from_config(data)
 
 
@@ -74,9 +81,9 @@ def _cmd_simulate(args) -> int:
 def _cmd_reconstruct(args) -> int:
     case = _load_case(args)
     method = str(args.order) if args.order else ",".join(["1"] * args.sequential)
+    upsilon, _, _ = harness.read_measurement(args.data)
     _, rec = build_models(case)
     recon = Reconstructor(rec)
-    upsilon, _, _ = harness.read_measurement(args.data)
     outcome = recon.run(method, upsilon)
     harness.write_reconstruction(outcome, args.out)
     print(f"wrote reconstruction ({method}) to {args.out}")
@@ -110,11 +117,10 @@ def _cmd_experiment2(args) -> int:
 
 def _cmd_indicators(args) -> int:
     case = _load_case(args)
+    upsilon_data, target, _ = harness.read_measurement(args.data)
+    upsilon_i = harness.read_reconstruction(args.recon)
     meas, rec = build_models(case)
     lam0 = side_forward_map(rec, rec.param.zero())
-    upsilon_data, target, _ = harness.read_measurement(args.data)
-    rec_json = json.loads(Path(args.recon).read_text())
-    upsilon_i = harness.param_from_json(rec_json["upsilon"])
     ind = indicators(rec, meas, upsilon_i, target, upsilon_data, lam0)
     row = {
         "res": repr(ind.res),
@@ -138,7 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     case_args = argparse.ArgumentParser(add_help=False)
-    case_args.add_argument("--case", default="C1", choices=sorted(CASES))
+    case_args.add_argument("--case", default=None, choices=sorted(CASES))
     case_args.add_argument("--config", default=None)
 
     p = sub.add_parser("mesh", help="mesh utilities")

@@ -156,7 +156,11 @@ class PerturbationOperator:
         self.A = A
 
     def bform(self, left: SolutionSet, right: SolutionSet) -> np.ndarray:
-        """Gram matrix of the perturbed form over two solution batches."""
+        """Gram matrix of the perturbed form over two solution batches.
+
+        Entry (i, j) is
+        integral(dsigma grad u_i . grad u_j) + integral(dzeta (U_i-u_i)(U_j-u_j)).
+        """
         t1 = left.u.T @ (self.A @ right.u)
         if self.Rmat is None:
             # adding the zero contact terms turns a zero of t1 into +0.0
@@ -176,6 +180,15 @@ class PerturbationOperator:
         f_u = f_u - self.Rmat @ inputs.U
         f_c = B.T @ (self.Dvec[:, None] * inputs.U - self.Rmat.T @ inputs.u)
         return -np.vstack([f_u, f_c])
+
+    def apply(self, inputs: SolutionSet) -> SolutionSet:
+        """Auxiliary solution operator: solve B_tau(w, v) = -B_eta(input, v).
+
+        This is the building block of every derivative of the forward map; the
+        factorization of the system is reused.
+        """
+        system = self.system
+        return system.split(system.solve(self.rhs(inputs)))
 
 
 def _stiffness(system: "AssembledSystem", sigma: np.ndarray) -> sp.csr_matrix:
@@ -216,9 +229,9 @@ class AssembledSystem:
     """Factorized discrete system for one conductivity pair on an electrode layout.
 
     The mesh is the layout's and the basis the shared one for its electrode
-    count. Immutable after construction except for ``solve_count`` and
-    ``factor_count``, which account for the triangular solves and
-    factorizations performed.
+    count. Immutable after construction except for ``solve_count``, which
+    counts the triangular-solve columns; ``factor_count`` is always 1, the
+    one factorization every solve reuses.
     """
 
     def __init__(self, layout: ElectrodeLayout, tau: ConductivityPair):
@@ -298,35 +311,6 @@ def solve_forward(system: AssembledSystem, currents: np.ndarray) -> SolutionSet:
     n = system.n_interior
     rhs = np.vstack([np.zeros((n, currents.shape[1])), system.basis.B.T @ currents])
     return system.split(system.solve(rhs))
-
-
-def apply_P(
-    system: AssembledSystem,
-    eta: ConductivityPair | PerturbationOperator,
-    inputs: SolutionSet,
-) -> SolutionSet:
-    """Auxiliary solution operator: solve B_tau(w, v) = -B_eta(input, v).
-
-    This is the building block of every derivative of the forward map; the
-    factorization of ``system`` is reused.
-    """
-    op = eta if isinstance(eta, PerturbationOperator) else system.perturbation(eta)
-    return system.split(system.solve(op.rhs(inputs)))
-
-
-def bform_eval(
-    system: AssembledSystem,
-    eta: ConductivityPair | PerturbationOperator,
-    left: SolutionSet,
-    right: SolutionSet,
-) -> np.ndarray:
-    """Gram matrix of the perturbed form over two solution batches.
-
-    Entry (i, j) is
-    integral(dsigma grad u_i . grad u_j) + integral(dzeta (U_i-u_i)(U_j-u_j)).
-    """
-    op = eta if isinstance(eta, PerturbationOperator) else system.perturbation(eta)
-    return op.bform(left, right)
 
 
 def forward_map(system: AssembledSystem) -> np.ndarray:

@@ -296,11 +296,6 @@ def build_noise_cov_for_side(side: SideModel, deltas: tuple[float, float]) -> No
 # ---------------------------------------------------------------------------
 
 
-def draw_from_prior(prior: PriorModel, seed: int) -> np.ndarray:
-    """Deterministic zero-mean draw with the prior covariance, as a flat vector."""
-    return prior.sample(sample_rng(seed, 0))
-
-
 def draw_target(side: SideModel, prior: PriorModel, rng: np.random.Generator) -> ParamVector:
     """Draw target parameters for data simulation.
 
@@ -444,8 +439,10 @@ class Reconstructor:
 
         Methods "1", "2", "3" are one-step series reversions of that order;
         "1,1" and "1,1,1" are two and three sequential linearizations.
+        Data not shaped like the reference map raise ``ValueError``.
         """
         _check_methods((method,))
+        _check_data(data, self.lam0)
         if "," in method:
             seq = self._run_sequential(data, method.count(",") + 1)
             return ReconOutcome(
@@ -467,6 +464,15 @@ class Reconstructor:
             components=result.etas,
             clamped=clamped,
             diagnostics=diagnostics,
+        )
+
+
+def _check_data(data: np.ndarray, lam0: np.ndarray) -> None:
+    """``ValueError`` unless the data matrix has the shape of the reference map."""
+    if np.shape(data) != lam0.shape:
+        raise ValueError(
+            f"the data matrix must have the shape {lam0.shape} of the reference map, "
+            f"got {np.shape(data)}"
         )
 
 
@@ -509,8 +515,10 @@ def indicators(
     the data in the Frobenius norm, normalized by the initial-guess residual.
     The domain error is the piecewise-constant L2 distance of the shifted
     log-conductivities, after nearest-neighbor projection onto the
-    measurement partition when the partitions differ.
+    measurement partition when the partitions differ. Data not shaped like
+    the reference map ``lam0`` raise ``ValueError``.
     """
+    _check_data(data, lam0)
     try:
         lam_i = side_forward_map(rec, upsilon_i)
         res = float(np.linalg.norm(lam_i - data))
@@ -745,9 +753,35 @@ def param_to_json(pv: ParamVector) -> dict:
     return out
 
 
+def _entry(where: str, mapping, key: str):
+    """``mapping[key]``; ``ValueError`` naming ``where`` unless it is a mapping holding ``key``."""
+    _check_mapping(where, mapping)
+    if key not in mapping:
+        raise ValueError(f"{where} has no {key!r} entry")
+    return mapping[key]
+
+
 def param_from_json(data: dict) -> ParamVector:
-    xi = np.array(data["xi"]) if "xi" in data else None
-    return ParamVector(np.array(data["kappa"]), np.array(data["rho"]), xi)
+    """The parameters of :func:`param_to_json`; a malformed record raises ``ValueError``."""
+
+    def numbers(key: str) -> np.ndarray:
+        value = _entry("the parameter record", data, key)
+        try:
+            return np.array(value, dtype=float)
+        except (TypeError, ValueError):
+            raise ValueError(f"{key!r} of the parameter record must hold numbers") from None
+
+    xi = numbers("xi") if isinstance(data, Mapping) and "xi" in data else None
+    return ParamVector(numbers("kappa"), numbers("rho"), xi)
+
+
+def _read_json(path: Path, parse):
+    """``parse`` of the JSON document in ``path``; ``ValueError`` naming the file if it fails."""
+    text = path.read_text()
+    try:
+        return parse(json.loads(text))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def write_measurement(record: MeasurementRecord, directory: str | Path) -> None:
@@ -762,10 +796,21 @@ def write_measurement(record: MeasurementRecord, directory: str | Path) -> None:
 
 
 def read_measurement(directory: str | Path) -> tuple[np.ndarray, ParamVector, tuple]:
+    """Data matrix, target and noise levels of :func:`write_measurement`.
+
+    A malformed ``record.json`` raises ``ValueError`` naming the file.
+    """
     directory = Path(directory)
     upsilon = read_matrix(directory / "upsilon.txt")
-    meta = json.loads((directory / "record.json").read_text())
-    return upsilon, param_from_json(meta["target"]), tuple(meta["deltas"])
+
+    def parse(meta) -> tuple[ParamVector, tuple]:
+        target = param_from_json(_entry("the record", meta, "target"))
+        deltas = _entry("the record", meta, "deltas")
+        if not isinstance(deltas, list):
+            raise ValueError(f"the record's deltas must be a list, got {deltas!r}")
+        return target, tuple(deltas)
+
+    return (upsilon, *_read_json(directory / "record.json", parse))
 
 
 def write_reconstruction(outcome: ReconOutcome, path: str | Path) -> None:
@@ -778,6 +823,18 @@ def write_reconstruction(outcome: ReconOutcome, path: str | Path) -> None:
         "flat": outcome.upsilon.to_flat().tolist(),
     }
     Path(path).write_text(json.dumps(data, indent=1))
+
+
+def read_reconstruction(path: str | Path) -> ParamVector:
+    """Reconstructed parameters of :func:`write_reconstruction`.
+
+    A malformed record raises ``ValueError`` naming the file.
+    """
+
+    def parse(data) -> ParamVector:
+        return param_from_json(_entry("the reconstruction record", data, "upsilon"))
+
+    return _read_json(Path(path), parse)
 
 
 def _method_header(methods: Sequence[str], keys: Sequence[str]) -> list[str]:

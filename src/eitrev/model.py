@@ -101,7 +101,7 @@ class ConductivityPair:
     """Domain conductivity per cell and surface density at quadrature nodes.
 
     The same container carries admissible pairs (sigma > 0, zeta >= 0) and
-    signed perturbation pairs produced by :func:`dtau`.
+    signed perturbation pairs produced by :meth:`Parametrization.dtau`.
     """
 
     sigma: np.ndarray  # (n_cells,)
@@ -117,43 +117,17 @@ class ConductivityPair:
 
 
 # ---------------------------------------------------------------------------
-# Domain conductivity
-# ---------------------------------------------------------------------------
-
-
-def eval_sigma(config: ModelConfig, partition: Partition, kappa: np.ndarray) -> np.ndarray:
-    """Piecewise-constant conductivity exp(mu_kappa + kappa_i) per cell."""
-    kappa = np.asarray(kappa)
-    if kappa.shape != (partition.n_clusters,):
-        raise ValueError("kappa length must equal the cluster count")
-    return np.exp(config.mu_kappa + kappa)[partition.cluster_of]
-
-
-# ---------------------------------------------------------------------------
 # Contact models
 # ---------------------------------------------------------------------------
 
 
-def eval_zeta_cem(
-    config: ModelConfig, layout: ElectrodeLayout, theta: np.ndarray
-) -> np.ndarray:
-    """Constant contact density exp(mu_zeta + theta_m) / |e_m| on each e_m.
-
-    The integral of the density over electrode m equals
-    exp(mu_zeta + theta_m) exactly, because the same facet measures define
-    both the density and the integral.
-    """
-    theta = np.asarray(theta, dtype=float)
-    if theta.shape != (layout.n_electrodes,):
-        raise ValueError("theta length must equal the electrode count")
-    return _cem_density(layout, np.exp(config.mu_zeta + theta))
-
-
 def _cem_density(layout: ElectrodeLayout, coeff: np.ndarray) -> np.ndarray:
-    """Density coeff_m / |e_m| on the contact region e_m, zero elsewhere, per quadrature node."""
+    """Density coeff_m / |e_m| on the contact region e_m, zero elsewhere, per quadrature node.
+
+    Every contact region must have positive area; :class:`Parametrization`
+    checks that when it is built for the cem model.
+    """
     areas = layout.contact_measures
-    if np.any(areas <= 0):
-        raise ValueError("every contact region must have positive area")
     per_facet = coeff[layout.efacet_electrode]
     per_facet = np.where(layout.contact_mask, per_facet / areas[layout.efacet_electrode], 0.0)
     return np.repeat(per_facet[:, None], layout.equad_weights.shape[1], axis=1)
@@ -431,131 +405,9 @@ def _inadmissible(layout: ElectrodeLayout, xi: np.ndarray, config: ModelConfig) 
     return np.flatnonzero(~_admissible_contacts(layout, everyone, xi, config))
 
 
-def eval_zeta_smooth(
-    config: ModelConfig, layout: ElectrodeLayout, rho: np.ndarray, xi: np.ndarray
-) -> np.ndarray:
-    """Normalized bump density exp(rho_m + mu_zeta) psi_xi / integral(psi_xi).
-
-    The integral of the returned density over electrode m equals
-    exp(rho_m + mu_zeta) by construction of the shared quadrature. An
-    inadmissible contact location or a vanishing normalization integral
-    raises :class:`AdmissibilityError`.
-    """
-    rho = np.asarray(rho)
-    xi = np.asarray(xi)
-    M = layout.n_electrodes
-    if rho.shape != (M,) or xi.shape != (M, 2):
-        raise ValueError("contact parameters must provide (rho_m, xi_m) per electrode")
-    outside = _inadmissible(layout, xi, config)
-    if outside.size:
-        m = outside[0]
-        raise AdmissibilityError(
-            f"contact location {np.asarray(xi[m], float)} leaves electrode {m}"
-        )
-    bumps = BumpData(config, layout, rho, xi)
-    vanishing = [
-        m for g in bumps.groups for m, Z in zip(g.electrodes, g.Z.ravel()) if not Z > 1e-300
-    ]
-    if vanishing:
-        raise AdmissibilityError(
-            f"contact normalization integral vanishes on electrode {min(vanishing)}"
-        )
-    zeta = np.zeros(layout.equad_weights.shape, dtype=np.result_type(rho, xi, layout.equad_local))
-    for g in bumps.groups:
-        zeta[g.rows.ravel()] = (g.scale * g.h / g.Z).reshape(-1, zeta.shape[1])
-    return zeta
-
-
 # ---------------------------------------------------------------------------
 # The parametrization and its derivatives
 # ---------------------------------------------------------------------------
-
-
-def dtau(
-    config: ModelConfig,
-    layout: ElectrodeLayout,
-    partition: Partition,
-    iota: ParamVector,
-    directions: Sequence[ParamVector],
-    bumps: BumpData | None = None,
-) -> ConductivityPair:
-    """Directional derivative of the conductivity pair, orders one to three.
-
-    The derivative is multilinear and symmetric in the directions. The domain
-    part is exp(mu_kappa + kappa_i) times the product of the direction
-    components on each cluster; the contact part differentiates the cem
-    exponential or the normalized bump in closed form.
-
-    The base point must be admissible and is not checked here;
-    :class:`~eitrev.calculus.DerivativeStack` checks it once, through
-    :meth:`Parametrization.tau`, when it is built.
-    For the smooth model, ``bumps`` is the :class:`BumpData` of ``iota`` when
-    the caller holds it; without it the call builds its own.
-    """
-    k = len(directions)
-    if k < 1 or k > 3:
-        raise ValueError("dtau supports derivative orders one to three")
-    if any(d.kind != iota.kind for d in directions):
-        raise ValueError("directions must match the parametrization variant")
-
-    base = np.exp(config.mu_kappa + iota.kappa)
-    prod = directions[0].kappa
-    for d in directions[1:]:
-        prod = prod * d.kappa
-    dsigma = (base * prod)[partition.cluster_of]
-
-    dzeta = np.zeros_like(layout.equad_weights)
-    # Multilinearity: electrode m contributes only when every direction has a
-    # nonzero contact component there.
-    contact_active = None
-    for d in directions:
-        active = d.rho != 0
-        if d.xi is not None:
-            active |= (d.xi != 0).any(axis=1)
-        contact_active = active if contact_active is None else contact_active & active
-    if not contact_active.any():
-        return ConductivityPair(dsigma, dzeta)
-    if iota.kind == "cem":
-        coeff = np.exp(config.mu_zeta + iota.rho)
-        for d in directions:
-            coeff = coeff * d.rho
-        return ConductivityPair(dsigma, _cem_density(layout, coeff))
-
-    if bumps is None:
-        bumps = BumpData(config, layout, iota.rho, iota.xi)
-    elif bumps.rho is not iota.rho or bumps.xi is not iota.xi:
-        raise ValueError("the bump data belongs to another base point")
-    # Leibniz rule for exp(rho_m + mu_zeta) G(xi_m): one term per subset S of the
-    # directions, largest first and lexicographic within one size. Two subsets
-    # whose remaining directions are the same objects in the same order give
-    # the same term, computed once: their own directions then agree up to
-    # order, and a product of two factors commutes exactly.
-    subsets = [S for size in range(k, -1, -1) for S in combinations(range(k), size)]
-    for group in bumps.groups:
-        sel = np.flatnonzero(contact_active[group.electrodes])
-        if sel.size == 0:
-            continue
-        if sel.size < len(group.electrodes):
-            group = group.take(sel)
-        expansion = _Expansion(group, directions, bumps.R2)
-        handles = expansion.handles
-        r = [d.rho[group.electrodes][:, None, None] for d in directions]
-        terms: dict[tuple, np.ndarray] = {}
-        total = None
-        for S in subsets:
-            rest = tuple(handles[j] for j in range(k) if j not in S)
-            term = terms.get(rest)
-            if term is None:
-                term = expansion.normalized(*rest)
-                if S:
-                    coeff = r[S[0]]
-                    for i in S[1:]:
-                        coeff = coeff * r[i]
-                    term = coeff * term
-                terms[rest] = term
-            total = term if total is None else total + term
-        dzeta[group.rows.ravel()] = (group.scale * total).reshape(-1, dzeta.shape[1])
-    return ConductivityPair(dsigma, dzeta)
 
 
 @dataclass(frozen=True)
@@ -565,7 +417,8 @@ class Parametrization:
     Bundles the model constants and geometry needed to evaluate tau and its
     derivatives, and owns the flat-vector layout (kappa, rho, xi) used by
     priors and by the regularized inversion. The partition and the electrode
-    layout must live on the same mesh.
+    layout must live on the same mesh, and for the cem model every contact
+    region must have positive area.
     """
 
     config: ModelConfig
@@ -578,6 +431,8 @@ class Parametrization:
             raise ValueError("kind must be 'cem' or 'smooth'")
         if self.partition.mesh is not self.layout.mesh:
             raise ValueError("the partition and the electrode layout are on different meshes")
+        if self.kind == "cem" and np.any(self.layout.contact_measures <= 0):
+            raise ValueError("every contact region must have positive area")
 
     @property
     def n_clusters(self) -> int:
@@ -605,13 +460,49 @@ class Parametrization:
         return ParamVector(vec[:k].copy(), vec[k : k + M].copy(), xi)
 
     def tau(self, iota: ParamVector) -> ConductivityPair:
-        """Conductivity pair at ``iota``; an inadmissible point raises ``AdmissibilityError``."""
-        sigma = eval_sigma(self.config, self.partition, iota.kappa)
+        """Conductivity pair at ``iota``, in the precision of ``iota``.
+
+        The domain conductivity is exp(mu_kappa + kappa_i) on every cell of
+        cluster i. The contact density on electrode m is
+        exp(mu_zeta + rho_m) / |e_m| on its contact region e_m for cem, and
+        the normalized bump exp(mu_zeta + rho_m) psi_xi / integral(psi_xi)
+        for smooth. Either way its integral over electrode m equals
+        exp(mu_zeta + rho_m), because the same facet quadrature defines the
+        density and the integral. An inadmissible contact location or a
+        vanishing normalization integral raises :class:`AdmissibilityError`.
+        """
+        config, layout = self.config, self.layout
+        kappa, rho, xi = np.asarray(iota.kappa), np.asarray(iota.rho), iota.xi
+        M = self.n_electrodes
+        if kappa.shape != (self.n_clusters,):
+            raise ValueError("kappa length must equal the cluster count")
+        sigma = np.exp(config.mu_kappa + kappa)[self.partition.cluster_of]
         if self.kind == "cem":
-            zeta = eval_zeta_cem(self.config, self.layout, iota.rho)
-        else:
-            zeta = eval_zeta_smooth(self.config, self.layout, iota.rho, iota.xi)
-        return ConductivityPair(sigma, np.asarray(zeta, dtype=float))
+            if rho.shape != (M,):
+                raise ValueError("theta length must equal the electrode count")
+            return ConductivityPair(sigma, _cem_density(layout, np.exp(config.mu_zeta + rho)))
+        xi = np.asarray(xi)
+        if rho.shape != (M,) or xi.shape != (M, 2):
+            raise ValueError("contact parameters must provide (rho_m, xi_m) per electrode")
+        outside = _inadmissible(layout, xi, config)
+        if outside.size:
+            m = outside[0]
+            raise AdmissibilityError(
+                f"contact location {np.asarray(xi[m], float)} leaves electrode {m}"
+            )
+        bumps = BumpData(config, layout, rho, xi)
+        vanishing = [
+            m for g in bumps.groups for m, Z in zip(g.electrodes, g.Z.ravel()) if not Z > 1e-300
+        ]
+        if vanishing:
+            raise AdmissibilityError(
+                f"contact normalization integral vanishes on electrode {min(vanishing)}"
+            )
+        dtype = np.result_type(rho, xi, layout.equad_local)
+        zeta = np.zeros(layout.equad_weights.shape, dtype=dtype)
+        for g in bumps.groups:
+            zeta[g.rows.ravel()] = (g.scale * g.h / g.Z).reshape(-1, zeta.shape[1])
+        return ConductivityPair(sigma, zeta)
 
     def dtau(
         self,
@@ -619,7 +510,84 @@ class Parametrization:
         directions: Sequence[ParamVector],
         bumps: BumpData | None = None,
     ) -> ConductivityPair:
-        return dtau(self.config, self.layout, self.partition, iota, directions, bumps)
+        """Directional derivative of the conductivity pair, orders one to three.
+
+        The derivative is multilinear and symmetric in the directions. The
+        domain part is exp(mu_kappa + kappa_i) times the product of the
+        direction components on each cluster; the contact part differentiates
+        the cem exponential or the normalized bump in closed form.
+
+        The base point must be admissible and is not checked here;
+        :class:`~eitrev.calculus.DerivativeStack` checks it once, through
+        :meth:`tau`, when it is built. For the smooth model, ``bumps`` is the
+        :class:`BumpData` of ``iota`` when the caller holds it; without it
+        the call builds its own.
+        """
+        config, layout = self.config, self.layout
+        k = len(directions)
+        if k < 1 or k > 3:
+            raise ValueError("dtau supports derivative orders one to three")
+        if any(d.kind != iota.kind for d in directions):
+            raise ValueError("directions must match the parametrization variant")
+
+        base = np.exp(config.mu_kappa + iota.kappa)
+        prod = directions[0].kappa
+        for d in directions[1:]:
+            prod = prod * d.kappa
+        dsigma = (base * prod)[self.partition.cluster_of]
+
+        dzeta = np.zeros_like(layout.equad_weights)
+        # Multilinearity: electrode m contributes only when every direction has a
+        # nonzero contact component there.
+        contact_active = None
+        for d in directions:
+            active = d.rho != 0
+            if d.xi is not None:
+                active |= (d.xi != 0).any(axis=1)
+            contact_active = active if contact_active is None else contact_active & active
+        if not contact_active.any():
+            return ConductivityPair(dsigma, dzeta)
+        if iota.kind == "cem":
+            coeff = np.exp(config.mu_zeta + iota.rho)
+            for d in directions:
+                coeff = coeff * d.rho
+            return ConductivityPair(dsigma, _cem_density(layout, coeff))
+
+        if bumps is None:
+            bumps = BumpData(config, layout, iota.rho, iota.xi)
+        elif bumps.rho is not iota.rho or bumps.xi is not iota.xi:
+            raise ValueError("the bump data belongs to another base point")
+        # Leibniz rule for exp(rho_m + mu_zeta) G(xi_m): one term per subset S of the
+        # directions, largest first and lexicographic within one size. Two subsets
+        # whose remaining directions are the same objects in the same order give
+        # the same term, computed once: their own directions then agree up to
+        # order, and a product of two factors commutes exactly.
+        subsets = [S for size in range(k, -1, -1) for S in combinations(range(k), size)]
+        for group in bumps.groups:
+            sel = np.flatnonzero(contact_active[group.electrodes])
+            if sel.size == 0:
+                continue
+            if sel.size < len(group.electrodes):
+                group = group.take(sel)
+            expansion = _Expansion(group, directions, bumps.R2)
+            handles = expansion.handles
+            r = [d.rho[group.electrodes][:, None, None] for d in directions]
+            terms: dict[tuple, np.ndarray] = {}
+            total = None
+            for S in subsets:
+                rest = tuple(handles[j] for j in range(k) if j not in S)
+                term = terms.get(rest)
+                if term is None:
+                    term = expansion.normalized(*rest)
+                    if S:
+                        coeff = r[S[0]]
+                        for i in S[1:]:
+                            coeff = coeff * r[i]
+                        term = coeff * term
+                    terms[rest] = term
+                total = term if total is None else total + term
+            dzeta[group.rows.ravel()] = (group.scale * total).reshape(-1, dzeta.shape[1])
+        return ConductivityPair(dsigma, dzeta)
 
     def bump_data(self, iota: ParamVector) -> BumpData | None:
         """Read-only contact data of a base point for :meth:`dtau`; None for cem."""

@@ -23,7 +23,7 @@ from eitrev.inversion import (
     revert,
     sequential_linearize,
 )
-from eitrev.model import ConductivityPair, ParamVector, dtau, eval_zeta_smooth
+from eitrev.model import ConductivityPair, ParamVector
 
 _RESULTS: list[tuple[str, bool, str]] = []
 
@@ -142,7 +142,7 @@ class TestCriterion3DerivativeCorrectness:
         vols = disk2.cell_volumes
 
         def zeta_of(flat):
-            return eval_zeta_smooth(config, layout8, flat[20:28], flat[28:].reshape(8, 2))
+            return smooth8.tau(ParamVector(flat[:20], flat[20:28], flat[28:].reshape(8, 2))).zeta
 
         def sigma_of(flat):
             return np.exp(np.longdouble(config.mu_kappa) + flat[:20])[part20.cluster_of]
@@ -176,7 +176,7 @@ class TestCriterion3DerivativeCorrectness:
                     e = np.zeros(44)
                     e[idx] = 1.0
                     dirs.append(smooth8.from_flat(e))
-                closed = dtau(config, layout8, part20, iota, dirs).zeta
+                closed = smooth8.dtau(iota, dirs).zeta
                 approx = fd(zeta_of, dirs, base, order).astype(float)
                 rel = surf_l2(closed - approx) / max(surf_l2(closed), 1e-300)
                 worst = max(worst, rel)
@@ -184,7 +184,7 @@ class TestCriterion3DerivativeCorrectness:
         # random full directions, domain and contact parts, orders 1..3
         for order in (1, 2, 3):
             dirs = [_random_direction(rng, 20, 8) for _ in range(order)]
-            closed = dtau(config, layout8, part20, iota, dirs)
+            closed = smooth8.dtau(iota, dirs)
             approx_z = fd(zeta_of, dirs, base, order).astype(float)
             approx_s = fd(sigma_of, dirs, base, order).astype(float)
             worst = max(worst, surf_l2(closed.zeta - approx_z) / surf_l2(closed.zeta))

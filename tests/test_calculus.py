@@ -167,7 +167,7 @@ class TestTaylorEval:
         series = stack.lam.copy()
         current = stack.base
         for _ in range(3):
-            current = fem.apply_P(system, eta_pair, current)
+            current = system.perturbation(eta_pair).apply(current)
             series += current.coefficients(stack.basis)
         assert np.allclose(got, series, atol=1e-11 * np.abs(series).max())
 
@@ -188,8 +188,8 @@ class TestTaylorEval:
         x = np.array([0.9, 0.3])
         d2 = stack.dlambda2(x)
         eta_pair = linear.dtau(linear.zero(), [x])
-        once = fem.apply_P(system, eta_pair, stack.base)
-        twice = fem.apply_P(system, eta_pair, once)
+        once = system.perturbation(eta_pair).apply(stack.base)
+        twice = system.perturbation(eta_pair).apply(once)
         expect = 2.0 * twice.coefficients(stack.basis)
         assert np.allclose(d2, expect, atol=1e-12 * max(1.0, np.abs(expect).max()))
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import eitrev
-from eitrev.cli import main
+from eitrev.cli import _load_case, build_parser, main
 from eitrev.harness import read_matrix
 from eitrev.mesh import load_mesh, load_partition
 
@@ -329,3 +329,96 @@ def test_non_finite_grid_is_one_error_line(tmp_path, grid):
     assert proc.stderr.splitlines() == [proc.stderr.strip()]
     assert proc.stderr.startswith("ValueError: scaling factors must be positive and finite")
     assert not (tmp_path / "out").exists()
+
+
+@pytest.fixture(scope="module")
+def recorded(workdir):
+    """A simulated C1 measurement and an order-one reconstruction from it."""
+    sim_dir, rec_path = workdir / "recorded", workdir / "recorded.json"
+    assert main(["simulate", "--seed", "4", "--out", str(sim_dir)]) == 0
+    argv = ["reconstruct", "--data", str(sim_dir), "--order", "1", "--out", str(rec_path)]
+    assert main(argv) == 0
+    return sim_dir, rec_path
+
+
+def _cut_to_first_row(sim_dir, tmp_path):
+    cut = tmp_path / "cut"
+    cut.mkdir()
+    (cut / "record.json").write_text((sim_dir / "record.json").read_text())
+    lines = (sim_dir / "upsilon.txt").read_text().splitlines()
+    (cut / "upsilon.txt").write_text(lines[0] + "\n")
+    return cut
+
+
+@pytest.mark.parametrize("command", ["reconstruct", "indicators"])
+def test_data_matrix_of_the_wrong_shape_exits_2(recorded, tmp_path, capsys, command):
+    sim_dir, rec_path = recorded
+    cut = _cut_to_first_row(sim_dir, tmp_path)
+    out = tmp_path / "out"
+    if command == "reconstruct":
+        argv = ["reconstruct", "--data", str(cut), "--order", "1", "--out", str(out)]
+    else:
+        argv = ["indicators", "--data", str(cut), "--recon", str(rec_path), "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == [err.strip()]
+    assert err.startswith("ValueError: ") and "(1, 15)" in err and "(15, 15)" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("record", ["reconstruction", "measurement"])
+def test_malformed_record_file_exits_2(recorded, tmp_path, capsys, record):
+    sim_dir, rec_path = recorded
+    out = tmp_path / "out"
+    if record == "reconstruction":
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"method": "1"}))
+        argv = ["indicators", "--data", str(sim_dir), "--recon", str(bad), "--out", str(out)]
+        key = "'upsilon'"
+    else:
+        data = tmp_path / "sim"
+        data.mkdir()
+        (data / "upsilon.txt").write_text((sim_dir / "upsilon.txt").read_text())
+        meta = json.loads((sim_dir / "record.json").read_text())
+        del meta["target"]["rho"]
+        bad = data / "record.json"
+        bad.write_text(json.dumps(meta))
+        argv = ["reconstruct", "--data", str(data), "--order", "1", "--out", str(out)]
+        key = "'rho'"
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == [err.strip()]
+    assert err.startswith("ValueError: ") and str(bad) in err and key in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flag, config, expect",
+    [
+        (None, None, "C1"),
+        ("C2", None, "C2"),
+        (None, {"case": "C3"}, "C3"),
+        ("C3", {"case": "C3"}, "C3"),
+        ("C2", {"n_samples": 4}, "C2"),
+    ],
+)
+def test_case_comes_from_the_flag_or_the_config(tmp_path, flag, config, expect):
+    argv = ["simulate", "--out", str(tmp_path / "sim")]
+    if flag is not None:
+        argv += ["--case", flag]
+    if config is not None:
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(config))
+        argv += ["--config", str(cfg)]
+    assert _load_case(build_parser().parse_args(argv)).name == expect
+
+
+def test_case_flag_differing_from_the_config_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"case": "C3"}))
+    out = tmp_path / "sim"
+    assert main(["simulate", "--case", "C2", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == [err.strip()]
+    assert err.startswith("ValueError: ") and "C2" in err and "'C3'" in err
+    assert not out.exists()

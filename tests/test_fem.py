@@ -124,7 +124,7 @@ class TestApplyP:
             np.zeros(stack8.system.mesh.n_cells),
             np.zeros_like(stack8.system.layout.equad_weights),
         )
-        out = fem.apply_P(stack8.system, zero, stack8.base)
+        out = stack8.system.perturbation(zero).apply(stack8.base)
         assert np.all(out.u == 0.0)
         assert np.all(out.U == 0.0)
 
@@ -139,14 +139,14 @@ class TestApplyP:
         )
         a, b = 0.3, -1.7
         base = stack8.base
-        out = fem.apply_P(stack8.system, a * e1 + b * e2, base)
-        o1 = fem.apply_P(stack8.system, e1, base)
-        o2 = fem.apply_P(stack8.system, e2, base)
+        out = stack8.system.perturbation(a * e1 + b * e2).apply(base)
+        o1 = stack8.system.perturbation(e1).apply(base)
+        o2 = stack8.system.perturbation(e2).apply(base)
         assert np.allclose(out.u, a * o1.u + b * o2.u, atol=1e-10)
         # linearity in the input pair
         sub = fem.SolutionSet(base.u[:, :2] + 2.0 * base.u[:, 2:4], base.U[:, :2] + 2.0 * base.U[:, 2:4])
-        lhs = fem.apply_P(stack8.system, e1, sub)
-        parts = fem.apply_P(stack8.system, e1, base)
+        lhs = stack8.system.perturbation(e1).apply(sub)
+        parts = stack8.system.perturbation(e1).apply(base)
         assert np.allclose(lhs.u, parts.u[:, :2] + 2.0 * parts.u[:, 2:4], atol=1e-10)
 
     def test_first_difference_slope(self, disk2, layout8, smooth8, basis8):
@@ -161,7 +161,7 @@ class TestApplyP:
         system = fem.AssembledSystem(layout8, tau)
         current = basis8.B[:, 0]
         base = fem.solve_forward(system, current)
-        step = fem.apply_P(system, eta, base)
+        step = system.perturbation(eta).apply(base)
         svals = [2.0 ** (-k) for k in range(2, 8)]
         rems = []
         for s in svals:
@@ -182,7 +182,7 @@ class TestBformEval:
         system = stack8.system
         current = basis8.B[:, 2]
         sol = fem.solve_forward(system, current)
-        val = fem.bform_eval(system, system.tau, sol[0], sol[0])[0, 0]
+        val = system.perturbation(system.tau).bform(sol[0], sol[0])[0, 0]
         assert val == pytest.approx(float(current @ sol.U[:, 0]), rel=1e-10)
 
     def test_zero_perturbation(self, stack8):
@@ -190,7 +190,8 @@ class TestBformEval:
             np.zeros(stack8.system.mesh.n_cells),
             np.zeros_like(stack8.system.layout.equad_weights),
         )
-        assert fem.bform_eval(stack8.system, zero, stack8.base[0], stack8.base[1])[0, 0] == 0.0
+        form = stack8.system.perturbation(zero)
+        assert form.bform(stack8.base[0], stack8.base[1])[0, 0] == 0.0
 
     def test_symmetry(self, stack8, smooth8):
         rng = np.random.default_rng(10)
@@ -199,8 +200,8 @@ class TestBformEval:
             rng.standard_normal(len(tau.sigma)), rng.standard_normal(tau.zeta.shape)
         )
         a, b = stack8.base[0], stack8.base[3]
-        assert fem.bform_eval(stack8.system, eta, a, b)[0, 0] == pytest.approx(
-            fem.bform_eval(stack8.system, eta, b, a)[0, 0], rel=1e-12
+        assert stack8.system.perturbation(eta).bform(a, b)[0, 0] == pytest.approx(
+            stack8.system.perturbation(eta).bform(b, a)[0, 0], rel=1e-12
         )
 
     def test_hand_quadrature_on_one_cell(self):
@@ -217,7 +218,7 @@ class TestBformEval:
         U1, U2 = rng.standard_normal(2), rng.standard_normal(2)
         p1 = fem.SolutionSet(u1, U1)
         p2 = fem.SolutionSet(u2, U2)
-        got = fem.bform_eval(system, eta, p1, p2)[0, 0]
+        got = system.perturbation(eta).bform(p1, p2)[0, 0]
 
         # hand computation: gradients of the affine interpolants
         verts = mesh.vertices[mesh.cells[0]]
@@ -361,13 +362,9 @@ class TestAccounting:
         fem.solve_forward(system, basis8.B)
         assert system.solve_count == 7
         sols = fem.solve_forward(system, basis8.B[:, :3])
-        fem.apply_P(
-            system,
-            ConductivityPair(
-                np.ones(disk2.n_cells), np.zeros_like(layout8.equad_weights)
-            ),
-            sols,
-        )
+        system.perturbation(
+            ConductivityPair(np.ones(disk2.n_cells), np.zeros_like(layout8.equad_weights))
+        ).apply(sols)
         assert system.solve_count == 13
         assert system.factor_count == 1
 

@@ -1,6 +1,7 @@
 """Simulation, indicators, experiment drivers, and file formats."""
 
 import copy
+import json
 import math
 from dataclasses import replace
 
@@ -14,7 +15,6 @@ from eitrev.harness import (
     build_models,
     build_noise_cov_for_side,
     case_from_config,
-    draw_from_prior,
     draw_target,
     experiment1,
     experiment2,
@@ -64,8 +64,9 @@ def layout_checks(monkeypatch):
 class TestDraws:
     def test_same_seed_same_draw(self, smooth8):
         prior = build_prior(smooth8, PriorGammas(0.1, 1.0, 0.1, 0.02))
-        assert np.array_equal(draw_from_prior(prior, 5), draw_from_prior(prior, 5))
-        assert not np.array_equal(draw_from_prior(prior, 5), draw_from_prior(prior, 6))
+        draw = [prior.sample(sample_rng(seed, 0)) for seed in (5, 5, 6)]
+        assert np.array_equal(draw[0], draw[1])
+        assert not np.array_equal(draw[0], draw[2])
 
     def test_kappa_variance_monte_carlo(self, smooth8):
         gammas = PriorGammas(0.25, 0.7, 0.1, 0.02)
@@ -193,6 +194,15 @@ class TestIndicators:
         # same partition here (inverse crime): direct volume-weighted norm
         expect = math.sqrt(float(np.sum(vols * (kappa_r - kappa_t) ** 2)))
         assert ind.err == pytest.approx(expect, rel=1e-12)
+
+
+    def test_data_of_another_shape_is_rejected(self, sides):
+        meas, rec = sides
+        lam0 = side_forward_map(rec, rec.param.zero())
+        zero = rec.param.zero()
+        for data in (lam0[:1], lam0[:, :14], lam0.ravel()):
+            with pytest.raises(ValueError, match=r"shape \(15, 15\)"):
+                indicators(rec, meas, zero, zero, data, lam0)
 
 
 class TestRetention:
@@ -432,6 +442,12 @@ class TestReconstructor:
         recon._rebase(rec.param.zero())
         assert layout_checks == [list(range(rec.param.n_electrodes))]
 
+    @pytest.mark.parametrize("method", ["1", "1,1"])
+    def test_data_of_another_shape_is_rejected(self, recon, data, method):
+        for bad in (data[:1], data[:, :14], data.ravel()):
+            with pytest.raises(ValueError, match=r"shape \(15, 15\)"):
+                recon.run(method, bad)
+
     def test_with_gammas_shares_the_origin_model(self, sides, data):
         _, rec = sides
         gammas = rec.spec.gammas.scaled(2.0)
@@ -484,9 +500,55 @@ class TestSerialization:
         assert len(data["components"]) == 2
         back = harness.param_from_json(data["upsilon"])
         assert np.array_equal(back.to_flat(), outcome.upsilon.to_flat())
+        assert np.array_equal(harness.read_reconstruction(path).to_flat(), back.to_flat())
         # partial sums compose exactly
         comp = [harness.param_from_json(c) for c in data["components"]]
         assert np.array_equal((comp[0] + comp[1]).to_flat(), back.to_flat())
+
+
+    @pytest.mark.parametrize(
+        "record, message",
+        [
+            ({"method": "1"}, "has no 'upsilon' entry"),
+            ([1, 2], "must be a mapping"),
+            ({"upsilon": {"kappa": [0.0]}}, "has no 'rho' entry"),
+            ({"upsilon": {"kappa": ["a"], "rho": [0.0]}}, "'kappa' of the parameter record"),
+            ({"upsilon": 3}, "must be a mapping"),
+        ],
+        ids=["no-upsilon", "list", "no-rho", "kappa-strings", "upsilon-number"],
+    )
+    def test_malformed_reconstruction_record_names_file_and_key(self, tmp_path, record, message):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(record))
+        with pytest.raises(ValueError, match=message) as info:
+            harness.read_reconstruction(path)
+        assert str(path) in str(info.value)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda meta: meta["target"].pop("rho"), "has no 'rho' entry"),
+            (lambda meta: meta.pop("target"), "has no 'target' entry"),
+            (lambda meta: meta.pop("deltas"), "has no 'deltas' entry"),
+            (lambda meta: meta.update(deltas=5), "deltas must be a list"),
+        ],
+        ids=["no-rho", "no-target", "no-deltas", "deltas-number"],
+    )
+    def test_malformed_measurement_record_names_file_and_key(
+        self, tmp_path, sides, edit, message
+    ):
+        _, rec = sides
+        zero = rec.param.zero()
+        lam0 = side_forward_map(rec, zero)
+        record = harness.MeasurementRecord(lam0, zero, lam0, (0.0, 0.0), np.zeros((16, 15)))
+        write_measurement(record, tmp_path)
+        path = tmp_path / "record.json"
+        meta = json.loads(path.read_text())
+        edit(meta)
+        path.write_text(json.dumps(meta))
+        with pytest.raises(ValueError, match=message) as info:
+            read_measurement(tmp_path)
+        assert str(path) in str(info.value)
 
 
 class TestCaseConfig:

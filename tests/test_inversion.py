@@ -332,8 +332,8 @@ class TestRevert:
         result = revert(stack, inv, data, order=2)
         eta1 = result.etas[0]
         pair1 = linear.dtau(linear.zero(), [eta1])
-        once = fem.apply_P(system, pair1, stack.base)
-        twice = fem.apply_P(system, pair1, once)
+        once = system.perturbation(pair1).apply(stack.base)
+        twice = system.perturbation(pair1).apply(once)
         expect = -1.0 * inv(twice.coefficients(stack8.basis))
         assert np.allclose(result.etas[1], expect, atol=1e-11)
 

@@ -22,10 +22,6 @@ from eitrev.model import (
     Parametrization,
     bump,
     contact_admissible,
-    dtau,
-    eval_sigma,
-    eval_zeta_cem,
-    eval_zeta_smooth,
 )
 from eitrev.quadrature import facet_rule
 
@@ -38,58 +34,117 @@ def electrode_integral(layout, values, m=None):
     return float((w[sl] * values[sl]).sum())
 
 
+def cem_tau(param, kappa=None, theta=None):
+    """tau of the cem parametrization at (kappa, theta), each zero when not given."""
+    kappa = np.zeros(param.n_clusters) if kappa is None else kappa
+    theta = np.zeros(param.n_electrodes) if theta is None else theta
+    return param.tau(ParamVector(kappa, theta))
+
+
+def smooth_zeta(param, rho, xi):
+    """Contact density of the smooth parametrization at (0, rho, xi)."""
+    return param.tau(ParamVector(np.zeros(param.n_clusters), rho, xi)).zeta
+
+
 class TestSigma:
-    def test_zero_shift_is_background(self, config, part20):
-        sigma = eval_sigma(config, part20, np.zeros(20))
+    def test_zero_shift_is_background(self, cem8):
+        sigma = cem_tau(cem8).sigma
         assert np.allclose(sigma, math.exp(-3.0))
         assert sigma[0] == pytest.approx(0.049787068367863944)
 
-    def test_unit_conductivity_on_cluster(self, config, part20):
+    def test_unit_conductivity_on_cluster(self, cem8, part20):
         kappa = np.zeros(20)
         kappa[4] = 3.0
-        sigma = eval_sigma(config, part20, kappa)
+        sigma = cem_tau(cem8, kappa).sigma
         on = part20.cluster_of == 4
         assert np.allclose(sigma[on], 1.0)
         assert np.allclose(sigma[~on], math.exp(-3.0))
 
-    def test_matches_scalar_oracle(self, config, part20):
+    def test_matches_scalar_oracle(self, cem8, part20):
         rng = np.random.default_rng(1)
         kappa = rng.standard_normal(20)
-        sigma = eval_sigma(config, part20, kappa)
+        sigma = cem_tau(cem8, kappa).sigma
         for cell in range(0, part20.mesh.n_cells, 7):
             i = part20.cluster_of[cell]
             assert sigma[cell] == pytest.approx(math.exp(-3.0 + kappa[i]), rel=1e-15)
 
-    def test_length_mismatch(self, config, part20):
+    def test_length_mismatch(self, cem8):
         with pytest.raises(ValueError):
-            eval_sigma(config, part20, np.zeros(7))
+            cem_tau(cem8, np.zeros(7))
+
+
+def tau_point(param):
+    """A fixed admissible point of ``param`` away from the origin."""
+    rng = np.random.default_rng(31)
+    M = param.n_electrodes
+    kappa = 0.3 * rng.standard_normal(param.n_clusters)
+    rho = 0.2 * rng.standard_normal(M)
+    xi = 0.03 * rng.standard_normal((M, 2)) if param.kind == "smooth" else None
+    return ParamVector(kappa, rho, xi)
+
+
+class TestTau:
+    # sha256 of the little-endian sigma and zeta bytes, pinned so that a
+    # rewrite of tau cannot move a single rounding of a float64 point.
+    @pytest.mark.parametrize(
+        "name, origin, digest",
+        [
+            ("smooth8", True, "804924bab35655c2921357ae60be53e0346261ef3209db932f69de1c0ff4ca7a"),
+            ("smooth8", False, "ce04eb1cf34939e5475a3652a7ff94ac7c3c882e82690b631f6de46b731b0c46"),
+            ("cem8", True, "1b14fa10b153723d59912bd939b8cb59d1e18e5b48e9a4d074d6ae1314829933"),
+            ("cem8", False, "e495670fca82830371fdf6eed61a9b9bd37d4f88cfbed37422e38257c8e0f7dc"),
+            ("smooth16", True, "d81aece801e930f7d94d6b3c621be1a0a35fe06eacc6bd5c1379c23045c8d534"),
+            ("smooth16", False, "5fbdc4b5b28be35eece0a744b80fd66721001d141e837fecb66a32a78942075d"),
+        ],
+    )
+    def test_outputs_are_pinned(self, request, name, origin, digest):
+        param = request.getfixturevalue(name)
+        iota = param.zero() if origin else tau_point(param)
+        assert param.admissible(iota)
+        out = param.tau(iota)
+        assert out.sigma.dtype == np.float64 and out.zeta.dtype == np.float64
+        sha = hashlib.sha256()
+        sha.update(out.sigma.astype("<f8").tobytes())
+        sha.update(out.zeta.astype("<f8").tobytes())
+        assert sha.hexdigest() == digest
+
+    @pytest.mark.parametrize("name", ["smooth8", "cem8"])
+    def test_keeps_extended_precision(self, request, name):
+        param = request.getfixturevalue(name)
+        iota = tau_point(param)
+        xi = None if iota.xi is None else iota.xi.astype(np.longdouble)
+        wide = ParamVector(iota.kappa.astype(np.longdouble), iota.rho.astype(np.longdouble), xi)
+        out, ref = param.tau(wide), param.tau(iota)
+        assert out.sigma.dtype == np.longdouble and out.zeta.dtype == np.longdouble
+        for wide_part, part in ((out.sigma, ref.sigma), (out.zeta, ref.zeta)):
+            assert np.abs(wide_part - part).max() <= 1e-14 * np.abs(part).max()
 
 
 class TestZetaCem:
-    def test_conductance_is_exact(self, config, layout8):
-        zeta = eval_zeta_cem(config, layout8, np.zeros(8))
+    def test_conductance_is_exact(self, cem8, layout8):
+        zeta = cem_tau(cem8, theta=np.zeros(8)).zeta
         for m in range(8):
             assert electrode_integral(layout8, zeta, m) == pytest.approx(
                 math.exp(-3.0), rel=1e-14
             )
 
-    def test_single_electrode_doubles(self, config, layout8):
+    def test_single_electrode_doubles(self, cem8, layout8):
         theta = np.zeros(8)
         theta[2] = math.log(2.0)
-        zeta = eval_zeta_cem(config, layout8, theta)
+        zeta = cem_tau(cem8, theta=theta).zeta
         for m in range(8):
             expect = math.exp(-3.0) * (2.0 if m == 2 else 1.0)
             assert electrode_integral(layout8, zeta, m) == pytest.approx(expect, rel=1e-14)
 
-    def test_rejects_a_contact_region_of_zero_area(self, config, layout8):
+    def test_rejects_a_contact_region_of_zero_area(self, config, part20, layout8):
         mask = layout8.contact_mask.copy()
         mask[layout8.efacet_slices[5]] = False
         layout = dataclasses.replace(layout8, contact_mask=mask)
         with pytest.raises(ValueError, match="positive area"):
-            eval_zeta_cem(config, layout, np.zeros(8))
+            Parametrization(config, part20, layout, "cem")
 
-    def test_vanishes_off_contact_region(self, config, layout8):
-        zeta = eval_zeta_cem(config, layout8, np.zeros(8))
+    def test_vanishes_off_contact_region(self, cem8, layout8):
+        zeta = cem_tau(cem8, theta=np.zeros(8)).zeta
         off = ~layout8.contact_mask
         assert np.all(zeta[off] == 0.0)
         assert np.all(zeta[layout8.contact_mask] > 0.0)
@@ -119,27 +174,27 @@ class TestBump:
 
 
 class TestZetaSmooth:
-    def test_normalized_conductance(self, config, layout16):
+    def test_normalized_conductance(self, smooth16, layout16):
         rho = np.zeros(16)
         xi = np.zeros((16, 2))
-        zeta = eval_zeta_smooth(config, layout16, rho, xi)
+        zeta = smooth_zeta(smooth16, rho, xi)
         for m in range(16):
             assert electrode_integral(layout16, zeta, m) == pytest.approx(
                 math.exp(-3.0), rel=1e-13
             )
 
-    def test_strength_scales_conductance(self, config, layout16):
+    def test_strength_scales_conductance(self, smooth16, layout16):
         rho = np.zeros(16)
         rho[3] = 0.7
-        zeta = eval_zeta_smooth(config, layout16, rho, np.zeros((16, 2)))
+        zeta = smooth_zeta(smooth16, rho, np.zeros((16, 2)))
         assert electrode_integral(layout16, zeta, 3) == pytest.approx(
             math.exp(0.7 - 3.0), rel=1e-13
         )
 
-    def test_reflection_symmetry(self, config, layout16):
+    def test_reflection_symmetry(self, smooth16, layout16):
         # electrode 0 sits symmetrically about the x-axis; the density at
         # centered contact must be symmetric under the local reflection.
-        zeta = eval_zeta_smooth(config, layout16, np.zeros(16), np.zeros((16, 2)))
+        zeta = smooth_zeta(smooth16, np.zeros(16), np.zeros((16, 2)))
         sl = layout16.efacet_slices[0]
         vals = zeta[sl]
         loc = layout16.equad_local[sl]
@@ -152,23 +207,23 @@ class TestZetaSmooth:
             if dists[j] < 1e-9:
                 assert flat_vals[j] == pytest.approx(flat_vals[k], rel=1e-9)
 
-    def test_nonnegative_not_identically_zero(self, config, layout16):
+    def test_nonnegative_not_identically_zero(self, smooth16, layout16):
         rng = np.random.default_rng(3)
         rho = 0.3 * rng.standard_normal(16)
         xi = 0.05 * rng.standard_normal((16, 2))
-        zeta = eval_zeta_smooth(config, layout16, rho, xi)
+        zeta = smooth_zeta(smooth16, rho, xi)
         assert np.all(zeta >= 0.0)
         for m in range(16):
             sl = layout16.efacet_slices[m]
             assert zeta[sl].max() > 0.0
 
-    def test_inadmissible_center_raises(self, config, layout16):
+    def test_inadmissible_center_raises(self, smooth16):
         xi = np.zeros((16, 2))
         xi[5] = [0.9, 0.0]  # within R of the electrode rim
         with pytest.raises(AdmissibilityError):
-            eval_zeta_smooth(config, layout16, np.zeros(16), xi)
+            smooth_zeta(smooth16, np.zeros(16), xi)
 
-    def test_far_center_vanishing_normalization(self, layout16):
+    def test_far_center_vanishing_normalization(self, smooth16, layout16):
         # a contact narrower than the node spacing, centred on an interior facet
         # vertex of every electrode: admissible, yet far from every quadrature node
         config = ModelConfig(R=0.01)
@@ -181,8 +236,9 @@ class TestZetaSmooth:
             to_rim = np.linalg.norm(ends[:, None] - g.a[rim][None], axis=2).min(axis=1)
             xi[m] = ends[np.argmax(to_rim)]
             assert contact_admissible(layout16, m, xi[m], config)
+        param = dataclasses.replace(smooth16, config=config)
         with pytest.raises(AdmissibilityError, match="vanishes on electrode 0"):
-            eval_zeta_smooth(config, layout16, np.zeros(16), xi)
+            smooth_zeta(param, np.zeros(16), xi)
 
     def test_quadrature_richardson(self, config):
         # The fixed facet rule integrates the bump with an error that decays
@@ -245,18 +301,17 @@ class TestAdmissibility:
 
 
 class FlatZeta:
-    """Helper: evaluate the smooth contact density from a flat vector."""
+    """Helper: the smooth contact density at a flat vector, in the vector's precision."""
 
-    def __init__(self, config, layout, n_clusters):
-        self.config = config
-        self.layout = layout
-        self.n_c = n_clusters
-        self.M = layout.n_electrodes
+    def __init__(self, param):
+        self.param = param
+        self.n_c = param.n_clusters
+        self.M = param.n_electrodes
 
     def __call__(self, flat):
         rho = flat[self.n_c : self.n_c + self.M]
         xi = flat[self.n_c + self.M :].reshape(self.M, 2)
-        return eval_zeta_smooth(self.config, self.layout, rho, xi)
+        return smooth_zeta(self.param, rho, xi)
 
 
 def surface_l2(layout, values):
@@ -276,35 +331,33 @@ def smooth_point(smooth8):
 
 
 class TestDtau:
-    def test_zero_direction_gives_zero(self, config, layout8, part20, smooth8, smooth_point):
+    def test_zero_direction_gives_zero(self, smooth8, smooth_point):
         zero = smooth8.zero()
-        out = dtau(config, layout8, part20, smooth_point, [zero])
+        out = smooth8.dtau(smooth_point, [zero])
         assert np.all(out.sigma == 0.0)
         assert np.all(out.zeta == 0.0)
 
-    def test_second_derivative_of_exponential(self, config, layout8, part20, smooth8):
+    def test_second_derivative_of_exponential(self, part20, smooth8):
         # at kappa = 0 with both directions the indicator of one cluster, the
         # domain part is exp(mu_kappa) on that cluster and zero elsewhere
         iota = smooth8.zero()
         e = np.zeros(20)
         e[6] = 1.0
         d = ParamVector(e, np.zeros(8), np.zeros((8, 2)))
-        out = dtau(config, layout8, part20, iota, [d, d])
+        out = smooth8.dtau(iota, [d, d])
         on = part20.cluster_of == 6
         assert np.allclose(out.sigma[on], math.exp(-3.0))
         assert np.all(out.sigma[~on] == 0.0)
 
-    def test_order_guard(self, config, layout8, part20, smooth8, smooth_point):
+    def test_order_guard(self, smooth8, smooth_point):
         d = smooth8.zero()
         with pytest.raises(ValueError):
-            dtau(config, layout8, part20, smooth_point, [d] * 4)
+            smooth8.dtau(smooth_point, [d] * 4)
         with pytest.raises(ValueError):
-            dtau(config, layout8, part20, smooth_point, [])
+            smooth8.dtau(smooth_point, [])
 
     @pytest.mark.parametrize("order", [1, 2, 3])
-    def test_matches_central_differences(
-        self, config, layout8, part20, smooth8, smooth_point, order
-    ):
+    def test_matches_central_differences(self, layout8, smooth8, smooth_point, order):
         # independent oracle: nested central differences of the density with
         # step 1e-4, evaluated in extended precision
         rng = np.random.default_rng(40 + order)
@@ -314,8 +367,8 @@ class TestDtau:
             )
             for _ in range(order)
         ]
-        closed = dtau(config, layout8, part20, smooth_point, dirs).zeta
-        flat_zeta = FlatZeta(config, layout8, 20)
+        closed = smooth8.dtau(smooth_point, dirs).zeta
+        flat_zeta = FlatZeta(smooth8)
         h = np.longdouble(1e-4)
         base = smooth_point.to_flat().astype(np.longdouble)
 
@@ -328,33 +381,25 @@ class TestDtau:
         approx = fd(base, order).astype(float)
         assert surface_l2(layout8, closed - approx) < 1e-5 * surface_l2(layout8, closed)
 
-    def test_cross_electrode_partials_vanish(self, config, layout8, part20, smooth8, smooth_point):
+    def test_cross_electrode_partials_vanish(self, smooth8, smooth_point):
         # the density is a sum of per-electrode terms, so mixed partials
         # across electrodes are identically zero
         e1 = np.zeros(44)
         e1[20] = 1.0  # strength on electrode 0
         e2 = np.zeros(44)
         e2[21] = 1.0  # strength on electrode 1
-        out = dtau(
-            config,
-            layout8,
-            part20,
-            smooth_point,
-            [smooth8.from_flat(e1), smooth8.from_flat(e2)],
-        )
+        out = smooth8.dtau(smooth_point, [smooth8.from_flat(e1), smooth8.from_flat(e2)])
         assert np.all(out.zeta == 0.0)
 
     @pytest.mark.parametrize("coords", [(20, 28, 29), (22, 32, 33), (25, 38, 39)])
-    def test_mixed_coordinate_partials(
-        self, config, layout8, part20, smooth8, smooth_point, coords
-    ):
+    def test_mixed_coordinate_partials(self, layout8, smooth8, smooth_point, coords):
         dirs = []
         for idx in coords:
             e = np.zeros(44)
             e[idx] = 1.0
             dirs.append(smooth8.from_flat(e))
-        closed = dtau(config, layout8, part20, smooth_point, dirs).zeta
-        flat_zeta = FlatZeta(config, layout8, 20)
+        closed = smooth8.dtau(smooth_point, dirs).zeta
+        flat_zeta = FlatZeta(smooth8)
         h = np.longdouble(1e-4)
         base = smooth_point.to_flat().astype(np.longdouble)
 
@@ -367,14 +412,14 @@ class TestDtau:
         approx = fd(base, 3).astype(float)
         assert surface_l2(layout8, closed - approx) < 1e-5 * surface_l2(layout8, closed)
 
-    def test_cem_derivatives_match_scalar_oracle(self, config, layout8, part20):
+    def test_cem_derivatives_match_scalar_oracle(self, cem8, layout8):
         rng = np.random.default_rng(9)
         iota = ParamVector(0.2 * rng.standard_normal(20), 0.3 * rng.standard_normal(8))
         dirs = [
             ParamVector(rng.standard_normal(20), rng.standard_normal(8))
             for _ in range(3)
         ]
-        out = dtau(config, layout8, part20, iota, dirs)
+        out = cem8.dtau(iota, dirs)
         areas = [
             layout8.efacet_measures[layout8.efacet_slices[m]][
                 layout8.contact_mask[layout8.efacet_slices[m]]
@@ -395,7 +440,7 @@ class TestDtau:
             assert np.allclose(got, expect, rtol=1e-13)
             assert np.all(out.zeta[sl][~on] == 0.0)
 
-    def test_multilinearity(self, config, layout8, part20, smooth_point):
+    def test_multilinearity(self, smooth8, smooth_point):
         rng = np.random.default_rng(12)
 
         def rand_dir():
@@ -408,13 +453,13 @@ class TestDtau:
         a, b, c = rand_dir(), rand_dir(), rand_dir()
         alpha, beta = 0.7, -1.3
         combo = alpha * a + beta * b
-        lhs = dtau(config, layout8, part20, smooth_point, [combo, c])
-        t1 = dtau(config, layout8, part20, smooth_point, [a, c])
-        t2 = dtau(config, layout8, part20, smooth_point, [b, c])
+        lhs = smooth8.dtau(smooth_point, [combo, c])
+        t1 = smooth8.dtau(smooth_point, [a, c])
+        t2 = smooth8.dtau(smooth_point, [b, c])
         assert np.allclose(lhs.sigma, alpha * t1.sigma + beta * t2.sigma, atol=1e-12)
         assert np.allclose(lhs.zeta, alpha * t1.zeta + beta * t2.zeta, atol=1e-12)
 
-    def test_permutation_symmetry(self, config, layout8, part20, smooth_point):
+    def test_permutation_symmetry(self, smooth8, smooth_point):
         rng = np.random.default_rng(13)
         dirs = [
             ParamVector(
@@ -426,13 +471,13 @@ class TestDtau:
         ]
         import itertools
 
-        base = dtau(config, layout8, part20, smooth_point, dirs)
+        base = smooth8.dtau(smooth_point, dirs)
         for perm in itertools.permutations(range(3)):
-            out = dtau(config, layout8, part20, smooth_point, [dirs[p] for p in perm])
+            out = smooth8.dtau(smooth_point, [dirs[p] for p in perm])
             assert np.allclose(out.sigma, base.sigma, rtol=1e-12, atol=1e-14)
             assert np.allclose(out.zeta, base.zeta, rtol=1e-12, atol=1e-14)
 
-    def test_taylor_consistency_slope(self, config, layout8, part20, smooth8, smooth_point):
+    def test_taylor_consistency_slope(self, layout8, smooth8, smooth_point):
         # the third-order Taylor polynomial of tau built from dtau reproduces
         # tau(iota + s eta) with a fourth-order remainder (log-log slope fit)
         rng = np.random.default_rng(14)
@@ -441,9 +486,9 @@ class TestDtau:
             0.3 * rng.standard_normal(8),
             0.03 * rng.standard_normal((8, 2)),
         )
-        d1 = dtau(config, layout8, part20, smooth_point, [eta])
-        d2 = dtau(config, layout8, part20, smooth_point, [eta, eta])
-        d3 = dtau(config, layout8, part20, smooth_point, [eta, eta, eta])
+        d1 = smooth8.dtau(smooth_point, [eta])
+        d2 = smooth8.dtau(smooth_point, [eta, eta])
+        d3 = smooth8.dtau(smooth_point, [eta, eta, eta])
         svals = [2.0 ** (-k) for k in range(2, 8)]
         rems = []
         for s in svals:
