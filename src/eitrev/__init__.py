@@ -8,9 +8,10 @@ map), ``inversion`` (regularized and subspace inverses, reversion,
 sequential linearization), and ``harness`` (simulation, experiments, CLI
 plumbing).
 
-Each concept has one entry point: ``Parametrization.tau`` and
-``Parametrization.dtau`` evaluate the conductivity pair and its
-derivatives, ``AssembledSystem.perturbation`` gives the operator whose
+Each concept has one entry point: ``Parametrization.tau`` evaluates the
+conductivity pair, which carries its point's derivative data, and
+``Parametrization.dtau`` the derivatives at that pair,
+``AssembledSystem.perturbation`` gives the operator whose
 ``apply`` is a perturbation solve and whose ``bform`` is the perturbed
 form, and a ``DerivativeStack`` holds the derivatives of the map at a point.
 """

@@ -27,20 +27,18 @@ class DerivativeStack:
     tuple of directions, applied right-to-left to the base solutions. The
     memo of directions, operators and chains is pure memoization keyed by
     direction identity and holds until :meth:`forget`; every entry is
-    reproducible from scratch. Besides it the stack keeps the read-only
-    contact data of its base point (``bumps``, from the parametrization's
-    ``bump_data``) for the stack's lifetime and hands it to every ``dtau``.
+    reproducible from scratch.
 
     The stack assembles and factors the system at ``param.tau(iota)`` itself,
     and ``tau`` raises :class:`~eitrev.model.AdmissibilityError` for an
-    inadmissible base point first; every later derivative of tau relies on that.
+    inadmissible base point first. Every derivative of tau is taken at that
+    pair, ``system.tau``, which carries the base point's contact data.
     """
 
     def __init__(self, param, iota):
         self.system = system = AssembledSystem(param.layout, param.tau(iota))
         self.param = param
         self.iota = iota
-        self.bumps = param.bump_data(iota)
         self.basis = system.basis
         self.base = solve_forward(system, self.basis.B)
         self.lam = self.base.coefficients(self.basis)
@@ -52,8 +50,7 @@ class DerivativeStack:
     def forget(self) -> None:
         """Drop the memoized directions, operators and chains.
 
-        The base solutions, the contact data and the cached coordinate
-        Jacobian stay.
+        The base solutions and the cached coordinate Jacobian stay.
         """
         self._handles.clear()
         self._ops.clear()
@@ -79,7 +76,7 @@ class DerivativeStack:
             op = self._ops.get(key[0])
             if op is None:
                 directions = [self._handles[h] for h in factors[0]]
-                pair = self.param.dtau(self.iota, directions, self.bumps)
+                pair = self.param.dtau(self.system.tau, directions)
                 op = self._ops[key[0]] = self.system.perturbation(pair)
             inputs = self._chain(*factors[1:]) if len(factors) > 1 else self.base
             out = self._chains[key] = op.apply(inputs)
@@ -147,7 +144,7 @@ class DerivativeStack:
             directions = [self.param.from_flat(e) for e in np.eye(self.param.dim)]
         cols = []
         for d in directions:
-            op = self.system.perturbation(self.param.dtau(self.iota, [d], self.bumps))
+            op = self.system.perturbation(self.param.dtau(self.system.tau, [d]))
             cols.append(vec(-op.bform(self.base, self.base).T))
         J = np.column_stack(cols)
         if coordinate:

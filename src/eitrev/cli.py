@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import sys
 from pathlib import Path
 
@@ -38,7 +37,7 @@ def _load_case(args) -> harness.ExperimentCase:
 
     When both name a case they must name the same one.
     """
-    data = json.loads(Path(args.config).read_text()) if args.config else {}
+    data = harness._read_json(Path(args.config), lambda d: d) if args.config else {}
     if args.case is not None and isinstance(data, dict):  # case_from_config rejects the rest
         named = data.get("case", args.case)
         if named != args.case:
@@ -47,6 +46,27 @@ def _load_case(args) -> harness.ExperimentCase:
             )
         data = {**data, "case": args.case}
     return case_from_config(data)
+
+
+def _check_target(data: str, param, target) -> None:
+    """``ValueError`` naming ``data``'s ``record.json`` unless its target fits ``param``.
+
+    The target's kappa, rho and xi must have the shapes ``param`` gives them.
+    """
+
+    def described(shape) -> str:
+        return "absent" if shape is None else f"of shape {shape}"
+
+    M = param.n_electrodes
+    xi = (M, 2) if param.kind == "smooth" else None
+    for key, want in (("kappa", (param.n_clusters,)), ("rho", (M,)), ("xi", xi)):
+        value = getattr(target, key)
+        got = None if value is None else value.shape
+        if got != want:
+            raise ValueError(
+                f"{Path(data) / 'record.json'}: target {key!r} is {described(got)}; "
+                f"the case's measurement side needs it {described(want)}"
+            )
 
 
 def _cmd_mesh_gen(args) -> int:
@@ -81,8 +101,9 @@ def _cmd_simulate(args) -> int:
 def _cmd_reconstruct(args) -> int:
     case = _load_case(args)
     method = str(args.order) if args.order else ",".join(["1"] * args.sequential)
-    upsilon, _, _ = harness.read_measurement(args.data)
-    _, rec = build_models(case)
+    upsilon, target, _ = harness.read_measurement(args.data)
+    meas, rec = build_models(case)
+    _check_target(args.data, meas.param, target)
     recon = Reconstructor(rec)
     outcome = recon.run(method, upsilon)
     harness.write_reconstruction(outcome, args.out)
@@ -120,6 +141,7 @@ def _cmd_indicators(args) -> int:
     upsilon_data, target, _ = harness.read_measurement(args.data)
     upsilon_i = harness.read_reconstruction(args.recon)
     meas, rec = build_models(case)
+    _check_target(args.data, meas.param, target)
     lam0 = side_forward_map(rec, rec.param.zero())
     ind = indicators(rec, meas, upsilon_i, target, upsilon_data, lam0)
     row = {

@@ -230,8 +230,7 @@ class AssembledSystem:
 
     The mesh is the layout's and the basis the shared one for its electrode
     count. Immutable after construction except for ``solve_count``, which
-    counts the triangular-solve columns; ``factor_count`` is always 1, the
-    one factorization every solve reuses.
+    counts the triangular-solve columns.
     """
 
     def __init__(self, layout: ElectrodeLayout, tau: ConductivityPair):
@@ -270,7 +269,6 @@ class AssembledSystem:
                 "assembled system is not positive definite "
                 "(a contact density may vanish on an electrode)"
             )
-        self.factor_count = 1
         self.solve_count = 0
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:

@@ -184,17 +184,8 @@ CASES: dict[str, ExperimentCase] = {
 }
 
 
-_CASE_KEYS = (
-    "n_electrodes",
-    "electrode_radius",
-    "contact_radius",
-    "mu_kappa",
-    "mu_zeta",
-    "n_samples",
-    "seed",
-    "cluster_seed",
-)
 _SIDES = ("measurement", "reconstruction")
+_CASE_KEYS = tuple(f.name for f in fields(ExperimentCase) if f.name not in ("name", *_SIDES))
 
 
 def _check_mapping(where: str, value) -> None:
@@ -738,11 +729,23 @@ def write_matrix(path: str | Path, matrix: np.ndarray) -> None:
 
 
 def read_matrix(path: str | Path) -> np.ndarray:
-    rows = [
-        [float(tok) for tok in line.split()]
-        for line in Path(path).read_text().splitlines()
-        if line.strip()
-    ]
+    """The matrix of :func:`write_matrix`.
+
+    A token that is not a number, or a row whose length differs from the
+    first row's, raises ``ValueError`` naming the file and the line.
+    """
+    rows = []
+    for number, line in enumerate(Path(path).read_text().splitlines(), 1):
+        if not line.strip():
+            continue
+        try:
+            rows.append([float(tok) for tok in line.split()])
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {number}: {exc}") from None
+        if len(rows[-1]) != len(rows[0]):
+            raise ValueError(
+                f"{path}: line {number} has {len(rows[-1])} entries, the first row {len(rows[0])}"
+            )
     return np.array(rows)
 
 

@@ -15,7 +15,7 @@ finite-difference tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from itertools import combinations
 from typing import NamedTuple, Sequence
 
@@ -101,11 +101,17 @@ class ConductivityPair:
     """Domain conductivity per cell and surface density at quadrature nodes.
 
     The same container carries admissible pairs (sigma > 0, zeta >= 0) and
-    signed perturbation pairs produced by :meth:`Parametrization.dtau`.
+    signed perturbation pairs produced by :meth:`Parametrization.dtau`. A
+    pair that :meth:`Parametrization.tau` returns also carries the point it
+    was evaluated at and, for the smooth model, that point's
+    :class:`BumpData`; :meth:`Parametrization.dtau` differentiates at such a
+    pair. Sums, multiples and derivative pairs carry neither.
     """
 
     sigma: np.ndarray  # (n_cells,)
     zeta: np.ndarray  # (n_electrode_facets, n_q)
+    point: ParamVector | None = field(default=None, repr=False)
+    bumps: BumpData | None = field(default=None, repr=False)
 
     def __add__(self, other: "ConductivityPair") -> "ConductivityPair":
         return ConductivityPair(self.sigma + other.sigma, self.zeta + other.zeta)
@@ -195,14 +201,13 @@ class BumpData:
     reduction and scalar keeps the operation order of a single electrode,
     which makes the results independent of the grouping bit for bit.
 
-    A :class:`~eitrev.calculus.DerivativeStack` builds this once for its
-    base point and passes it to every :meth:`Parametrization.dtau` call.
+    :meth:`Parametrization.tau` builds this for its point and keeps it in
+    the pair it returns, for every :meth:`Parametrization.dtau` at that pair.
     """
 
     def __init__(
         self, config: ModelConfig, layout: ElectrodeLayout, rho: np.ndarray, xi: np.ndarray
     ):
-        self.rho, self.xi = rho, xi
         local = layout.equad_local
         dtype = np.result_type(local, xi)
         xi = np.asarray(xi, dtype=dtype)
@@ -480,7 +485,7 @@ class Parametrization:
         if self.kind == "cem":
             if rho.shape != (M,):
                 raise ValueError("theta length must equal the electrode count")
-            return ConductivityPair(sigma, _cem_density(layout, np.exp(config.mu_zeta + rho)))
+            return ConductivityPair(sigma, _cem_density(layout, np.exp(config.mu_zeta + rho)), iota)
         xi = np.asarray(xi)
         if rho.shape != (M,) or xi.shape != (M, 2):
             raise ValueError("contact parameters must provide (rho_m, xi_m) per electrode")
@@ -502,28 +507,25 @@ class Parametrization:
         zeta = np.zeros(layout.equad_weights.shape, dtype=dtype)
         for g in bumps.groups:
             zeta[g.rows.ravel()] = (g.scale * g.h / g.Z).reshape(-1, zeta.shape[1])
-        return ConductivityPair(sigma, zeta)
+        return ConductivityPair(sigma, zeta, iota, bumps)
 
-    def dtau(
-        self,
-        iota: ParamVector,
-        directions: Sequence[ParamVector],
-        bumps: BumpData | None = None,
-    ) -> ConductivityPair:
-        """Directional derivative of the conductivity pair, orders one to three.
+    def dtau(self, at: ConductivityPair, directions: Sequence[ParamVector]) -> ConductivityPair:
+        """Directional derivative of tau at the pair ``at``, orders one to three.
 
         The derivative is multilinear and symmetric in the directions. The
         domain part is exp(mu_kappa + kappa_i) times the product of the
         direction components on each cluster; the contact part differentiates
         the cem exponential or the normalized bump in closed form.
 
-        The base point must be admissible and is not checked here;
-        :class:`~eitrev.calculus.DerivativeStack` checks it once, through
-        :meth:`tau`, when it is built. For the smooth model, ``bumps`` is the
-        :class:`BumpData` of ``iota`` when the caller holds it; without it
-        the call builds its own.
+        ``at`` must be a pair that :meth:`tau` returned, and any other pair
+        raises ``ValueError``: it carries the base point, whose admissibility
+        :meth:`tau` checked, and for the smooth model the point's
+        :class:`BumpData`.
         """
         config, layout = self.config, self.layout
+        iota = at.point
+        if iota is None:
+            raise ValueError("dtau differentiates at a pair that tau returned")
         k = len(directions)
         if k < 1 or k > 3:
             raise ValueError("dtau supports derivative orders one to three")
@@ -553,23 +555,19 @@ class Parametrization:
                 coeff = coeff * d.rho
             return ConductivityPair(dsigma, _cem_density(layout, coeff))
 
-        if bumps is None:
-            bumps = BumpData(config, layout, iota.rho, iota.xi)
-        elif bumps.rho is not iota.rho or bumps.xi is not iota.xi:
-            raise ValueError("the bump data belongs to another base point")
         # Leibniz rule for exp(rho_m + mu_zeta) G(xi_m): one term per subset S of the
         # directions, largest first and lexicographic within one size. Two subsets
         # whose remaining directions are the same objects in the same order give
         # the same term, computed once: their own directions then agree up to
         # order, and a product of two factors commutes exactly.
         subsets = [S for size in range(k, -1, -1) for S in combinations(range(k), size)]
-        for group in bumps.groups:
+        for group in at.bumps.groups:
             sel = np.flatnonzero(contact_active[group.electrodes])
             if sel.size == 0:
                 continue
             if sel.size < len(group.electrodes):
                 group = group.take(sel)
-            expansion = _Expansion(group, directions, bumps.R2)
+            expansion = _Expansion(group, directions, at.bumps.R2)
             handles = expansion.handles
             r = [d.rho[group.electrodes][:, None, None] for d in directions]
             terms: dict[tuple, np.ndarray] = {}
@@ -588,12 +586,6 @@ class Parametrization:
                 total = term if total is None else total + term
             dzeta[group.rows.ravel()] = (group.scale * total).reshape(-1, dzeta.shape[1])
         return ConductivityPair(dsigma, dzeta)
-
-    def bump_data(self, iota: ParamVector) -> BumpData | None:
-        """Read-only contact data of a base point for :meth:`dtau`; None for cem."""
-        if self.kind == "cem":
-            return None
-        return BumpData(self.config, self.layout, iota.rho, iota.xi)
 
     def admissible(self, iota: ParamVector) -> bool:
         if self.kind == "cem":

@@ -116,10 +116,7 @@ class LinearParametrization:
     def tau(self, x):
         return self.tau0 + self._combine(x)
 
-    def bump_data(self, x):
-        return None
-
-    def dtau(self, x, directions, bumps=None):
+    def dtau(self, at, directions):
         if len(directions) == 1:
             return self._combine(directions[0])
         zero_pair = 0.0 * self.modes[0]

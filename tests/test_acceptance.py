@@ -138,6 +138,7 @@ class TestCriterion3DerivativeCorrectness:
             0.05 * rng.standard_normal((8, 2)),
         )
         assert smooth8.admissible(iota)
+        at = smooth8.tau(iota)
         w = layout8.equad_weights
         vols = disk2.cell_volumes
 
@@ -176,7 +177,7 @@ class TestCriterion3DerivativeCorrectness:
                     e = np.zeros(44)
                     e[idx] = 1.0
                     dirs.append(smooth8.from_flat(e))
-                closed = smooth8.dtau(iota, dirs).zeta
+                closed = smooth8.dtau(at, dirs).zeta
                 approx = fd(zeta_of, dirs, base, order).astype(float)
                 rel = surf_l2(closed - approx) / max(surf_l2(closed), 1e-300)
                 worst = max(worst, rel)
@@ -184,7 +185,7 @@ class TestCriterion3DerivativeCorrectness:
         # random full directions, domain and contact parts, orders 1..3
         for order in (1, 2, 3):
             dirs = [_random_direction(rng, 20, 8) for _ in range(order)]
-            closed = smooth8.dtau(iota, dirs)
+            closed = smooth8.dtau(at, dirs)
             approx_z = fd(zeta_of, dirs, base, order).astype(float)
             approx_s = fd(sigma_of, dirs, base, order).astype(float)
             worst = max(worst, surf_l2(closed.zeta - approx_z) / surf_l2(closed.zeta))

@@ -422,3 +422,53 @@ def test_case_flag_differing_from_the_config_exits_2(tmp_path, capsys):
     assert err.splitlines() == [err.strip()]
     assert err.startswith("ValueError: ") and "C2" in err and "'C3'" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["reconstruct", "indicators"])
+def test_target_that_does_not_fit_the_case_exits_2(recorded, tmp_path, capsys, command):
+    sim_dir, rec_path = recorded
+    data = tmp_path / "sim"
+    data.mkdir()
+    (data / "upsilon.txt").write_text((sim_dir / "upsilon.txt").read_text())
+    meta = json.loads((sim_dir / "record.json").read_text())
+    meta["target"]["kappa"] = meta["target"]["kappa"][:3]
+    (data / "record.json").write_text(json.dumps(meta))
+    out = tmp_path / "out"
+    if command == "reconstruct":
+        argv = ["reconstruct", "--data", str(data), "--order", "1", "--out", str(out)]
+    else:
+        argv = ["indicators", "--data", str(data), "--recon", str(rec_path), "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == [err.strip()]
+    assert err.startswith("ValueError: ") and str(data / "record.json") in err
+    assert "'kappa'" in err and "(3,)" in err and "(80,)" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("bad", ["token", "ragged", "config"])
+def test_unreadable_input_file_is_named(recorded, tmp_path, capsys, bad):
+    sim_dir, _ = recorded
+    data = tmp_path / "sim"
+    data.mkdir()
+    (data / "record.json").write_text((sim_dir / "record.json").read_text())
+    lines = (sim_dir / "upsilon.txt").read_text().splitlines()
+    out = tmp_path / "out"
+    argv = ["reconstruct", "--data", str(data), "--order", "1", "--out", str(out)]
+    if bad == "token":
+        lines[1] = lines[1].replace(lines[1].split()[2], "abc")
+        named, detail = data / "upsilon.txt", "line 2"
+    elif bad == "ragged":
+        lines.append(lines[0] + " 1.0")
+        named, detail = data / "upsilon.txt", "line 16"
+    else:
+        named = tmp_path / "c.json"
+        named.write_text('{"case": "C1",\n')
+        argv += ["--config", str(named)]
+        detail = "line 2"
+    (data / "upsilon.txt").write_text("\n".join(lines) + "\n")
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == [err.strip()]
+    assert err.startswith("ValueError: ") and str(named) in err and detail in err
+    assert not out.exists()

@@ -331,7 +331,7 @@ class TestRevert:
         data = fem.forward_map(fem.AssembledSystem(system.layout, linear.tau(target)))
         result = revert(stack, inv, data, order=2)
         eta1 = result.etas[0]
-        pair1 = linear.dtau(linear.zero(), [eta1])
+        pair1 = linear.dtau(linear.tau(linear.zero()), [eta1])
         once = system.perturbation(pair1).apply(stack.base)
         twice = system.perturbation(pair1).apply(once)
         expect = -1.0 * inv(twice.coefficients(stack8.basis))

@@ -333,7 +333,7 @@ def smooth_point(smooth8):
 class TestDtau:
     def test_zero_direction_gives_zero(self, smooth8, smooth_point):
         zero = smooth8.zero()
-        out = smooth8.dtau(smooth_point, [zero])
+        out = smooth8.dtau(smooth8.tau(smooth_point), [zero])
         assert np.all(out.sigma == 0.0)
         assert np.all(out.zeta == 0.0)
 
@@ -344,17 +344,18 @@ class TestDtau:
         e = np.zeros(20)
         e[6] = 1.0
         d = ParamVector(e, np.zeros(8), np.zeros((8, 2)))
-        out = smooth8.dtau(iota, [d, d])
+        out = smooth8.dtau(smooth8.tau(iota), [d, d])
         on = part20.cluster_of == 6
         assert np.allclose(out.sigma[on], math.exp(-3.0))
         assert np.all(out.sigma[~on] == 0.0)
 
     def test_order_guard(self, smooth8, smooth_point):
         d = smooth8.zero()
+        at = smooth8.tau(smooth_point)
         with pytest.raises(ValueError):
-            smooth8.dtau(smooth_point, [d] * 4)
+            smooth8.dtau(at, [d] * 4)
         with pytest.raises(ValueError):
-            smooth8.dtau(smooth_point, [])
+            smooth8.dtau(at, [])
 
     @pytest.mark.parametrize("order", [1, 2, 3])
     def test_matches_central_differences(self, layout8, smooth8, smooth_point, order):
@@ -367,7 +368,7 @@ class TestDtau:
             )
             for _ in range(order)
         ]
-        closed = smooth8.dtau(smooth_point, dirs).zeta
+        closed = smooth8.dtau(smooth8.tau(smooth_point), dirs).zeta
         flat_zeta = FlatZeta(smooth8)
         h = np.longdouble(1e-4)
         base = smooth_point.to_flat().astype(np.longdouble)
@@ -388,7 +389,8 @@ class TestDtau:
         e1[20] = 1.0  # strength on electrode 0
         e2 = np.zeros(44)
         e2[21] = 1.0  # strength on electrode 1
-        out = smooth8.dtau(smooth_point, [smooth8.from_flat(e1), smooth8.from_flat(e2)])
+        at = smooth8.tau(smooth_point)
+        out = smooth8.dtau(at, [smooth8.from_flat(e1), smooth8.from_flat(e2)])
         assert np.all(out.zeta == 0.0)
 
     @pytest.mark.parametrize("coords", [(20, 28, 29), (22, 32, 33), (25, 38, 39)])
@@ -398,7 +400,7 @@ class TestDtau:
             e = np.zeros(44)
             e[idx] = 1.0
             dirs.append(smooth8.from_flat(e))
-        closed = smooth8.dtau(smooth_point, dirs).zeta
+        closed = smooth8.dtau(smooth8.tau(smooth_point), dirs).zeta
         flat_zeta = FlatZeta(smooth8)
         h = np.longdouble(1e-4)
         base = smooth_point.to_flat().astype(np.longdouble)
@@ -419,7 +421,7 @@ class TestDtau:
             ParamVector(rng.standard_normal(20), rng.standard_normal(8))
             for _ in range(3)
         ]
-        out = cem8.dtau(iota, dirs)
+        out = cem8.dtau(cem8.tau(iota), dirs)
         areas = [
             layout8.efacet_measures[layout8.efacet_slices[m]][
                 layout8.contact_mask[layout8.efacet_slices[m]]
@@ -453,9 +455,10 @@ class TestDtau:
         a, b, c = rand_dir(), rand_dir(), rand_dir()
         alpha, beta = 0.7, -1.3
         combo = alpha * a + beta * b
-        lhs = smooth8.dtau(smooth_point, [combo, c])
-        t1 = smooth8.dtau(smooth_point, [a, c])
-        t2 = smooth8.dtau(smooth_point, [b, c])
+        at = smooth8.tau(smooth_point)
+        lhs = smooth8.dtau(at, [combo, c])
+        t1 = smooth8.dtau(at, [a, c])
+        t2 = smooth8.dtau(at, [b, c])
         assert np.allclose(lhs.sigma, alpha * t1.sigma + beta * t2.sigma, atol=1e-12)
         assert np.allclose(lhs.zeta, alpha * t1.zeta + beta * t2.zeta, atol=1e-12)
 
@@ -471,9 +474,10 @@ class TestDtau:
         ]
         import itertools
 
-        base = smooth8.dtau(smooth_point, dirs)
+        at = smooth8.tau(smooth_point)
+        base = smooth8.dtau(at, dirs)
         for perm in itertools.permutations(range(3)):
-            out = smooth8.dtau(smooth_point, [dirs[p] for p in perm])
+            out = smooth8.dtau(at, [dirs[p] for p in perm])
             assert np.allclose(out.sigma, base.sigma, rtol=1e-12, atol=1e-14)
             assert np.allclose(out.zeta, base.zeta, rtol=1e-12, atol=1e-14)
 
@@ -486,15 +490,16 @@ class TestDtau:
             0.3 * rng.standard_normal(8),
             0.03 * rng.standard_normal((8, 2)),
         )
-        d1 = smooth8.dtau(smooth_point, [eta])
-        d2 = smooth8.dtau(smooth_point, [eta, eta])
-        d3 = smooth8.dtau(smooth_point, [eta, eta, eta])
+        at = smooth8.tau(smooth_point)
+        d1 = smooth8.dtau(at, [eta])
+        d2 = smooth8.dtau(at, [eta, eta])
+        d3 = smooth8.dtau(at, [eta, eta, eta])
         svals = [2.0 ** (-k) for k in range(2, 8)]
         rems = []
         for s in svals:
             shifted = smooth8.tau(smooth_point + s * eta)
             model = (
-                smooth8.tau(smooth_point).zeta
+                at.zeta
                 + s * d1.zeta
                 + 0.5 * s**2 * d2.zeta
                 + s**3 / 6.0 * d3.zeta
@@ -530,7 +535,7 @@ class TestDtau:
             [param.from_flat(rng.standard_normal(param.dim)) for _ in range(order)],
             [param.from_flat(np.eye(param.dim)[i]) for i in coordinate[:order]],
         ):
-            out = param.dtau(iota, dirs)
+            out = param.dtau(param.tau(iota), dirs)
             sha.update(out.sigma.astype("<f8").tobytes())
             sha.update(out.zeta.astype("<f8").tobytes())
         assert sha.hexdigest() == digest
@@ -553,20 +558,21 @@ class TestDtau:
         rng = np.random.default_rng(90)
         a, b = (smooth8.from_flat(rng.standard_normal(smooth8.dim)) for _ in range(2))
         dirs = [{"a": a, "b": b}[c] for c in pattern]
-        # built inside the call, and held by the caller as a stack holds it
-        for bumps in (None, smooth8.bump_data(smooth_point)):
-            out = smooth8.dtau(smooth_point, dirs, bumps)
-            sha = hashlib.sha256()
-            sha.update(out.sigma.astype("<f8").tobytes())
-            sha.update(out.zeta.astype("<f8").tobytes())
-            assert sha.hexdigest() == digest
+        out = smooth8.dtau(smooth8.tau(smooth_point), dirs)
+        sha = hashlib.sha256()
+        sha.update(out.sigma.astype("<f8").tobytes())
+        sha.update(out.zeta.astype("<f8").tobytes())
+        assert sha.hexdigest() == digest
 
-    def test_bump_data_of_another_point_is_rejected(self, smooth8, smooth_point):
-        with pytest.raises(ValueError, match="another base point"):
-            smooth8.dtau(smooth_point, [smooth_point], smooth8.bump_data(smooth8.zero()))
-
-    def test_cem_has_no_bump_data(self, cem8):
-        assert cem8.bump_data(cem8.zero()) is None
+    @pytest.mark.parametrize("kind", ["smooth", "cem"])
+    def test_only_a_pair_from_tau_is_differentiated(self, smooth8, cem8, kind):
+        param = smooth8 if kind == "smooth" else cem8
+        at = param.tau(param.zero())
+        assert at.point is not None and (at.bumps is None) == (kind == "cem")
+        for pair in (2.0 * at, at + at, param.dtau(at, [param.zero()])):
+            assert pair.point is None and pair.bumps is None
+            with pytest.raises(ValueError, match="pair that tau returned"):
+                param.dtau(pair, [param.zero()])
 
     # uniform facet counts, then two ragged layouts (5/6 and 8/9 facets)
     @pytest.mark.parametrize("n_electrodes, width", [(16, 0.15), (7, 0.25), (5, 0.4)])
@@ -582,10 +588,10 @@ class TestDtau:
         a, b, c = (param.from_flat(rng.standard_normal(param.dim)) for _ in range(3))
         on = rng.random(M) < 0.5  # a scattered subset of the electrodes
         s = ParamVector(a.kappa, np.where(on, a.rho, 0.0), np.where(on[:, None], a.xi, 0.0))
-        bumps = param.bump_data(iota)
+        at = param.tau(iota)
         patterns = ([a], [a, a], [a, a, a], [a, b], [a, a, b], [a, b, a], [a, b, c], [s], [s, b, s])
         for dirs in patterns:
-            got = param.dtau(iota, dirs, bumps).zeta
+            got = param.dtau(at, dirs).zeta
             assert got.tobytes() == _loop_dzeta(config, layout, iota, dirs).tobytes()
 
 
