@@ -5,7 +5,9 @@ problem once for every basis current, and exposes the first three directional
 derivatives of the map, a Jacobian assembled without extra solves through the
 bilinear identity, and truncated Taylor evaluation. Operator compositions are
 always applied right-to-left to solution batches; operator matrices are never
-materialized.
+materialized. The coordinate Jacobian is built a block of coordinates at a
+time, from one derivative of tau per block and batched Gram matrices over
+its clusters or electrodes, with no perturbation per coordinate.
 """
 
 from __future__ import annotations
@@ -14,7 +16,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .fem import AssembledSystem, PerturbationOperator, SolutionSet, solve_forward
+from .fem import (
+    AssembledSystem,
+    PerturbationOperator,
+    SolutionSet,
+    cluster_grams,
+    electrode_grams,
+    solve_forward,
+)
 
 _FACTORIALS = {1: 1.0, 2: 2.0, 3: 6.0}
 
@@ -133,23 +142,39 @@ class DerivativeStack:
         """Derivative of the vectorized map, one column per direction.
 
         Columns are assembled from the stored forward solutions through the
-        bilinear identity, without any additional linear solves. With no
-        explicit directions, all coordinate directions of the parametrization
-        are used and the result is cached.
+        bilinear identity, without any additional linear solves: column ``j``
+        is ``vec(-G_j.T)`` for the Gram matrix ``G_j`` of the perturbed form
+        of direction ``j`` over the base solutions. Explicit directions take
+        one derivative of tau and one perturbation each.
+
+        With no directions, all coordinate directions of the parametrization
+        are used and the result is cached. They are built a block at a time
+        (see :meth:`~eitrev.model.Parametrization.coordinate_blocks`): one
+        derivative of tau along the whole block, then the Gram matrices of
+        its restriction to every cluster or electrode at once, with no
+        perturbation per coordinate. Every column equals what the explicit
+        coordinate direction gives, bit for bit.
         """
-        coordinate = directions is None
-        if coordinate:
-            if self._jacobian is not None:
-                return self._jacobian
-            directions = [self.param.from_flat(e) for e in np.eye(self.param.dim)]
-        cols = []
-        for d in directions:
-            op = self.system.perturbation(self.param.dtau(self.system.tau, [d]))
-            cols.append(vec(-op.bform(self.base, self.base).T))
-        J = np.column_stack(cols)
-        if coordinate:
+        if directions is not None:
+            cols = []
+            for d in directions:
+                op = self.system.perturbation(self.param.dtau(self.system.tau, [d]))
+                cols.append(vec(-op.bform(self.base, self.base).T))
+            return np.column_stack(cols)
+        if self._jacobian is None:
+            param, system = self.param, self.system
+            J = np.empty((len(self.base) ** 2, param.dim))
+            for b, block in enumerate(param.coordinate_blocks()):
+                flat = np.zeros(param.dim)
+                flat[block] = 1.0
+                pair = param.dtau(system.tau, [param.from_flat(flat)])
+                if b == 0:
+                    grams = cluster_grams(system, pair.sigma, param.partition.cell_stack, self.base)
+                else:
+                    grams = electrode_grams(system, pair.zeta, self.base)
+                J[:, block] = -grams.reshape(len(block), -1).T
             self._jacobian = J
-        return J
+        return self._jacobian
 
 
 def vec(matrix: np.ndarray) -> np.ndarray:

@@ -211,9 +211,16 @@ def _contact_blocks(
     """
     wz = layout.equad_weights * zeta
     facets = np.flatnonzero(wz.any(axis=1))
-    wz = wz[facets]
+    fmats, R, D = _contact_terms(layout, wz[facets], facets)
+    return layout.facet_plan.assemble(facets, fmats), R, D
+
+
+def _contact_terms(
+    layout: ElectrodeLayout, wz: np.ndarray, facets: np.ndarray | slice
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-facet matrices, ``R`` (n, M) and ``D`` (M,) of the weighted density ``wz``."""
     bary = layout.facet_bary
-    C = layout.facet_plan.assemble(facets, np.einsum("fq,qa,qb->fab", wz, bary, bary))
+    fmats = np.einsum("fq,qa,qb->fab", wz, bary, bary)
     fvals = np.einsum("fq,qa->fa", wz, bary)
     vertices = layout.efacet_vertices[facets]
     electrode = layout.efacet_electrode[facets]
@@ -222,7 +229,73 @@ def _contact_blocks(
         np.add.at(R, (vertices[:, a], electrode), fvals[:, a])
     D = np.zeros(layout.n_electrodes)
     np.add.at(D, electrode, wz.sum(axis=1))
-    return C, R, D
+    return fmats, R, D
+
+
+# Labels per batched product in the block Gram kernels. It bounds their
+# temporaries, about CHUNK * n * (M + k) floats for n vertices, M electrodes
+# and k solutions, to a few times those of one perturbation's form.
+CHUNK = 4
+
+
+def _chunks(n_labels: int):
+    for lo in range(0, n_labels, CHUNK):
+        yield lo, min(lo + CHUNK, n_labels)
+
+
+def cluster_grams(system: "AssembledSystem", sigma: np.ndarray, stack, sols: SolutionSet):
+    """The Gram matrices of ``sigma`` restricted to each label of ``stack``, (L, k, k).
+
+    ``stack`` is a :class:`~eitrev.scatter.StackedPlan` of the mesh cells,
+    such as :attr:`~eitrev.mesh.Partition.cell_stack`. Entry ``i`` equals
+    ``PerturbationOperator(system, (sigma_i, 0)).bform(sols, sols)`` bit for
+    bit, where ``sigma_i`` is ``sigma`` on the cells of label ``i`` and zero
+    elsewhere: the same cell matrices summed in the same order, the same
+    products with the same operand shapes.
+    """
+    mesh = system.mesh
+    grads = mesh.cell_gradients
+    cellmats = np.einsum("c,cid,cjd->cij", mesh.cell_volumes * sigma, grads, grads)
+    product = stack.assemble(cellmats) @ sols.u
+    out = np.empty((stack.n_labels, len(sols), len(sols)))
+    for lo, hi in _chunks(stack.n_labels):
+        # adding the zero contact terms turns a zero of t1 into +0.0
+        out[lo:hi] = np.matmul(sols.u.T, stack.blocks(product, lo, hi)) + 0.0
+    return out
+
+
+def electrode_grams(system: "AssembledSystem", zeta: np.ndarray, sols: SolutionSet):
+    """The Gram matrices of ``zeta`` restricted to each electrode, (M, k, k).
+
+    Entry ``m`` equals ``PerturbationOperator(system, (0, zeta_m)).bform(sols,
+    sols)`` bit for bit, where ``zeta_m`` is ``zeta`` on the facets of
+    electrode ``m`` and zero elsewhere. ``R`` and ``D`` are summed over all
+    of the electrode's facets, which adds only zeros to what the operator
+    sums, and each electrode's ``R`` and ``D`` keep their full (n, M) and
+    (M,) shapes in the products. Where ``zeta_m`` vanishes the operator's
+    form is the stiffness term plus +0.0, and the four terms here, all +0.0,
+    sum to the same.
+    """
+    layout = system.layout
+    u, U = sols.u, sols.U
+    n, M = u.shape[0], layout.n_electrodes
+    fmats, R, D = _contact_terms(layout, layout.equad_weights * zeta, slice(None))
+    stack = layout.facet_stack
+    product = stack.assemble(fmats) @ u
+    out = np.empty((M, len(sols), len(sols)))
+    for lo, hi in _chunks(M):
+        m = np.arange(lo, hi)
+        own = np.arange(hi - lo)
+        t1 = np.matmul(u.T, stack.blocks(product, lo, hi))
+        Rm = np.zeros((hi - lo, n, M))
+        Rm[own, :, m] = R[:, m].T
+        Dm = np.zeros((hi - lo, M))
+        Dm[own, m] = D[m]
+        t2 = np.matmul(u.T, np.matmul(Rm, U))
+        t3 = np.matmul(U.T, np.matmul(Rm.transpose(0, 2, 1), u))
+        t4 = np.matmul(U.T, Dm[:, :, None] * U)
+        out[lo:hi] = t1 - t2 - t3 + t4
+    return out
 
 
 class AssembledSystem:

@@ -23,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .quadrature import facet_measure, facet_rule
-from .scatter import ScatterPlan
+from .scatter import ScatterPlan, StackedPlan
 
 MAX_DISK_REFINEMENT = 8
 _KMEANS_MAX_ITER = 100
@@ -439,6 +439,11 @@ class ElectrodeLayout:
         return ScatterPlan(self.efacet_vertices, self.mesh.n_vertices)
 
     @cached_property
+    def facet_stack(self) -> StackedPlan:
+        """How per-facet d x d matrices sum into one nodal block per electrode."""
+        return StackedPlan(self.facet_plan, self.efacet_electrode, self.n_electrodes)
+
+    @cached_property
     def contact_geometry(self) -> ContactGeometry:
         """Read-only local images of the facets and rims, for contact admissibility."""
         return _contact_geometry(self)
@@ -687,6 +692,11 @@ class Partition:
     @cached_property
     def cluster_cells(self) -> tuple[np.ndarray, ...]:
         return tuple(_freeze(np.flatnonzero(self.cluster_of == i)) for i in range(self.n_clusters))
+
+    @cached_property
+    def cell_stack(self) -> StackedPlan:
+        """How per-cell local matrices sum into one nodal block per cluster."""
+        return StackedPlan(self.mesh.cell_plan, self.cluster_of, self.n_clusters)
 
     @cached_property
     def cluster_volumes(self) -> np.ndarray:

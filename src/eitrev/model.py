@@ -103,15 +103,17 @@ class ConductivityPair:
     The same container carries admissible pairs (sigma > 0, zeta >= 0) and
     signed perturbation pairs produced by :meth:`Parametrization.dtau`. A
     pair that :meth:`Parametrization.tau` returns also carries the point it
-    was evaluated at and, for the smooth model, that point's
-    :class:`BumpData`; :meth:`Parametrization.dtau` differentiates at such a
-    pair. Sums, multiples and derivative pairs carry neither.
+    was evaluated at, the parametrization that evaluated it and, for the
+    smooth model, that point's :class:`BumpData`; that parametrization's
+    :meth:`~Parametrization.dtau` differentiates at such a pair. Sums,
+    multiples and derivative pairs carry none of them.
     """
 
     sigma: np.ndarray  # (n_cells,)
     zeta: np.ndarray  # (n_electrode_facets, n_q)
     point: ParamVector | None = field(default=None, repr=False)
     bumps: BumpData | None = field(default=None, repr=False)
+    owner: Parametrization | None = field(default=None, repr=False)
 
     def __add__(self, other: "ConductivityPair") -> "ConductivityPair":
         return ConductivityPair(self.sigma + other.sigma, self.zeta + other.zeta)
@@ -455,6 +457,23 @@ class Parametrization:
     def zero(self) -> ParamVector:
         return self.from_flat(np.zeros(self.dim))
 
+    def coordinate_blocks(self) -> list[np.ndarray]:
+        """The flat indices of the coordinates in blocks of one coordinate per label.
+
+        The first block is kappa, with cluster ``i``'s coordinate at place
+        ``i``. Each other block is one contact parameter, with electrode
+        ``m``'s at place ``m``: rho and, for the smooth model, each component
+        of xi. A first derivative of tau along one coordinate touches only
+        its cluster or its electrode, so :meth:`dtau` along a whole block,
+        restricted to one label, is the derivative along that label's
+        coordinate, bit for bit.
+        """
+        K, M = self.n_clusters, self.n_electrodes
+        blocks = [np.arange(K), K + np.arange(M)]
+        if self.kind == "smooth":
+            blocks += [K + M + 2 * np.arange(M) + c for c in (0, 1)]
+        return blocks
+
     def from_flat(self, vec: np.ndarray) -> ParamVector:
         """Split a flat vector of length :attr:`dim` into (kappa, rho, xi)."""
         vec = np.asarray(vec, dtype=float)
@@ -485,7 +504,8 @@ class Parametrization:
         if self.kind == "cem":
             if rho.shape != (M,):
                 raise ValueError("theta length must equal the electrode count")
-            return ConductivityPair(sigma, _cem_density(layout, np.exp(config.mu_zeta + rho)), iota)
+            zeta = _cem_density(layout, np.exp(config.mu_zeta + rho))
+            return ConductivityPair(sigma, zeta, iota, owner=self)
         xi = np.asarray(xi)
         if rho.shape != (M,) or xi.shape != (M, 2):
             raise ValueError("contact parameters must provide (rho_m, xi_m) per electrode")
@@ -507,7 +527,7 @@ class Parametrization:
         zeta = np.zeros(layout.equad_weights.shape, dtype=dtype)
         for g in bumps.groups:
             zeta[g.rows.ravel()] = (g.scale * g.h / g.Z).reshape(-1, zeta.shape[1])
-        return ConductivityPair(sigma, zeta, iota, bumps)
+        return ConductivityPair(sigma, zeta, iota, bumps, self)
 
     def dtau(self, at: ConductivityPair, directions: Sequence[ParamVector]) -> ConductivityPair:
         """Directional derivative of tau at the pair ``at``, orders one to three.
@@ -517,15 +537,18 @@ class Parametrization:
         direction components on each cluster; the contact part differentiates
         the cem exponential or the normalized bump in closed form.
 
-        ``at`` must be a pair that :meth:`tau` returned, and any other pair
-        raises ``ValueError``: it carries the base point, whose admissibility
-        :meth:`tau` checked, and for the smooth model the point's
-        :class:`BumpData`.
+        ``at`` must be a pair that this parametrization's :meth:`tau`
+        returned, and any other pair raises ``ValueError``: it carries the
+        base point, whose admissibility :meth:`tau` checked, and for the
+        smooth model the point's :class:`BumpData`, built with this contact
+        shape.
         """
         config, layout = self.config, self.layout
+        if at.owner is not self:
+            raise ValueError(
+                "dtau differentiates at a pair that tau returned, this parametrization's own"
+            )
         iota = at.point
-        if iota is None:
-            raise ValueError("dtau differentiates at a pair that tau returned")
         k = len(directions)
         if k < 1 or k > 3:
             raise ValueError("dtau supports derivative orders one to three")

@@ -44,6 +44,15 @@ def _rank_steps(starts: np.ndarray, n_terms: np.ndarray, order: np.ndarray) -> t
     return tuple(steps)
 
 
+def _summed(local: np.ndarray, first: np.ndarray, ranks: tuple) -> np.ndarray:
+    """Each entry's terms of ``local``, by COO position, added left to right in rank order."""
+    terms = np.asarray(local, dtype=float).reshape(-1)
+    data = terms[first]
+    for groups, positions in ranks:
+        data[groups] += terms[positions]
+    return data
+
+
 def _group_starts(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Where each run of equal ``keys`` starts, and its length."""
     first = np.ones(len(keys), dtype=bool)
@@ -110,14 +119,11 @@ class ScatterPlan:
         The result owns its arrays: changing it in place leaves the plan
         intact.
         """
-        terms = np.asarray(local, dtype=float).reshape(-1)
         if len(support) == self.local_shape[0]:
             entries, first, ranks = None, self.first, self.ranks
         else:
             entries, first, ranks = self._reach(np.asarray(support, dtype=np.intp))
-        data = terms[first]
-        for groups, positions in ranks:
-            data[groups] += terms[positions]
+        data = _summed(local, first, ranks)
         if not data.all():
             kept = np.flatnonzero(data)
             data = data[kept]
@@ -144,3 +150,67 @@ class ScatterPlan:
                 self._reach_terms -= self._reaches.pop(next(iter(self._reaches)))[3]
         self._reaches[key] = reach
         return reach[:3]
+
+
+class StackedPlan:
+    """How labelled local matrices sum into one ``n x n`` block per label, stacked vertically.
+
+    The elements are those of ``plan``, element ``e`` with label
+    ``labels[e]``, one of ``0 .. n_labels - 1``. Block ``i`` of the
+    ``(n_labels * n, n)`` stack is what :meth:`ScatterPlan.assemble` gives
+    for the elements of label ``i``: each entry sums its terms in the plan's
+    rank order, as for any support. Most rows of the stack are empty, so the
+    plan keeps only the others, ordered by label and then by row, and
+    :meth:`blocks` puts a product of them back in place.
+
+    Entries that sum to zero stay stored, where ``assemble`` drops them. A
+    product with finite operands is the same bit for bit either way: its rows
+    start at +0.0, and adding a zero of either sign to a sum that starts
+    there changes no bit of it.
+    """
+
+    def __init__(self, plan: ScatterPlan, labels: np.ndarray, n_labels: int):
+        n = plan.shape[0]
+        kk = plan.local_shape[1] * plan.local_shape[2]
+        term_label = np.repeat(np.asarray(labels, dtype=np.intp), kk)
+        order = np.lexsort((plan.term_rank, plan.term_entry, term_label))
+        label, entry = term_label[order], plan.term_entry[order]
+        starts, n_terms = _group_starts(label * len(plan.first) + entry)
+        entry_row = np.repeat(np.arange(n), np.diff(plan.indptr))
+        row_starts, _ = _group_starts(label[starts] * n + entry_row[entry[starts]])
+        self.n_labels = n_labels
+        self.n = n
+        self.first = order[starts]
+        self.ranks = _rank_steps(starts, n_terms, order)
+        self.indices = plan.indices[entry[starts]]
+        self.indptr = np.append(row_starts, len(starts)).astype(plan.indptr.dtype)
+        self.row_label = label[starts[row_starts]]
+        self.row_vertex = entry_row[entry[starts[row_starts]]]
+        self.label_start = np.searchsorted(self.row_label, np.arange(n_labels + 1))
+        for arr in (
+            self.first,
+            self.indices,
+            self.indptr,
+            self.row_label,
+            self.row_vertex,
+            self.label_start,
+            *(a for r in self.ranks for a in r),
+        ):
+            arr.setflags(write=False)
+
+    def assemble(self, local: np.ndarray) -> sp.csr_matrix:
+        """The non-empty rows of the stack of ``local``, one local matrix per element."""
+        data = _summed(local, self.first, self.ranks)
+        shape = (len(self.row_label), self.n)
+        return sp.csr_matrix((data, self.indices, self.indptr), shape=shape)
+
+    def blocks(self, rows: np.ndarray, lo: int, hi: int) -> np.ndarray:
+        """Blocks ``lo`` to ``hi - 1`` of a product ``assemble(local) @ x``, shaped (hi - lo, n, k).
+
+        ``rows`` is that product, one row for each non-empty row of the stack;
+        the empty rows are +0.0, as a sparse product leaves them.
+        """
+        a, b = self.label_start[lo], self.label_start[hi]
+        out = np.zeros((hi - lo, self.n, rows.shape[1]))
+        out[self.row_label[a:b] - lo, self.row_vertex[a:b]] = rows[a:b]
+        return out

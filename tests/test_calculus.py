@@ -1,5 +1,7 @@
 """Derivatives of the current-to-voltage map: orders, symmetry, Jacobian."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -217,7 +219,7 @@ class TestAccountingAndCache:
         assert np.allclose(fresh.dlambda3(eta8), first, rtol=1e-12)
 
     @pytest.mark.parametrize("kind", ["smooth", "cem"])
-    def test_jacobian_build_takes_one_dtau_and_perturbation_per_coordinate(
+    def test_coordinate_build_takes_one_dtau_per_block_and_no_perturbation(
         self, layout8, smooth8, cem8, kind, monkeypatch
     ):
         # the benchmark's per-build work counts are read off these two calls
@@ -235,11 +237,34 @@ class TestAccountingAndCache:
 
         for owner, name in ((type(param), "dtau"), (fem.AssembledSystem, "perturbation")):
             monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
+        # kappa and rho, and for smooth both components of xi
+        blocks = 4 if kind == "smooth" else 2
         stack.jacobian()
-        assert calls == {"dtau": param.dim, "perturbation": param.dim}
+        assert calls == {"dtau": blocks, "perturbation": 0}
         stack.jacobian()
-        assert calls == {"dtau": param.dim, "perturbation": param.dim}
+        assert calls == {"dtau": blocks, "perturbation": 0}
+        eye = np.eye(param.dim)
+        stack.jacobian([param.from_flat(eye[p]) for p in (0, param.dim - 1)])
+        assert calls == {"dtau": blocks + 2, "perturbation": 2}
 
+    # traced peaks of the per-coordinate route that the block kernel replaced,
+    # on this geometry with numpy 2.4 and scipy 1.17
+    @pytest.mark.parametrize("kind, replaced_peak", [("smooth", 765_576), ("cem", 549_000)])
+    def test_coordinate_build_peak_memory_stays_near_the_per_coordinate_route(
+        self, smooth16, kind, replaced_peak
+    ):
+        # fem.CHUNK bounds the kernel's temporaries; the stacked plans are
+        # cached per partition and layout, so a first build warms them
+        param = model.Parametrization(smooth16.config, smooth16.partition, smooth16.layout, kind)
+        DerivativeStack(param, param.zero()).jacobian()
+        stack = DerivativeStack(param, param.zero())
+        tracemalloc.start()
+        try:
+            stack.jacobian()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * replaced_peak
 
     @pytest.mark.parametrize("kind", ["smooth", "cem"])
     def test_stack_builds_its_bump_data_once(self, layout8, smooth8, cem8, eta8, kind, monkeypatch):

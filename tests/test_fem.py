@@ -433,3 +433,28 @@ class TestPerturbationBlocks:
             # tobytes, not array_equal: the sign of a zero entry must match too
             assert op.bform(base, base).tobytes() == bform.tobytes(), coordinate
             assert op.rhs(base).tobytes() == rhs.tobytes(), coordinate
+
+
+class TestLabelGrams:
+    """The block Gram kernels give one perturbation's form per label, bit for bit."""
+
+    def test_grams_equal_the_form_of_each_label(self, stack8, smooth8):
+        system, base = stack8.system, stack8.base
+        layout, partition = system.layout, smooth8.partition
+        rng = np.random.default_rng(14)
+        n_cells = system.mesh.n_cells
+        # signed fields with zeros of both signs, one electrode without contact
+        sigma = rng.standard_normal(n_cells) * (rng.random(n_cells) < 0.7)
+        zeta = rng.standard_normal(layout.equad_weights.shape)
+        zeta *= (rng.random(len(zeta)) < 0.7)[:, None]
+        zeta[layout.efacet_slices[3]] = 0.0
+        no_zeta = np.zeros_like(zeta)
+        grams = fem.cluster_grams(system, sigma, partition.cell_stack, base)
+        for i in range(partition.n_clusters):
+            own = ConductivityPair(np.where(partition.cluster_of == i, sigma, 0.0), no_zeta)
+            assert grams[i].tobytes() == system.perturbation(own).bform(base, base).tobytes()
+        grams = fem.electrode_grams(system, zeta, base)
+        for m in range(layout.n_electrodes):
+            on = (layout.efacet_electrode == m)[:, None]
+            own = ConductivityPair(np.zeros(n_cells), np.where(on, zeta, 0.0))
+            assert grams[m].tobytes() == system.perturbation(own).bform(base, base).tobytes()

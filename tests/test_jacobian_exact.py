@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from eitrev import fem
 from eitrev.calculus import DerivativeStack, vec
 from eitrev.mesh import (
     cluster_partition,
@@ -53,18 +54,27 @@ def _oracle_column(system, pair, base):
     return vec(-gram.T)
 
 
-@pytest.fixture(scope="module", params=["disk1", "disk2", "disk3", "cube2"])
+# level, electrodes, electrode and contact radii, clusters
+DISKS = {
+    "disk1": (1, 4, (0.3, 0.2), 6),
+    "disk2": (2, 8, (0.3, 0.2), 20),
+    "disk3": (3, 16, (0.15, 0.10), 80),
+    # cluster and electrode counts off the kernel's chunk grid, so that the
+    # last chunk of every block is partial; the facet counts are ragged too
+    "disk3-partial": (3, 7, (0.25, 0.15), 37),
+}
+
+
+@pytest.fixture(scope="module", params=["disk1", "disk2", "disk3", "disk3-partial", "cube2"])
 def geometry(request):
     name = request.param
     if name.startswith("disk"):
-        level = int(name[4:])
+        level, n_electrodes, radii, n_clusters = DISKS[name]
         mesh = generate_disk_mesh(level)
-        n_electrodes, radii, n_clusters = {
-            1: (4, (0.3, 0.2), 6),
-            2: (8, (0.3, 0.2), 20),
-            3: (16, (0.15, 0.10), 80),
-        }[level]
         layout = define_electrodes(mesh, disk_electrode_midpoints(n_electrodes), *radii)
+        if name == "disk3-partial":
+            assert n_clusters % fem.CHUNK and n_electrodes % fem.CHUNK
+            assert n_clusters > fem.CHUNK and n_electrodes > fem.CHUNK
     else:
         mesh = kuhn_cube(2)
         layout = define_electrodes(mesh, CUBE_MIDPOINTS, 0.5, 0.4)

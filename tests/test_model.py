@@ -574,6 +574,23 @@ class TestDtau:
             with pytest.raises(ValueError, match="pair that tau returned"):
                 param.dtau(pair, [param.zero()])
 
+    @pytest.mark.parametrize("kind", ["smooth", "cem"])
+    def test_a_pair_from_another_parametrization_is_rejected(self, part20, layout8, kind):
+        # b's contact shape and level differ from a's; differentiating a's pair
+        # with b's formulas mixed the two and gave no error
+        a = Parametrization(ModelConfig(), part20, layout8, kind)
+        b = Parametrization(ModelConfig(R=0.4, mu_zeta=-2.0), part20, layout8, kind)
+        rng = np.random.default_rng(5)
+        p = a.zero()
+        d = a.from_flat(rng.standard_normal(a.dim))
+        assert a.tau(p).zeta.tobytes() != b.tau(p).zeta.tobytes()
+        for owner, other in ((a, b), (b, a)):
+            at = owner.tau(p)
+            assert at.owner is owner
+            owner.dtau(at, [d])
+            with pytest.raises(ValueError, match="pair that tau returned"):
+                other.dtau(at, [d])
+
     # uniform facet counts, then two ragged layouts (5/6 and 8/9 facets)
     @pytest.mark.parametrize("n_electrodes, width", [(16, 0.15), (7, 0.25), (5, 0.4)])
     def test_matches_the_per_electrode_loop(self, config, disk3, n_electrodes, width):

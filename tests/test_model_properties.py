@@ -1,11 +1,16 @@
 """Derivative and clamp invariants over generated base points and directions."""
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from eitrev.calculus import DerivativeStack
-from eitrev.model import ParamVector, Parametrization
+from eitrev.mesh import cluster_partition, define_electrodes
+from eitrev.model import ModelConfig, ParamVector, Parametrization
+from test_three_dimensional import kuhn_cube
+
+CUBE_MIDPOINTS = np.array([[0.5, 0.0, 0.5], [1.0, 0.5, 0.5], [0.5, 1.0, 0.5], [0.0, 0.5, 0.5]])
 
 
 def _close(x, y):
@@ -122,3 +127,42 @@ def test_clamp_is_idempotent(smooth8, cem8, kind, seed, xi_scale):
     assert moved == (not param.admissible(iota))
     again, moved_again = param.clamp(clamped)
     assert again is clamped and not moved_again
+
+
+@pytest.fixture(scope="module")
+def cube_params():
+    mesh = kuhn_cube(2)
+    layout = define_electrodes(mesh, CUBE_MIDPOINTS, 0.5, 0.4)
+    partition = cluster_partition(mesh, 6, seed=1)
+    kinds = ("smooth", "cem")
+    return {kind: Parametrization(ModelConfig(), partition, layout, kind) for kind in kinds}
+
+
+@settings(deadline=None, max_examples=16)
+@given(
+    name=st.sampled_from(["disk smooth", "disk cem", "cube smooth", "cube cem"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_a_block_derivative_splits_into_its_coordinate_derivatives(
+    smooth8, cem8, cube_params, name, seed
+):
+    # the coordinate Jacobian reads every coordinate's derivative off its block's
+    where, kind = name.split()
+    param = {"smooth": smooth8, "cem": cem8}[kind] if where == "disk" else cube_params[kind]
+    iota = _base_point(param, np.random.default_rng(seed))
+    assume(param.admissible(iota))
+    at = param.tau(iota)
+    eye = np.eye(param.dim)
+    for b, block in enumerate(param.coordinate_blocks()):
+        whole = param.dtau(at, [param.from_flat(eye[block].sum(axis=0))])
+        for label, index in enumerate(block):
+            coordinate = param.dtau(at, [param.from_flat(eye[index])])
+            if b == 0:
+                sigma = np.where(param.partition.cluster_of == label, whole.sigma, 0.0)
+                zeta = np.zeros_like(whole.zeta)
+            else:
+                sigma = np.zeros_like(whole.sigma)
+                on = param.layout.efacet_electrode == label
+                zeta = np.where(on[:, None], whole.zeta, 0.0)
+            assert coordinate.sigma.tobytes() == sigma.tobytes()
+            assert coordinate.zeta.tobytes() == zeta.tobytes()
