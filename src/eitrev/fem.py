@@ -316,17 +316,28 @@ class AssembledSystem:
         form = PerturbationOperator(self, tau)
         if form.Rmat is None:
             raise IndefiniteSystemError("the contact density vanishes identically")
-        R, D = form.Rmat, form.Dvec
+        n = self.n_interior = mesh.n_vertices
         B = self.basis.B
-        K = sp.bmat(
-            [
-                [form.A, sp.csr_matrix(-R @ B)],
-                [sp.csr_matrix(-(R @ B).T), sp.csr_matrix(B.T @ (D[:, None] * B))],
-            ],
-            format="csc",
+        # K = [[A, -R B], [-(R B).T, B.T diag(D) B]] from one triplet set: every
+        # stored entry of A and the non-zero entries of the other blocks, as a
+        # block build of sparse blocks stores them
+        A = form.A.tocoo()
+        RB = form.Rmat @ B
+        DB = B.T @ (form.Dvec[:, None] * B)
+        rr, rc = np.nonzero(RB)
+        dr, dc = np.nonzero(DB)
+        coupling = -RB[rr, rc]
+        K = sp.csc_matrix(
+            (
+                np.concatenate([A.data, coupling, coupling, DB[dr, dc]]),
+                (
+                    np.concatenate([A.row, rr, rc + n, dr + n]),
+                    np.concatenate([A.col, rc + n, rr, dc + n]),
+                ),
+            ),
+            shape=(n + B.shape[1],) * 2,
         )
         self.matrix = K
-        self.n_interior = mesh.n_vertices
         try:
             self._lu = spla.splu(
                 K,

@@ -15,8 +15,9 @@ import csv
 import json
 from collections.abc import Mapping
 from dataclasses import dataclass, field, fields, replace
+from functools import partial
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -379,6 +380,12 @@ class Reconstructor:
     the stack at each iterate, and the longest sequential chain computed for
     the last data matrix is kept, so a longer chain on the same data goes on
     from it.
+
+    :meth:`map_at` serves the forward map at a reconstruction from a stack
+    built there. It holds at most one such stack: the one at the point the
+    chain rebases at next, which is method "1"'s point or the kept chain's
+    last iterate. The next rebase at exactly that point takes it, and
+    :meth:`release` drops it.
     """
 
     def __init__(self, rec: SideModel, gammas: PriorGammas | None = None):
@@ -392,6 +399,24 @@ class Reconstructor:
         self.prior = build_prior(self.rec.param, gammas)
         self.inverse0 = TikhonovInverse(self.stack0, self.prior, self.noise)
         self._sequential: tuple[np.ndarray, SequentialResult] | None = None
+        self.release()
+
+    def release(self) -> None:
+        """Drop the held stack and forget the next rebase point."""
+        self._next: tuple | None = None  # _point_key of the next rebase point
+        self._held: tuple[tuple, DerivativeStack] | None = None  # (key, stack there)
+
+    def map_at(self, iota: ParamVector) -> np.ndarray:
+        """Noiseless map of the reconstruction side at ``iota``, from a stack built there.
+
+        It is bitwise :func:`side_forward_map` at ``iota``. The stack is held
+        when ``iota`` is the next rebase point, in place of any held before.
+        """
+        stack = DerivativeStack(self.rec.param, iota)
+        key = _point_key(iota)
+        if key == self._next:
+            self._held = (key, stack)
+        return stack.lam
 
     def with_gammas(self, gammas: PriorGammas) -> "Reconstructor":
         """A reconstructor with another prior on the same model.
@@ -408,13 +433,21 @@ class Reconstructor:
         return self.stack0.lam
 
     def _rebase(self, iota: ParamVector) -> TikhonovInverse:
-        """The regularized inverse linearized at ``iota``."""
-        return TikhonovInverse(DerivativeStack(self.rec.param, iota), self.prior, self.noise)
+        """The regularized inverse linearized at ``iota``; takes the held stack there."""
+        held, self._held = self._held, None
+        if held is not None and held[0] == _point_key(iota):
+            stack = held[1]
+        else:
+            stack = DerivativeStack(self.rec.param, iota)
+        return TikhonovInverse(stack, self.prior, self.noise)
+
+    def _kept_chain(self, data: np.ndarray) -> SequentialResult | None:
+        kept = self._sequential
+        return kept[1] if kept is not None and np.array_equal(kept[0], data) else None
 
     def _run_sequential(self, data: np.ndarray, steps: int) -> SequentialResult:
         """Sequential linearization, going on from the kept chain on equal data."""
-        kept = self._sequential
-        start = kept[1] if kept is not None and np.array_equal(kept[0], data) else None
+        start = self._kept_chain(data)
         seq = sequential_linearize(self._rebase, data, steps, self.inverse0, start)
         if start is None or len(seq.iterates) > len(start.iterates):
             # later runs read the kept data and iterates, so nothing may write to them
@@ -423,6 +456,7 @@ class Reconstructor:
                 if arr is not None:
                     arr.setflags(write=False)
             self._sequential = (kept_data, seq)
+        self._next = _point_key(self._sequential[1].iterates[-1])
         return seq
 
     def run(self, method: str, data: np.ndarray) -> ReconOutcome:
@@ -445,6 +479,9 @@ class Reconstructor:
         order = int(method)
         result = revert(self.stack0, self.inverse0, data, order)
         upsilon, clamped = self.rec.param.clamp(result.partial_sum(order))
+        if order == 1 and self._kept_chain(data) is None:
+            # the first sequential iterate on this data, bit for bit
+            self._next = _point_key(upsilon)
         diagnostics = dict(result.diagnostics)
         if order >= 3:
             corr = _sign_correlation(result.etas[1].kappa, result.etas[2].kappa)
@@ -456,6 +493,12 @@ class Reconstructor:
             clamped=clamped,
             diagnostics=diagnostics,
         )
+
+
+def _point_key(iota: ParamVector) -> tuple:
+    """The exact bytes of a point; points differing in any bit, sign of zero included, differ."""
+    arrays = (iota.kappa, iota.rho, iota.xi)
+    return tuple(None if a is None else np.asarray(a).tobytes() for a in arrays)
 
 
 def _check_data(data: np.ndarray, lam0: np.ndarray) -> None:
@@ -499,19 +542,25 @@ def indicators(
     target: ParamVector,
     data: np.ndarray,
     lam0: np.ndarray,
+    map_at: Callable[[ParamVector], np.ndarray] | None = None,
 ) -> Indicators:
     """Residual and domain-error indicators for one reconstruction.
 
     The residual compares the reconstruction's simulated measurements with
     the data in the Frobenius norm, normalized by the initial-guess residual.
+    The simulated measurements are ``map_at(upsilon_i)``, the noiseless map
+    of the side ``rec``: :func:`side_forward_map` there by default, or a
+    :meth:`Reconstructor.map_at` of that side.
     The domain error is the piecewise-constant L2 distance of the shifted
     log-conductivities, after nearest-neighbor projection onto the
     measurement partition when the partitions differ. Data not shaped like
     the reference map ``lam0`` raise ``ValueError``.
     """
     _check_data(data, lam0)
+    if map_at is None:
+        map_at = partial(side_forward_map, rec)
     try:
-        lam_i = side_forward_map(rec, upsilon_i)
+        lam_i = map_at(upsilon_i)
         res = float(np.linalg.norm(lam_i - data))
     except AdmissibilityError:
         res = float("inf")
@@ -600,8 +649,11 @@ def _study(
     """Reconstruct every item with every method and tabulate the indicators.
 
     Each item gives its target, its simulated measurement and the
-    reconstructor that serves it. A reconstruction that raises is recorded
-    in ``failures`` when ``record_failures`` is set and re-raised otherwise.
+    reconstructor that serves it. The indicators take their maps from that
+    reconstructor's :meth:`~Reconstructor.map_at`, and its held stack is
+    released at the end of every item. A reconstruction that raises is
+    recorded in ``failures`` when ``record_failures`` is set and re-raised
+    otherwise.
     """
     ref_res = np.full(n, np.nan)
     ref_err = np.full(n, np.nan)
@@ -622,13 +674,16 @@ def _study(
                     raise
                 failures.append((i, method, repr(exc)))
                 continue
-            ind = indicators(rec, meas, outcome.upsilon, target, record.upsilon, recon.lam0)
+            ind = indicators(
+                rec, meas, outcome.upsilon, target, record.upsilon, recon.lam0, recon.map_at
+            )
             row = table[method]
             for k in _INDICATORS:
                 row[k][i] = getattr(ind, k)
             row["clamped"][i] = outcome.clamped
             if method == "3":
                 sign_corr[i] = outcome.diagnostics.get("eta2_eta3_sign_correlation", np.nan)
+        recon.release()
     return StudyResult(
         case=case,
         methods=methods,
@@ -661,7 +716,10 @@ def experiment1(
     meas, rec = build_models(case)
     recon = Reconstructor(rec)
     meas_prior = build_prior(meas.param, case.measurement.gammas)
-    meas_noise = build_noise_cov_for_side(meas, case.measurement.deltas)
+    if meas.param is rec.param:  # an inverse crime: the origin map is the reconstructor's
+        meas_noise = build_noise_cov(*case.measurement.deltas, recon.lam0)
+    else:
+        meas_noise = build_noise_cov_for_side(meas, case.measurement.deltas)
 
     def draws():
         for i in range(n):

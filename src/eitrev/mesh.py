@@ -703,6 +703,23 @@ class Partition:
         vols = self.mesh.cell_volumes
         return _freeze(np.array([vols[c].sum() for c in self.cluster_cells]))
 
+    def nearest_clusters(self, source: "Partition") -> np.ndarray:
+        """For each cluster, the cluster of ``source`` whose center is closest.
+
+        Ties break toward the lowest source index. The map is computed once
+        per source and kept with a reference to that source, so the id it is
+        filed under cannot pass to another partition while the entry lives.
+        """
+        entry = self._nearest.get(id(source))
+        if entry is None:
+            dist = np.linalg.norm(self.centers[:, None, :] - source.centers[None, :, :], axis=2)
+            entry = self._nearest[id(source)] = (source, _freeze(np.argmin(dist, axis=1)))
+        return entry[1]
+
+    @cached_property
+    def _nearest(self) -> dict[int, tuple["Partition", np.ndarray]]:
+        return {}
+
 
 def check_seed(seed: int, name: str = "seed") -> int:
     """``seed`` as an int; ``ValueError`` unless it is an integer in 0..2**64-1.
@@ -1017,15 +1034,14 @@ def nearest_neighbor_project(
     """Transfer cluster values between partitions by nearest cluster center.
 
     Each target cluster receives the value of the source cluster whose center
-    is closest; ties break toward the lowest source index.
+    is closest; ties break toward the lowest source index. The target
+    partition keeps that index map per source (see
+    :meth:`Partition.nearest_clusters`).
     """
     values = np.asarray(values, dtype=float)
     if values.shape[0] != source.n_clusters:
         raise ValueError("value vector length must match the source cluster count")
-    dist = np.linalg.norm(
-        target.centers[:, None, :] - source.centers[None, :, :], axis=2
-    )
-    return values[np.argmin(dist, axis=1)]
+    return values[target.nearest_clusters(source)]
 
 
 def save_partition(partition: Partition, path: str | Path) -> None:

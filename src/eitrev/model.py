@@ -493,7 +493,8 @@ class Parametrization:
         for smooth. Either way its integral over electrode m equals
         exp(mu_zeta + rho_m), because the same facet quadrature defines the
         density and the integral. An inadmissible contact location or a
-        vanishing normalization integral raises :class:`AdmissibilityError`.
+        normalization integral whose fourth power is not a positive normal
+        number raises :class:`AdmissibilityError`.
         """
         config, layout = self.config, self.layout
         kappa, rho, xi = np.asarray(iota.kappa), np.asarray(iota.rho), iota.xi
@@ -516,12 +517,17 @@ class Parametrization:
                 f"contact location {np.asarray(xi[m], float)} leaves electrode {m}"
             )
         bumps = BumpData(config, layout, rho, xi)
+        # dtau divides by Z**2, Z**3 and Z**4, so each must be a positive normal number
         vanishing = [
-            m for g in bumps.groups for m, Z in zip(g.electrodes, g.Z.ravel()) if not Z > 1e-300
+            m
+            for g in bumps.groups
+            for m, Z4 in zip(g.electrodes, g.Z4.ravel())
+            if not np.finfo(Z4.dtype).tiny <= Z4 < np.inf
         ]
         if vanishing:
             raise AdmissibilityError(
-                f"contact normalization integral vanishes on electrode {min(vanishing)}"
+                f"contact normalization integral vanishes on electrode {min(vanishing)} "
+                "(its fourth power is not a positive normal number)"
             )
         dtype = np.result_type(rho, xi, layout.equad_local)
         zeta = np.zeros(layout.equad_weights.shape, dtype=dtype)

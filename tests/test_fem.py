@@ -2,11 +2,19 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from eitrev import fem
-from eitrev.mesh import build_mesh, define_electrodes, disk_electrode_midpoints, generate_disk_mesh
-from eitrev.model import ConductivityPair, Parametrization
+from eitrev.mesh import (
+    build_mesh,
+    cluster_partition,
+    define_electrodes,
+    disk_electrode_midpoints,
+    generate_disk_mesh,
+)
+from eitrev.model import ConductivityPair, ModelConfig, Parametrization
 from eitrev.fem import IndefiniteSystemError
+from test_three_dimensional import kuhn_cube
 
 
 def one_cell_setup():
@@ -458,3 +466,106 @@ class TestLabelGrams:
             on = (layout.efacet_electrode == m)[:, None]
             own = ConductivityPair(np.zeros(n_cells), np.where(on, zeta, 0.0))
             assert grams[m].tobytes() == system.perturbation(own).bform(base, base).tobytes()
+
+
+# name: mesh, electrode midpoints, electrode and contact radii, clusters
+CUBE_MIDPOINTS = np.array([[0.5, 0.0, 0.5], [1.0, 0.5, 0.5], [0.5, 1.0, 0.5], [0.0, 0.5, 0.5]])
+MATRIX_GEOMETRIES = {
+    "disk1": (lambda: generate_disk_mesh(1), disk_electrode_midpoints(4), (0.3, 0.2), 4),
+    "disk2": (lambda: generate_disk_mesh(2), disk_electrode_midpoints(8), (0.3, 0.2), 20),
+    "disk3": (lambda: generate_disk_mesh(3), disk_electrode_midpoints(16), (0.15, 0.10), 80),
+    "disk4": (lambda: generate_disk_mesh(4), disk_electrode_midpoints(16), (0.15, 0.10), 40),
+    "cube2": (lambda: kuhn_cube(2), CUBE_MIDPOINTS, (0.5, 0.4), 6),
+    "cube3": (lambda: kuhn_cube(3), CUBE_MIDPOINTS, (0.5, 0.4), 6),
+}
+
+
+def _block_matrix(system):
+    """The system matrix as the former construction gave it: sp.bmat of four sparse blocks."""
+    form = fem.PerturbationOperator(system, system.tau)
+    R, D, B = form.Rmat, form.Dvec, system.basis.B
+    return sp.bmat(
+        [
+            [form.A, sp.csr_matrix(-R @ B)],
+            [sp.csr_matrix(-(R @ B).T), sp.csr_matrix(B.T @ (D[:, None] * B))],
+        ],
+        format="csc",
+    )
+
+
+def _cancelling_pair(system):
+    """``system.tau`` with one cell's conductivity set so that a nodal entry sums to exactly 0.
+
+    Bisection on that cell's (negative) conductivity, over the cells in
+    order, until an off-diagonal entry of the nodal block is exactly zero
+    and the system stays positive definite. Also returns the entry.
+    """
+    tau = system.tau
+    mesh = system.mesh
+
+    def entry(sigma, i, j):
+        return fem.PerturbationOperator(system, ConductivityPair(sigma, tau.zeta)).A[i, j]
+
+    for c, cell in enumerate(mesh.cells):
+        i, j = sorted(cell[:2])
+        sigma = np.array(tau.sigma, dtype=float)
+        lo, hi = -10.0 * sigma.max(), 0.0
+        sigma[c] = lo
+        sign_lo = np.sign(entry(sigma, i, j))
+        sigma[c] = hi
+        if sign_lo * np.sign(entry(sigma, i, j)) >= 0:
+            continue
+        while lo < 0.5 * (lo + hi) < hi:
+            sigma[c] = 0.5 * (lo + hi)
+            value = entry(sigma, i, j)
+            if value == 0.0:
+                pair = ConductivityPair(sigma, tau.zeta)
+                try:
+                    fem.AssembledSystem(system.layout, pair)
+                except IndefiniteSystemError:
+                    break
+                return pair, (i, j)
+            if np.sign(value) == sign_lo:
+                lo = sigma[c]
+            else:
+                hi = sigma[c]
+    raise AssertionError("no cell conductivity cancels a nodal entry")
+
+
+class TestSystemMatrix:
+    """The system matrix from one triplet set equals the former block build bit for bit."""
+
+    @pytest.fixture(scope="class", params=sorted(MATRIX_GEOMETRIES))
+    def geometry(self, request):
+        make_mesh, midpoints, radii, n_clusters = MATRIX_GEOMETRIES[request.param]
+        mesh = make_mesh()
+        layout = define_electrodes(mesh, midpoints, *radii)
+        return layout, cluster_partition(mesh, n_clusters, seed=1)
+
+    @staticmethod
+    def _assert_same_matrix(system):
+        K, expected = system.matrix, _block_matrix(system)
+        for name in ("data", "indices", "indptr"):
+            assert getattr(K, name).tobytes() == getattr(expected, name).tobytes(), name
+
+    @pytest.mark.parametrize("kind", ["smooth", "cem"])
+    def test_matrix_equals_the_block_build(self, geometry, kind):
+        layout, partition = geometry
+        param = Parametrization(ModelConfig(), partition, layout, kind)
+        rng = np.random.default_rng(31)
+        points = [param.zero()]
+        while len(points) < 4:
+            iota = param.from_flat(0.1 * rng.standard_normal(param.dim))
+            if param.admissible(iota):
+                points.append(iota)
+        for iota in points:
+            self._assert_same_matrix(fem.AssembledSystem(layout, param.tau(iota)))
+
+        origin = fem.AssembledSystem(layout, param.tau(param.zero()))
+        pair, (i, j) = _cancelling_pair(origin)
+        system = fem.AssembledSystem(layout, pair)
+        K = system.matrix
+        stored = K.indices[K.indptr[j] : K.indptr[j + 1]]
+        assert i in origin.matrix.indices[origin.matrix.indptr[j] : origin.matrix.indptr[j + 1]]
+        assert i not in stored  # the cancelled entry is dropped, as the block build drops it
+        self._assert_same_matrix(system)

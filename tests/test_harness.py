@@ -1,14 +1,17 @@
 """Simulation, indicators, experiment drivers, and file formats."""
 
 import copy
+import gc
 import json
 import math
+import weakref
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from eitrev import harness, model
+from eitrev import fem, harness, model
+from eitrev.calculus import DerivativeStack
 from eitrev.harness import (
     CASES,
     Reconstructor,
@@ -33,6 +36,7 @@ from eitrev.harness import (
     write_reconstruction,
 )
 from eitrev.inversion import PriorGammas, build_prior
+from eitrev.mesh import Partition
 from eitrev.model import AdmissibilityError, ParamVector
 
 
@@ -343,7 +347,9 @@ class TestExperiment2:
         for name, log in (("DerivativeStack", stacks), ("build_noise_cov", noise_models)):
             monkeypatch.setattr(harness, name, counted(log, getattr(harness, name)))
         experiment2(small_case, [0.5, 1.0, 2.0], seed=21, methods=("1", "2"))
-        assert len(stacks) == 1
+        # one at the origin, and one at each of the 3 x 2 reconstructions for its indicators
+        assert sum(1 for _, iota in stacks if not iota.to_flat().any()) == 1
+        assert len(stacks) == 1 + 3 * 2
         # one noise model for the measurement side, one for the reconstruction side
         assert len(noise_models) == 2
 
@@ -458,6 +464,154 @@ class TestReconstructor:
         fresh = Reconstructor(rec, gammas=gammas)
         for method in ("2", "1,1"):
             self._assert_same(other.run(method, data), fresh.run(method, data))
+
+
+class TestOnePointOneSystem:
+    """An item assembles and factors each distinct point once, and holds nothing after."""
+
+    @pytest.fixture
+    def traced_study(self, small_case, monkeypatch):
+        """Run experiment1 with all five methods on two draws and log its work.
+
+        ``points`` holds the exact bytes of every assembled point, one list
+        for the set-up and one per item; ``held`` what the reconstructor
+        holds when the next item starts and when the study ends.
+        """
+        log = {"points": [[]], "held": [], "recons": [], "stacks": [], "rebased": []}
+        in_map = []
+        init = fem.AssembledSystem.__init__
+        simulate = harness.simulate_measurements
+        recon_init = Reconstructor.__init__
+        map_at = Reconstructor.map_at
+        tikhonov = harness.TikhonovInverse
+
+        def assembled(system, layout, tau):
+            log["points"][-1].append(harness._point_key(tau.point))
+            init(system, layout, tau)
+
+        def item_start(*args, **kwargs):
+            log["held"] += [recon._held for recon in log["recons"]]
+            log["points"].append([])
+            return simulate(*args, **kwargs)
+
+        def recon_built(recon, *args, **kwargs):
+            log["recons"].append(recon)
+            recon_init(recon, *args, **kwargs)
+
+        def mapped(recon, iota):
+            in_map.append(True)
+            try:
+                return map_at(recon, iota)
+            finally:
+                in_map.pop()
+
+        class Stack(DerivativeStack):
+            def __init__(self, *args):
+                super().__init__(*args)
+                log["stacks"].append((self, bool(in_map)))
+
+        def inverse(stack, *args):
+            log["rebased"].append(stack)
+            return tikhonov(stack, *args)
+
+        monkeypatch.setattr(fem.AssembledSystem, "__init__", assembled)
+        monkeypatch.setattr(harness, "simulate_measurements", item_start)
+        monkeypatch.setattr(Reconstructor, "__init__", recon_built)
+        monkeypatch.setattr(Reconstructor, "map_at", mapped)
+        monkeypatch.setattr(harness, "DerivativeStack", Stack)
+        monkeypatch.setattr(harness, "TikhonovInverse", inverse)
+        result = experiment1(small_case, n_samples=2, seed=5)
+        assert not result.failures
+        log["held"] += [recon._held for recon in log["recons"]]
+        return log
+
+    def test_each_distinct_point_is_assembled_once(self, traced_study):
+        setup, *items = traced_study["points"]
+        # the origin, once: the measurement noise of an inverse crime reads its map
+        assert len(setup) == 1
+        assert len(items) == 2
+        for points in items:
+            # target, the results of "1", "2" and "3", and the iterates u2 and u3
+            assert len(points) == 6
+            assert len(set(points)) == 6
+
+    def test_no_stack_is_held_after_an_item(self, traced_study):
+        assert len(traced_study["recons"]) == 1
+        # when the first item starts, after each item and when the study ends
+        assert traced_study["held"] == [None] * 3
+        refs = [weakref.ref(stack) for stack, in_map in traced_study["stacks"] if in_map]
+        assert len(refs) == 2 * 5
+        traced_study.clear()
+        gc.collect()
+        assert all(ref() is None for ref in refs)
+
+    def test_a_rebase_uses_the_stack_the_indicators_built(self, traced_study):
+        stacks = traced_study["stacks"]
+        recon = traced_study["recons"][0]
+        # every stack but the origin's was built for an indicator map
+        assert [in_map for _, in_map in stacks] == [False] + [True] * 10
+        rebased = [s for s in traced_study["rebased"] if s is not recon.stack0]
+        # the rebases at u1 ("1,1") and u2 ("1,1,1") of each item
+        assert len(rebased) == 4
+        for stack in rebased:
+            assert any(stack is built for built, in_map in stacks if in_map)
+
+    def test_a_miss_builds_its_own_stack(self, sides):
+        _, rec = sides
+        recon = Reconstructor(rec)
+        zero = rec.param.zero()
+        nudged = replace(zero, kappa=-zero.kappa)  # -0.0: equal values, other bytes
+        recon._next = harness._point_key(zero)
+        recon.map_at(zero)
+        held = recon._held[1]
+        assert recon._rebase(nudged).stack is not held
+        assert recon._held is None
+        recon._next = harness._point_key(zero)
+        recon.map_at(zero)
+        held = recon._held[1]
+        # a point with the same bytes, in other arrays
+        assert recon._rebase(rec.param.zero()).stack is held
+
+
+class TestProjection:
+    @staticmethod
+    def _direct(source, values, target):
+        dist = np.linalg.norm(target.centers[:, None, :] - source.centers[None, :, :], axis=2)
+        return values[np.argmin(dist, axis=1)]
+
+    def test_memo_equals_the_direct_formula(self, part20, part80):
+        rng = np.random.default_rng(3)
+        for source, target in ((part80, part20), (part20, part80)):
+            for _ in range(2):
+                values = rng.standard_normal(source.n_clusters)
+                out = harness.nearest_neighbor_project(source, values, target)
+                assert out.tobytes() == self._direct(source, values, target).tobytes()
+        assert part20.nearest_clusters(part80) is part20.nearest_clusters(part80)
+
+    def test_ties_go_to_the_lowest_source_index(self, part20):
+        # sources 1 and 2 coincide; 0.5 lies halfway between sources 0 and 1
+        source = Partition(
+            part20.mesh, part20.cluster_of, np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [-1.0, 0.0]])
+        )
+        target = Partition(
+            part20.mesh, part20.cluster_of, np.array([[0.0, 0.0], [0.5, 0.0], [-0.5, 0.0]])
+        )
+        values = np.array([10.0, 11.0, 12.0, 13.0])
+        for _ in range(2):
+            out = harness.nearest_neighbor_project(source, values, target)
+            assert out.tolist() == [11.0, 10.0, 11.0]
+            assert out.tobytes() == self._direct(source, values, target).tobytes()
+
+    def test_the_memo_keeps_its_source(self, part20):
+        target = Partition(part20.mesh, part20.cluster_of, part20.centers.copy())
+        source = Partition(part20.mesh, part20.cluster_of, part20.centers[::-1].copy())
+        first = target.nearest_clusters(source)
+        ref = weakref.ref(source)
+        del source
+        gc.collect()
+        # alive while its entry is, so no later partition can take its id
+        assert ref() is not None
+        assert target.nearest_clusters(ref()) is first
 
 
 class TestSerialization:

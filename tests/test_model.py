@@ -240,6 +240,22 @@ class TestZetaSmooth:
         with pytest.raises(AdmissibilityError, match="vanishes on electrode 0"):
             smooth_zeta(param, np.zeros(16), xi)
 
+    def test_normalization_whose_fourth_power_underflows_is_rejected(self):
+        # a contact about R from its electrode curve: Z = 3.1e-204 is above
+        # 1e-300, but Z**2 underflows to 0 and the quotient rule of dtau gave
+        # NaN Jacobian columns (213 and 242-243) with only a RuntimeWarning
+        mesh = generate_disk_mesh(4)
+        layout = define_electrodes(mesh, disk_electrode_midpoints(16), 0.15, 0.10)
+        partition = cluster_partition(mesh, 200, seed=2)
+        param = Parametrization(ModelConfig(), partition, layout, "smooth")
+        rng = np.random.default_rng(200)
+        draws = [param.from_flat(0.2 * rng.standard_normal(param.dim)) for _ in range(4)]
+        iota = draws[3]
+        assert param.admissible(iota)  # the location is admissible
+        assert np.allclose(iota.xi[13], [-0.4834, -0.5849], atol=1e-4)
+        with pytest.raises(AdmissibilityError, match="vanishes on electrode 13"):
+            param.tau(iota)
+
     def test_quadrature_richardson(self, config):
         # The fixed facet rule integrates the bump with an error that decays
         # at least quadratically under facet refinement, measured against a
