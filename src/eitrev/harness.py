@@ -27,6 +27,7 @@ from .inversion import (
     NoiseModel,
     PriorGammas,
     PriorModel,
+    ReversionResult,
     SequentialResult,
     TikhonovInverse,
     build_noise_cov,
@@ -376,16 +377,20 @@ class Reconstructor:
     The base stack at the origin (with its coordinate Jacobian), the noise
     model, the prior and the regularized inverse are built once and shared
     across samples; :meth:`with_gammas` gives a reconstructor for another
-    prior that shares the stack and the noise model. Sequential steps rebuild
-    the stack at each iterate, and the longest sequential chain computed for
-    the last data matrix is kept, so a longer chain on the same data goes on
-    from it.
+    prior that shares the stack and the noise model. The methods "1", "2" and
+    "3" are partial sums of one reversion: the highest-order reversion
+    computed for the last data matrix is kept, and every order on the same
+    data continues or slices it. Sequential steps rebuild the stack at each
+    iterate, and the longest sequential chain computed for the last data
+    matrix is kept, so a longer chain on the same data goes on from it. Both
+    kept results are keyed by the data's exact bytes.
 
     :meth:`map_at` serves the forward map at a reconstruction from a stack
     built there. It holds at most one such stack: the one at the point the
     chain rebases at next, which is method "1"'s point or the kept chain's
     last iterate. The next rebase at exactly that point takes it, and
-    :meth:`release` drops it.
+    :meth:`release` drops it together with the kept reversion and the origin
+    stack's derivative memo.
     """
 
     def __init__(self, rec: SideModel, gammas: PriorGammas | None = None):
@@ -398,13 +403,18 @@ class Reconstructor:
     def _set_prior(self, gammas: PriorGammas) -> None:
         self.prior = build_prior(self.rec.param, gammas)
         self.inverse0 = TikhonovInverse(self.stack0, self.prior, self.noise)
-        self._sequential: tuple[np.ndarray, SequentialResult] | None = None
+        self._sequential: tuple[bytes, SequentialResult] | None = None  # (_data_key, chain)
         self.release()
 
     def release(self) -> None:
-        """Drop the held stack and forget the next rebase point."""
+        """Drop the held stack, the kept reversion and the origin stack's memo.
+
+        The next rebase point is forgotten too. The kept sequential chain stays.
+        """
         self._next: tuple | None = None  # _point_key of the next rebase point
         self._held: tuple[tuple, DerivativeStack] | None = None  # (key, stack there)
+        self._reversion: tuple[bytes, ReversionResult] | None = None  # (_data_key, result)
+        self.stack0.forget()
 
     def map_at(self, iota: ParamVector) -> np.ndarray:
         """Noiseless map of the reconstruction side at ``iota``, from a stack built there.
@@ -442,22 +452,26 @@ class Reconstructor:
         return TikhonovInverse(stack, self.prior, self.noise)
 
     def _kept_chain(self, data: np.ndarray) -> SequentialResult | None:
-        kept = self._sequential
-        return kept[1] if kept is not None and np.array_equal(kept[0], data) else None
+        return _kept_for(self._sequential, data)
 
     def _run_sequential(self, data: np.ndarray, steps: int) -> SequentialResult:
-        """Sequential linearization, going on from the kept chain on equal data."""
+        """Sequential linearization, going on from the kept chain on the same data."""
         start = self._kept_chain(data)
         seq = sequential_linearize(self._rebase, data, steps, self.inverse0, start)
         if start is None or len(seq.iterates) > len(start.iterates):
-            # later runs read the kept data and iterates, so nothing may write to them
-            kept_data = np.array(data, dtype=float)
-            for arr in [kept_data] + [a for it in seq.iterates for a in (it.kappa, it.rho, it.xi)]:
-                if arr is not None:
-                    arr.setflags(write=False)
-            self._sequential = (kept_data, seq)
+            _freeze(seq.iterates)
+            self._sequential = (_data_key(data), seq)
         self._next = _point_key(self._sequential[1].iterates[-1])
         return seq
+
+    def _run_reversion(self, data: np.ndarray, order: int) -> ReversionResult:
+        """Series reversion of an order, continuing or slicing the kept one on the same data."""
+        start = _kept_for(self._reversion, data)
+        result = revert(self.stack0, self.inverse0, data, order, start)
+        if start is None or result.order > start.order:
+            _freeze(result.etas)
+            self._reversion = (_data_key(data), result)
+        return result
 
     def run(self, method: str, data: np.ndarray) -> ReconOutcome:
         """Reconstruct from a data matrix with one of the named methods.
@@ -477,12 +491,12 @@ class Reconstructor:
                 clamped=any(seq.clamped),
             )
         order = int(method)
-        result = revert(self.stack0, self.inverse0, data, order)
+        result = self._run_reversion(data, order)
         upsilon, clamped = self.rec.param.clamp(result.partial_sum(order))
         if order == 1 and self._kept_chain(data) is None:
             # the first sequential iterate on this data, bit for bit
             self._next = _point_key(upsilon)
-        diagnostics = dict(result.diagnostics)
+        diagnostics = {"operand_norms": list(result.operand_norms)}
         if order >= 3:
             corr = _sign_correlation(result.etas[1].kappa, result.etas[2].kappa)
             diagnostics["eta2_eta3_sign_correlation"] = corr
@@ -499,6 +513,24 @@ def _point_key(iota: ParamVector) -> tuple:
     """The exact bytes of a point; points differing in any bit, sign of zero included, differ."""
     arrays = (iota.kappa, iota.rho, iota.xi)
     return tuple(None if a is None else np.asarray(a).tobytes() for a in arrays)
+
+
+def _data_key(data: np.ndarray) -> bytes:
+    """The exact bytes of a data matrix, as :func:`_point_key` keys points."""
+    return np.asarray(data, dtype=float).tobytes()
+
+
+def _kept_for(kept: tuple | None, data: np.ndarray):
+    """The result of a ``(_data_key, result)`` pair when it was kept for these data, else None."""
+    return kept[1] if kept is not None and kept[0] == _data_key(data) else None
+
+
+def _freeze(points: Sequence[ParamVector]) -> None:
+    """Make the points read-only: later runs read a kept result, so nothing may write to it."""
+    for point in points:
+        for arr in (point.kappa, point.rho, point.xi):
+            if arr is not None:
+                arr.setflags(write=False)
 
 
 def _check_data(data: np.ndarray, lam0: np.ndarray) -> None:
@@ -650,10 +682,10 @@ def _study(
 
     Each item gives its target, its simulated measurement and the
     reconstructor that serves it. The indicators take their maps from that
-    reconstructor's :meth:`~Reconstructor.map_at`, and its held stack is
-    released at the end of every item. A reconstruction that raises is
-    recorded in ``failures`` when ``record_failures`` is set and re-raised
-    otherwise.
+    reconstructor's :meth:`~Reconstructor.map_at`, and its held stack and
+    kept reversion are released at the end of every item. A reconstruction
+    that raises is recorded in ``failures`` when ``record_failures`` is set
+    and re-raised otherwise.
     """
     ref_res = np.full(n, np.nan)
     ref_err = np.full(n, np.nan)

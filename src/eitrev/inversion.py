@@ -10,7 +10,7 @@ inverse is reused for every order of the recursion.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -332,10 +332,10 @@ def solve_tikhonov(
 
 @dataclass(frozen=True, eq=False)
 class ReversionResult:
-    """Increments of the reversion recursion and their partial sums."""
+    """Increments of the reversion recursion, their operand norms and partial sums."""
 
     etas: tuple
-    diagnostics: dict = field(default_factory=dict)
+    operand_norms: tuple  # Frobenius norm of the operand each increment inverts
 
     @property
     def order(self) -> int:
@@ -355,35 +355,48 @@ def revert(
     inverse: Callable[[np.ndarray], object],
     data: np.ndarray,
     order: int,
+    start: ReversionResult | None = None,
 ) -> ReversionResult:
     """Series reversion of the forward map around the stack's base point.
 
     The recursion inverts the truncated Taylor series: the first increment
     linearizes the residual, the second compensates the quadratic term driven
     by the first, and the third uses both previous increments. The supplied
-    inverse is applied to every operand matrix. The stack's derivative memo
-    is cleared on the way out: the increments are fresh objects, so no later
-    call could reuse it.
+    inverse is applied to every operand matrix. The order-K method is the
+    partial sum of the first K increments, so the orders share them.
+
+    ``start`` is an earlier result for the same stack, inverse and data: its
+    first ``min(order, start.order)`` increments and operand norms are taken
+    as they are and only the missing ones are computed, with the same bits a
+    fresh reversion gives. The stack's derivative memo is keyed by increment
+    identity, so the kept increments find their chains there. It lives for
+    one reversion and its continuations: a fresh reversion (no ``start``)
+    clears it first, and it is cleared when an exception is raised and when
+    the result reaches order three, which nothing can continue.
     """
     if order < 1 or order > 3:
         raise ValueError("reversion order must be between 1 and 3")
-    try:
-        residual = np.asarray(data, dtype=float) - stack.lam
-        diagnostics = {"operand_norms": [float(np.linalg.norm(residual))]}
-        eta1 = inverse(residual)
-        etas = [eta1]
-        if order >= 2:
-            operand2 = -0.5 * stack.dlambda2(eta1)
-            diagnostics["operand_norms"].append(float(np.linalg.norm(operand2)))
-            eta2 = inverse(operand2)
-            etas.append(eta2)
-        if order >= 3:
-            operand3 = -(stack.dlambda3(eta1) / 6.0 + stack.mixed_dlambda2(eta1, etas[1]))
-            diagnostics["operand_norms"].append(float(np.linalg.norm(operand3)))
-            etas.append(inverse(operand3))
-    finally:
+    if start is None:
         stack.forget()
-    return ReversionResult(etas=tuple(etas), diagnostics=diagnostics)
+        etas, norms = [], []
+    else:
+        etas, norms = list(start.etas[:order]), list(start.operand_norms[:order])
+    operands = (
+        lambda: np.asarray(data, dtype=float) - stack.lam,
+        lambda: -0.5 * stack.dlambda2(etas[0]),
+        lambda: -(stack.dlambda3(etas[0]) / 6.0 + stack.mixed_dlambda2(etas[0], etas[1])),
+    )
+    try:
+        for k in range(len(etas), order):
+            operand = operands[k]()
+            norms.append(float(np.linalg.norm(operand)))
+            etas.append(inverse(operand))
+    except BaseException:
+        stack.forget()
+        raise
+    if len(etas) == 3:
+        stack.forget()
+    return ReversionResult(etas=tuple(etas), operand_norms=tuple(norms))
 
 
 @dataclass(frozen=True, eq=False)

@@ -35,9 +35,9 @@ from eitrev.harness import (
     write_measurement,
     write_reconstruction,
 )
-from eitrev.inversion import PriorGammas, build_prior
+from eitrev.inversion import PriorGammas, TikhonovInverse, build_prior, revert
 from eitrev.mesh import Partition
-from eitrev.model import AdmissibilityError, ParamVector
+from eitrev.model import AdmissibilityError, Parametrization, ParamVector
 
 
 @pytest.fixture(scope="module")
@@ -253,6 +253,43 @@ class TestExperiment1:
         for method in ("1", "2", "1,1"):
             assert np.all(result.table[method]["res"] < 1e-9 * lam_scale)
 
+    def test_one_reversion_serves_methods_one_two_and_three(self, small_case, monkeypatch):
+        counts = {"perturbation": 0, "dlambda2": 0, "tikhonov": 0}
+        directions = []
+        item = []
+        simulate = harness.simulate_measurements
+        dtau = Parametrization.dtau
+
+        def item_start(*args, **kwargs):
+            item.append(True)
+            return simulate(*args, **kwargs)
+
+        def logged(param, at, dirs):
+            if item:
+                directions.append(len(dirs))
+            return dtau(param, at, dirs)
+
+        def counted(name, method):
+            def wrapper(*args, **kwargs):
+                counts[name] += bool(item)
+                return method(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(harness, "simulate_measurements", item_start)
+        monkeypatch.setattr(Parametrization, "dtau", logged)
+        for owner, attr, name in (
+            (fem.AssembledSystem, "perturbation", "perturbation"),
+            (DerivativeStack, "dlambda2", "dlambda2"),
+            (TikhonovInverse, "__call__", "tikhonov"),
+        ):
+            monkeypatch.setattr(owner, attr, counted(name, getattr(owner, attr)))
+        result = experiment1(small_case, methods=("1", "2", "3"), n_samples=1, seed=16)
+        assert not result.failures
+        # eta1, (eta1, eta1), (eta1, eta1, eta1), eta2 and (eta1, eta2), once each
+        assert counts == {"perturbation": 5, "dlambda2": 1, "tikhonov": 3}
+        assert sorted(directions) == [1, 1, 2, 2, 3]
+
     def test_failures_recorded_not_fatal(self, small_case, monkeypatch):
         calls = {"n": 0}
         original = Reconstructor.run
@@ -416,6 +453,113 @@ class TestReconstructor:
             recon.run("1,1,1", data)
         monkeypatch.setattr(Reconstructor, "_rebase", rebase)
         self._assert_same(recon.run("1,1,1", data), expected)
+
+    @staticmethod
+    def _fresh_outcome(recon, data, order):
+        """Method ``order`` as a reversion computed from scratch for it alone gives it."""
+        result = revert(recon.stack0, recon.inverse0, data, order)
+        upsilon, clamped = recon.rec.param.clamp(result.partial_sum(order))
+        diagnostics = {"operand_norms": list(result.operand_norms)}
+        if order == 3:
+            corr = harness._sign_correlation(result.etas[1].kappa, result.etas[2].kappa)
+            diagnostics["eta2_eta3_sign_correlation"] = corr
+        return harness.ReconOutcome(str(order), upsilon, result.etas, clamped, diagnostics)
+
+    @staticmethod
+    def _record(outcome, tmp_path):
+        path = tmp_path / "record.json"
+        write_reconstruction(outcome, path)
+        return path.read_bytes()
+
+    @pytest.fixture(scope="class")
+    def fresh(self, sides, data):
+        """Fresh outcomes of methods 1, 2 and 3, for the case's prior and a doubled one."""
+        _, rec = sides
+        out = {}
+        for scale in (1.0, 2.0):
+            recon = Reconstructor(rec, gammas=rec.spec.gammas.scaled(scale))
+            out[scale] = {k: self._fresh_outcome(recon, data, k) for k in (1, 2, 3)}
+        return out
+
+    def _assert_fresh(self, outcome, expected, tmp_path):
+        assert outcome.upsilon.to_flat().tobytes() == expected.upsilon.to_flat().tobytes()
+        self._assert_same(outcome, expected)
+        assert outcome.diagnostics == expected.diagnostics
+        assert self._record(outcome, tmp_path) == self._record(expected, tmp_path)
+
+    @pytest.mark.parametrize("orders", ["3,1,2", "2,3,1", "1,2,3"])
+    def test_reversion_orders_equal_fresh_ones_in_any_order(
+        self, sides, data, fresh, orders, tmp_path
+    ):
+        _, rec = sides
+        recon = Reconstructor(rec)
+        for method in orders.split(","):
+            outcome = recon.run(method, data)
+            self._assert_fresh(outcome, fresh[1.0][int(method)], tmp_path)
+
+    def test_reconstructors_sharing_the_origin_stack_keep_their_own_reversions(
+        self, sides, data, fresh, tmp_path
+    ):
+        _, rec = sides
+        base = Reconstructor(rec)
+        other = base.with_gammas(rec.spec.gammas.scaled(2.0))
+        runs = [(base, 1.0, "1"), (other, 2.0, "2"), (base, 1.0, "3"), (other, 2.0, "1")]
+        runs += [(other, 2.0, "3"), (base, 1.0, "2")]
+        seen = {1.0: [], 2.0: []}
+        for recon, scale, method in runs:
+            outcome = recon.run(method, data)
+            self._assert_fresh(outcome, fresh[scale][int(method)], tmp_path)
+            seen[scale] += outcome.components
+        assert not any(a is b for a in seen[1.0] for b in seen[2.0])
+
+    def test_release_empties_the_memo_and_keeps_nothing(self, sides, data, monkeypatch):
+        _, rec = sides
+        recon = Reconstructor(rec)
+        recon.run("2", data)
+        stack = recon.stack0
+        assert stack._handles and stack._chains
+        recon.release()
+        assert stack._handles == [] and stack._ops == {} and stack._chains == {}
+        assert recon._reversion is None
+        starts = []
+
+        def spy(*args):
+            starts.append(args[-1])
+            return revert(*args)
+
+        monkeypatch.setattr(harness, "revert", spy)
+        recon.run("3", data)
+        recon.run("1", data)
+        assert starts[0] is None and starts[1].order == 3
+
+    def test_a_sign_of_zero_in_the_data_misses_both_kept_results(self, sides, data, monkeypatch):
+        _, rec = sides
+        recon = Reconstructor(rec)
+        starts = []
+        for name in ("revert", "sequential_linearize"):
+            original = getattr(harness, name)
+
+            def spy(*args, original=original):
+                starts.append(args[-1])
+                return original(*args)
+
+            monkeypatch.setattr(harness, name, spy)
+        positive = data.copy()
+        positive[0, 0] = 0.0
+        negative = positive.copy()
+        negative[0, 0] = -0.0
+        assert np.array_equal(positive, negative)
+        recon.run("2", positive)
+        recon.run("1,1", positive)
+        recon.run("3", positive.copy())
+        recon.run("1,1,1", positive.copy())
+        assert starts[0] is None and starts[1] is None
+        assert starts[2] is not None and starts[3] is not None
+        del starts[:]
+        # the kept results are now for "positive"; "negative" has other bytes
+        recon.run("3", negative)
+        recon.run("1,1,1", negative)
+        assert starts == [None, None]
 
     def test_kept_chain_is_read_only_and_its_data_a_copy(self, sides, data, stack_builds):
         _, rec = sides

@@ -20,7 +20,9 @@ from eitrev.inversion import (
     sequential_linearize,
     solve_tikhonov,
 )
-from eitrev.model import ConductivityPair, ParamVector
+from eitrev.mesh import cluster_partition, define_electrodes
+from eitrev.model import ConductivityPair, ModelConfig, Parametrization, ParamVector
+from test_three_dimensional import kuhn_cube
 
 
 class TestPrior:
@@ -364,6 +366,116 @@ class TestRevert:
         for K in (1, 2, 3):
             slope = np.polyfit(np.log(tvals), np.log(errs[K]), 1)[0]
             assert slope == pytest.approx(K + 1, abs=0.25)
+
+
+def _result_bytes(result):
+    """Increments, partial sums and operand norms of a reversion, as exact bytes."""
+    return (
+        [eta.to_flat().tobytes() for eta in result.etas],
+        [result.partial_sum(k).to_flat().tobytes() for k in range(1, result.order + 1)],
+        np.array(result.operand_norms).tobytes(),
+    )
+
+
+def _memo_is_empty(stack):
+    return stack._handles == [] and stack._ops == {} and stack._chains == {}
+
+
+class TestContinuation:
+    """A reversion continued from an earlier one equals a fresh one, bit for bit."""
+
+    @pytest.fixture(scope="class", params=["disk", "cube"])
+    def geometry(self, request, layout8, part20):
+        if request.param == "disk":
+            return layout8, part20
+        mesh = kuhn_cube(2)
+        midpoints = np.array([[0.5, 0.0, 0.5], [1.0, 0.5, 0.5], [0.5, 1.0, 0.5], [0.0, 0.5, 0.5]])
+        return define_electrodes(mesh, midpoints, 0.5, 0.4), cluster_partition(mesh, 6, seed=2)
+
+    @pytest.fixture(scope="class", params=["smooth-origin", "smooth-point", "cem-origin", "cem-point"])
+    def setting(self, request, geometry):
+        """A stack, its Tikhonov inverse and a data matrix near its map."""
+        kind, where = request.param.split("-")
+        param = Parametrization(ModelConfig(), geometry[1], geometry[0], kind)
+        rng = np.random.default_rng(61)
+        iota = param.zero()
+        while where == "point":
+            iota = param.from_flat(0.05 * rng.standard_normal(param.dim))
+            where = "point" if not param.admissible(iota) else "found"
+        stack = DerivativeStack(param, iota)
+        prior = build_prior(param, PriorGammas(0.1, 1.0, 0.1, 0.02))
+        noise = build_noise_cov(1e-4, 1e-3, stack.lam)
+        data = stack.lam + 1e-2 * np.abs(stack.lam).max() * rng.standard_normal(stack.lam.shape)
+        return stack, TikhonovInverse(stack, prior, noise), data
+
+    @pytest.mark.parametrize("j, k", [(1, 2), (1, 3), (2, 3)])
+    def test_continued_equals_fresh(self, setting, j, k):
+        stack, inverse, data = setting
+        fresh = revert(stack, inverse, data, k)
+        start = revert(stack, inverse, data, j)
+        continued = revert(stack, inverse, data, k, start=start)
+        assert _result_bytes(continued) == _result_bytes(fresh)
+        assert all(a is b for a, b in zip(continued.etas, start.etas))
+        assert start.order == j
+
+    @pytest.mark.parametrize("j, k", [(1, 1), (2, 1), (2, 2), (3, 1), (3, 2), (3, 3)])
+    def test_a_lower_order_is_a_slice(self, setting, j, k, monkeypatch):
+        stack, inverse, data = setting
+        fresh = revert(stack, inverse, data, k)
+        start = revert(stack, inverse, data, j)
+
+        def untouched(*args):
+            raise AssertionError("a slice computes nothing")
+
+        monkeypatch.setattr(type(stack), "_chain", untouched)
+        sliced = revert(stack, untouched, data, k, start=start)
+        assert sliced.etas == start.etas[:k]
+        assert sliced.operand_norms == start.operand_norms[:k]
+        assert _result_bytes(sliced) == _result_bytes(fresh)
+
+    def test_continuation_takes_only_the_missing_perturbations(self, setting, monkeypatch):
+        stack, inverse, data = setting
+        calls = []
+        perturbation = fem.AssembledSystem.perturbation
+
+        def counted(system, pair):
+            calls.append(pair)
+            return perturbation(system, pair)
+
+        monkeypatch.setattr(fem.AssembledSystem, "perturbation", counted)
+        one = revert(stack, inverse, data, 1)
+        two = revert(stack, inverse, data, 2, start=one)
+        assert len(calls) == 2  # eta1; (eta1, eta1)
+        assert not _memo_is_empty(stack)
+        revert(stack, inverse, data, 3, start=two)
+        assert len(calls) == 5  # (eta1, eta1, eta1); eta2; (eta1, eta2)
+        assert _memo_is_empty(stack)
+
+    def test_a_fresh_reversion_clears_the_memo_first(self, setting):
+        stack, inverse, data = setting
+        revert(stack, inverse, data, 2)
+        handles = len(stack._handles)
+        revert(stack, inverse, data, 2)
+        assert len(stack._handles) == handles
+
+    def test_a_failed_continuation_keeps_its_start_and_empties_the_memo(
+        self, setting, monkeypatch
+    ):
+        stack, inverse, data = setting
+        start = revert(stack, inverse, data, 2)
+        before = _result_bytes(start)
+
+        def failing(*args):
+            raise RuntimeError("synthetic failure")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(type(stack), "mixed_dlambda2", failing)
+            with pytest.raises(RuntimeError, match="synthetic"):
+                revert(stack, inverse, data, 3, start=start)
+        assert _memo_is_empty(stack)
+        assert start.order == 2 and _result_bytes(start) == before
+        rerun = revert(stack, inverse, data, 3, start=start)
+        assert _result_bytes(rerun) == _result_bytes(revert(stack, inverse, data, 3))
 
 
 class TestSequential:
