@@ -129,7 +129,10 @@ def _cmd_experiment1(args) -> int:
 
 def _cmd_experiment2(args) -> int:
     case = _load_case(args)
-    s_values = [float(tok) for tok in args.s_grid.split(",") if tok.strip()]
+    try:
+        s_values = [float(tok) for tok in args.s_grid.split(",") if tok.strip()]
+    except ValueError as exc:  # float names the token
+        raise ValueError(f"--s-grid: {exc}") from None
     result = harness.experiment2(case, s_values, seed=args.seed)
     harness.write_experiment2_csv(result, args.out)
     print(f"wrote scaling curves for {len(s_values)} factors to {args.out}")

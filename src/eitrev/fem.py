@@ -191,13 +191,14 @@ class PerturbationOperator:
         return system.split(system.solve(self.rhs(inputs)))
 
 
+def _cell_matrices(mesh, sigma: np.ndarray) -> np.ndarray:
+    """The stiffness matrix of every cell for the per-cell field ``sigma``, (n_cells, d+1, d+1)."""
+    grads = mesh.cell_gradients
+    return np.einsum("c,cid,cjd->cij", mesh.cell_volumes * sigma, grads, grads)
+
+
 def _stiffness(system: "AssembledSystem", sigma: np.ndarray) -> sp.csr_matrix:
-    mesh = system.mesh
-    support = np.flatnonzero(sigma)
-    weights = mesh.cell_volumes[support] * sigma[support]
-    grads = mesh.cell_gradients[support]
-    cellmats = np.einsum("c,cid,cjd->cij", weights, grads, grads)
-    return mesh.cell_plan.assemble(support, cellmats)
+    return system.mesh.cell_plan.assemble(_cell_matrices(system.mesh, sigma))
 
 
 def _contact_blocks(
@@ -205,25 +206,25 @@ def _contact_blocks(
 ) -> tuple[sp.csr_matrix, np.ndarray, np.ndarray]:
     """The nodal block, the coupling ``R`` (n, M) and the conductances ``D`` (M,) of ``zeta``.
 
-    Only the electrode facets where ``equad_weights * zeta`` is not all zero
-    take part. The others would add only zeros to sums that start at +0.0,
-    and such a sum is the same without them, bit for bit.
+    Every electrode facet takes part. Where ``equad_weights * zeta`` is all
+    zero, a facet adds only zeros of either sign: they leave a non-zero
+    partial sum as it is and the other terms in their order, a zero partial
+    sum plus the next term is that term, and an entry whose sum is zero is
+    dropped either way. So the results equal sums over the other facets
+    alone, bit for bit.
     """
-    wz = layout.equad_weights * zeta
-    facets = np.flatnonzero(wz.any(axis=1))
-    fmats, R, D = _contact_terms(layout, wz[facets], facets)
-    return layout.facet_plan.assemble(facets, fmats), R, D
+    fmats, R, D = _contact_terms(layout, layout.equad_weights * zeta)
+    return layout.facet_plan.assemble(fmats), R, D
 
 
 def _contact_terms(
-    layout: ElectrodeLayout, wz: np.ndarray, facets: np.ndarray | slice
+    layout: ElectrodeLayout, wz: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-facet matrices, ``R`` (n, M) and ``D`` (M,) of the weighted density ``wz``."""
     bary = layout.facet_bary
     fmats = np.einsum("fq,qa,qb->fab", wz, bary, bary)
     fvals = np.einsum("fq,qa->fa", wz, bary)
-    vertices = layout.efacet_vertices[facets]
-    electrode = layout.efacet_electrode[facets]
+    vertices, electrode = layout.efacet_vertices, layout.efacet_electrode
     R = np.zeros((layout.mesh.n_vertices, layout.n_electrodes))
     for a in range(vertices.shape[1]):
         np.add.at(R, (vertices[:, a], electrode), fvals[:, a])
@@ -253,10 +254,7 @@ def cluster_grams(system: "AssembledSystem", sigma: np.ndarray, stack, sols: Sol
     elsewhere: the same cell matrices summed in the same order, the same
     products with the same operand shapes.
     """
-    mesh = system.mesh
-    grads = mesh.cell_gradients
-    cellmats = np.einsum("c,cid,cjd->cij", mesh.cell_volumes * sigma, grads, grads)
-    product = stack.assemble(cellmats) @ sols.u
+    product = stack.assemble(_cell_matrices(system.mesh, sigma)) @ sols.u
     out = np.empty((stack.n_labels, len(sols), len(sols)))
     for lo, hi in _chunks(stack.n_labels):
         # adding the zero contact terms turns a zero of t1 into +0.0
@@ -279,7 +277,7 @@ def electrode_grams(system: "AssembledSystem", zeta: np.ndarray, sols: SolutionS
     layout = system.layout
     u, U = sols.u, sols.U
     n, M = u.shape[0], layout.n_electrodes
-    fmats, R, D = _contact_terms(layout, layout.equad_weights * zeta, slice(None))
+    fmats, R, D = _contact_terms(layout, layout.equad_weights * zeta)
     stack = layout.facet_stack
     product = stack.assemble(fmats) @ u
     out = np.empty((M, len(sols), len(sols)))

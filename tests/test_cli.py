@@ -322,12 +322,20 @@ def test_out_of_range_seed_is_one_error_line(tmp_path, argv, config):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("grid", ["nan", "0.5,inf"])
-def test_non_finite_grid_is_one_error_line(tmp_path, grid):
+@pytest.mark.parametrize(
+    "grid, message",
+    [
+        ("nan", "ValueError: scaling factors must be positive and finite"),
+        ("0.5,inf", "ValueError: scaling factors must be positive and finite"),
+        ("0.5,abc", "ValueError: --s-grid: could not convert string to float: 'abc'"),
+    ],
+    ids=["nan", "0.5,inf", "0.5,abc"],
+)
+def test_non_finite_grid_is_one_error_line(tmp_path, grid, message):
     proc = _run_cli(["experiment2", "--s-grid", grid, "--out", str(tmp_path / "out")])
     assert proc.returncode == 2
     assert proc.stderr.splitlines() == [proc.stderr.strip()]
-    assert proc.stderr.startswith("ValueError: scaling factors must be positive and finite")
+    assert proc.stderr.startswith(message)
     assert not (tmp_path / "out").exists()
 
 

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eitrev import fem, scatter
 from eitrev.mesh import define_electrodes, disk_electrode_midpoints, generate_disk_mesh
@@ -149,23 +151,21 @@ class TestScatterPlan:
         assert not system.layout.facet_bary.flags.writeable
 
 
-class TestReach:
-    """Supports that the mesh fields above do not produce, straight through the plan."""
+class TestPadded:
+    """Local arrays that are zero outside some elements, straight through the plan."""
 
     @staticmethod
-    def _check(plan, elements, support, local):
-        full = np.zeros(plan.local_shape)
-        full[support] = local
-        ref = _coo_reference(elements, full, plan.shape[0])
-        assert _same_bits(plan.assemble(support, local), ref)
+    def _check(plan, elements, local):
+        ref = _coo_reference(elements, local, plan.shape[0])
+        assert _same_bits(plan.assemble(local), ref)
         return ref
 
-    def test_empty_support(self, system):
+    def test_all_zero(self, system):
         mesh = system.mesh
         plan = mesh.cell_plan
-        k = mesh.cells.shape[1]
-        ref = self._check(plan, mesh.cells, np.array([], dtype=np.intp), np.zeros((0, k, k)))
-        assert ref.nnz == 0
+        local = np.zeros(plan.local_shape)
+        local[::2] = -0.0
+        assert self._check(plan, mesh.cells, local).nnz == 0
 
     def test_terms_that_cancel_to_zero(self, system):
         mesh = system.mesh
@@ -174,7 +174,7 @@ class TestReach:
         # cell 0 and a neighbour b with opposite terms on their shared facet,
         # and one more term on the vertex of cell 0 that b lacks
         b = next(c for c in range(1, mesh.n_cells) if np.isin(cells[c], cells[0]).sum() == k - 1)
-        local = np.zeros((2, k, k))
+        local = np.zeros(mesh.cell_plan.local_shape)
         local[0] = np.random.default_rng(8).standard_normal((k, k))
         lone = np.flatnonzero(~np.isin(cells[0], cells[b]))[0]
         local[0][lone, :] = local[0][:, lone] = 0.0
@@ -183,38 +183,72 @@ class TestReach:
         for i, vi in enumerate(cells[b]):
             for j, vj in enumerate(cells[b]):
                 if vi in at_0 and vj in at_0:
-                    local[1][i, j] = -local[0][at_0[vi], at_0[vj]]
-        ref = self._check(mesh.cell_plan, cells, np.array([0, b]), local)
+                    local[b][i, j] = -local[0][at_0[vi], at_0[vj]]
+        ref = self._check(mesh.cell_plan, cells, local)
         assert ref.nnz == 1 and ref[cells[0][lone], cells[0][lone]] == 1.0
 
-    def test_full_support(self, system):
+    def test_zeros_of_both_signs(self, system):
         mesh = system.mesh
         plan = mesh.cell_plan
         rng = np.random.default_rng(9)
         local = rng.standard_normal(plan.local_shape)
         local[rng.random(mesh.n_cells) < 0.3] = 0.0
         local[0] = -0.0
-        self._check(plan, mesh.cells, np.arange(mesh.n_cells), local)
+        self._check(plan, mesh.cells, local)
 
-    def test_memo_hands_out_no_array_and_keeps_its_bound(self, system):
+    @settings(deadline=None, max_examples=25)
+    @given(data=st.data())
+    def test_masked_elements(self, system, data):
+        """Zeros of both signs on a random set of elements give ``tocsr`` of the padded array."""
+        if data.draw(st.booleans(), label="facets"):
+            plan, elements = system.layout.facet_plan, system.layout.efacet_vertices
+        else:
+            plan, elements = system.mesh.cell_plan, system.mesh.cells
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        density = data.draw(st.floats(0.0, 1.0), label="density")
+        local = rng.standard_normal(plan.local_shape)
+        masked = rng.random(len(local)) >= density
+        local[masked] = np.where(rng.random(plan.local_shape) < 0.5, 0.0, -0.0)[masked]
+        self._check(plan, elements, local)
+
+    def test_assembling_changes_no_plan_state(self, system):
         mesh = system.mesh
         plan = ScatterPlan(mesh.cells, mesh.n_vertices)
+        state = dict(vars(plan))
+        arrays = {name: a.copy() for name, a in state.items() if isinstance(a, np.ndarray)}
+        ranks = [a.copy() for r in plan.ranks for a in r]
         rng = np.random.default_rng(10)
-        support = np.sort(rng.choice(mesh.n_cells, min(5, mesh.n_cells - 1), replace=False))
-        local = rng.standard_normal((len(support),) + plan.local_shape[1:])
-        first = plan.assemble(support, local)
-        for arr in (first.data, first.indices, first.indptr):
-            arr[:] = 0
-        self._check(plan, mesh.cells, support, local)
-        bound = 2 * np.prod(plan.local_shape)
         for _ in range(60):
-            size = rng.integers(1, mesh.n_cells)
-            other = np.sort(rng.choice(mesh.n_cells, size, replace=False))
-            local = rng.standard_normal((size,) + plan.local_shape[1:])
-            self._check(plan, mesh.cells, other, local)
-            held = sum(reach[3] for reach in plan._reaches.values())
-            assert held == plan._reach_terms <= bound
-        assert 0 < len(plan._reaches) < 60
+            local = rng.standard_normal(plan.local_shape)
+            local[rng.random(mesh.n_cells) < rng.random()] = 0.0
+            self._check(plan, mesh.cells, local)
+            A = plan.assemble(local)
+            for arr in (A.data, A.indices, A.indptr):
+                arr[:] = 0
+        assert vars(plan).keys() == state.keys()
+        assert all(vars(plan)[name] is value for name, value in state.items())
+        assert all(np.array_equal(getattr(plan, name), a) for name, a in arrays.items())
+        assert all(np.array_equal(a, b) for a, b in zip(ranks, (a for r in plan.ranks for a in r)))
+
+
+class TestLocalShape:
+    """``assemble`` takes one local matrix per element and nothing else."""
+
+    def test_a_support_sized_local_is_rejected(self, system):
+        plan = system.mesh.cell_plan
+        n_elements, k, _ = plan.local_shape
+        local = np.ones((n_elements // 2, k, k))
+        with pytest.raises(ValueError, match="local matrices of shape") as info:
+            plan.assemble(local)
+        assert str(local.shape) in str(info.value) and str(plan.local_shape) in str(info.value)
+
+    def test_a_local_of_the_same_size_but_another_shape_is_rejected(self, system):
+        plan = system.layout.facet_plan
+        n_elements, k, _ = plan.local_shape
+        local = np.ones((k, n_elements, k))
+        with pytest.raises(ValueError, match="local matrices of shape") as info:
+            plan.assemble(local)
+        assert str(local.shape) in str(info.value) and str(plan.local_shape) in str(info.value)
 
 
 @pytest.mark.parametrize("name", ["disk4", "cube3"])
@@ -232,9 +266,8 @@ def test_a_stable_summation_order_fails(name, monkeypatch):
     grads = mesh.cell_gradients
     cellmats = np.einsum("c,cid,cjd->cij", mesh.cell_volumes * sigma, grads, grads)
     ref = _stiffness_reference(system, sigma)
-    support = np.arange(mesh.n_cells)
-    assert _same_bits(ScatterPlan(mesh.cells, mesh.n_vertices).assemble(support, cellmats), ref)
+    assert _same_bits(ScatterPlan(mesh.cells, mesh.n_vertices).assemble(cellmats), ref)
     monkeypatch.setattr(scatter, "_summation_order", stable_order)
-    stable = ScatterPlan(mesh.cells, mesh.n_vertices).assemble(support, cellmats)
+    stable = ScatterPlan(mesh.cells, mesh.n_vertices).assemble(cellmats)
     assert np.array_equal(stable.indices, ref.indices)
     assert not _same_bits(stable, ref)
