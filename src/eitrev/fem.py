@@ -127,12 +127,10 @@ class SolutionSet:
 class PerturbationOperator:
     """Sesquilinear form with a fixed perturbation pair in place of (sigma, zeta).
 
-    Precomputes the sparse stiffness and contact coupling blocks for one
+    Precomputes the sparse nodal block ``A`` (stiffness plus contact), the
+    coupling ``Rmat`` (n, M) and the conductances ``Dvec`` (M,) for one
     perturbation so that repeated right-hand side builds and bilinear form
-    evaluations are cheap. A block whose input is identically zero is not
-    built: with a zero contact input ``Rmat`` and ``Dvec`` are ``None`` and
-    the forms skip their terms. The results are the same, bit for bit, as
-    with every block built.
+    evaluations are cheap. Every block is built, whatever its input.
     """
 
     def __init__(self, system: "AssembledSystem", eta: ConductivityPair):
@@ -145,15 +143,8 @@ class PerturbationOperator:
             raise ValueError("sigma perturbation must be a per-cell field")
         if dzeta.shape != layout.equad_weights.shape:
             raise ValueError("zeta perturbation must sample the facet quadrature")
-        self.Rmat: np.ndarray | None = None  # (n, M)
-        self.Dvec: np.ndarray | None = None  # (M,)
-        if dzeta.any():
-            A, self.Rmat, self.Dvec = _contact_blocks(layout, dzeta)
-            if dsigma.any():
-                A = _stiffness(system, dsigma) + A
-        else:
-            A = _stiffness(system, dsigma)
-        self.A = A
+        C, self.Rmat, self.Dvec = _contact_blocks(layout, dzeta)
+        self.A = _stiffness(system, dsigma) + C
 
     def bform(self, left: SolutionSet, right: SolutionSet) -> np.ndarray:
         """Gram matrix of the perturbed form over two solution batches.
@@ -162,9 +153,6 @@ class PerturbationOperator:
         integral(dsigma grad u_i . grad u_j) + integral(dzeta (U_i-u_i)(U_j-u_j)).
         """
         t1 = left.u.T @ (self.A @ right.u)
-        if self.Rmat is None:
-            # adding the zero contact terms turns a zero of t1 into +0.0
-            return t1 + 0.0
         t2 = left.u.T @ (self.Rmat @ right.U)
         t3 = left.U.T @ (self.Rmat.T @ right.u)
         t4 = left.U.T @ (self.Dvec[:, None] * right.U)
@@ -173,11 +161,7 @@ class PerturbationOperator:
     def rhs(self, inputs: SolutionSet) -> np.ndarray:
         """Load vectors of -B_eta(input, .) in the reduced unknowns."""
         B = self.system.basis.B
-        f_u = self.A @ inputs.u
-        if self.Rmat is None:
-            # the zero contact products are +0.0, so the electrode rows are -0.0
-            return -np.vstack([f_u, np.zeros((B.shape[1], f_u.shape[1]))])
-        f_u = f_u - self.Rmat @ inputs.U
+        f_u = self.A @ inputs.u - self.Rmat @ inputs.U
         f_c = B.T @ (self.Dvec[:, None] * inputs.U - self.Rmat.T @ inputs.u)
         return -np.vstack([f_u, f_c])
 
@@ -267,12 +251,11 @@ def electrode_grams(system: "AssembledSystem", zeta: np.ndarray, sols: SolutionS
 
     Entry ``m`` equals ``PerturbationOperator(system, (0, zeta_m)).bform(sols,
     sols)`` bit for bit, where ``zeta_m`` is ``zeta`` on the facets of
-    electrode ``m`` and zero elsewhere. ``R`` and ``D`` are summed over all
-    of the electrode's facets, which adds only zeros to what the operator
-    sums, and each electrode's ``R`` and ``D`` keep their full (n, M) and
-    (M,) shapes in the products. Where ``zeta_m`` vanishes the operator's
-    form is the stiffness term plus +0.0, and the four terms here, all +0.0,
-    sum to the same.
+    electrode ``m`` and zero elsewhere. Column ``m`` of ``R`` and entry
+    ``m`` of ``D`` sum the same facet terms in the same order as the
+    operator's, every other column and entry is +0.0 in both, and each
+    electrode's ``R`` and ``D`` keep their full (n, M) and (M,) shapes in the
+    same four products.
     """
     layout = system.layout
     u, U = sols.u, sols.U
@@ -312,7 +295,7 @@ class AssembledSystem:
 
         # the form of tau itself; perturbation() serves derivative directions only
         form = PerturbationOperator(self, tau)
-        if form.Rmat is None:
+        if not np.any(tau.zeta):
             raise IndefiniteSystemError("the contact density vanishes identically")
         n = self.n_interior = mesh.n_vertices
         B = self.basis.B

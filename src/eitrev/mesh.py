@@ -165,7 +165,8 @@ def build_mesh(dimension: int, vertices: np.ndarray, cells: np.ndarray) -> Simpl
     """Assemble a validated mesh from raw vertex and cell arrays.
 
     Cells with negative signed volume are reoriented; degenerate or duplicate
-    cells and non-manifold facet incidences raise :class:`TopologyError`.
+    cells, non-manifold facet incidences and vertices that no cell uses raise
+    :class:`TopologyError`.
     """
     if dimension not in (2, 3):
         raise MeshFormatError(f"dimension must be 2 or 3, got {dimension}")
@@ -179,6 +180,9 @@ def build_mesh(dimension: int, vertices: np.ndarray, cells: np.ndarray) -> Simpl
         raise MeshFormatError("cell array shape does not match dimension")
     if cells.size and (cells.min() < 0 or cells.max() >= len(vertices)):
         raise TopologyError("cell vertex index out of range")
+    unused = np.flatnonzero(np.bincount(cells.ravel(), minlength=len(vertices)) == 0)
+    if unused.size:
+        raise TopologyError(f"vertex {unused[0]} belongs to no cell")
 
     cells = cells.copy()
     vol = _signed_volumes(vertices, cells)

@@ -78,9 +78,6 @@ class ParamVector:
     def __neg__(self) -> "ParamVector":
         return (-1.0) * self
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.to_flat()))
-
 
 @dataclass(frozen=True)
 class ModelConfig:
@@ -184,12 +181,6 @@ class _BumpGroup(NamedTuple):
     Z3: np.ndarray
     Z4: np.ndarray
     scale: np.ndarray  # exp(rho_m + mu_zeta)
-
-    def take(self, sel: np.ndarray) -> "_BumpGroup":
-        """The rows ``sel`` (ascending) of every array; views when they are contiguous."""
-        if sel[-1] - sel[0] + 1 == len(sel):
-            sel = slice(sel[0], sel[-1] + 1)
-        return _BumpGroup._make([a[sel] for a in self])
 
 
 class BumpData:
@@ -505,6 +496,8 @@ class Parametrization:
         if self.kind == "cem":
             if rho.shape != (M,):
                 raise ValueError("theta length must equal the electrode count")
+            if xi is not None:
+                raise ValueError("a cem point carries no contact locations xi")
             zeta = _cem_density(layout, np.exp(config.mu_zeta + rho))
             return ConductivityPair(sigma, zeta, iota, owner=self)
         xi = np.asarray(xi)
@@ -568,8 +561,8 @@ class Parametrization:
         dsigma = (base * prod)[self.partition.cluster_of]
 
         dzeta = np.zeros_like(layout.equad_weights)
-        # Multilinearity: electrode m contributes only when every direction has a
-        # nonzero contact component there.
+        # Multilinearity: the contact part vanishes unless some electrode has a
+        # nonzero contact component in every direction.
         contact_active = None
         for d in directions:
             active = d.rho != 0
@@ -591,11 +584,6 @@ class Parametrization:
         # order, and a product of two factors commutes exactly.
         subsets = [S for size in range(k, -1, -1) for S in combinations(range(k), size)]
         for group in at.bumps.groups:
-            sel = np.flatnonzero(contact_active[group.electrodes])
-            if sel.size == 0:
-                continue
-            if sel.size < len(group.electrodes):
-                group = group.take(sel)
             expansion = _Expansion(group, directions, at.bumps.R2)
             handles = expansion.handles
             r = [d.rho[group.electrodes][:, None, None] for d in directions]

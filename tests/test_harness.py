@@ -561,7 +561,7 @@ class TestReconstructor:
         recon.run("1,1,1", negative)
         assert starts == [None, None]
 
-    def test_kept_chain_is_read_only_and_its_data_a_copy(self, sides, data, stack_builds):
+    def test_kept_chain_is_read_only_and_keyed_by_the_data_bytes(self, sides, data, stack_builds):
         _, rec = sides
         recon = Reconstructor(rec)
         stack_builds.clear()

@@ -92,6 +92,11 @@ class TestLoadMesh:
         with pytest.raises(TopologyError):
             load_mesh(path)
 
+    def test_unused_vertex(self, tmp_path):
+        path = _write(tmp_path, "dim 2\nvertices 5\n0 0\n1 0\n2 2\n0 1\n3 3\ncells 1\n0 1 3\n")
+        with pytest.raises(TopologyError, match="vertex 2 belongs to no cell"):
+            load_mesh(path)
+
     def test_nonmanifold_facet(self, tmp_path):
         path = _write(
             tmp_path,

@@ -149,6 +149,11 @@ class TestZetaCem:
         assert np.all(zeta[off] == 0.0)
         assert np.all(zeta[layout8.contact_mask] > 0.0)
 
+    def test_rejects_a_point_with_contact_locations(self, cem8):
+        point = ParamVector(np.zeros(cem8.n_clusters), np.zeros(8), np.zeros((8, 2)))
+        with pytest.raises(ValueError, match="no contact locations"):
+            cem8.tau(point)
+
 
 class TestBump:
     def test_center_value_one(self, config):

@@ -41,7 +41,8 @@ def _draw_point(data, params, n_directions):
     """A parametrization, an admissible base point and random directions.
 
     Each direction has its contact part switched off on a drawn set of
-    electrodes, which exercises the skipping of inactive electrodes.
+    electrodes, so the contact part of the derivative vanishes on some
+    electrodes or on all of them.
     """
     param = params[data.draw(st.sampled_from(sorted(params)), label="kind")]
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
