@@ -5,6 +5,12 @@ electrode potentials expressed in an orthonormal mean-free basis, which
 removes the joint additive constant and makes the system matrix symmetric
 positive definite. One direct symmetric factorization per conductivity pair
 is shared by every subsequent solve, including all perturbation solves.
+
+The pattern of the system matrix is fixed by the electrode layout. A
+:class:`SystemPlan`, built once per layout, records where every summed cell
+and facet entry and every electrode term lands in it, so each system and
+each perturbation's nodal block is one fill of sparse data in place, with
+the bits that summing and converting sparse blocks gave.
 """
 
 from __future__ import annotations
@@ -18,6 +24,7 @@ import scipy.sparse.linalg as spla
 
 from .mesh import ElectrodeLayout
 from .model import ConductivityPair
+from .scatter import compressed
 
 
 class IndefiniteSystemError(RuntimeError):
@@ -127,24 +134,18 @@ class SolutionSet:
 class PerturbationOperator:
     """Sesquilinear form with a fixed perturbation pair in place of (sigma, zeta).
 
-    Precomputes the sparse nodal block ``A`` (stiffness plus contact), the
-    coupling ``Rmat`` (n, M) and the conductances ``Dvec`` (M,) for one
-    perturbation so that repeated right-hand side builds and bilinear form
-    evaluations are cheap. Every block is built, whatever its input.
+    Precomputes the sparse nodal block ``A`` (stiffness plus contact, from
+    the layout's :class:`SystemPlan`), the coupling ``Rmat`` (n, M) and the
+    conductances ``Dvec`` (M,) for one perturbation so that repeated
+    right-hand side builds and bilinear form evaluations are cheap. Every
+    block is built, whatever its input.
     """
 
     def __init__(self, system: "AssembledSystem", eta: ConductivityPair):
         self.system = system
-        mesh = system.mesh
         layout = system.layout
-        dsigma = np.asarray(eta.sigma, dtype=float)
-        dzeta = np.asarray(eta.zeta, dtype=float)
-        if dsigma.shape != (mesh.n_cells,):
-            raise ValueError("sigma perturbation must be a per-cell field")
-        if dzeta.shape != layout.equad_weights.shape:
-            raise ValueError("zeta perturbation must sample the facet quadrature")
-        C, self.Rmat, self.Dvec = _contact_blocks(layout, dzeta)
-        self.A = _stiffness(system, dsigma) + C
+        cellmats, fmats, self.Rmat, self.Dvec = _form_terms(layout, eta)
+        self.A = layout.system_plan.nodal(cellmats, fmats)
 
     def bform(self, left: SolutionSet, right: SolutionSet) -> np.ndarray:
         """Gram matrix of the perturbed form over two solution batches.
@@ -181,24 +182,24 @@ def _cell_matrices(mesh, sigma: np.ndarray) -> np.ndarray:
     return np.einsum("c,cid,cjd->cij", mesh.cell_volumes * sigma, grads, grads)
 
 
-def _stiffness(system: "AssembledSystem", sigma: np.ndarray) -> sp.csr_matrix:
-    return system.mesh.cell_plan.assemble(_cell_matrices(system.mesh, sigma))
+def _form_terms(layout: ElectrodeLayout, pair: ConductivityPair) -> tuple:
+    """The cell matrices, facet matrices, ``R`` (n, M) and ``D`` (M,) of the form of ``pair``.
 
-
-def _contact_blocks(
-    layout: ElectrodeLayout, zeta: np.ndarray
-) -> tuple[sp.csr_matrix, np.ndarray, np.ndarray]:
-    """The nodal block, the coupling ``R`` (n, M) and the conductances ``D`` (M,) of ``zeta``.
-
-    Every electrode facet takes part. Where ``equad_weights * zeta`` is all
-    zero, a facet adds only zeros of either sign: they leave a non-zero
-    partial sum as it is and the other terms in their order, a zero partial
-    sum plus the next term is that term, and an entry whose sum is zero is
-    dropped either way. So the results equal sums over the other facets
-    alone, bit for bit.
+    Every cell and every electrode facet takes part. Where ``pair`` is zero,
+    an element adds only zeros of either sign: they leave a non-zero partial
+    sum as it is and the other terms in their order, a zero partial sum plus
+    the next term is that term, and an entry whose sum is zero is dropped
+    either way. So every result equals sums over the other elements alone,
+    bit for bit.
     """
+    sigma = np.asarray(pair.sigma, dtype=float)
+    zeta = np.asarray(pair.zeta, dtype=float)
+    if sigma.shape != (layout.mesh.n_cells,):
+        raise ValueError("sigma perturbation must be a per-cell field")
+    if zeta.shape != layout.equad_weights.shape:
+        raise ValueError("zeta perturbation must sample the facet quadrature")
     fmats, R, D = _contact_terms(layout, layout.equad_weights * zeta)
-    return layout.facet_plan.assemble(fmats), R, D
+    return _cell_matrices(layout.mesh, sigma), fmats, R, D
 
 
 def _contact_terms(
@@ -215,6 +216,94 @@ def _contact_terms(
     D = np.zeros(layout.n_electrodes)
     np.add.at(D, electrode, wz.sum(axis=1))
     return fmats, R, D
+
+
+class SystemPlan:
+    """Where every term of the system matrix lands, for one electrode layout.
+
+    The system matrix ``K = [[A, -R B], [-(R B).T, B.T diag(D) B]]`` couples
+    the n nodal unknowns with the M - 1 electrode coefficients in the basis
+    ``B``. Its pattern is fixed by the layout:
+
+    - the nodal block ``A`` stores the entries of the cell plan and those of
+      the facet plan;
+    - ``-R B`` stores entry (r, c) where vertex r lies on a facet of an
+      electrode m with ``B[m, c] != 0``; for a finite ``R`` every other
+      entry is a sum of zeros of either sign;
+    - ``B.T diag(D) B`` is dense.
+
+    The plan records where each summed cell entry, each summed facet entry,
+    each coupling entry and its mirror, and each ``B.T diag(D) B`` entry lands
+    in the CSC data of ``K``, and where each summed cell and facet entry lands
+    in the CSR data of ``A`` alone. Filling in the sums, facet added to cell
+    where both patterns meet, and dropping every entry that is zero gives,
+    bit for bit, what scipy gave for the sum of the cell and the facet CSR
+    matrices (it adds the two entries where both are stored, and one entry
+    plus zero is that entry) and for a COO to CSC conversion of the blocks'
+    non-zero entries. Every array of the plan is read-only.
+    """
+
+    def __init__(self, layout: ElectrodeLayout):
+        n, M = layout.mesh.n_vertices, layout.n_electrodes
+        self.cell_plan, self.facet_plan = layout.mesh.cell_plan, layout.facet_plan
+        keys = [
+            np.repeat(np.arange(n), np.diff(plan.indptr)) * n + plan.indices
+            for plan in (self.cell_plan, self.facet_plan)
+        ]
+        union, at = np.unique(np.concatenate(keys), return_inverse=True)
+        rows, cols = np.divmod(union, n)
+        self.cell_at, self.facet_at = np.split(at, [len(keys[0])])
+        dtype = self.cell_plan.indptr.dtype
+        self.nodal_indices = cols.astype(dtype)
+        self.nodal_indptr = np.searchsorted(rows, np.arange(n + 1)).astype(dtype)
+
+        touched = np.zeros((n, M), dtype=np.intp)
+        touched[layout.efacet_vertices, layout.efacet_electrode[:, None]] = 1
+        self.coupling = np.nonzero(touched @ (current_basis(M).B != 0))
+        cr, cc = self.coupling
+        dr, dc = np.divmod(np.arange((M - 1) ** 2), M - 1)
+        term_rows = np.concatenate([rows, cr, cc + n, dr + n])
+        term_cols = np.concatenate([cols, cc + n, cr, dc + n])
+        # each term's id, carried through scipy's own conversion, lands where the term does
+        probe = sp.csc_matrix(
+            (np.arange(len(term_rows), dtype=float), (term_rows, term_cols)),
+            shape=(n + M - 1,) * 2,
+        )
+        place = np.empty(len(term_rows), dtype=np.intp)
+        place[probe.data.astype(np.intp)] = np.arange(len(place))
+        self.nodal_place, self.upper, self.lower, self.conductance = np.split(
+            place, np.cumsum([len(rows), len(cr), len(cr)])
+        )
+        self.indices, self.indptr, self.shape = probe.indices, probe.indptr, probe.shape
+        for arr in (*self.coupling, *vars(self).values()):
+            if isinstance(arr, np.ndarray):
+                arr.setflags(write=False)
+
+    def _nodal_sums(self, cellmats: np.ndarray, fmats: np.ndarray) -> np.ndarray:
+        data = np.zeros(len(self.nodal_indices))
+        data[self.cell_at] = self.cell_plan.sums(cellmats)
+        data[self.facet_at] += self.facet_plan.sums(fmats)
+        return data
+
+    def nodal(self, cellmats: np.ndarray, fmats: np.ndarray) -> sp.csr_matrix:
+        """The nodal block of per-cell and per-facet matrices, entries that sum to zero dropped."""
+        data = self._nodal_sums(cellmats, fmats)
+        return sp.csr_matrix(
+            compressed(data, self.nodal_indices, self.nodal_indptr), shape=self.cell_plan.shape
+        )
+
+    def matrix(
+        self, cellmats: np.ndarray, fmats: np.ndarray, RB: np.ndarray, DB: np.ndarray
+    ) -> sp.csc_matrix:
+        """The system matrix of per-cell and per-facet matrices, ``R B`` and ``B.T diag(D) B``.
+
+        An entry that sums to zero is dropped, and the result owns its arrays.
+        """
+        data = np.empty(len(self.indices))
+        data[self.nodal_place] = self._nodal_sums(cellmats, fmats)
+        data[self.upper] = data[self.lower] = -RB[self.coupling]
+        data[self.conductance] = DB.ravel()
+        return sp.csc_matrix(compressed(data, self.indices, self.indptr), shape=self.shape)
 
 
 # Labels per batched product in the block Gram kernels. It bounds their
@@ -288,37 +377,17 @@ class AssembledSystem:
     """
 
     def __init__(self, layout: ElectrodeLayout, tau: ConductivityPair):
-        mesh = self.mesh = layout.mesh
+        self.mesh = layout.mesh
         self.layout = layout
         self.tau = tau
         self.basis = current_basis(layout.n_electrodes)
+        self.n_interior = layout.mesh.n_vertices
 
-        # the form of tau itself; perturbation() serves derivative directions only
-        form = PerturbationOperator(self, tau)
+        cellmats, fmats, R, D = _form_terms(layout, tau)
         if not np.any(tau.zeta):
             raise IndefiniteSystemError("the contact density vanishes identically")
-        n = self.n_interior = mesh.n_vertices
         B = self.basis.B
-        # K = [[A, -R B], [-(R B).T, B.T diag(D) B]] from one triplet set: every
-        # stored entry of A and the non-zero entries of the other blocks, as a
-        # block build of sparse blocks stores them
-        A = form.A.tocoo()
-        RB = form.Rmat @ B
-        DB = B.T @ (form.Dvec[:, None] * B)
-        rr, rc = np.nonzero(RB)
-        dr, dc = np.nonzero(DB)
-        coupling = -RB[rr, rc]
-        K = sp.csc_matrix(
-            (
-                np.concatenate([A.data, coupling, coupling, DB[dr, dc]]),
-                (
-                    np.concatenate([A.row, rr, rc + n, dr + n]),
-                    np.concatenate([A.col, rc + n, rr, dc + n]),
-                ),
-            ),
-            shape=(n + B.shape[1],) * 2,
-        )
-        self.matrix = K
+        K = self.matrix = layout.system_plan.matrix(cellmats, fmats, R @ B, B.T @ (D[:, None] * B))
         try:
             self._lu = spla.splu(
                 K,

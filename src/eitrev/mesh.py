@@ -249,6 +249,23 @@ def save_mesh(mesh: SimplicialMesh, path: str | Path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def _tokens(path: str | Path) -> list[tuple[str, int]]:
+    """The whitespace-separated tokens of a text file, each with its line number."""
+    lines = Path(path).read_text().splitlines()
+    return [(tok, line) for line, text in enumerate(lines, 1) for tok in text.split()]
+
+
+_INDEX_RANGE = np.iinfo(np.intp)
+
+
+def _index(token: str, line: int) -> int:
+    """The integer ``token`` read on ``line``, checked to fit an index array."""
+    value = int(token)
+    if not _INDEX_RANGE.min <= value <= _INDEX_RANGE.max:
+        raise ValueError(f"line {line}: index {token} is out of range")
+    return value
+
+
 def load_mesh(path: str | Path) -> SimplicialMesh:
     """Read a mesh file; the boundary is recomputed, never read.
 
@@ -259,18 +276,22 @@ def load_mesh(path: str | Path) -> SimplicialMesh:
     TopologyError
         If the cell data is topologically invalid.
     """
-    tokens = Path(path).read_text().split()
+    tokens = _tokens(path)
     pos = 0
 
     def take(expect: str | None = None) -> str:
         nonlocal pos
         if pos >= len(tokens):
             raise MeshFormatError(f"unexpected end of file in {path}")
-        tok = tokens[pos]
+        tok = tokens[pos][0]
         pos += 1
         if expect is not None and tok != expect:
             raise MeshFormatError(f"expected {expect!r}, found {tok!r}")
         return tok
+
+    def take_index() -> int:
+        take()
+        return _index(*tokens[pos - 1])
 
     take("dim")
     try:
@@ -283,7 +304,7 @@ def load_mesh(path: str | Path) -> SimplicialMesh:
         take("cells")
         n_cells = int(take())
         cells = np.array(
-            [[int(take()) for _ in range(dimension + 1)] for _ in range(n_cells)],
+            [[take_index() for _ in range(dimension + 1)] for _ in range(n_cells)],
             dtype=int,
         ).reshape(n_cells, dimension + 1)
     except ValueError as exc:
@@ -446,6 +467,13 @@ class ElectrodeLayout:
     def facet_stack(self) -> StackedPlan:
         """How per-facet d x d matrices sum into one nodal block per electrode."""
         return StackedPlan(self.facet_plan, self.efacet_electrode, self.n_electrodes)
+
+    @cached_property
+    def system_plan(self):
+        """Where the terms of the system matrix land, a :class:`~eitrev.fem.SystemPlan`."""
+        from .fem import SystemPlan  # fem builds on this module
+
+        return SystemPlan(self)
 
     @cached_property
     def contact_geometry(self) -> ContactGeometry:
@@ -1056,7 +1084,7 @@ def save_partition(partition: Partition, path: str | Path) -> None:
 def load_partition(mesh: SimplicialMesh, path: str | Path) -> Partition:
     """Read a partition file written by :func:`save_partition`."""
     try:
-        labels = np.array([int(t) for t in Path(path).read_text().split()], dtype=int)
+        labels = np.array([_index(*token) for token in _tokens(path)], dtype=int)
     except ValueError as exc:
         raise MeshFormatError(f"malformed partition file {path}: {exc}") from exc
     if labels.shape[0] != mesh.n_cells:

@@ -62,6 +62,19 @@ def _group_starts(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return starts, np.diff(np.append(starts, len(keys)))
 
 
+def compressed(data: np.ndarray, indices: np.ndarray, indptr: np.ndarray) -> tuple:
+    """``(data, indices, indptr)`` of a compressed matrix without its entries that are zero.
+
+    Dropping them is what every sparse sum of scipy does with a sum that is
+    exactly zero. The arrays returned are the caller's own: the pattern
+    passed in is copied, not shared.
+    """
+    if data.all():
+        return data, indices.copy(), indptr.copy()
+    kept = np.flatnonzero(data)
+    return data[kept], indices[kept], np.searchsorted(kept, indptr).astype(indptr.dtype)
+
+
 class ScatterPlan:
     """How the ``(k, k)`` local matrices of fixed elements sum into an ``n x n`` CSR matrix.
 
@@ -103,21 +116,23 @@ class ScatterPlan:
         ):
             arr.setflags(write=False)
 
-    def assemble(self, local: np.ndarray) -> sp.csr_matrix:
-        """The sum of ``local``, one local matrix per element, shaped ``local_shape``.
+    def sums(self, local: np.ndarray) -> np.ndarray:
+        """Every entry's sum of ``local``, one local matrix per element, shaped ``local_shape``.
 
-        Every entry sums its terms in scipy's order, and an entry that sums
-        to zero is dropped. The result owns its arrays: changing it in place
-        leaves the plan intact.
+        The entries are those of ``indices`` and ``indptr``, each summing
+        its terms in scipy's order; a sum that is zero stays.
         """
         if np.shape(local) != self.local_shape:
             raise ValueError(f"local matrices of shape {np.shape(local)}, not {self.local_shape}")
-        data = _summed(local, self.first, self.ranks)
-        if data.all():
-            return sp.csr_matrix((data, self.indices.copy(), self.indptr.copy()), shape=self.shape)
-        kept = np.flatnonzero(data)
-        indptr = np.searchsorted(kept, self.indptr).astype(self.indptr.dtype)
-        return sp.csr_matrix((data[kept], self.indices[kept], indptr), shape=self.shape)
+        return _summed(local, self.first, self.ranks)
+
+    def assemble(self, local: np.ndarray) -> sp.csr_matrix:
+        """The sum of ``local`` as a CSR matrix, an entry that sums to zero dropped.
+
+        The result owns its arrays: changing it in place leaves the plan intact.
+        """
+        data = self.sums(local)
+        return sp.csr_matrix(compressed(data, self.indices, self.indptr), shape=self.shape)
 
 
 class StackedPlan:

@@ -247,7 +247,7 @@ class TestCriterion5NoiseCovariance:
         tail = basis16.Bhat_pinv @ basis16.B
         for _ in range(n // chunk):
             theta = noise.pattern_std[None, :, :] * rng.standard_normal((chunk, M, M - 1))
-            data = np.einsum("im,cmn,nj->cij", basis16.B_pinv, theta, tail)
+            data = basis16.B_pinv @ theta @ tail
             flat = data.reshape(chunk, -1, order="F")
             acc += flat.T @ flat
         emp = acc / n

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eitrev import fem
 from eitrev.mesh import (
@@ -14,6 +16,7 @@ from eitrev.mesh import (
 )
 from eitrev.model import ConductivityPair, ModelConfig, Parametrization
 from eitrev.fem import IndefiniteSystemError
+from test_scatter import _contact_reference, _stiffness_reference
 from test_three_dimensional import kuhn_cube
 
 
@@ -401,20 +404,32 @@ class TestAccounting:
         assert len(factored) == 1
 
 
+def _reference_blocks(system, pair):
+    """The nodal block, ``R`` and ``D`` of ``pair``'s form, the nodal block built without the plan.
+
+    It is the sum of the cell and the facet matrices, each assembled from
+    its COO triplets by scipy with its exact zeros dropped.
+    """
+    sigma = np.asarray(pair.sigma, dtype=float)
+    zeta = np.asarray(pair.zeta, dtype=float)
+    A = _stiffness_reference(system, sigma) + _contact_reference(system, zeta)
+    layout = system.layout
+    _, R, D = fem._contact_terms(layout, layout.equad_weights * zeta)
+    return A, R, D
+
+
+def _reference_forms(system, pair, sols):
+    """The Gram matrix of ``pair``'s form over ``sols`` and its load vectors, without the plan."""
+    A, R, D = _reference_blocks(system, pair)
+    u, U = sols.u, sols.U
+    bform = u.T @ (A @ u) - u.T @ (R @ U) - U.T @ (R.T @ u) + U.T @ (D[:, None] * U)
+    f_u = A @ u - R @ U
+    f_c = system.basis.B.T @ (D[:, None] * U - R.T @ u)
+    return bform, -np.vstack([f_u, f_c])
+
+
 class TestPerturbationBlocks:
     """Every block is built for a coordinate direction, and the forms are the blocks' forms."""
-
-    @staticmethod
-    def _full_forms(system, pair, sols):
-        dsigma = np.asarray(pair.sigma, dtype=float)
-        dzeta = np.asarray(pair.zeta, dtype=float)
-        C, R, D = fem._contact_blocks(system.layout, dzeta)
-        A = fem._stiffness(system, dsigma) + C
-        u, U = sols.u, sols.U
-        bform = u.T @ (A @ u) - u.T @ (R @ U) - U.T @ (R.T @ u) + U.T @ (D[:, None] * U)
-        f_u = A @ u - R @ U
-        f_c = system.basis.B.T @ (D[:, None] * U - R.T @ u)
-        return bform, -np.vstack([f_u, f_c])
 
     @pytest.mark.parametrize("kind", ["smooth", "cem"])
     @pytest.mark.parametrize("at_origin", [True, False])
@@ -443,21 +458,24 @@ class TestPerturbationBlocks:
 
             return wrapper
 
-        for name in ("_stiffness", "_contact_blocks"):
-            monkeypatch.setattr(fem, name, recorded(name, getattr(fem, name)))
+        monkeypatch.setattr(fem, "_contact_terms", recorded("R, D", fem._contact_terms))
+        monkeypatch.setattr(fem.SystemPlan, "nodal", recorded("A", fem.SystemPlan.nodal))
         for coordinate, index in coordinates.items():
             pair = param.dtau(system.tau, [param.from_flat(np.eye(param.dim)[index])])
             built.clear()
             op = system.perturbation(pair)
-            assert sorted(built) == ["_contact_blocks", "_stiffness"], coordinate
-            bform, rhs = self._full_forms(system, pair, base)
+            assert sorted(built) == ["A", "R, D"], coordinate
+            bform, rhs = _reference_forms(system, pair, base)
             # tobytes, not array_equal: the sign of a zero entry must match too
             assert op.bform(base, base).tobytes() == bform.tobytes(), coordinate
             assert op.rhs(base).tobytes() == rhs.tobytes(), coordinate
 
 
 class TestLabelGrams:
-    """The block Gram kernels give one perturbation's form per label, bit for bit."""
+    """The block Gram kernels give one perturbation's form per label, bit for bit.
+
+    The forms they are held to are built from the reference blocks, not through the system plan.
+    """
 
     def test_grams_equal_the_form_of_each_label(self, stack8, smooth8):
         system, base = stack8.system, stack8.base
@@ -473,12 +491,12 @@ class TestLabelGrams:
         grams = fem.cluster_grams(system, sigma, partition.cell_stack, base)
         for i in range(partition.n_clusters):
             own = ConductivityPair(np.where(partition.cluster_of == i, sigma, 0.0), no_zeta)
-            assert grams[i].tobytes() == system.perturbation(own).bform(base, base).tobytes()
+            assert grams[i].tobytes() == _reference_forms(system, own, base)[0].tobytes()
         grams = fem.electrode_grams(system, zeta, base)
         for m in range(layout.n_electrodes):
             on = (layout.efacet_electrode == m)[:, None]
             own = ConductivityPair(np.zeros(n_cells), np.where(on, zeta, 0.0))
-            assert grams[m].tobytes() == system.perturbation(own).bform(base, base).tobytes()
+            assert grams[m].tobytes() == _reference_forms(system, own, base)[0].tobytes()
 
 
 # name: mesh, electrode midpoints, electrode and contact radii, clusters
@@ -495,11 +513,11 @@ MATRIX_GEOMETRIES = {
 
 def _block_matrix(system):
     """The system matrix as the former construction gave it: sp.bmat of four sparse blocks."""
-    form = fem.PerturbationOperator(system, system.tau)
-    R, D, B = form.Rmat, form.Dvec, system.basis.B
+    A, R, D = _reference_blocks(system, system.tau)
+    B = system.basis.B
     return sp.bmat(
         [
-            [form.A, sp.csr_matrix(-R @ B)],
+            [A, sp.csr_matrix(-R @ B)],
             [sp.csr_matrix(-(R @ B).T), sp.csr_matrix(B.T @ (D[:, None] * B))],
         ],
         format="csc",
@@ -545,8 +563,13 @@ def _cancelling_pair(system):
     raise AssertionError("no cell conductivity cancels a nodal entry")
 
 
+def _assert_same_bytes(matrix, expected):
+    for name in ("data", "indices", "indptr"):
+        assert getattr(matrix, name).tobytes() == getattr(expected, name).tobytes(), name
+
+
 class TestSystemMatrix:
-    """The system matrix from one triplet set equals the former block build bit for bit."""
+    """The system matrix and its nodal block equal the former block build bit for bit."""
 
     @pytest.fixture(scope="class", params=sorted(MATRIX_GEOMETRIES))
     def geometry(self, request):
@@ -557,9 +580,9 @@ class TestSystemMatrix:
 
     @staticmethod
     def _assert_same_matrix(system):
-        K, expected = system.matrix, _block_matrix(system)
-        for name in ("data", "indices", "indptr"):
-            assert getattr(K, name).tobytes() == getattr(expected, name).tobytes(), name
+        _assert_same_bytes(system.matrix, _block_matrix(system))
+        nodal = system.perturbation(system.tau).A
+        _assert_same_bytes(nodal, _reference_blocks(system, system.tau)[0])
 
     @pytest.mark.parametrize("kind", ["smooth", "cem"])
     def test_matrix_equals_the_block_build(self, geometry, kind):
@@ -582,3 +605,82 @@ class TestSystemMatrix:
         assert i in origin.matrix.indices[origin.matrix.indptr[j] : origin.matrix.indptr[j + 1]]
         assert i not in stored  # the cancelled entry is dropped, as the block build drops it
         self._assert_same_matrix(system)
+
+
+@pytest.fixture(scope="module")
+def plan_layouts():
+    """The electrode layouts of ``MATRIX_GEOMETRIES``, without partitions."""
+    return {
+        name: define_electrodes(make_mesh(), midpoints, *radii)
+        for name, (make_mesh, midpoints, radii, _) in MATRIX_GEOMETRIES.items()
+    }
+
+
+def _signed_zeros(rng, shape):
+    return np.where(rng.random(shape) < 0.5, 0.0, -0.0)
+
+
+def _admissible_pair(layout, kind, rng, zero_fraction):
+    """A positive conductivity and a contact density with zeros of both signs.
+
+    A smooth density is positive on a random share of the facets and on the
+    first facet of each electrode, a cem density constant per electrode on
+    its contact region; both are zeros of either sign elsewhere.
+    """
+    shape = layout.equad_weights.shape
+    sigma = np.exp(rng.standard_normal(layout.mesh.n_cells))
+    if kind == "smooth":
+        on = rng.random(shape[0]) >= zero_fraction
+        on[[sl.start for sl in layout.efacet_slices]] = True
+        zeta = np.exp(rng.standard_normal(shape))
+    else:
+        on = layout.contact_mask
+        per_electrode = np.exp(rng.standard_normal(layout.n_electrodes))
+        zeta = np.repeat(per_electrode[layout.efacet_electrode][:, None], shape[1], axis=1)
+    return ConductivityPair(sigma, np.where(on[:, None], zeta, _signed_zeros(rng, shape)))
+
+
+def _signed_pair(layout, rng, zero_fraction):
+    """A perturbation pair of signed values, a share of them zeros of either sign."""
+
+    def field(shape):
+        zero = rng.random(shape) < zero_fraction
+        return np.where(zero, _signed_zeros(rng, shape), rng.standard_normal(shape))
+
+    return ConductivityPair(field(layout.mesh.n_cells), field(layout.equad_weights.shape))
+
+
+class TestSystemPlan:
+    """Matrices filled through a layout's system plan equal COO oracles built without it."""
+
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(data=st.data())
+    def test_matrices_equal_the_coo_oracles(self, plan_layouts, data):
+        name = data.draw(st.sampled_from(sorted(plan_layouts)), label="geometry")
+        kind = data.draw(st.sampled_from(["smooth", "cem"]), label="kind")
+        zero_fraction = data.draw(st.sampled_from([0.0, 0.3, 0.9, 1.0]), label="zero fraction")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        layout = plan_layouts[name]
+        system = fem.AssembledSystem(layout, _admissible_pair(layout, kind, rng, zero_fraction))
+        _assert_same_bytes(system.matrix, _block_matrix(system))
+        eta = _signed_pair(layout, rng, zero_fraction)
+        _assert_same_bytes(system.perturbation(eta).A, _reference_blocks(system, eta)[0])
+
+    def test_plan_arrays_are_read_only_and_unchanged(self, plan_layouts):
+        rng = np.random.default_rng(41)
+        for layout in plan_layouts.values():
+            plan = layout.system_plan
+            arrays = [a for a in vars(plan).values() if isinstance(a, np.ndarray)]
+            arrays += list(plan.coupling)
+            assert not any(a.flags.writeable for a in arrays)
+            before = [a.copy() for a in arrays]
+            for kind in ("smooth", "cem"):
+                pair = _admissible_pair(layout, kind, rng, rng.random())
+                system = fem.AssembledSystem(layout, pair)
+                nodal = system.perturbation(_signed_pair(layout, rng, rng.random())).A
+                for matrix in (system.matrix, nodal):
+                    matrix.data[:] = np.nan
+                    matrix.indices[:] = 0
+                    matrix.indptr[:] = 0
+            assert layout.system_plan is plan
+            assert all(np.array_equal(a, b) for a, b in zip(arrays, before))

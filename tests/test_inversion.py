@@ -102,7 +102,7 @@ class TestNoise:
         tail = basis8.Bhat_pinv @ basis8.B
         for _ in range(10):
             theta = noise.pattern_std[None, :, :] * rng.standard_normal((n // 10, M, M - 1))
-            data = np.einsum("im,cmn,nj->cij", basis8.B_pinv, theta, tail)
+            data = basis8.B_pinv @ theta @ tail
             flat = data.reshape(n // 10, -1, order="F")
             acc += flat.T @ flat
         emp = acc / n

@@ -92,6 +92,20 @@ class TestLoadMesh:
         with pytest.raises(TopologyError):
             load_mesh(path)
 
+    @pytest.mark.parametrize("index", ["99999999999999999999999", "-99999999999999999999999"])
+    def test_index_beyond_int64(self, tmp_path, index):
+        path = _write(tmp_path, f"dim 2\nvertices 3\n0 0\n1 0\n0 1\ncells 1\n0 {index} 2\n")
+        message = f"malformed mesh file .*mesh.txt: line 7: index {index} is out of range"
+        with pytest.raises(MeshFormatError, match=message):
+            load_mesh(path)
+
+    def test_partition_index_beyond_int64(self, tmp_path, disk2):
+        path = tmp_path / "part.txt"
+        path.write_text("0\n" * 5 + "99999999999999999999999\n" + "0\n" * (disk2.n_cells - 6))
+        message = "malformed partition file .*part.txt: line 6: index 9+ is out of range"
+        with pytest.raises(MeshFormatError, match=message):
+            load_partition(disk2, path)
+
     def test_unused_vertex(self, tmp_path):
         path = _write(tmp_path, "dim 2\nvertices 5\n0 0\n1 0\n2 2\n0 1\n3 3\ncells 1\n0 1 3\n")
         with pytest.raises(TopologyError, match="vertex 2 belongs to no cell"):

@@ -62,6 +62,17 @@ def _contact_reference(system, zeta):
     return _coo_reference(layout.efacet_vertices, fmats, system.mesh.n_vertices)
 
 
+def _stiffness(system, sigma):
+    """The nodal block of ``(sigma, 0)``, through the layout's system plan."""
+    zeta = np.zeros(system.layout.equad_weights.shape)
+    return system.perturbation(ConductivityPair(sigma, zeta)).A
+
+
+def _contact_block(system, zeta):
+    """The nodal block of ``(0, zeta)``, through the layout's system plan."""
+    return system.perturbation(ConductivityPair(np.zeros(system.mesh.n_cells), zeta)).A
+
+
 def _same_bits(A, ref):
     return (
         A.indptr.dtype == ref.indptr.dtype
@@ -109,18 +120,18 @@ class TestScatterPlan:
         rng = np.random.default_rng(3)
         for name, sigma in _sigma_fields(system.mesh, rng).items():
             ref = _stiffness_reference(system, sigma)
-            assert _same_bits(fem._stiffness(system, sigma), ref), name
+            assert _same_bits(_stiffness(system, sigma), ref), name
 
     def test_contact_block_equals_tocsr(self, system):
         rng = np.random.default_rng(4)
         for name, zeta in _zeta_fields(system.layout, rng).items():
             ref = _contact_reference(system, zeta)
-            assert _same_bits(fem._contact_blocks(system.layout, zeta)[0], ref), name
+            assert _same_bits(_contact_block(system, zeta), ref), name
 
     def test_no_explicit_zero_is_kept(self, system):
         mesh = system.mesh
         sigma = _sigma_fields(mesh, np.random.default_rng(5))["one cluster"]
-        A = fem._stiffness(system, sigma)
+        A = _stiffness(system, sigma)
         grads = mesh.cell_gradients
         cellmats = np.einsum("c,cid,cjd->cij", mesh.cell_volumes * sigma, grads, grads)
         with_zeros = _coo_with_zeros(mesh.cells, cellmats, mesh.n_vertices)
@@ -131,22 +142,27 @@ class TestScatterPlan:
     def test_changing_a_result_leaves_the_plan_intact(self, system):
         rng = np.random.default_rng(6)
         fields = _sigma_fields(system.mesh, rng)
-        plan = system.mesh.cell_plan
-        arrays = ("first", "indices", "indptr", "term_entry", "term_rank")
-        before = [getattr(plan, name).copy() for name in arrays]
+        plans = (system.mesh.cell_plan, system.layout.system_plan)
+        before = [
+            (plan, name, value.copy())
+            for plan in plans
+            for name, value in vars(plan).items()
+            if isinstance(value, np.ndarray)
+        ]
         for name in ("one cluster", "random signed"):
-            A = fem._stiffness(system, fields[name])
+            A = _stiffness(system, fields[name])
             A.data[:] = np.nan
             A.indices[:] = 0
             A.indptr[:] = 0
-        assert all(np.array_equal(a, getattr(plan, name)) for a, name in zip(before, arrays))
+        assert all(np.array_equal(a, getattr(plan, name)) for plan, name, a in before)
         for name in ("one cluster", "random signed"):
             sigma = fields[name]
-            assert _same_bits(fem._stiffness(system, sigma), _stiffness_reference(system, sigma))
+            assert _same_bits(_stiffness(system, sigma), _stiffness_reference(system, sigma))
 
     def test_plan_is_built_once_per_mesh(self, system):
         assert system.mesh.cell_plan is system.mesh.cell_plan
         assert system.layout.facet_plan is system.layout.facet_plan
+        assert system.layout.system_plan is system.layout.system_plan
         assert not system.mesh.cell_gradients.flags.writeable
         assert not system.layout.facet_bary.flags.writeable
 
