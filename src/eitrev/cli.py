@@ -105,7 +105,7 @@ def _cmd_reconstruct(args) -> int:
     meas, rec = build_models(case)
     _check_target(args.data, meas.param, target)
     recon = Reconstructor(rec)
-    outcome = recon.run(method, upsilon)
+    outcome = recon.run(method, recon.item(upsilon))
     harness.write_reconstruction(outcome, args.out)
     print(f"wrote reconstruction ({method}) to {args.out}")
     return 0

@@ -46,7 +46,7 @@ from .mesh import (
     generate_disk_mesh,
     nearest_neighbor_project,
 )
-from .model import AdmissibilityError, ModelConfig, ParamVector, Parametrization
+from .model import AdmissibilityError, ModelConfig, ParamVector, Parametrization, check_finite
 
 METHODS = ("1", "2", "3", "1,1", "1,1,1")
 
@@ -374,59 +374,22 @@ class ReconOutcome:
 class Reconstructor:
     """All five reconstruction methods over a fixed reconstruction model.
 
-    The base stack at the origin (with its coordinate Jacobian), the noise
-    model, the prior and the regularized inverse are built once and shared
-    across samples; :meth:`with_gammas` gives a reconstructor for another
-    prior that shares the stack and the noise model. The methods "1", "2" and
-    "3" are partial sums of one reversion: the highest-order reversion
-    computed for the last data matrix is kept, and every order on the same
-    data continues or slices it. Sequential steps rebuild the stack at each
-    iterate, and the longest sequential chain computed for the last data
-    matrix is kept, so a longer chain on the same data goes on from it. Both
-    kept results are keyed by the data's exact bytes.
-
-    :meth:`map_at` serves the forward map at a reconstruction from a stack
-    built there. It holds at most one such stack: the one at the point the
-    chain rebases at next, which is method "1"'s point or the kept chain's
-    last iterate. The next rebase at exactly that point takes it, and
-    :meth:`release` drops it together with the kept reversion and the origin
-    stack's derivative memo.
+    It holds only what every item shares, built once and not changed after:
+    the origin stack (with its coordinate Jacobian), the noise model, the
+    prior and the regularized inverse. :meth:`with_gammas` gives one for
+    another prior that shares the stack and the noise model. :meth:`item`
+    opens the state of one data matrix, and :meth:`run` reconstructs it.
     """
 
     def __init__(self, rec: SideModel, gammas: PriorGammas | None = None):
         self.rec = rec
         self.stack0 = DerivativeStack(rec.param, rec.param.zero())
-        deltas = rec.spec.deltas
-        self.noise = build_noise_cov(deltas[0], deltas[1], self.stack0.lam)
+        self.noise = build_noise_cov(*rec.spec.deltas, self.stack0.lam)
         self._set_prior(gammas if gammas is not None else rec.spec.gammas)
 
     def _set_prior(self, gammas: PriorGammas) -> None:
         self.prior = build_prior(self.rec.param, gammas)
         self.inverse0 = TikhonovInverse(self.stack0, self.prior, self.noise)
-        self._sequential: tuple[bytes, SequentialResult] | None = None  # (_data_key, chain)
-        self.release()
-
-    def release(self) -> None:
-        """Drop the held stack, the kept reversion and the origin stack's memo.
-
-        The next rebase point is forgotten too. The kept sequential chain stays.
-        """
-        self._next: tuple | None = None  # _point_key of the next rebase point
-        self._held: tuple[tuple, DerivativeStack] | None = None  # (key, stack there)
-        self._reversion: tuple[bytes, ReversionResult] | None = None  # (_data_key, result)
-        self.stack0.forget()
-
-    def map_at(self, iota: ParamVector) -> np.ndarray:
-        """Noiseless map of the reconstruction side at ``iota``, from a stack built there.
-
-        It is bitwise :func:`side_forward_map` at ``iota``. The stack is held
-        when ``iota`` is the next rebase point, in place of any held before.
-        """
-        stack = DerivativeStack(self.rec.param, iota)
-        key = _point_key(iota)
-        if key == self._next:
-            self._held = (key, stack)
-        return stack.lam
 
     def with_gammas(self, gammas: PriorGammas) -> "Reconstructor":
         """A reconstructor with another prior on the same model.
@@ -442,87 +405,101 @@ class Reconstructor:
     def lam0(self) -> np.ndarray:
         return self.stack0.lam
 
-    def _rebase(self, iota: ParamVector) -> TikhonovInverse:
-        """The regularized inverse linearized at ``iota``; takes the held stack there."""
-        held, self._held = self._held, None
-        if held is not None and held[0] == _point_key(iota):
-            stack = held[1]
-        else:
-            stack = DerivativeStack(self.rec.param, iota)
-        return TikhonovInverse(stack, self.prior, self.noise)
+    def item(self, data: np.ndarray) -> "Item":
+        """The :class:`Item` of one data matrix, for :meth:`run` and the indicators' maps."""
+        return Item(self, data)
 
-    def _kept_chain(self, data: np.ndarray) -> SequentialResult | None:
-        return _kept_for(self._sequential, data)
-
-    def _run_sequential(self, data: np.ndarray, steps: int) -> SequentialResult:
-        """Sequential linearization, going on from the kept chain on the same data."""
-        start = self._kept_chain(data)
-        seq = sequential_linearize(self._rebase, data, steps, self.inverse0, start)
-        if start is None or len(seq.iterates) > len(start.iterates):
-            _freeze(seq.iterates)
-            self._sequential = (_data_key(data), seq)
-        self._next = _point_key(self._sequential[1].iterates[-1])
-        return seq
-
-    def _run_reversion(self, data: np.ndarray, order: int) -> ReversionResult:
-        """Series reversion of an order, continuing or slicing the kept one on the same data."""
-        start = _kept_for(self._reversion, data)
-        result = revert(self.stack0, self.inverse0, data, order, start)
-        if start is None or result.order > start.order:
-            _freeze(result.etas)
-            self._reversion = (_data_key(data), result)
-        return result
-
-    def run(self, method: str, data: np.ndarray) -> ReconOutcome:
-        """Reconstruct from a data matrix with one of the named methods.
+    def run(self, method: str, item: "Item") -> ReconOutcome:
+        """Reconstruct an item's data with one of the named methods.
 
         Methods "1", "2", "3" are one-step series reversions of that order;
-        "1,1" and "1,1,1" are two and three sequential linearizations.
-        Data not shaped like the reference map raise ``ValueError``.
+        "1,1" and "1,1,1" are two and three sequential linearizations. The
+        item must be one that this reconstructor opened.
         """
         _check_methods((method,))
-        _check_data(data, self.lam0)
+        if getattr(item, "recon", None) is not self:
+            raise ValueError("run takes an item that this reconstructor's item() opened")
         if "," in method:
-            seq = self._run_sequential(data, method.count(",") + 1)
-            return ReconOutcome(
-                method=method,
-                upsilon=seq.iterates[-1],
-                components=seq.iterates,
-                clamped=any(seq.clamped),
-            )
+            seq = item._linearize(method.count(",") + 1)
+            return ReconOutcome(method, seq.iterates[-1], seq.iterates, any(seq.clamped))
         order = int(method)
-        result = self._run_reversion(data, order)
+        result = item._revert(order)
         upsilon, clamped = self.rec.param.clamp(result.partial_sum(order))
-        if order == 1 and self._kept_chain(data) is None:
-            # the first sequential iterate on this data, bit for bit
-            self._next = _point_key(upsilon)
+        if order == 1 and item._chain is None:
+            # the first sequential iterate on these data, bit for bit
+            item._next = _point_key(upsilon)
         diagnostics = {"operand_norms": list(result.operand_norms)}
         if order >= 3:
             corr = _sign_correlation(result.etas[1].kappa, result.etas[2].kappa)
             diagnostics["eta2_eta3_sign_correlation"] = corr
-        return ReconOutcome(
-            method=method,
-            upsilon=upsilon,
-            components=result.etas,
-            clamped=clamped,
-            diagnostics=diagnostics,
-        )
+        return ReconOutcome(method, upsilon, result.etas, clamped, diagnostics)
+
+
+class Item:
+    """One data matrix and what its reconstructions keep, opened by :meth:`Reconstructor.item`.
+
+    Data not shaped like the reference map, or with an entry that is not
+    finite, raise ``ValueError``; the item keeps a read-only copy. Methods
+    "1", "2" and "3" are partial sums of one reversion: the item keeps the
+    highest order computed, and every order continues or slices it. It keeps
+    the longest sequential chain computed, and a longer one goes on from it.
+    :meth:`map_at` holds at most one of the stacks it builds: the one at the
+    point the chain rebases at next (method "1"'s point or the kept chain's
+    last iterate, keyed by exact bytes), which that rebase takes.
+    """
+
+    def __init__(self, recon: Reconstructor, data: np.ndarray):
+        _check_data(data, recon.lam0)
+        self.recon = recon
+        self.data = np.array(data, dtype=float)
+        self.data.setflags(write=False)
+        self._reversion: ReversionResult | None = None
+        self._chain: SequentialResult | None = None
+        self._next: tuple | None = None  # _point_key of the next rebase point
+        self._held: DerivativeStack | None = None  # at the next rebase point
+
+    def map_at(self, iota: ParamVector) -> np.ndarray:
+        """Noiseless map of the reconstruction side at ``iota``, from a stack built there.
+
+        It is bitwise :func:`side_forward_map` at ``iota``. The stack is held
+        when ``iota`` is the next rebase point, in place of any held before.
+        """
+        stack = DerivativeStack(self.recon.rec.param, iota)
+        if _point_key(iota) == self._next:
+            self._held = stack
+        return stack.lam
+
+    def _rebase(self, iota: ParamVector) -> TikhonovInverse:
+        """The regularized inverse linearized at ``iota``; takes the held stack there."""
+        stack, self._held = self._held, None
+        if stack is None or _point_key(stack.iota) != _point_key(iota):
+            stack = DerivativeStack(self.recon.rec.param, iota)
+        return TikhonovInverse(stack, self.recon.prior, self.recon.noise)
+
+    def _linearize(self, steps: int) -> SequentialResult:
+        """Sequential linearization, going on from the kept chain."""
+        start = self._chain
+        seq = sequential_linearize(self._rebase, self.data, steps, self.recon.inverse0, start)
+        if start is None or len(seq.iterates) > len(start.iterates):
+            _freeze(seq.iterates)
+            self._chain = seq
+        self._next = _point_key(self._chain.iterates[-1])
+        return seq
+
+    def _revert(self, order: int) -> ReversionResult:
+        """Series reversion of an order, continuing or slicing the kept one."""
+        start = self._reversion
+        result = revert(self.recon.stack0, self.recon.inverse0, self.data, order, start)
+        if start is None or result.order > start.order:
+            _freeze(result.etas)
+            self._reversion = result
+        return result
 
 
 def _point_key(iota: ParamVector) -> tuple:
     """The exact bytes of a point; points differing in any bit, sign of zero included, differ."""
     arrays = (iota.kappa, iota.rho, iota.xi)
     return tuple(None if a is None else np.asarray(a).tobytes() for a in arrays)
-
-
-def _data_key(data: np.ndarray) -> bytes:
-    """The exact bytes of a data matrix, as :func:`_point_key` keys points."""
-    return np.asarray(data, dtype=float).tobytes()
-
-
-def _kept_for(kept: tuple | None, data: np.ndarray):
-    """The result of a ``(_data_key, result)`` pair when it was kept for these data, else None."""
-    return kept[1] if kept is not None and kept[0] == _data_key(data) else None
 
 
 def _freeze(points: Sequence[ParamVector]) -> None:
@@ -534,12 +511,13 @@ def _freeze(points: Sequence[ParamVector]) -> None:
 
 
 def _check_data(data: np.ndarray, lam0: np.ndarray) -> None:
-    """``ValueError`` unless the data matrix has the shape of the reference map."""
+    """``ValueError`` unless the data matrix has the shape of the reference map and is finite."""
     if np.shape(data) != lam0.shape:
         raise ValueError(
             f"the data matrix must have the shape {lam0.shape} of the reference map, "
             f"got {np.shape(data)}"
         )
+    check_finite("data", data)
 
 
 def _sign_correlation(a: np.ndarray, b: np.ndarray) -> float:
@@ -582,11 +560,11 @@ def indicators(
     the data in the Frobenius norm, normalized by the initial-guess residual.
     The simulated measurements are ``map_at(upsilon_i)``, the noiseless map
     of the side ``rec``: :func:`side_forward_map` there by default, or a
-    :meth:`Reconstructor.map_at` of that side.
+    :meth:`Item.map_at` of that side.
     The domain error is the piecewise-constant L2 distance of the shifted
     log-conductivities, after nearest-neighbor projection onto the
     measurement partition when the partitions differ. Data not shaped like
-    the reference map ``lam0`` raise ``ValueError``.
+    the reference map ``lam0``, or not finite, raise ``ValueError``.
     """
     _check_data(data, lam0)
     if map_at is None:
@@ -681,11 +659,11 @@ def _study(
     """Reconstruct every item with every method and tabulate the indicators.
 
     Each item gives its target, its simulated measurement and the
-    reconstructor that serves it. The indicators take their maps from that
-    reconstructor's :meth:`~Reconstructor.map_at`, and its held stack and
-    kept reversion are released at the end of every item. A reconstruction
-    that raises is recorded in ``failures`` when ``record_failures`` is set
-    and re-raised otherwise.
+    reconstructor that serves it. The study opens an :class:`Item` of the
+    data there, runs every method on it and takes the indicators' maps from
+    its :meth:`~Item.map_at`; the item is dropped when the item ends, so
+    only shared state crosses items. A reconstruction that raises is
+    recorded in ``failures`` when ``record_failures`` is set, else re-raised.
     """
     ref_res = np.full(n, np.nan)
     ref_err = np.full(n, np.nan)
@@ -696,18 +674,19 @@ def _study(
     sign_corr = np.full(n, np.nan)
     failures = []
     for i, (target, record, recon) in enumerate(items):
+        item = recon.item(record.upsilon)
         ref_res[i] = float(np.linalg.norm(recon.lam0 - record.upsilon))
         ref_err[i] = _pc_norm(meas.param.partition, target.kappa)
         for method in methods:
             try:
-                outcome = recon.run(method, record.upsilon)
+                outcome = recon.run(method, item)
             except Exception as exc:
                 if not record_failures:
                     raise
                 failures.append((i, method, repr(exc)))
                 continue
             ind = indicators(
-                rec, meas, outcome.upsilon, target, record.upsilon, recon.lam0, recon.map_at
+                rec, meas, outcome.upsilon, target, record.upsilon, recon.lam0, item.map_at
             )
             row = table[method]
             for k in _INDICATORS:
@@ -715,7 +694,7 @@ def _study(
             row["clamped"][i] = outcome.clamped
             if method == "3":
                 sign_corr[i] = outcome.diagnostics.get("eta2_eta3_sign_correlation", np.nan)
-        recon.release()
+        del item  # with its kept results and its held stack, before the next item starts
     return StudyResult(
         case=case,
         methods=methods,
@@ -725,6 +704,21 @@ def _study(
         failures=tuple(failures),
         eta23_sign_corr=sign_corr if "3" in methods else None,
     )
+
+
+def _setup(case: ExperimentCase, gammas: PriorGammas | None = None) -> tuple:
+    """The sides, the reconstructor, and the measurement prior and noise of both drivers.
+
+    An inverse crime's measurement noise reads the reconstructor's origin map: one assembly.
+    """
+    meas, rec = build_models(case)
+    recon = Reconstructor(rec, gammas)
+    meas_prior = build_prior(meas.param, case.measurement.gammas)
+    if meas.param is rec.param:
+        meas_noise = build_noise_cov(*case.measurement.deltas, recon.lam0)
+    else:
+        meas_noise = build_noise_cov_for_side(meas, case.measurement.deltas)
+    return meas, rec, recon, meas_prior, meas_noise
 
 
 def experiment1(
@@ -745,13 +739,7 @@ def experiment1(
     n = case.n_samples if n_samples is None else n_samples
     _check_count("n_samples", n, 1)
     seed = case.seed if seed is None else check_seed(seed)
-    meas, rec = build_models(case)
-    recon = Reconstructor(rec)
-    meas_prior = build_prior(meas.param, case.measurement.gammas)
-    if meas.param is rec.param:  # an inverse crime: the origin map is the reconstructor's
-        meas_noise = build_noise_cov(*case.measurement.deltas, recon.lam0)
-    else:
-        meas_noise = build_noise_cov_for_side(meas, case.measurement.deltas)
+    meas, rec, recon, meas_prior, meas_noise = _setup(case)
 
     def draws():
         for i in range(n):
@@ -774,7 +762,7 @@ def experiment2(
     strengths are scaled along with the target; the noise level tracks the
     absolute size of the reference data and so does not vanish with s. Only
     the prior changes with s: the origin model (stack, Jacobian, noise model)
-    is built once, at the first grid point, and shared through
+    is built once, in set-up, and shared through
     :meth:`Reconstructor.with_gammas`. The first failed reconstruction raises.
     """
     methods = _check_methods(methods)
@@ -784,23 +772,19 @@ def experiment2(
         raise ValueError("the grid of scaling factors is empty")
     if not np.all(np.isfinite(s_values) & (s_values > 0)):
         raise ValueError(f"scaling factors must be positive and finite, got {s_values.tolist()}")
-    meas, rec = build_models(case)
-    meas_prior = build_prior(meas.param, case.measurement.gammas)
-    meas_noise = build_noise_cov_for_side(meas, case.measurement.deltas)
+    gammas = [case.reconstruction.gammas.scaled(float(s)) for s in s_values]
+    meas, rec, recon, meas_prior, meas_noise = _setup(case, gammas[0])
     rng = sample_rng(seed, 0)
     draw = draw_target(meas, meas_prior, rng)
     theta_hat = meas_noise.draw_raw(rng)  # one noise realization for the whole sweep
 
     def points():
-        recon = None
-        for s in s_values:
+        nonlocal recon  # each point's reconstructor replaces the one before
+        for k, s in enumerate(s_values):
             target = float(s) * draw
             record = simulate_measurements(meas, target, meas_noise, rng, theta_hat=theta_hat)
-            gammas = case.reconstruction.gammas.scaled(float(s))
-            if recon is None:
-                recon = Reconstructor(rec, gammas=gammas)
-            else:
-                recon = recon.with_gammas(gammas)
+            if k:
+                recon = recon.with_gammas(gammas[k])
             yield target, record, recon
 
     result = _study(case, methods, meas, rec, points(), len(s_values), record_failures=False)

@@ -30,6 +30,15 @@ class AdmissibilityError(ValueError):
     """A contact location leaves the admissible set of its electrode."""
 
 
+def check_finite(name: str, values) -> None:
+    """``ValueError`` naming the first entry of ``values`` that is not finite, by its index."""
+    values = np.asarray(values)
+    finite = np.isfinite(values)
+    if not finite.all():
+        at = tuple(np.argwhere(~finite)[0])
+        raise ValueError(f"{name}[{', '.join(map(str, at))}] is not finite: {float(values[at])!r}")
+
+
 # ---------------------------------------------------------------------------
 # Parameter vectors
 # ---------------------------------------------------------------------------
@@ -485,13 +494,16 @@ class Parametrization:
         exp(mu_zeta + rho_m), because the same facet quadrature defines the
         density and the integral. An inadmissible contact location or a
         normalization integral whose fourth power is not a positive normal
-        number raises :class:`AdmissibilityError`.
+        number raises :class:`AdmissibilityError`. A ``kappa`` or ``rho``
+        entry that is not finite raises ``ValueError`` naming it.
         """
         config, layout = self.config, self.layout
         kappa, rho, xi = np.asarray(iota.kappa), np.asarray(iota.rho), iota.xi
         M = self.n_electrodes
         if kappa.shape != (self.n_clusters,):
             raise ValueError("kappa length must equal the cluster count")
+        check_finite("kappa", kappa)
+        check_finite("rho", rho)
         sigma = np.exp(config.mu_kappa + kappa)[self.partition.cluster_of]
         if self.kind == "cem":
             if rho.shape != (M,):

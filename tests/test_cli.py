@@ -480,3 +480,28 @@ def test_unreadable_input_file_is_named(recorded, tmp_path, capsys, bad):
     assert err.splitlines() == [err.strip()]
     assert err.startswith("ValueError: ") and str(named) in err and detail in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("command", ["reconstruct", "indicators"])
+def test_data_matrix_with_an_entry_that_is_not_finite_exits_2(
+    recorded, tmp_path, capsys, command, token
+):
+    sim_dir, rec_path = recorded
+    data = tmp_path / "sim"
+    data.mkdir()
+    (data / "record.json").write_text((sim_dir / "record.json").read_text())
+    lines = (sim_dir / "upsilon.txt").read_text().splitlines()
+    row = lines[2].split()
+    row[5] = token
+    lines[2] = " ".join(row)
+    (data / "upsilon.txt").write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out"
+    if command == "reconstruct":
+        argv = ["reconstruct", "--data", str(data), "--order", "1", "--out", str(out)]
+    else:
+        argv = ["indicators", "--data", str(data), "--recon", str(rec_path), "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == [f"ValueError: data[2, 5] is not finite: {token}"]
+    assert not out.exists()

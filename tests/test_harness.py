@@ -35,7 +35,7 @@ from eitrev.harness import (
     write_measurement,
     write_reconstruction,
 )
-from eitrev.inversion import PriorGammas, TikhonovInverse, build_prior, revert
+from eitrev.inversion import PriorGammas, TikhonovInverse, build_noise_cov, build_prior, revert
 from eitrev.mesh import Partition
 from eitrev.model import AdmissibilityError, Parametrization, ParamVector
 
@@ -409,50 +409,57 @@ class TestReconstructor:
         assert len(ca) == len(cb) and fa == fb
         assert all(np.array_equal(x, y) for x, y in zip(ca, cb))
 
+    @staticmethod
+    def _run(recon, method, data):
+        """``method`` on a fresh item of ``data``."""
+        return recon.run(method, recon.item(data))
+
     @pytest.fixture
     def stack_builds(self, monkeypatch):
         built = []
-        rebase = Reconstructor._rebase
+        rebase = harness.Item._rebase
 
         def counted(self, iota):
             built.append(iota)
             return rebase(self, iota)
 
-        monkeypatch.setattr(Reconstructor, "_rebase", counted)
+        monkeypatch.setattr(harness.Item, "_rebase", counted)
         return built
 
     def test_longer_chain_goes_on_from_the_kept_one(self, sides, data, stack_builds):
         _, rec = sides
-        fresh = {m: Reconstructor(rec).run(m, data) for m in ("1,1", "1,1,1")}
+        fresh = {m: self._run(Reconstructor(rec), m, data) for m in ("1,1", "1,1,1")}
         recon = Reconstructor(rec)
+        item = recon.item(data)
         stack_builds.clear()
-        two = recon.run("1,1", data)
-        three = recon.run("1,1,1", data)
+        two = recon.run("1,1", item)
+        three = recon.run("1,1,1", item)
         assert len(stack_builds) == 2
         self._assert_same(two, fresh["1,1"])
         self._assert_same(three, fresh["1,1,1"])
-        # a shorter chain on the same data is a prefix of the kept one
-        self._assert_same(recon.run("1,1", data.copy()), fresh["1,1"])
+        # a shorter chain on the same item is a prefix of the kept one
+        self._assert_same(recon.run("1,1", item), fresh["1,1"])
         assert len(stack_builds) == 2
-        # other data starts again from the origin
-        recon.run("1,1", data + 1e-6)
+        # another item starts again from the origin
+        self._run(recon, "1,1", data + 1e-6)
         assert len(stack_builds) == 3
 
     def test_failed_step_keeps_nothing(self, sides, data, monkeypatch):
         _, rec = sides
-        expected = Reconstructor(rec).run("1,1,1", data)
+        expected = self._run(Reconstructor(rec), "1,1,1", data)
         recon = Reconstructor(rec)
-        recon.run("1,1", data)
-        rebase = Reconstructor._rebase
+        item = recon.item(data)
+        recon.run("1,1", item)
+        rebase = harness.Item._rebase
 
         def failing(self, iota):
             raise RuntimeError("synthetic failure")
 
-        monkeypatch.setattr(Reconstructor, "_rebase", failing)
+        monkeypatch.setattr(harness.Item, "_rebase", failing)
         with pytest.raises(RuntimeError):
-            recon.run("1,1,1", data)
-        monkeypatch.setattr(Reconstructor, "_rebase", rebase)
-        self._assert_same(recon.run("1,1,1", data), expected)
+            recon.run("1,1,1", item)
+        monkeypatch.setattr(harness.Item, "_rebase", rebase)
+        self._assert_same(recon.run("1,1,1", item), expected)
 
     @staticmethod
     def _fresh_outcome(recon, data, order):
@@ -493,8 +500,9 @@ class TestReconstructor:
     ):
         _, rec = sides
         recon = Reconstructor(rec)
+        item = recon.item(data)
         for method in orders.split(","):
-            outcome = recon.run(method, data)
+            outcome = recon.run(method, item)
             self._assert_fresh(outcome, fresh[1.0][int(method)], tmp_path)
 
     def test_reconstructors_sharing_the_origin_stack_keep_their_own_reversions(
@@ -503,74 +511,32 @@ class TestReconstructor:
         _, rec = sides
         base = Reconstructor(rec)
         other = base.with_gammas(rec.spec.gammas.scaled(2.0))
+        items = {1.0: base.item(data), 2.0: other.item(data)}
         runs = [(base, 1.0, "1"), (other, 2.0, "2"), (base, 1.0, "3"), (other, 2.0, "1")]
         runs += [(other, 2.0, "3"), (base, 1.0, "2")]
         seen = {1.0: [], 2.0: []}
         for recon, scale, method in runs:
-            outcome = recon.run(method, data)
+            outcome = recon.run(method, items[scale])
             self._assert_fresh(outcome, fresh[scale][int(method)], tmp_path)
             seen[scale] += outcome.components
         assert not any(a is b for a in seen[1.0] for b in seen[2.0])
 
-    def test_release_empties_the_memo_and_keeps_nothing(self, sides, data, monkeypatch):
-        _, rec = sides
-        recon = Reconstructor(rec)
-        recon.run("2", data)
-        stack = recon.stack0
-        assert stack._handles and stack._chains
-        recon.release()
-        assert stack._handles == [] and stack._ops == {} and stack._chains == {}
-        assert recon._reversion is None
-        starts = []
-
-        def spy(*args):
-            starts.append(args[-1])
-            return revert(*args)
-
-        monkeypatch.setattr(harness, "revert", spy)
-        recon.run("3", data)
-        recon.run("1", data)
-        assert starts[0] is None and starts[1].order == 3
-
-    def test_a_sign_of_zero_in_the_data_misses_both_kept_results(self, sides, data, monkeypatch):
-        _, rec = sides
-        recon = Reconstructor(rec)
-        starts = []
-        for name in ("revert", "sequential_linearize"):
-            original = getattr(harness, name)
-
-            def spy(*args, original=original):
-                starts.append(args[-1])
-                return original(*args)
-
-            monkeypatch.setattr(harness, name, spy)
-        positive = data.copy()
-        positive[0, 0] = 0.0
-        negative = positive.copy()
-        negative[0, 0] = -0.0
-        assert np.array_equal(positive, negative)
-        recon.run("2", positive)
-        recon.run("1,1", positive)
-        recon.run("3", positive.copy())
-        recon.run("1,1,1", positive.copy())
-        assert starts[0] is None and starts[1] is None
-        assert starts[2] is not None and starts[3] is not None
-        del starts[:]
-        # the kept results are now for "positive"; "negative" has other bytes
-        recon.run("3", negative)
-        recon.run("1,1,1", negative)
-        assert starts == [None, None]
-
-    def test_kept_chain_is_read_only_and_keyed_by_the_data_bytes(self, sides, data, stack_builds):
+    def test_kept_chain_is_read_only_and_the_item_keeps_its_own_data(
+        self, sides, data, stack_builds
+    ):
         _, rec = sides
         recon = Reconstructor(rec)
         stack_builds.clear()
         mutable = data.copy()
-        outcome = recon.run("1,1", mutable)
+        item = recon.item(mutable)
         mutable += 1.0
+        outcome = recon.run("1,1", item)
         assert not outcome.upsilon.kappa.flags.writeable
-        self._assert_same(recon.run("1,1", data), outcome)
-        assert len(stack_builds) == 1
+        assert not item.data.flags.writeable
+        self._assert_same(outcome, self._run(Reconstructor(rec), "1,1", data))
+        stack_builds.clear()
+        self._assert_same(recon.run("1,1", item), outcome)
+        assert not stack_builds
 
     @pytest.fixture(scope="class")
     def recon(self, sides):
@@ -584,19 +550,32 @@ class TestReconstructor:
         xi[2] = xi_m
         bad = ParamVector(iota.kappa, iota.rho, xi)
         assert not rec.param.admissible(bad)
+        item = recon.item(recon.lam0)
         with pytest.raises(AdmissibilityError):
-            recon._rebase(bad)
+            item._rebase(bad)
 
     def test_stack_point_is_checked_once(self, sides, recon, layout_checks):
         _, rec = sides
-        recon._rebase(rec.param.zero())
+        recon.item(recon.lam0)._rebase(rec.param.zero())
         assert layout_checks == [list(range(rec.param.n_electrodes))]
 
-    @pytest.mark.parametrize("method", ["1", "1,1"])
-    def test_data_of_another_shape_is_rejected(self, recon, data, method):
+    def test_data_of_another_shape_is_rejected(self, recon, data):
         for bad in (data[:1], data[:, :14], data.ravel()):
             with pytest.raises(ValueError, match=r"shape \(15, 15\)"):
-                recon.run(method, bad)
+                recon.item(bad)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_data_with_an_entry_that_is_not_finite_is_rejected(self, recon, data, value):
+        bad = data.copy()
+        bad[4, 7] = value
+        with pytest.raises(ValueError, match=rf"data\[4, 7\] is not finite: {value!r}"):
+            recon.item(bad)
+
+    def test_an_item_of_another_reconstructor_is_rejected(self, sides, recon, data):
+        other = recon.with_gammas(sides[1].spec.gammas.scaled(2.0))
+        for item in (other.item(data), data):
+            with pytest.raises(ValueError, match="item that this reconstructor"):
+                recon.run("1", item)
 
     def test_with_gammas_shares_the_origin_model(self, sides, data):
         _, rec = sides
@@ -607,26 +586,39 @@ class TestReconstructor:
         assert other.prior.gammas == gammas and base.prior.gammas == rec.spec.gammas
         fresh = Reconstructor(rec, gammas=gammas)
         for method in ("2", "1,1"):
-            self._assert_same(other.run(method, data), fresh.run(method, data))
+            self._assert_same(self._run(other, method, data), self._run(fresh, method, data))
+
+    def test_a_reconstructor_holds_only_shared_state(self, sides, data):
+        _, rec = sides
+        recon = Reconstructor(rec)
+        shared = dict(vars(recon))
+        assert sorted(shared) == ["inverse0", "noise", "prior", "rec", "stack0"]
+        item = recon.item(data)
+        for method in harness.METHODS:
+            item.map_at(recon.run(method, item).upsilon)
+        assert vars(recon).keys() == shared.keys()
+        assert all(vars(recon)[k] is v for k, v in shared.items())
 
 
 class TestOnePointOneSystem:
     """An item assembles and factors each distinct point once, and holds nothing after."""
 
-    @pytest.fixture
-    def traced_study(self, small_case, monkeypatch):
-        """Run experiment1 with all five methods on two draws and log its work.
+    @pytest.fixture(params=["experiment1", "experiment2"])
+    def traced_study(self, request, small_case, monkeypatch):
+        """Run a driver with all five methods and log its work.
 
+        experiment1 runs two draws, experiment2 a grid of three points.
         ``points`` holds the exact bytes of every assembled point, one list
-        for the set-up and one per item; ``held`` what the reconstructor
-        holds when the next item starts and when the study ends.
+        for the set-up and one per item; ``alive`` whether each item opened
+        before is still alive, when an item starts and when the study ends.
         """
-        log = {"points": [[]], "held": [], "recons": [], "stacks": [], "rebased": []}
+        log = {"points": [[]], "alive": [], "items": [], "recons": [], "stacks": [], "rebased": []}
         in_map = []
         init = fem.AssembledSystem.__init__
         simulate = harness.simulate_measurements
         recon_init = Reconstructor.__init__
-        map_at = Reconstructor.map_at
+        item_init = harness.Item.__init__
+        map_at = harness.Item.map_at
         tikhonov = harness.TikhonovInverse
 
         def assembled(system, layout, tau):
@@ -634,7 +626,7 @@ class TestOnePointOneSystem:
             init(system, layout, tau)
 
         def item_start(*args, **kwargs):
-            log["held"] += [recon._held for recon in log["recons"]]
+            log["alive"] += [ref() is not None for ref in log["items"]]
             log["points"].append([])
             return simulate(*args, **kwargs)
 
@@ -642,10 +634,14 @@ class TestOnePointOneSystem:
             log["recons"].append(recon)
             recon_init(recon, *args, **kwargs)
 
-        def mapped(recon, iota):
+        def item_opened(item, *args):
+            log["items"].append(weakref.ref(item))
+            item_init(item, *args)
+
+        def mapped(item, iota):
             in_map.append(True)
             try:
-                return map_at(recon, iota)
+                return map_at(item, iota)
             finally:
                 in_map.pop()
 
@@ -661,60 +657,102 @@ class TestOnePointOneSystem:
         monkeypatch.setattr(fem.AssembledSystem, "__init__", assembled)
         monkeypatch.setattr(harness, "simulate_measurements", item_start)
         monkeypatch.setattr(Reconstructor, "__init__", recon_built)
-        monkeypatch.setattr(Reconstructor, "map_at", mapped)
+        monkeypatch.setattr(harness.Item, "__init__", item_opened)
+        monkeypatch.setattr(harness.Item, "map_at", mapped)
         monkeypatch.setattr(harness, "DerivativeStack", Stack)
         monkeypatch.setattr(harness, "TikhonovInverse", inverse)
-        result = experiment1(small_case, n_samples=2, seed=5)
+        if request.param == "experiment1":
+            result = experiment1(small_case, n_samples=2, seed=5)
+        else:
+            result = experiment2(small_case, [0.5, 1.0, 2.0], seed=5)
         assert not result.failures
-        log["held"] += [recon._held for recon in log["recons"]]
+        log["alive"] += [ref() is not None for ref in log["items"]]
         return log
 
     def test_each_distinct_point_is_assembled_once(self, traced_study):
         setup, *items = traced_study["points"]
         # the origin, once: the measurement noise of an inverse crime reads its map
         assert len(setup) == 1
-        assert len(items) == 2
+        assert len(items) in (2, 3)
         for points in items:
             # target, the results of "1", "2" and "3", and the iterates u2 and u3
             assert len(points) == 6
-            assert len(set(points)) == 6
+        every = [point for points in traced_study["points"] for point in points]
+        assert len(set(every)) == len(every)
 
     def test_no_stack_is_held_after_an_item(self, traced_study):
+        n = len(traced_study["points"]) - 1
         assert len(traced_study["recons"]) == 1
-        # when the first item starts, after each item and when the study ends
-        assert traced_study["held"] == [None] * 3
+        assert len(traced_study["items"]) == n
+        # when each item starts no earlier item is alive, nor any when the study ends
+        assert traced_study["alive"] == [False] * (n * (n + 1) // 2)
         refs = [weakref.ref(stack) for stack, in_map in traced_study["stacks"] if in_map]
-        assert len(refs) == 2 * 5
+        assert len(refs) == n * 5
         traced_study.clear()
         gc.collect()
         assert all(ref() is None for ref in refs)
 
     def test_a_rebase_uses_the_stack_the_indicators_built(self, traced_study):
+        n = len(traced_study["points"]) - 1
         stacks = traced_study["stacks"]
         recon = traced_study["recons"][0]
         # every stack but the origin's was built for an indicator map
-        assert [in_map for _, in_map in stacks] == [False] + [True] * 10
+        assert [in_map for _, in_map in stacks] == [False] + [True] * (n * 5)
         rebased = [s for s in traced_study["rebased"] if s is not recon.stack0]
         # the rebases at u1 ("1,1") and u2 ("1,1,1") of each item
-        assert len(rebased) == 4
+        assert len(rebased) == n * 2
         for stack in rebased:
             assert any(stack is built for built, in_map in stacks if in_map)
 
     def test_a_miss_builds_its_own_stack(self, sides):
         _, rec = sides
         recon = Reconstructor(rec)
+        item = recon.item(recon.lam0)
         zero = rec.param.zero()
         nudged = replace(zero, kappa=-zero.kappa)  # -0.0: equal values, other bytes
-        recon._next = harness._point_key(zero)
-        recon.map_at(zero)
-        held = recon._held[1]
-        assert recon._rebase(nudged).stack is not held
-        assert recon._held is None
-        recon._next = harness._point_key(zero)
-        recon.map_at(zero)
-        held = recon._held[1]
+        item._next = harness._point_key(zero)
+        item.map_at(zero)
+        held = item._held
+        assert item._rebase(nudged).stack is not held
+        assert item._held is None
+        item.map_at(zero)
+        held = item._held
         # a point with the same bytes, in other arrays
-        assert recon._rebase(rec.param.zero()).stack is held
+        assert item._rebase(rec.param.zero()).stack is held
+
+
+class TestStudyOrder:
+    def test_no_state_crosses_items(self, small_case, sides):
+        """The same items in reverse order give the same rows, byte for byte.
+
+        An item's kept reversion, kept chain or held stack that reached the
+        next item would change that item's rows with the order.
+        """
+        meas, rec = sides
+        assert meas.param is rec.param  # an inverse crime
+        prior = build_prior(meas.param, small_case.measurement.gammas)
+        noise = build_noise_cov(*small_case.measurement.deltas, Reconstructor(rec).lam0)
+        items = []
+        for i in range(3):
+            rng = sample_rng(41, i)
+            target = draw_target(meas, prior, rng)
+            items.append((target, simulate_measurements(meas, target, noise, rng)))
+
+        def rows(order):
+            recon = Reconstructor(rec)  # so that neither order starts from the other's state
+            served = [(target, record, recon) for target, record in order]
+            result = harness._study(
+                small_case, harness.METHODS, meas, rec, served, len(order), record_failures=True
+            )
+            assert not result.failures
+            arrays = [result.ref_res, result.eta23_sign_corr]
+            keys = (*harness._INDICATORS, "clamped")
+            arrays += [result.table[m][k] for m in result.methods for k in keys]
+            return arrays
+
+        forward, backward = rows(items), rows(items[::-1])
+        for a, b in zip(forward, backward):
+            assert a.tobytes() == b[::-1].tobytes()
 
 
 class TestProjection:
@@ -788,7 +826,7 @@ class TestSerialization:
         rng = sample_rng(11, 0)
         target = draw_target(meas, prior, rng)
         record = simulate_measurements(meas, target, noise, rng)
-        outcome = recon.run("2", record.upsilon)
+        outcome = recon.run("2", recon.item(record.upsilon))
         path = tmp_path / "rec.json"
         write_reconstruction(outcome, path)
         import json

@@ -119,6 +119,20 @@ class TestTau:
         for wide_part, part in ((out.sigma, ref.sigma), (out.zeta, ref.zeta)):
             assert np.abs(wide_part - part).max() <= 1e-14 * np.abs(part).max()
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("component", ["kappa", "rho"])
+    @pytest.mark.parametrize("name", ["smooth8", "cem8"])
+    def test_rejects_an_entry_that_is_not_finite(self, request, name, component, value):
+        param = request.getfixturevalue(name)
+        iota = tau_point(param)
+        values = getattr(iota, component).copy()
+        values[3] = value
+        bad = dataclasses.replace(iota, **{component: values})
+        with pytest.raises(ValueError, match=rf"^{component}\[3\] is not finite: {value!r}$") as info:
+            param.tau(bad)
+        # not an AdmissibilityError, which the indicators read as an infinite residual
+        assert type(info.value) is ValueError
+
 
 class TestZetaCem:
     def test_conductance_is_exact(self, cem8, layout8):
