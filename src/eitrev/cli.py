@@ -48,18 +48,20 @@ def _load_case(args) -> harness.ExperimentCase:
     return case_from_config(data)
 
 
-def _check_target(data: str, param, target) -> None:
-    """``ValueError`` naming ``data``'s ``record.json`` unless its target fits ``param``.
+def _check_target(data: str, case: harness.ExperimentCase, target) -> None:
+    """``ValueError`` naming ``data``'s ``record.json`` unless its target fits the case.
 
-    The target's kappa, rho and xi must have the shapes ``param`` gives them.
+    The target's kappa, rho and xi must have the shapes of the case's
+    measurement side: one kappa per cluster, one rho per electrode, and an
+    (M, 2) xi for the smooth contact model only.
     """
 
     def described(shape) -> str:
         return "absent" if shape is None else f"of shape {shape}"
 
-    M = param.n_electrodes
-    xi = (M, 2) if param.kind == "smooth" else None
-    for key, want in (("kappa", (param.n_clusters,)), ("rho", (M,)), ("xi", xi)):
+    side, M = case.measurement, case.n_electrodes
+    xi = (M, 2) if side.contact == "smooth" else None
+    for key, want in (("kappa", (side.n_clusters,)), ("rho", (M,)), ("xi", xi)):
         value = getattr(target, key)
         got = None if value is None else value.shape
         if got != want:
@@ -102,10 +104,9 @@ def _cmd_reconstruct(args) -> int:
     case = _load_case(args)
     method = str(args.order) if args.order else ",".join(["1"] * args.sequential)
     upsilon, target, _ = harness.read_measurement(args.data)
-    meas, rec = build_models(case)
-    _check_target(args.data, meas.param, target)
-    recon = Reconstructor(rec)
-    outcome = recon.run(method, recon.item(upsilon))
+    _check_target(args.data, case, target)
+    recon = Reconstructor(harness.build_side(case, case.reconstruction))
+    outcome = recon.run(method, recon.item(upsilon, (method,)))
     harness.write_reconstruction(outcome, args.out)
     print(f"wrote reconstruction ({method}) to {args.out}")
     return 0
@@ -143,8 +144,8 @@ def _cmd_indicators(args) -> int:
     case = _load_case(args)
     upsilon_data, target, _ = harness.read_measurement(args.data)
     upsilon_i = harness.read_reconstruction(args.recon)
+    _check_target(args.data, case, target)
     meas, rec = build_models(case)
-    _check_target(args.data, meas.param, target)
     lam0 = side_forward_map(rec, rec.param.zero())
     ind = indicators(rec, meas, upsilon_i, target, upsilon_data, lam0)
     row = {

@@ -23,7 +23,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .mesh import ElectrodeLayout
-from .model import ConductivityPair
+from .model import ConductivityPair, check_finite
 from .scatter import compressed
 
 
@@ -373,10 +373,14 @@ class AssembledSystem:
 
     The mesh is the layout's and the basis the shared one for its electrode
     count. Immutable after construction except for ``solve_count``, which
-    counts the triangular-solve columns.
+    counts the triangular-solve columns. A ``sigma`` or ``zeta`` entry that
+    is not finite raises ``ValueError`` naming the first one, before any
+    matrix is built.
     """
 
     def __init__(self, layout: ElectrodeLayout, tau: ConductivityPair):
+        check_finite("sigma", tau.sigma)
+        check_finite("zeta", tau.zeta)
         self.mesh = layout.mesh
         self.layout = layout
         self.tau = tau
@@ -413,11 +417,6 @@ class AssembledSystem:
     def split(self, x: np.ndarray) -> SolutionSet:
         n = self.n_interior
         return SolutionSet(x[:n], self.basis.B @ x[n:])
-
-    def energy_norm(self, sols: SolutionSet) -> float:
-        """Norm induced by the (positive definite) system matrix."""
-        x = np.vstack([sols.u, self.basis.B.T @ sols.U])
-        return float(np.sqrt(np.sum(x * (self.matrix @ x))))
 
     def perturbation(self, eta: ConductivityPair) -> PerturbationOperator:
         return PerturbationOperator(self, eta)

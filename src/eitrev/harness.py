@@ -405,29 +405,32 @@ class Reconstructor:
     def lam0(self) -> np.ndarray:
         return self.stack0.lam
 
-    def item(self, data: np.ndarray) -> "Item":
-        """The :class:`Item` of one data matrix, for :meth:`run` and the indicators' maps."""
-        return Item(self, data)
+    def item(self, data: np.ndarray, methods: Sequence[str]) -> "Item":
+        """The :class:`Item` of one data matrix, for the named methods that will run on it."""
+        return Item(self, data, methods)
 
     def run(self, method: str, item: "Item") -> ReconOutcome:
         """Reconstruct an item's data with one of the named methods.
 
         Methods "1", "2", "3" are one-step series reversions of that order;
         "1,1" and "1,1,1" are two and three sequential linearizations. The
-        item must be one that this reconstructor opened.
+        item must be one that this reconstructor opened for ``method``.
         """
         _check_methods((method,))
         if getattr(item, "recon", None) is not self:
             raise ValueError("run takes an item that this reconstructor's item() opened")
+        if method not in item.methods:
+            raise ValueError(f"the item was opened for the methods {item.methods}, not {method!r}")
         if "," in method:
             seq = item._linearize(method.count(",") + 1)
             return ReconOutcome(method, seq.iterates[-1], seq.iterates, any(seq.clamped))
         order = int(method)
         result = item._revert(order)
-        upsilon, clamped = self.rec.param.clamp(result.partial_sum(order))
-        if order == 1 and item._chain is None:
-            # the first sequential iterate on these data, bit for bit
-            item._next = _point_key(upsilon)
+        if order == 1:
+            chain = item._seeded()
+            upsilon, clamped = chain.iterates[0], chain.clamped[0]
+        else:
+            upsilon, clamped = self.rec.param.clamp(result.partial_sum(order))
         diagnostics = {"operand_norms": list(result.operand_norms)}
         if order >= 3:
             corr = _sign_correlation(result.etas[1].kappa, result.etas[2].kappa)
@@ -438,52 +441,71 @@ class Reconstructor:
 class Item:
     """One data matrix and what its reconstructions keep, opened by :meth:`Reconstructor.item`.
 
-    Data not shaped like the reference map, or with an entry that is not
-    finite, raise ``ValueError``; the item keeps a read-only copy. Methods
-    "1", "2" and "3" are partial sums of one reversion: the item keeps the
-    highest order computed, and every order continues or slices it. It keeps
-    the longest sequential chain computed, and a longer one goes on from it.
-    :meth:`map_at` holds at most one of the stacks it builds: the one at the
-    point the chain rebases at next (method "1"'s point or the kept chain's
-    last iterate, keyed by exact bytes), which that rebase takes.
+    It is opened with the methods that will run on it. Data not shaped like
+    the reference map, or with an entry that is not finite, raise
+    ``ValueError``; the item keeps a read-only copy. Methods "1", "2" and
+    "3" are partial sums of one reversion: the item keeps the highest order
+    computed, and every order continues or slices it. Method "1"'s point,
+    the clamped first increment of that reversion, is the first iterate of
+    the kept sequential chain; every sequential method goes on from the
+    chain, and the item keeps the longest computed. :meth:`map_at` holds the
+    stack it builds at the chain's last iterate while one of the item's
+    methods needs a longer chain, and the rebase there takes it.
     """
 
-    def __init__(self, recon: Reconstructor, data: np.ndarray):
+    def __init__(self, recon: Reconstructor, data: np.ndarray, methods: Sequence[str]):
+        self.methods = _check_methods(methods)
         _check_data(data, recon.lam0)
         self.recon = recon
         self.data = np.array(data, dtype=float)
         self.data.setflags(write=False)
+        self._longest = max((m.count(",") + 1 for m in self.methods), default=0)
         self._reversion: ReversionResult | None = None
         self._chain: SequentialResult | None = None
-        self._next: tuple | None = None  # _point_key of the next rebase point
-        self._held: DerivativeStack | None = None  # at the next rebase point
+        self._held: DerivativeStack | None = None  # at the chain's last iterate
 
     def map_at(self, iota: ParamVector) -> np.ndarray:
         """Noiseless map of the reconstruction side at ``iota``, from a stack built there.
 
-        It is bitwise :func:`side_forward_map` at ``iota``. The stack is held
-        when ``iota`` is the next rebase point, in place of any held before.
+        It is bitwise :func:`side_forward_map` at ``iota``. The stack is held,
+        in place of any held before, when ``iota`` is the kept chain's last
+        iterate (the same object) and a method of the item needs a longer chain.
         """
         stack = DerivativeStack(self.recon.rec.param, iota)
-        if _point_key(iota) == self._next:
+        chain = self._chain
+        if chain is not None and iota is chain.iterates[-1] and len(chain.iterates) < self._longest:
             self._held = stack
         return stack.lam
 
     def _rebase(self, iota: ParamVector) -> TikhonovInverse:
-        """The regularized inverse linearized at ``iota``; takes the held stack there."""
+        """The regularized inverse linearized at ``iota``, from the held stack if it is there."""
         stack, self._held = self._held, None
-        if stack is None or _point_key(stack.iota) != _point_key(iota):
+        if stack is None or stack.iota is not iota:
             stack = DerivativeStack(self.recon.rec.param, iota)
         return TikhonovInverse(stack, self.recon.prior, self.recon.noise)
 
+    def _seeded(self) -> SequentialResult:
+        """The kept chain; if there is none, one iterate long, at method "1"'s point.
+
+        That point is the kept reversion's first increment, clamped. The
+        chain's own first step would clamp the origin plus that increment;
+        the origin is all zeros, so the two differ at most in the sign of a
+        zero entry.
+        """
+        if self._chain is None:
+            reversion = self._reversion or self._revert(1)
+            first, clamped = self.recon.rec.param.clamp(reversion.etas[0])
+            _freeze([first])
+            self._chain = SequentialResult((first,), (clamped,))
+        return self._chain
+
     def _linearize(self, steps: int) -> SequentialResult:
         """Sequential linearization, going on from the kept chain."""
-        start = self._chain
+        start = self._seeded()
         seq = sequential_linearize(self._rebase, self.data, steps, self.recon.inverse0, start)
-        if start is None or len(seq.iterates) > len(start.iterates):
+        if len(seq.iterates) > len(start.iterates):
             _freeze(seq.iterates)
             self._chain = seq
-        self._next = _point_key(self._chain.iterates[-1])
         return seq
 
     def _revert(self, order: int) -> ReversionResult:
@@ -494,12 +516,6 @@ class Item:
             _freeze(result.etas)
             self._reversion = result
         return result
-
-
-def _point_key(iota: ParamVector) -> tuple:
-    """The exact bytes of a point; points differing in any bit, sign of zero included, differ."""
-    arrays = (iota.kappa, iota.rho, iota.xi)
-    return tuple(None if a is None else np.asarray(a).tobytes() for a in arrays)
 
 
 def _freeze(points: Sequence[ParamVector]) -> None:
@@ -674,7 +690,7 @@ def _study(
     sign_corr = np.full(n, np.nan)
     failures = []
     for i, (target, record, recon) in enumerate(items):
-        item = recon.item(record.upsilon)
+        item = recon.item(record.upsilon, methods)
         ref_res[i] = float(np.linalg.norm(recon.lam0 - record.upsilon))
         ref_err[i] = _pc_norm(meas.param.partition, target.kappa)
         for method in methods:

@@ -99,11 +99,6 @@ class SimplicialMesh:
         return _freeze(self.vertices[self.boundary_facets].mean(axis=1))
 
     @cached_property
-    def boundary_measures(self) -> np.ndarray:
-        coords = self.vertices[self.boundary_facets]
-        return _freeze(np.array([facet_measure(c) for c in coords]))
-
-    @cached_property
     def cell_gradients(self) -> np.ndarray:
         """Constant gradients of the nodal hat functions per cell, (n_cells, d+1, d)."""
         d = self.dimension
@@ -489,27 +484,6 @@ class ElectrodeLayout:
             )
         )
 
-    def unmap(self, m: int, y: np.ndarray) -> np.ndarray:
-        """Invert the local chart on electrode ``m`` for a point of its image.
-
-        The facet whose local image contains ``y`` is located and the point is
-        mapped back barycentrically, so round-tripping a facet point returns
-        the physical point up to floating tolerance.
-        """
-        sl = self.efacet_slices[m]
-        verts = self.efacet_vertices[sl]
-        best = None
-        best_res = np.inf
-        for fv in verts:
-            loc = self.local_maps[m].to_local(self.mesh.vertices[fv])
-            bary, res = _barycentric_fit(loc, np.asarray(y, dtype=float))
-            if res < best_res:
-                best_res = res
-                best = self.mesh.vertices[fv].T @ bary
-        if best is None or best_res > 1e-8:
-            raise ValueError(f"point {y} is not on the image of electrode {m}")
-        return best
-
 
 def _contact_geometry(layout: ElectrodeLayout) -> ContactGeometry:
     vertices = layout.mesh.vertices
@@ -547,18 +521,6 @@ def _contact_geometry(layout: ElectrodeLayout) -> ContactGeometry:
     )
     _freeze(*geometry[1:])
     return geometry
-
-
-def _barycentric_fit(local_coords: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]:
-    """Barycentric coordinates of y w.r.t. a simplex given in local 2D coords."""
-    k = local_coords.shape[0]
-    A = np.vstack([local_coords.T, np.ones(k)])
-    b = np.append(y, 1.0)
-    bary, *_ = np.linalg.lstsq(A, b, rcond=None)
-    res = float(np.linalg.norm(A @ bary - b))
-    if np.any(bary < -1e-9) or np.any(bary > 1 + 1e-9):
-        res = np.inf
-    return bary, res
 
 
 def _principal_axes(centered: np.ndarray, dim: int) -> np.ndarray:

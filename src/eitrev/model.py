@@ -39,6 +39,17 @@ def check_finite(name: str, values) -> None:
         raise ValueError(f"{name}[{', '.join(map(str, at))}] is not finite: {float(values[at])!r}")
 
 
+def _exp(name: str, values: np.ndarray, shift) -> np.ndarray:
+    """``exp(values + shift)``; ``ValueError`` naming the first entry of ``values`` to overflow."""
+    with np.errstate(over="ignore"):
+        out = np.exp(values + shift)
+    if not np.isfinite(out).all():
+        i = int(np.argmin(np.isfinite(out)))
+        value = float(values[i])
+        raise ValueError(f"{name}[{i}] = {value!r} is too large: its exponential overflows")
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Parameter vectors
 # ---------------------------------------------------------------------------
@@ -213,7 +224,7 @@ class BumpData:
         local = layout.equad_local
         dtype = np.result_type(local, xi)
         xi = np.asarray(xi, dtype=dtype)
-        scale = np.exp(rho + np.result_type(rho, dtype).type(config.mu_zeta))
+        scale = _exp("rho", rho, np.result_type(rho, dtype).type(config.mu_zeta))
         self.R2 = dtype.type(config.R) ** 2
         d = local.astype(dtype) - xi[layout.efacet_electrode][:, None, :]
         t = np.sum(d * d, axis=-1) / self.R2
@@ -495,7 +506,8 @@ class Parametrization:
         density and the integral. An inadmissible contact location or a
         normalization integral whose fourth power is not a positive normal
         number raises :class:`AdmissibilityError`. A ``kappa`` or ``rho``
-        entry that is not finite raises ``ValueError`` naming it.
+        entry that is not finite, or whose exponential overflows, raises
+        ``ValueError`` naming it.
         """
         config, layout = self.config, self.layout
         kappa, rho, xi = np.asarray(iota.kappa), np.asarray(iota.rho), iota.xi
@@ -504,13 +516,13 @@ class Parametrization:
             raise ValueError("kappa length must equal the cluster count")
         check_finite("kappa", kappa)
         check_finite("rho", rho)
-        sigma = np.exp(config.mu_kappa + kappa)[self.partition.cluster_of]
+        sigma = _exp("kappa", kappa, config.mu_kappa)[self.partition.cluster_of]
         if self.kind == "cem":
             if rho.shape != (M,):
                 raise ValueError("theta length must equal the electrode count")
             if xi is not None:
                 raise ValueError("a cem point carries no contact locations xi")
-            zeta = _cem_density(layout, np.exp(config.mu_zeta + rho))
+            zeta = _cem_density(layout, _exp("rho", rho, config.mu_zeta))
             return ConductivityPair(sigma, zeta, iota, owner=self)
         xi = np.asarray(xi)
         if rho.shape != (M,) or xi.shape != (M, 2):

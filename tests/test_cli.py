@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import eitrev
+from eitrev import harness
 from eitrev.cli import _load_case, build_parser, main
 from eitrev.harness import read_matrix
 from eitrev.mesh import load_mesh, load_partition
@@ -202,44 +203,53 @@ def test_config_override(workdir, tmp_path):
     assert meta["deltas"] == [0.0, 0.0]
 
 
-def test_unknown_method_exits_nonzero(tmp_path):
+def test_module_runs_main_and_exits_with_its_status(tmp_path):
+    """``python -m eitrev.cli`` runs :func:`main`; the one test that starts a process."""
     env = dict(os.environ, PYTHONPATH=str(Path(eitrev.__file__).parents[1]))
-    argv = ["experiment1", "--samples", "1", "--methods", "1;4", "--out", str(tmp_path)]
+    argv = ["experiment2", "--s-grid", ",", "--out", str(tmp_path / "out")]
     proc = subprocess.run(
         [sys.executable, "-m", "eitrev.cli", *argv], env=env, capture_output=True, text=True
     )
-    assert proc.returncode != 0
-    assert "unknown method '4'" in proc.stderr
+    assert proc.returncode == 2
+    assert proc.stderr == "ValueError: the grid of scaling factors is empty\n"
+    assert not (tmp_path / "out").exists()
+
+
+def _run_cli(argv, capsys):
+    """Exit status and stderr of ``eitrev`` with ``argv``, run in this process."""
+    status = main(argv)
+    return status, capsys.readouterr().err
+
+
+def test_unknown_method_exits_nonzero(tmp_path, capsys):
+    argv = ["experiment1", "--samples", "1", "--methods", "1;4", "--out", str(tmp_path)]
+    status, err = _run_cli(argv, capsys)
+    assert status != 0
+    assert "unknown method '4'" in err
     assert not (tmp_path / "summary.csv").exists()
 
 
-def _run_cli(argv):
-    env = dict(os.environ, PYTHONPATH=str(Path(eitrev.__file__).parents[1]))
-    return subprocess.run(
-        [sys.executable, "-m", "eitrev.cli", *argv], env=env, capture_output=True, text=True
-    )
-
-
-def test_zero_samples_exits_nonzero(tmp_path):
-    proc = _run_cli(["experiment1", "--samples", "0", "--methods", "1", "--out", str(tmp_path)])
-    assert proc.returncode != 0
-    assert "n_samples must be at least 1" in proc.stderr
+def test_zero_samples_exits_nonzero(tmp_path, capsys):
+    argv = ["experiment1", "--samples", "0", "--methods", "1", "--out", str(tmp_path)]
+    status, err = _run_cli(argv, capsys)
+    assert status != 0
+    assert "n_samples must be at least 1" in err
     assert not (tmp_path / "summary.csv").exists()
 
 
-def test_empty_grid_exits_nonzero(tmp_path):
-    proc = _run_cli(["experiment2", "--s-grid", ",", "--out", str(tmp_path)])
-    assert proc.returncode != 0
-    assert "grid of scaling factors is empty" in proc.stderr
+def test_empty_grid_exits_nonzero(tmp_path, capsys):
+    status, err = _run_cli(["experiment2", "--s-grid", ",", "--out", str(tmp_path)], capsys)
+    assert status != 0
+    assert "grid of scaling factors is empty" in err
     assert not (tmp_path / "curves.csv").exists()
 
 
-def test_bad_config_value_exits_nonzero(tmp_path):
+def test_bad_config_value_exits_nonzero(tmp_path, capsys):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps({"measurement": {"deltas": [1e-4]}}))
-    proc = _run_cli(["experiment1", "--config", str(cfg), "--out", str(tmp_path)])
-    assert proc.returncode != 0
-    last = proc.stderr.strip().splitlines()[-1]
+    status, err = _run_cli(["experiment1", "--config", str(cfg), "--out", str(tmp_path)], capsys)
+    assert status != 0
+    last = err.strip().splitlines()[-1]
     assert last.startswith("ValueError") and "deltas" in last
     assert not (tmp_path / "summary.csv").exists()
 
@@ -265,33 +275,35 @@ def test_bad_config_value_exits_nonzero(tmp_path):
         "huge-int",
     ],
 )
-def test_config_value_of_wrong_type_is_one_error_line(tmp_path, config, key):
+def test_config_value_of_wrong_type_is_one_error_line(tmp_path, config, key, capsys):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps(config))
     out = tmp_path / "out"
-    proc = _run_cli(["experiment1", "--config", str(cfg), "--samples", "1", "--out", str(out)])
-    assert proc.returncode == 2
-    assert proc.stderr.splitlines() == [proc.stderr.strip()]
-    assert proc.stderr.startswith("ValueError: ") and key in proc.stderr
+    argv = ["experiment1", "--config", str(cfg), "--samples", "1", "--out", str(out)]
+    status, err = _run_cli(argv, capsys)
+    assert status == 2
+    assert err.splitlines() == [err.strip()]
+    assert err.startswith("ValueError: ") and key in err
     assert not out.exists()
 
 
-def test_missing_config_file_is_one_error_line(tmp_path):
+def test_missing_config_file_is_one_error_line(tmp_path, capsys):
     missing = tmp_path / "absent.json"
-    proc = _run_cli(["simulate", "--config", str(missing), "--out", str(tmp_path / "sim")])
-    assert proc.returncode == 2
-    assert proc.stderr.splitlines() == [proc.stderr.strip()]
-    assert proc.stderr.startswith("FileNotFoundError: ") and str(missing) in proc.stderr
+    argv = ["simulate", "--config", str(missing), "--out", str(tmp_path / "sim")]
+    status, err = _run_cli(argv, capsys)
+    assert status == 2
+    assert err.splitlines() == [err.strip()]
+    assert err.startswith("FileNotFoundError: ") and str(missing) in err
 
 
-def test_malformed_mesh_file_is_one_error_line(tmp_path):
+def test_malformed_mesh_file_is_one_error_line(tmp_path, capsys):
     mesh_path = tmp_path / "mesh.txt"
     mesh_path.write_text("dim 2\nvertices 3\n0 0\n1 0\n0 one\ncells 1\n0 1 2\n")
     argv = ["mesh", "cluster", "--mesh", str(mesh_path), "--clusters", "1"]
-    proc = _run_cli(argv + ["--out", str(tmp_path / "part.txt")])
-    assert proc.returncode == 2
-    assert proc.stderr.splitlines() == [proc.stderr.strip()]
-    assert proc.stderr.startswith("MeshFormatError: malformed mesh file")
+    status, err = _run_cli(argv + ["--out", str(tmp_path / "part.txt")], capsys)
+    assert status == 2
+    assert err.splitlines() == [err.strip()]
+    assert err.startswith("MeshFormatError: malformed mesh file")
     assert not (tmp_path / "part.txt").exists()
 
 
@@ -304,7 +316,7 @@ def test_malformed_mesh_file_is_one_error_line(tmp_path):
     ],
     ids=["mesh-cluster", "experiment1", "config-cluster-seed"],
 )
-def test_out_of_range_seed_is_one_error_line(tmp_path, argv, config):
+def test_out_of_range_seed_is_one_error_line(tmp_path, argv, config, capsys):
     out = tmp_path / "out"
     if argv[0] == "mesh":
         mesh_path = tmp_path / "mesh.txt"
@@ -314,11 +326,11 @@ def test_out_of_range_seed_is_one_error_line(tmp_path, argv, config):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config))
         argv = argv + ["--config", str(cfg)]
-    proc = _run_cli(argv + ["--out", str(out)])
-    assert proc.returncode == 2
-    assert proc.stderr.splitlines() == [proc.stderr.strip()]
-    assert proc.stderr.startswith("ValueError: ")
-    assert "seed must be an integer in 0..2**64-1" in proc.stderr
+    status, err = _run_cli(argv + ["--out", str(out)], capsys)
+    assert status == 2
+    assert err.splitlines() == [err.strip()]
+    assert err.startswith("ValueError: ")
+    assert "seed must be an integer in 0..2**64-1" in err
     assert not out.exists()
 
 
@@ -331,11 +343,12 @@ def test_out_of_range_seed_is_one_error_line(tmp_path, argv, config):
     ],
     ids=["nan", "0.5,inf", "0.5,abc"],
 )
-def test_non_finite_grid_is_one_error_line(tmp_path, grid, message):
-    proc = _run_cli(["experiment2", "--s-grid", grid, "--out", str(tmp_path / "out")])
-    assert proc.returncode == 2
-    assert proc.stderr.splitlines() == [proc.stderr.strip()]
-    assert proc.stderr.startswith(message)
+def test_non_finite_grid_is_one_error_line(tmp_path, grid, message, capsys):
+    argv = ["experiment2", "--s-grid", grid, "--out", str(tmp_path / "out")]
+    status, err = _run_cli(argv, capsys)
+    assert status == 2
+    assert err.splitlines() == [err.strip()]
+    assert err.startswith(message)
     assert not (tmp_path / "out").exists()
 
 
@@ -451,6 +464,70 @@ def test_target_that_does_not_fit_the_case_exits_2(recorded, tmp_path, capsys, c
     assert err.splitlines() == [err.strip()]
     assert err.startswith("ValueError: ") and str(data / "record.json") in err
     assert "'kappa'" in err and "(3,)" in err and "(80,)" in err
+    assert not out.exists()
+
+
+def _with_target(sim_dir, tmp_path, target):
+    """A copy of the measurement record in ``sim_dir`` with another target."""
+    data = tmp_path / "sim"
+    data.mkdir()
+    (data / "upsilon.txt").write_text((sim_dir / "upsilon.txt").read_text())
+    meta = json.loads((sim_dir / "record.json").read_text())
+    meta["target"] = target
+    (data / "record.json").write_text(json.dumps(meta))
+    return data
+
+
+@pytest.fixture
+def partitions(monkeypatch):
+    """The cluster counts of every partition made while the test runs."""
+    counts = []
+    partition = harness.cluster_partition
+
+    def counted(mesh, n_clusters, seed):
+        counts.append(n_clusters)
+        return partition(mesh, n_clusters, seed=seed)
+
+    monkeypatch.setattr(harness, "cluster_partition", counted)
+    return counts
+
+
+def test_reconstruct_partitions_only_the_reconstruction_side(recorded, tmp_path, partitions):
+    """C3 measures on L4/200 cem and reconstructs on L3/80 smooth: one partition, of L3."""
+    sim_dir, _ = recorded
+    data = _with_target(sim_dir, tmp_path, {"kappa": [0.0] * 200, "rho": [0.0] * 16})
+    out = tmp_path / "rec.json"
+    argv = ["reconstruct", "--case", "C3", "--data", str(data), "--order", "1", "--out", str(out)]
+    assert main(argv) == 0
+    assert partitions == [80]
+    assert json.loads(out.read_text())["method"] == "1"
+
+
+@pytest.mark.parametrize(
+    "target, message",
+    [
+        (
+            {"kappa": [0.0] * 80, "rho": [0.0] * 16},
+            "target 'kappa' is of shape (80,); "
+            "the case's measurement side needs it of shape (200,)",
+        ),
+        (
+            {"kappa": [0.0] * 200, "rho": [0.0] * 16, "xi": [[0.0, 0.0]] * 16},
+            "target 'xi' is of shape (16, 2); the case's measurement side needs it absent",
+        ),
+    ],
+    ids=["kappa", "xi"],
+)
+def test_target_that_does_not_fit_c3_exits_2_before_any_partition(
+    recorded, tmp_path, capsys, partitions, target, message
+):
+    sim_dir, _ = recorded
+    data = _with_target(sim_dir, tmp_path, target)
+    out = tmp_path / "rec.json"
+    argv = ["reconstruct", "--case", "C3", "--data", str(data), "--order", "1", "--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"ValueError: {data / 'record.json'}: {message}\n"
+    assert partitions == []
     assert not out.exists()
 
 

@@ -84,6 +84,25 @@ class TestAssemble:
         with pytest.raises(IndefiniteSystemError, match="vanishes identically"):
             fem.AssembledSystem(layout8, ConductivityPair(tau.sigma, np.zeros_like(tau.zeta)))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field", ["sigma", "zeta"])
+    def test_entry_that_is_not_finite_is_rejected(
+        self, monkeypatch, layout8, smooth8, field, value
+    ):
+        tau = smooth8.tau(smooth8.zero())
+        arrays = {"sigma": tau.sigma.copy(), "zeta": tau.zeta.copy()}
+        first, later = ((5,), (9,)) if field == "sigma" else ((5, 1), (9, 0))
+        arrays[field][first] = value
+        arrays[field][later] = np.nan  # only the first is named
+
+        def factored(*args, **kwargs):
+            raise AssertionError("splu was called")
+
+        monkeypatch.setattr(fem.spla, "splu", factored)
+        where = ", ".join(map(str, first))
+        with pytest.raises(ValueError, match=rf"^{field}\[{where}\] is not finite: {value!r}$"):
+            fem.AssembledSystem(layout8, ConductivityPair(**arrays))
+
     def test_matrix_doubles_with_tau(self, disk2, layout8, smooth8):
         tau = smooth8.tau(smooth8.zero())
         k1 = fem.AssembledSystem(layout8, tau).matrix
@@ -192,10 +211,10 @@ class TestApplyP:
         for s in svals:
             shifted = ConductivityPair(tau.sigma + s * dsigma, tau.zeta + s * dzeta)
             sol_s = fem.solve_forward(fem.AssembledSystem(layout8, shifted), current)
-            diff = fem.SolutionSet(
-                sol_s.u - base.u - s * step.u, sol_s.U - base.U - s * step.U
-            )
-            rems.append(system.energy_norm(diff))
+            # the remainder in the energy norm of the system matrix
+            du, dU = sol_s.u - base.u - s * step.u, sol_s.U - base.U - s * step.U
+            x = np.vstack([du, system.basis.B.T @ dU])
+            rems.append(float(np.sqrt(np.sum(x * (system.matrix @ x)))))
         slope = np.polyfit(np.log(svals), np.log(rems), 1)[0]
         assert slope == pytest.approx(2.0, abs=0.1)
 

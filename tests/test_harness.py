@@ -9,6 +9,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eitrev import fem, harness, model
 from eitrev.calculus import DerivativeStack
@@ -35,7 +37,14 @@ from eitrev.harness import (
     write_measurement,
     write_reconstruction,
 )
-from eitrev.inversion import PriorGammas, TikhonovInverse, build_noise_cov, build_prior, revert
+from eitrev.inversion import (
+    PriorGammas,
+    TikhonovInverse,
+    build_noise_cov,
+    build_prior,
+    revert,
+    sequential_linearize,
+)
 from eitrev.mesh import Partition
 from eitrev.model import AdmissibilityError, Parametrization, ParamVector
 
@@ -391,6 +400,17 @@ class TestExperiment2:
         assert len(noise_models) == 2
 
 
+def _bytes(outcome):
+    """The bytes of an outcome's point and components, and its clamp flag."""
+    points = (outcome.upsilon, *outcome.components)
+    return [p.to_flat().tobytes() for p in points], outcome.clamped
+
+
+def _distinct(points) -> bool:
+    """Whether no two of the points are the same object."""
+    return len({id(p) for p in points}) == len(points)
+
+
 class TestReconstructor:
     @pytest.fixture(scope="class")
     def data(self, sides):
@@ -412,7 +432,7 @@ class TestReconstructor:
     @staticmethod
     def _run(recon, method, data):
         """``method`` on a fresh item of ``data``."""
-        return recon.run(method, recon.item(data))
+        return recon.run(method, recon.item(data, (method,)))
 
     @pytest.fixture
     def stack_builds(self, monkeypatch):
@@ -430,7 +450,7 @@ class TestReconstructor:
         _, rec = sides
         fresh = {m: self._run(Reconstructor(rec), m, data) for m in ("1,1", "1,1,1")}
         recon = Reconstructor(rec)
-        item = recon.item(data)
+        item = recon.item(data, ("1,1", "1,1,1"))
         stack_builds.clear()
         two = recon.run("1,1", item)
         three = recon.run("1,1,1", item)
@@ -448,7 +468,7 @@ class TestReconstructor:
         _, rec = sides
         expected = self._run(Reconstructor(rec), "1,1,1", data)
         recon = Reconstructor(rec)
-        item = recon.item(data)
+        item = recon.item(data, ("1,1", "1,1,1"))
         recon.run("1,1", item)
         rebase = harness.Item._rebase
 
@@ -500,7 +520,7 @@ class TestReconstructor:
     ):
         _, rec = sides
         recon = Reconstructor(rec)
-        item = recon.item(data)
+        item = recon.item(data, orders.split(","))
         for method in orders.split(","):
             outcome = recon.run(method, item)
             self._assert_fresh(outcome, fresh[1.0][int(method)], tmp_path)
@@ -511,7 +531,8 @@ class TestReconstructor:
         _, rec = sides
         base = Reconstructor(rec)
         other = base.with_gammas(rec.spec.gammas.scaled(2.0))
-        items = {1.0: base.item(data), 2.0: other.item(data)}
+        orders = ("1", "2", "3")
+        items = {1.0: base.item(data, orders), 2.0: other.item(data, orders)}
         runs = [(base, 1.0, "1"), (other, 2.0, "2"), (base, 1.0, "3"), (other, 2.0, "1")]
         runs += [(other, 2.0, "3"), (base, 1.0, "2")]
         seen = {1.0: [], 2.0: []}
@@ -528,7 +549,7 @@ class TestReconstructor:
         recon = Reconstructor(rec)
         stack_builds.clear()
         mutable = data.copy()
-        item = recon.item(mutable)
+        item = recon.item(mutable, ("1,1",))
         mutable += 1.0
         outcome = recon.run("1,1", item)
         assert not outcome.upsilon.kappa.flags.writeable
@@ -550,30 +571,30 @@ class TestReconstructor:
         xi[2] = xi_m
         bad = ParamVector(iota.kappa, iota.rho, xi)
         assert not rec.param.admissible(bad)
-        item = recon.item(recon.lam0)
+        item = recon.item(recon.lam0, harness.METHODS)
         with pytest.raises(AdmissibilityError):
             item._rebase(bad)
 
     def test_stack_point_is_checked_once(self, sides, recon, layout_checks):
         _, rec = sides
-        recon.item(recon.lam0)._rebase(rec.param.zero())
+        recon.item(recon.lam0, harness.METHODS)._rebase(rec.param.zero())
         assert layout_checks == [list(range(rec.param.n_electrodes))]
 
     def test_data_of_another_shape_is_rejected(self, recon, data):
         for bad in (data[:1], data[:, :14], data.ravel()):
             with pytest.raises(ValueError, match=r"shape \(15, 15\)"):
-                recon.item(bad)
+                recon.item(bad, harness.METHODS)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_data_with_an_entry_that_is_not_finite_is_rejected(self, recon, data, value):
         bad = data.copy()
         bad[4, 7] = value
         with pytest.raises(ValueError, match=rf"data\[4, 7\] is not finite: {value!r}"):
-            recon.item(bad)
+            recon.item(bad, harness.METHODS)
 
     def test_an_item_of_another_reconstructor_is_rejected(self, sides, recon, data):
         other = recon.with_gammas(sides[1].spec.gammas.scaled(2.0))
-        for item in (other.item(data), data):
+        for item in (other.item(data, ("1",)), data):
             with pytest.raises(ValueError, match="item that this reconstructor"):
                 recon.run("1", item)
 
@@ -588,12 +609,133 @@ class TestReconstructor:
         for method in ("2", "1,1"):
             self._assert_same(self._run(other, method, data), self._run(fresh, method, data))
 
+    def test_a_method_the_item_was_not_opened_for_is_rejected(self, recon, data):
+        item = recon.item(data, ("1", "2"))
+        with pytest.raises(ValueError, match=r"opened for the methods \('1', '2'\), not '1,1'"):
+            recon.run("1,1", item)
+        with pytest.raises(ValueError, match="unknown method '4'"):
+            recon.item(data, ("1", "4"))
+
+    @staticmethod
+    def _counted(monkeypatch, owner, attr):
+        """The first argument of every call of ``owner.attr`` made from now on."""
+        calls = []
+        method = getattr(owner, attr)
+
+        def counted(first, *args, **kwargs):
+            calls.append(first)
+            return method(first, *args, **kwargs)
+
+        monkeypatch.setattr(owner, attr, counted)
+        return calls
+
+    def test_method_one_is_the_first_iterate_of_the_chain(self, sides, data, monkeypatch):
+        _, rec = sides
+        recon = Reconstructor(rec)
+        applies = self._counted(monkeypatch, TikhonovInverse, "__call__")
+        item = recon.item(data, ("1", "1,1,1"))
+        first = recon.run("1", item)
+        chain = recon.run("1,1,1", item)
+        assert chain.components[0] is first.upsilon
+        # eta1 from the origin's inverse, then a step at u1 and one at u2 (compared by identity)
+        assert applies[0] is recon.inverse0
+        assert [inverse.stack.iota for inverse in applies[1:]] == list(chain.components[:2])
+
+        def rebase(iota):
+            return TikhonovInverse(DerivativeStack(rec.param, iota), recon.prior, recon.noise)
+
+        # the chain that steps from the origin, byte for byte
+        origin = sequential_linearize(rebase, data, 3, recon.inverse0)
+        assert [p.to_flat().tobytes() for p in chain.components] == [
+            p.to_flat().tobytes() for p in origin.iterates
+        ]
+        assert chain.clamped == any(origin.clamped)
+
+    @pytest.mark.parametrize("methods", [("2", "1,1"), ("1,1",)])
+    def test_a_chain_without_method_one_takes_the_first_increment(
+        self, sides, data, monkeypatch, methods
+    ):
+        _, rec = sides
+        recon = Reconstructor(rec)
+        reversions = self._counted(monkeypatch, harness, "revert")
+        item = recon.item(data, methods)
+        outcomes = [recon.run(method, item) for method in methods]
+        # one reversion: method "2"'s, or the one the chain starts from
+        assert len(reversions) == 1
+        first = self._run(recon, "1", data).upsilon
+        assert outcomes[-1].components[0].to_flat().tobytes() == first.to_flat().tobytes()
+
+    @pytest.mark.parametrize(
+        "methods, held",
+        [
+            (("1", "2", "3"), [False] * 3),
+            # u1's stack from "1" until "1,1" rebases there, then u2's until "1,1,1"
+            (harness.METHODS, [True, True, True, True, False]),
+        ],
+        ids=["1;2;3", "all"],
+    )
+    def test_no_stack_is_held_after_the_last_method(self, recon, data, methods, held):
+        item = recon.item(data, methods)
+        seen = []
+        for method in methods:
+            item.map_at(recon.run(method, item).upsilon)
+            seen.append(item._held is not None)
+        assert seen == held
+
+    @pytest.fixture(scope="class")
+    def alone(self, sides, data):
+        """A reconstructor and each method's outcome on a fresh item of ``data``."""
+        recon = Reconstructor(sides[1])
+        return recon, {m: _bytes(self._run(recon, m, data)) for m in harness.METHODS}
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(order=st.permutations(harness.METHODS), size=st.integers(1, len(harness.METHODS)))
+    def test_methods_in_any_order_equal_each_alone(self, alone, data, order, size):
+        """Run like a study: every method, then the indicators' map at its point.
+
+        Each stack the item builds is either the map of one method's point,
+        or a rebase at a chain iterate no map has been built at; so a rebase
+        never repeats a map, and no stack is held after the last method.
+        """
+        recon, expected = alone
+        methods = order[:size]
+        builds, in_map = [], []
+        map_at = harness.Item.map_at
+
+        class Stack(DerivativeStack):
+            def __init__(self, param, iota):
+                super().__init__(param, iota)
+                builds.append((iota, bool(in_map)))
+
+        def mapped(item, iota):
+            in_map.append(True)
+            try:
+                return map_at(item, iota)
+            finally:
+                in_map.pop()
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(harness, "DerivativeStack", Stack)
+            mp.setattr(harness.Item, "map_at", mapped)
+            item = recon.item(data, methods)
+            for method in methods:
+                outcome = recon.run(method, item)
+                assert _bytes(outcome) == expected[method]
+                item.map_at(outcome.upsilon)
+        assert item._held is None
+        maps = [iota for iota, in_map in builds if in_map]
+        assert len(maps) == len(methods) and _distinct(maps)
+        assert _distinct([iota for iota, in_map in builds if not in_map])
+        for k, (iota, in_map) in enumerate(builds):
+            if not in_map:
+                assert _distinct([iota] + [p for p, m in builds[:k] if m])
+
     def test_a_reconstructor_holds_only_shared_state(self, sides, data):
         _, rec = sides
         recon = Reconstructor(rec)
         shared = dict(vars(recon))
         assert sorted(shared) == ["inverse0", "noise", "prior", "rec", "stack0"]
-        item = recon.item(data)
+        item = recon.item(data, harness.METHODS)
         for method in harness.METHODS:
             item.map_at(recon.run(method, item).upsilon)
         assert vars(recon).keys() == shared.keys()
@@ -622,7 +764,7 @@ class TestOnePointOneSystem:
         tikhonov = harness.TikhonovInverse
 
         def assembled(system, layout, tau):
-            log["points"][-1].append(harness._point_key(tau.point))
+            log["points"][-1].append(tau.point.to_flat().tobytes())
             init(system, layout, tau)
 
         def item_start(*args, **kwargs):
@@ -707,18 +849,19 @@ class TestOnePointOneSystem:
     def test_a_miss_builds_its_own_stack(self, sides):
         _, rec = sides
         recon = Reconstructor(rec)
-        item = recon.item(recon.lam0)
-        zero = rec.param.zero()
-        nudged = replace(zero, kappa=-zero.kappa)  # -0.0: equal values, other bytes
-        item._next = harness._point_key(zero)
-        item.map_at(zero)
+        item = recon.item(recon.lam0, ("1", "1,1"))
+        first = recon.run("1", item).upsilon
+        item.map_at(first)
         held = item._held
-        assert item._rebase(nudged).stack is not held
+        assert held.iota is first
+        # a point with the same bytes, in other arrays, is another point
+        copied = replace(first, kappa=first.kappa.copy())
+        assert item._rebase(copied).stack is not held
         assert item._held is None
-        item.map_at(zero)
+        item.map_at(first)
         held = item._held
-        # a point with the same bytes, in other arrays
-        assert item._rebase(rec.param.zero()).stack is held
+        assert item._rebase(first).stack is held
+        assert item._held is None
 
 
 class TestStudyOrder:
@@ -826,7 +969,7 @@ class TestSerialization:
         rng = sample_rng(11, 0)
         target = draw_target(meas, prior, rng)
         record = simulate_measurements(meas, target, noise, rng)
-        outcome = recon.run("2", recon.item(record.upsilon))
+        outcome = recon.run("2", recon.item(record.upsilon, ("2",)))
         path = tmp_path / "rec.json"
         write_reconstruction(outcome, path)
         import json

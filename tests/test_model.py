@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -131,6 +132,22 @@ class TestTau:
         with pytest.raises(ValueError, match=rf"^{component}\[3\] is not finite: {value!r}$") as info:
             param.tau(bad)
         # not an AdmissibilityError, which the indicators read as an infinite residual
+        assert type(info.value) is ValueError
+
+    @pytest.mark.parametrize("component", ["kappa", "rho"])
+    @pytest.mark.parametrize("name", ["smooth8", "cem8"])
+    def test_rejects_an_entry_whose_exponential_overflows(self, request, name, component):
+        """The domain conductivity, the cem density and the smooth bump scale all check it."""
+        param = request.getfixturevalue(name)
+        iota = tau_point(param)
+        values = getattr(iota, component).copy()
+        values[3] = 800.0
+        bad = dataclasses.replace(iota, **{component: values})
+        message = rf"^{component}\[3\] = 800.0 is too large: its exponential overflows$"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # and no RuntimeWarning on the way
+            with pytest.raises(ValueError, match=message) as info:
+                param.tau(bad)
         assert type(info.value) is ValueError
 
 
