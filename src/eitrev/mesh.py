@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from pathlib import Path
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -815,14 +815,12 @@ class _ClusterState:
             if b != source and source not in map(label.__getitem__, adjacency[nb]):
                 self._leave(b, source, nb)
 
-    def nearest_donor(
-        self, smallest: int, need: int, blocked: set[tuple[int, int]]
-    ) -> tuple[int, dict[int, int]]:
-        """The first cluster with ``need`` cells in breadth-first order from ``smallest``.
+    def donors(self, smallest: int, need: int) -> Iterator[tuple[int, dict[int, int]]]:
+        """The clusters with ``need`` cells, in breadth-first order from ``smallest``.
 
-        Neighbours are expanded in ascending index order; returns the donor
-        (-1 when there is none) and the breadth-first parent of every
-        cluster reached so far.
+        Neighbours are expanded in ascending index order. Each donor comes with
+        the breadth-first parent of every cluster reached so far. Resume the
+        search only while the state is the one it started from.
         """
         counts, neighbours = self.counts, self.neighbours
         parent = {smallest: -1}
@@ -831,10 +829,9 @@ class _ClusterState:
             for nb in neighbours(node):
                 if nb not in parent:
                     parent[nb] = node
-                    if counts[nb] >= need and (smallest, nb) not in blocked:
-                        return nb, parent
+                    if counts[nb] >= need:
+                        yield nb, parent
                     queue.append(nb)
-        return -1, parent
 
     def stays_connected(self, c: int) -> bool:
         """Whether the (connected) cluster of ``c`` stays non-empty and connected without it."""
@@ -856,19 +853,6 @@ class _ClusterState:
                     stack.append(nb)
         return False
 
-    def rim_cell(self, points: np.ndarray, centers: np.ndarray, donor: int, receiver: int) -> int:
-        """The cell of ``donor`` that ``receiver`` takes, or -1 when none may go.
-
-        Of the donor cells next to ``receiver``, the nearest to the receiver's
-        center (ties to the lower index) whose removal keeps the donor
-        connected.
-        """
-        candidates = sorted(
-            self.rims[donor].get(receiver, ()),
-            key=lambda c: (np.linalg.norm(points[c] - centers[receiver]), c),
-        )
-        return next((c for c in candidates if self.stays_connected(c)), -1)
-
 
 def _balance_clusters(
     labels: np.ndarray,
@@ -881,45 +865,68 @@ def _balance_clusters(
 
     Repeatedly shifts one cell along the shortest cluster-adjacency path from
     the nearest over-full cluster toward the currently smallest cluster. Each
-    successful chain strictly decreases the sum of squared counts, so the
-    loop terminates; at ``_BALANCE_MAX_MOVES`` iterations it stops with a
-    ``RuntimeWarning``. Every cluster must be connected on entry.
+    chain that commits strictly decreases the sum of squared counts, so the
+    loop terminates; at ``_BALANCE_MAX_MOVES`` iterations (each tries a chain
+    or finds a cluster stuck) it stops with a ``RuntimeWarning``. Every
+    cluster must be connected on entry.
+
+    A chain that fails changes no state, so until the next commit the
+    smallest cluster changes only by becoming stuck (which lasts until a
+    commit), its donor search resumes where a fresh one skipping the failed
+    donor would go on, and the centers, rim distances and picked rim cells
+    stay. Each cluster on a chain's path takes one cell from its child before
+    it gives one to its parent; the child lies two breadth-first levels from
+    the parent, so that cell does not border it. A chain is therefore tried
+    with only that cell's label set, and ``move`` runs when it commits.
     """
     state = _ClusterState(labels, adjacency, n_clusters)
-    counts = state.counts
+    counts, label, rims = state.counts, state.labels, state.rims
     stuck: set[int] = set()
-    blocked: set[tuple[int, int]] = set()
+    donors, centers = None, _weighted_centers(points, weights, labels, n_clusters)
+    distance = cache(lambda c, receiver: np.linalg.norm(points[c] - centers[receiver]))
+
+    @cache
+    def rim_cell(node: int, receiver: int, incoming: int) -> int:
+        # The cell ``node`` gives ``receiver`` after taking ``incoming`` (-1: none), or -1.
+        if incoming >= 0:
+            child, label[incoming] = label[incoming], node
+        candidates = sorted(rims[node][receiver], key=lambda c: (distance(c, receiver), c))
+        cell = next((c for c in candidates if state.stays_connected(c)), -1)
+        if incoming >= 0:
+            label[incoming] = child
+        return cell
+
     for _ in range(_BALANCE_MAX_MOVES):
-        # The smallest cluster not stuck (ties to the lower index), if it is
-        # two cells short of the largest.
-        sizes = np.array(counts)
-        top = sizes.max()
-        sizes[list(stuck)] = top
-        smallest = int(np.argmin(sizes))
-        if sizes[smallest] > top - 2:
-            break
-        donor, parent = state.nearest_donor(smallest, counts[smallest] + 2, blocked)
+        if donors is None:
+            # The smallest cluster not stuck (ties to the lower index), if it
+            # is two cells short of the largest.
+            sizes = np.array(counts)
+            top = sizes.max()
+            sizes[list(stuck)] = top
+            smallest = int(np.argmin(sizes))
+            if sizes[smallest] > top - 2:
+                break
+            donors = state.donors(smallest, counts[smallest] + 2)
+        donor, parent = next(donors, (-1, None))
         if donor < 0:
             stuck.add(smallest)
+            donors = None
             continue
-        # Shift one cell along the path donor -> ... -> smallest; a chain that
-        # cannot finish is undone move by move.
-        centers = _weighted_centers(points, weights, state.array, n_clusters)
-        moves = []
-        node = donor
+        # Shift one cell along the path donor -> ... -> smallest.
+        chain, node, c = [], donor, -1
         while node != smallest:
-            c = state.rim_cell(points, centers, node, parent[node])
+            c = rim_cell(node, parent[node], c)
             if c < 0:
-                blocked.add((smallest, donor))
-                for cell, source, target in reversed(moves):
-                    state.move(cell, target, source)
                 break
-            state.move(c, node, parent[node])
-            moves.append((c, node, parent[node]))
+            chain.append((c, node, parent[node]))
             node = parent[node]
         else:
+            for move in chain:
+                state.move(*move)
             stuck.clear()
-            blocked.clear()
+            donors, centers = None, _weighted_centers(points, weights, state.array, n_clusters)
+            distance.cache_clear()
+            rim_cell.cache_clear()
     else:
         warnings.warn(
             f"cluster balancing stopped at its cap of {_BALANCE_MAX_MOVES} iterations "
@@ -966,11 +973,12 @@ def cluster_partition(mesh: SimplicialMesh, n_clusters: int, seed: int) -> Parti
             sum((points[:, i, None] - centers[:, i]) ** 2 for i in range(points.shape[1]))
         )
         new_labels = np.argmin(dist, axis=1)
-        # Re-seed empty clusters from the farthest-off cell.
-        for i in range(n_clusters):
-            if not np.any(new_labels == i):
-                far = int(np.argmax(dist[np.arange(len(points)), new_labels]))
-                new_labels[far] = i
+        # Re-seed empty clusters from the farthest-off cell, one at a time.
+        if not np.bincount(new_labels, minlength=n_clusters).all():
+            for i in range(n_clusters):
+                if not np.any(new_labels == i):
+                    far = int(np.argmax(dist[np.arange(len(points)), new_labels]))
+                    new_labels[far] = i
         if np.array_equal(new_labels, labels):
             labels = new_labels
             break
@@ -1014,12 +1022,7 @@ def cluster_partition(mesh: SimplicialMesh, n_clusters: int, seed: int) -> Parti
             raise PartitionError(f"cluster {i} is disconnected after repair")
 
     centers = _weighted_centers(points, weights, labels, n_clusters)
-    return _frozen_partition(mesh, labels, centers)
-
-
-def _frozen_partition(mesh: SimplicialMesh, labels: np.ndarray, centers: np.ndarray) -> Partition:
-    _freeze(labels, centers)
-    return Partition(mesh=mesh, cluster_of=labels, centers=centers)
+    return Partition(mesh=mesh, cluster_of=_freeze(labels, centers), centers=centers)
 
 
 def nearest_neighbor_project(
@@ -1061,4 +1064,4 @@ def load_partition(mesh: SimplicialMesh, path: str | Path) -> Partition:
         if len(_components(np.flatnonzero(labels == i), mesh.cell_adjacency)) != 1:
             raise MeshFormatError(f"cluster {i} in partition file {path} is not connected")
     centers = _weighted_centers(mesh.cell_centroids, mesh.cell_volumes, labels, k)
-    return _frozen_partition(mesh, labels, centers)
+    return Partition(mesh=mesh, cluster_of=_freeze(labels, centers), centers=centers)

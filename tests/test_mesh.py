@@ -3,10 +3,14 @@
 import dataclasses
 import hashlib
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import eitrev.mesh
 from eitrev import fem
 from eitrev.mesh import (
     ElectrodeOverlapError,
@@ -14,6 +18,7 @@ from eitrev.mesh import (
     LayoutError,
     MeshFormatError,
     TopologyError,
+    _balance_clusters,
     _ClusterState,
     _components,
     build_mesh,
@@ -48,6 +53,92 @@ def _adjacency_by_shared_vertices(mesh):
     shared = incidence @ incidence.T
     np.fill_diagonal(shared, 0)
     return [np.flatnonzero(row == mesh.dimension).tolist() for row in shared]
+
+
+def _reference_balance(labels, points, weights, adjacency, n_clusters):
+    """The balancing loop in its first form, kept as the oracle of ``_balance_clusters``.
+
+    Every donor search starts afresh, every chain recomputes the centers and
+    moves its cells through ``_ClusterState.move``, and a chain that cannot
+    finish is undone move by move.
+    """
+    state = _ClusterState(labels, adjacency, n_clusters)
+    counts = state.counts
+    stuck, blocked = set(), set()
+
+    def nearest_donor(smallest, need):
+        parent = {smallest: -1}
+        queue = [smallest]
+        for node in queue:
+            for nb in state.neighbours(node):
+                if nb not in parent:
+                    parent[nb] = node
+                    if counts[nb] >= need and (smallest, nb) not in blocked:
+                        return nb, parent
+                    queue.append(nb)
+        return -1, parent
+
+    def rim_cell(centers, donor, receiver):
+        candidates = sorted(
+            state.rims[donor].get(receiver, ()),
+            key=lambda c: (np.linalg.norm(points[c] - centers[receiver]), c),
+        )
+        return next((c for c in candidates if state.stays_connected(c)), -1)
+
+    cap = eitrev.mesh._BALANCE_MAX_MOVES
+    for _ in range(cap):
+        sizes = np.array(counts)
+        top = sizes.max()
+        sizes[list(stuck)] = top
+        smallest = int(np.argmin(sizes))
+        if sizes[smallest] > top - 2:
+            break
+        donor, parent = nearest_donor(smallest, counts[smallest] + 2)
+        if donor < 0:
+            stuck.add(smallest)
+            continue
+        centers = eitrev.mesh._weighted_centers(points, weights, state.array, n_clusters)
+        moves = []
+        node = donor
+        while node != smallest:
+            c = rim_cell(centers, node, parent[node])
+            if c < 0:
+                blocked.add((smallest, donor))
+                for cell, source, target in reversed(moves):
+                    state.move(cell, target, source)
+                break
+            state.move(c, node, parent[node])
+            moves.append((c, node, parent[node]))
+            node = parent[node]
+        else:
+            stuck.clear()
+            blocked.clear()
+    else:
+        warnings.warn(
+            f"cluster balancing stopped at its cap of {cap} iterations "
+            f"with cluster sizes {min(counts)}..{max(counts)}",
+            RuntimeWarning,
+        )
+    return state.array
+
+
+_DISKS = {level: generate_disk_mesh(level) for level in (1, 2, 3)}
+
+
+class _Captured(Exception):
+    pass
+
+
+def _balance_arguments(mesh, n_clusters, seed):
+    """The arguments ``cluster_partition`` passes to ``_balance_clusters``."""
+
+    def capture(*args):
+        raise _Captured(args)
+
+    with mock.patch("eitrev.mesh._balance_clusters", capture):
+        with pytest.raises(_Captured) as caught:
+            cluster_partition(mesh, n_clusters, seed)
+    return caught.value.args[0]
 
 
 def _write(tmp_path, text):
@@ -410,7 +501,7 @@ class TestPartition:
             (3, 50, 0, "7d99343a5bce1b767e478d4c1a459aeff0ea38307717345213fe4e8ee0c60bbd"),
             (1, 10, 1, "9911d0f7abbb92b6dd852683580881c1f9706512f05583cb17e16ed635fe2b27"),
             (4, 200, 7, "0116cbe12f814aa536b55c47fbeeb89928afa1f3d53c4d978d30daea0bb5b78c"),
-            # These three run many failed balancing chains, which are undone.
+            # These three try many balancing chains that fail; no cell moves until one completes.
             (4, 100, 2, "3dc9f6eb25a6ddbc67c09f3b8ca3f95315bba749dd43a5b9df9c61a46bbb5163"),
             (3, 30, 3, "1081040b5fbcac7bf99f1bcd94a00380e9224d7b87452b59a6a4d8f4ba59f405"),
             (2, 40, 9, "b2ea03310d859a367ca95091dd9b4cd9747537893c02e3c90acd30b29ea2a975"),
@@ -421,15 +512,59 @@ class TestPartition:
         labels = part.cluster_of.astype("<i8").tobytes()
         assert hashlib.sha256(labels).hexdigest() == digest
 
-    def test_balancing_cap_is_reported(self, monkeypatch, disk3):
+    def test_balancing_within_its_cap_warns_nothing(self, disk3):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             cluster_partition(disk3, 80, seed=7)
-        monkeypatch.setattr("eitrev.mesh._BALANCE_MAX_MOVES", 5)
-        with pytest.warns(RuntimeWarning, match="cap of 5 iterations") as record:
-            part = cluster_partition(disk3, 80, seed=7)
+
+    # The labels left at a lowered cap, pinned as in ``test_labels_are_pinned``.
+    # (3, 80, 7) runs 60-odd iterations before its first chain completes, so a
+    # cap of 40 leaves the labels of the repair pass.
+    @pytest.mark.parametrize(
+        "level, n_clusters, seed, cap, digest",
+        [
+            (3, 80, 7, 40, "120b1d514189bc47dba6a4a400a66016bcb444ee6da8528af1422cc42e9fcf9d"),
+            (3, 80, 7, 100, "b3d6f05c55209ada8ad0f4f88b64d4145396ad151845895137d3e3b99ce542be"),
+            (3, 80, 7, 400, "9b89a94e734d40ea7d5680881590bd42f4cfbc978e7518c3d7503b237d55d58d"),
+            (4, 100, 2, 3, "7e6a2b68a473c4c6b130815e7b76852bf9622d4d0b38c7fcd31abe2de802fa3a"),
+            (4, 100, 2, 40, "a4102efe263a310ba37d1b77d669b74267c94c97f9b0c3d59677db6cf8c4468f"),
+            (4, 100, 2, 400, "5dccf00875bad7a742f536738065a60e03a865abc02a733b542fe509271e7466"),
+        ],
+    )
+    def test_balancing_cap_is_reported(self, monkeypatch, level, n_clusters, seed, cap, digest):
+        monkeypatch.setattr("eitrev.mesh._BALANCE_MAX_MOVES", cap)
+        with pytest.warns(RuntimeWarning, match=f"cap of {cap} iterations") as record:
+            part = cluster_partition(generate_disk_mesh(level), n_clusters, seed)
         sizes = np.bincount(part.cluster_of)
         assert f"cluster sizes {sizes.min()}..{sizes.max()}" in str(record[0].message)
+        assert hashlib.sha256(part.cluster_of.astype("<i8").tobytes()).hexdigest() == digest
+
+    def test_full_scale_cap_is_reported(self):
+        # An L4/200 partition with seed 1 does not balance within the cap.
+        with pytest.warns(RuntimeWarning, match="cap of 20000 iterations with cluster sizes 9..18"):
+            part = cluster_partition(generate_disk_mesh(4), 200, seed=1)
+        labels = part.cluster_of.astype("<i8").tobytes()
+        digest = "0831cba77aac4dcef3cb3097d5c4d5617aa228898b16f1331ed7d52b65def26c"
+        assert hashlib.sha256(labels).hexdigest() == digest
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(data=st.data())
+    def test_balancing_equals_the_reference(self, data):
+        mesh = _DISKS[data.draw(st.integers(1, 3), label="level")]
+        n_clusters = data.draw(st.integers(1, min(mesh.n_cells, 120)), label="n_clusters")
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        cap = data.draw(st.integers(1, 300) | st.just(eitrev.mesh._BALANCE_MAX_MOVES), label="cap")
+        args = _balance_arguments(mesh, n_clusters, seed)
+        results, messages = [], []
+        with mock.patch("eitrev.mesh._BALANCE_MAX_MOVES", cap):
+            for balance in (_balance_clusters, _reference_balance):
+                with warnings.catch_warnings(record=True) as record:
+                    warnings.simplefilter("always")
+                    results.append(balance(*args))
+                messages.append([str(w.message) for w in record])
+        assert results[0].dtype == results[1].dtype
+        assert results[0].tobytes() == results[1].tobytes()
+        assert messages[0] == messages[1]
 
 
 class TestNearestNeighborProject:
