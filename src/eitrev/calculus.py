@@ -12,6 +12,7 @@ its clusters or electrodes, with no perturbation per coordinate.
 
 from __future__ import annotations
 
+import copy
 from typing import Sequence
 
 import numpy as np
@@ -35,8 +36,9 @@ class DerivativeStack:
     operators, each the solution operator of one derivative of tau along a
     tuple of directions, applied right-to-left to the base solutions. The
     memo of directions, operators and chains is pure memoization keyed by
-    direction identity and holds until :meth:`forget`; every entry is
-    reproducible from scratch.
+    direction identity, and every entry is reproducible from scratch. The
+    memo is the only state a stack changes after construction; a caller that
+    must not leave entries behind works on a :meth:`branch`.
 
     The stack assembles and factors the system at ``param.tau(iota)`` itself,
     and ``tau`` raises :class:`~eitrev.model.AdmissibilityError` for an
@@ -56,14 +58,15 @@ class DerivativeStack:
         self._chains: dict[tuple, SolutionSet] = {}
         self._jacobian: np.ndarray | None = None
 
-    def forget(self) -> None:
-        """Drop the memoized directions, operators and chains.
+    def branch(self) -> "DerivativeStack":
+        """The same stack with an empty memo of its own.
 
-        The base solutions and the cached coordinate Jacobian stay.
+        It shares the system, the base solutions, ``lam`` and the coordinate
+        Jacobian if it is cached, and writes its entries to its own memo only.
         """
-        self._handles.clear()
-        self._ops.clear()
-        self._chains.clear()
+        other = copy.copy(self)
+        other._handles, other._ops, other._chains = [], {}, {}
+        return other
 
     def _handle(self, eta) -> int:
         for i, known in enumerate(self._handles):

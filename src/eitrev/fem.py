@@ -307,14 +307,23 @@ class SystemPlan:
 
 
 # Labels per batched product in the block Gram kernels. It bounds their
-# temporaries, about CHUNK * n * (M + k) floats for n vertices, M electrodes
-# and k solutions, to a few times those of one perturbation's form.
+# temporaries, about 2 * CHUNK * n * k floats for n vertices and k
+# solutions, to a few times those of one perturbation's form.
 CHUNK = 4
 
 
 def _chunks(n_labels: int):
     for lo in range(0, n_labels, CHUNK):
         yield lo, min(lo + CHUNK, n_labels)
+
+
+def _stacked_grams(stack, local: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``u.T @ (block @ u)`` for each block of a :class:`~eitrev.scatter.StackedPlan`, (L, k, k)."""
+    product = stack.assemble(local) @ u
+    out = np.empty((stack.n_labels, u.shape[1], u.shape[1]))
+    for lo, hi in _chunks(stack.n_labels):
+        out[lo:hi] = np.matmul(u.T, stack.blocks(product, lo, hi))
+    return out
 
 
 def cluster_grams(system: "AssembledSystem", sigma: np.ndarray, stack, sols: SolutionSet):
@@ -327,11 +336,8 @@ def cluster_grams(system: "AssembledSystem", sigma: np.ndarray, stack, sols: Sol
     elsewhere: the same cell matrices summed in the same order, the same
     products with the same operand shapes.
     """
-    product = stack.assemble(_cell_matrices(system.mesh, sigma)) @ sols.u
-    out = np.empty((stack.n_labels, len(sols), len(sols)))
-    for lo, hi in _chunks(stack.n_labels):
-        # adding the zero contact terms turns a zero of t1 into +0.0
-        out[lo:hi] = np.matmul(sols.u.T, stack.blocks(product, lo, hi)) + 0.0
+    out = _stacked_grams(stack, _cell_matrices(system.mesh, sigma), sols.u)
+    out += 0.0  # adding the zero contact terms turns a zero of t1 into +0.0
     return out
 
 
@@ -340,31 +346,24 @@ def electrode_grams(system: "AssembledSystem", zeta: np.ndarray, sols: SolutionS
 
     Entry ``m`` equals ``PerturbationOperator(system, (0, zeta_m)).bform(sols,
     sols)`` bit for bit, where ``zeta_m`` is ``zeta`` on the facets of
-    electrode ``m`` and zero elsewhere. Column ``m`` of ``R`` and entry
-    ``m`` of ``D`` sum the same facet terms in the same order as the
-    operator's, every other column and entry is +0.0 in both, and each
-    electrode's ``R`` and ``D`` keep their full (n, M) and (M,) shapes in the
-    same four products.
+    electrode ``m`` and zero elsewhere. That operator's ``R`` and ``D`` are
+    column ``m`` of ``R`` and entry ``m`` of ``D`` here (the same facet terms
+    in the same order) and +0.0 elsewhere. So each of its contact products
+    sums one product with zeros of either sign, save row ``m`` of
+    ``R.T @ u``, which is that of the same ``(M, n) @ (n, k)`` product here.
+    A BLAS sum starts at +0.0, so such a sum is that one product, or +0.0
+    where the product is zero: the outer product below, plus 0.0. ``R @ U``
+    enters ``u.T @ ...`` with the operator's shapes, and the four terms are
+    combined in the operator's order.
     """
     layout = system.layout
     u, U = sols.u, sols.U
-    n, M = u.shape[0], layout.n_electrodes
     fmats, R, D = _contact_terms(layout, layout.equad_weights * zeta)
-    stack = layout.facet_stack
-    product = stack.assemble(fmats) @ u
-    out = np.empty((M, len(sols), len(sols)))
-    for lo, hi in _chunks(M):
-        m = np.arange(lo, hi)
-        own = np.arange(hi - lo)
-        t1 = np.matmul(u.T, stack.blocks(product, lo, hi))
-        Rm = np.zeros((hi - lo, n, M))
-        Rm[own, :, m] = R[:, m].T
-        Dm = np.zeros((hi - lo, M))
-        Dm[own, m] = D[m]
-        t2 = np.matmul(u.T, np.matmul(Rm, U))
-        t3 = np.matmul(U.T, np.matmul(Rm.transpose(0, 2, 1), u))
-        t4 = np.matmul(U.T, Dm[:, :, None] * U)
-        out[lo:hi] = t1 - t2 - t3 + t4
+    out = _stacked_grams(layout.facet_stack, fmats, u)
+    for lo, hi in _chunks(len(out)):
+        out[lo:hi] -= np.matmul(u.T, R.T[lo:hi, :, None] * U[lo:hi, None, :] + 0.0)
+    out -= U[:, :, None] * (R.T @ u)[:, None, :] + 0.0
+    out += U[:, :, None] * (D[:, None] * U)[:, None, :] + 0.0
     return out
 
 

@@ -654,9 +654,9 @@ class StudyResult:
 
 
 def retained_mask(ref_res: np.ndarray) -> np.ndarray:
-    """The bottom KEEP_FRACTION of samples by initial-guess residual, ties by index."""
+    """Bottom KEEP_FRACTION of samples by initial-guess residual, at least one, ties by index."""
     n = len(ref_res)
-    keep = int(np.floor(KEEP_FRACTION * n))
+    keep = max(1, int(np.floor(KEEP_FRACTION * n)))
     order = np.lexsort((np.arange(n), ref_res))
     mask = np.zeros(n, dtype=bool)
     mask[order[:keep]] = True

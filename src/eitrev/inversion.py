@@ -336,6 +336,7 @@ class ReversionResult:
 
     etas: tuple
     operand_norms: tuple  # Frobenius norm of the operand each increment inverts
+    stack: DerivativeStack | None  # the branch a continuation reads; none at order three
 
     @property
     def order(self) -> int:
@@ -368,35 +369,30 @@ def revert(
     ``start`` is an earlier result for the same stack, inverse and data: its
     first ``min(order, start.order)`` increments and operand norms are taken
     as they are and only the missing ones are computed, with the same bits a
-    fresh reversion gives. The stack's derivative memo is keyed by increment
-    identity, so the kept increments find their chains there. It lives for
-    one reversion and its continuations: a fresh reversion (no ``start``)
-    clears it first, and it is cleared when an exception is raised and when
-    the result reaches order three, which nothing can continue.
+    fresh reversion gives. The derivatives are taken on a
+    :meth:`~eitrev.calculus.DerivativeStack.branch` of ``stack``, whose memo
+    is keyed by increment identity: a continuation reads the start's, where
+    the kept increments find their chains, and any other reversion makes
+    one. So ``stack`` itself is never written, and what a reversion that
+    raises has memoized stays in its branch.
     """
     if order < 1 or order > 3:
         raise ValueError("reversion order must be between 1 and 3")
     if start is None:
-        stack.forget()
         etas, norms = [], []
     else:
         etas, norms = list(start.etas[:order]), list(start.operand_norms[:order])
+    stack = stack.branch() if start is None or start.stack is None else start.stack
     operands = (
         lambda: np.asarray(data, dtype=float) - stack.lam,
         lambda: -0.5 * stack.dlambda2(etas[0]),
         lambda: -(stack.dlambda3(etas[0]) / 6.0 + stack.mixed_dlambda2(etas[0], etas[1])),
     )
-    try:
-        for k in range(len(etas), order):
-            operand = operands[k]()
-            norms.append(float(np.linalg.norm(operand)))
-            etas.append(inverse(operand))
-    except BaseException:
-        stack.forget()
-        raise
-    if len(etas) == 3:
-        stack.forget()
-    return ReversionResult(etas=tuple(etas), operand_norms=tuple(norms))
+    for k in range(len(etas), order):
+        operand = operands[k]()
+        norms.append(float(np.linalg.norm(operand)))
+        etas.append(inverse(operand))
+    return ReversionResult(tuple(etas), tuple(norms), stack if len(etas) < 3 else None)
 
 
 @dataclass(frozen=True, eq=False)

@@ -253,16 +253,27 @@ def _tokens(path: str | Path) -> list[tuple[str, int]]:
 _INDEX_RANGE = np.iinfo(np.intp)
 
 
-def _index(token: str, line: int) -> int:
-    """The integer ``token`` read on ``line``, checked to fit an index array."""
+def _index(token: str) -> int:
+    """The integer ``token``, checked to fit an index array."""
     value = int(token)
     if not _INDEX_RANGE.min <= value <= _INDEX_RANGE.max:
-        raise ValueError(f"line {line}: index {token} is out of range")
+        raise ValueError(f"index {token} is out of range")
     return value
+
+
+def _read(convert, token: str, line: int):
+    """``convert(token)``; a ``ValueError`` names ``line``."""
+    try:
+        return convert(token)
+    except ValueError as exc:
+        raise ValueError(f"line {line}: {exc}") from None
 
 
 def load_mesh(path: str | Path) -> SimplicialMesh:
     """Read a mesh file; the boundary is recomputed, never read.
+
+    A keyword line holds the keyword and its count alone. Every malformed
+    token is named by its line.
 
     Raises
     ------
@@ -274,38 +285,34 @@ def load_mesh(path: str | Path) -> SimplicialMesh:
     tokens = _tokens(path)
     pos = 0
 
-    def take(expect: str | None = None) -> str:
+    def take(convert=str):
         nonlocal pos
         if pos >= len(tokens):
-            raise MeshFormatError(f"unexpected end of file in {path}")
-        tok = tokens[pos][0]
+            raise ValueError("unexpected end of file")
         pos += 1
-        if expect is not None and tok != expect:
-            raise MeshFormatError(f"expected {expect!r}, found {tok!r}")
-        return tok
+        return _read(convert, *tokens[pos - 1])
 
-    def take_index() -> int:
-        take()
-        return _index(*tokens[pos - 1])
+    def take_count(keyword: str) -> int:
+        found, line = take(), tokens[pos - 1][1]
+        words = [tok for tok, at in tokens if at == line]
+        if found != keyword or len(words) != 2:
+            found = " ".join(words)
+            raise ValueError(f"line {line}: expected {keyword!r} and a count, found {found!r}")
+        return take(int)
 
-    take("dim")
     try:
-        dimension = int(take())
-        take("vertices")
-        n_vertices = int(take())
-        vertices = np.array(
-            [[float(take()) for _ in range(dimension)] for _ in range(n_vertices)]
-        )
-        take("cells")
-        n_cells = int(take())
+        dimension = take_count("dim")
+        n_vertices = take_count("vertices")
+        vertices = np.array([[take(float) for _ in range(dimension)] for _ in range(n_vertices)])
+        n_cells = take_count("cells")
         cells = np.array(
-            [[take_index() for _ in range(dimension + 1)] for _ in range(n_cells)],
+            [[take(_index) for _ in range(dimension + 1)] for _ in range(n_cells)],
             dtype=int,
         ).reshape(n_cells, dimension + 1)
+        if pos != len(tokens):
+            raise ValueError(f"line {tokens[pos][1]}: trailing data {tokens[pos][0]!r}")
     except ValueError as exc:
         raise MeshFormatError(f"malformed mesh file {path}: {exc}") from exc
-    if pos != len(tokens):
-        raise MeshFormatError(f"trailing data in mesh file {path}")
     return build_mesh(dimension, vertices, cells)
 
 
@@ -1049,7 +1056,7 @@ def save_partition(partition: Partition, path: str | Path) -> None:
 def load_partition(mesh: SimplicialMesh, path: str | Path) -> Partition:
     """Read a partition file written by :func:`save_partition`."""
     try:
-        labels = np.array([_index(*token) for token in _tokens(path)], dtype=int)
+        labels = np.array([_read(_index, *token) for token in _tokens(path)], dtype=int)
     except ValueError as exc:
         raise MeshFormatError(f"malformed partition file {path}: {exc}") from exc
     if labels.shape[0] != mesh.n_cells:

@@ -126,21 +126,13 @@ class ScatterPlan:
             raise ValueError(f"local matrices of shape {np.shape(local)}, not {self.local_shape}")
         return _summed(local, self.first, self.ranks)
 
-    def assemble(self, local: np.ndarray) -> sp.csr_matrix:
-        """The sum of ``local`` as a CSR matrix, an entry that sums to zero dropped.
-
-        The result owns its arrays: changing it in place leaves the plan intact.
-        """
-        data = self.sums(local)
-        return sp.csr_matrix(compressed(data, self.indices, self.indptr), shape=self.shape)
-
 
 class StackedPlan:
     """How labelled local matrices sum into one ``n x n`` block per label, stacked vertically.
 
     The elements are those of ``plan``, element ``e`` with label
     ``labels[e]``, one of ``0 .. n_labels - 1``. Block ``i`` of the
-    ``(n_labels * n, n)`` stack is what :meth:`ScatterPlan.assemble` gives
+    ``(n_labels * n, n)`` stack holds what :meth:`ScatterPlan.sums` gives
     for a local array that is zero outside label ``i``, though it sums only
     the terms of that label, in the plan's rank order. The zeros of the other
     elements, of either sign, would change no bit: they leave a non-zero
@@ -150,10 +142,10 @@ class StackedPlan:
     only the others, ordered by label and then by row, and :meth:`blocks`
     puts a product of them back in place.
 
-    Entries that sum to zero stay stored, where ``assemble`` drops them. A
-    product with finite operands is the same bit for bit either way: its rows
-    start at +0.0, and adding a zero of either sign to a sum that starts
-    there changes no bit of it.
+    Entries that sum to zero stay stored, where :func:`compressed` drops
+    them. A product with finite operands is the same bit for bit either way:
+    its rows start at +0.0, and adding a zero of either sign to a sum that
+    starts there changes no bit of it.
     """
 
     def __init__(self, plan: ScatterPlan, labels: np.ndarray, n_labels: int):

@@ -1,6 +1,7 @@
 """Command line interface: every subcommand end to end on temporary files."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -235,6 +236,17 @@ def test_zero_samples_exits_nonzero(tmp_path, capsys):
     assert status != 0
     assert "n_samples must be at least 1" in err
     assert not (tmp_path / "summary.csv").exists()
+
+
+def test_one_sample_gives_finite_means(tmp_path):
+    argv = ["experiment1", "--case", "C1", "--samples", "1", "--methods", "1", "--out"]
+    assert main(argv + [str(tmp_path)]) == 0
+    rows = (tmp_path / "summary.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == ["0", "1"]
+    means = [float(value) for row in rows for value in row.split(",")[1:]]
+    assert all(math.isfinite(value) for value in means)
+    samples = (tmp_path / "samples.csv").read_text().splitlines()
+    assert samples[0].split(",")[2] == "retained" and samples[1].split(",")[2] == "1"
 
 
 def test_empty_grid_exits_nonzero(tmp_path, capsys):

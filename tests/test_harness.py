@@ -225,6 +225,9 @@ class TestRetention:
         # keeps 4 of 5; the tie at 5.0 breaks toward the lower index
         assert mask.tolist() == [True, True, False, True, True]
 
+    def test_one_sample_is_kept(self):
+        assert retained_mask(np.array([3.0])).tolist() == [True]
+
     def test_exact_count(self):
         rng = np.random.default_rng(8)
         ref = rng.standard_normal(50)
@@ -740,6 +743,18 @@ class TestReconstructor:
             item.map_at(recon.run(method, item).upsilon)
         assert vars(recon).keys() == shared.keys()
         assert all(vars(recon)[k] is v for k, v in shared.items())
+
+    def test_items_leave_the_origin_stack_unwritten(self, sides, data):
+        _, rec = sides
+        recon = Reconstructor(rec)
+        stack0 = recon.stack0
+        J = stack0.jacobian()
+        for shift in (0.0, 1e-6):
+            item = recon.item(data + shift, ("1", "2"))
+            for method in ("1", "2"):
+                recon.run(method, item)
+            assert stack0._handles == [] and stack0._ops == {} and stack0._chains == {}
+        assert recon.stack0 is stack0 and stack0.jacobian() is J
 
 
 class TestOnePointOneSystem:

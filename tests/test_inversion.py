@@ -298,8 +298,13 @@ class TestRevert:
         J = stack8.jacobian()
         rng = np.random.default_rng(45)
         data = stack8.lam + 1e-3 * rng.standard_normal((7, 7))
-        revert(stack8, inverse, data, order=3)
-        assert stack8._handles == [] and stack8._ops == {} and stack8._chains == {}
+        memo = _memo_of(stack8)
+        two = revert(stack8, inverse, data, order=2)
+        assert two.stack is not stack8 and two.stack.jacobian() is J
+        assert not _memo_is_empty(two.stack)
+        three = revert(stack8, inverse, data, order=3, start=two)
+        assert three.stack is None
+        assert _memo_of(stack8) == memo
         assert stack8.jacobian() is J
 
     def test_partial_sums_exact(self, stack8, smooth8, basis8):
@@ -381,6 +386,15 @@ def _memo_is_empty(stack):
     return stack._handles == [] and stack._ops == {} and stack._chains == {}
 
 
+def _memo_of(stack):
+    """The entries of a stack's memo, by identity."""
+    return (
+        [id(eta) for eta in stack._handles],
+        {key: id(op) for key, op in stack._ops.items()},
+        {key: id(chain) for key, chain in stack._chains.items()},
+    )
+
+
 class TestContinuation:
     """A reversion continued from an earlier one equals a fresh one, bit for bit."""
 
@@ -446,17 +460,22 @@ class TestContinuation:
         one = revert(stack, inverse, data, 1)
         two = revert(stack, inverse, data, 2, start=one)
         assert len(calls) == 2  # eta1; (eta1, eta1)
-        assert not _memo_is_empty(stack)
-        revert(stack, inverse, data, 3, start=two)
+        assert two.stack is one.stack and not _memo_is_empty(two.stack)
+        three = revert(stack, inverse, data, 3, start=two)
         assert len(calls) == 5  # (eta1, eta1, eta1); eta2; (eta1, eta2)
-        assert _memo_is_empty(stack)
+        assert three.stack is None and _memo_is_empty(stack)
 
     def test_a_fresh_reversion_clears_the_memo_first(self, setting):
         stack, inverse, data = setting
-        revert(stack, inverse, data, 2)
-        handles = len(stack._handles)
-        revert(stack, inverse, data, 2)
-        assert len(stack._handles) == handles
+        first = revert(stack, inverse, data, 2)
+        handles = len(first.stack._handles)
+        # a stack with entries of its own gives a branch without them
+        busy = stack.branch()
+        busy.dlambda3(first.etas[0])
+        memo = _memo_of(busy)
+        again = revert(busy, inverse, data, 2)
+        assert again.stack is not first.stack and len(again.stack._handles) == handles
+        assert _memo_of(busy) == memo and _memo_is_empty(stack)
 
     def test_a_failed_continuation_keeps_its_start_and_empties_the_memo(
         self, setting, monkeypatch

@@ -178,6 +178,25 @@ class TestLoadMesh:
         with pytest.raises(MeshFormatError):
             load_mesh(_write(tmp_path, "vertices 3\n"))
 
+    @pytest.mark.parametrize(
+        "line, text, message",
+        [
+            (4, "0.5 abc", "could not convert string to float: 'abc'"),
+            (1, "dim x", "invalid literal for int.* 'x'"),
+            (2, "vertices 9.5", "invalid literal for int.* '9.5'"),
+            (12, "cells 8 8", "expected 'cells' and a count, found 'cells 8 8'"),
+            (2, "vertixes 9", "expected 'vertices' and a count, found 'vertixes 9'"),
+        ],
+    )
+    def test_a_malformed_token_names_its_line(self, tmp_path, line, text, message):
+        path = tmp_path / "mesh.txt"
+        save_mesh(generate_disk_mesh(0), path)
+        lines = path.read_text().splitlines()
+        lines[line - 1] = text
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(MeshFormatError, match=f"mesh.txt: line {line}: {message}"):
+            load_mesh(path)
+
     def test_index_out_of_range(self, tmp_path):
         path = _write(tmp_path, "dim 2\nvertices 3\n0 0\n1 0\n0 1\ncells 1\n0 1 5\n")
         with pytest.raises(TopologyError):

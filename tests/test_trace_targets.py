@@ -52,3 +52,13 @@ def test_every_reconstruction_passes_the_wrapped_run(monkeypatch):
     clamped = sum(int(result.table[m]["clamped"].sum()) for m in methods)
     assert clamped == 2
     assert tracer.counts["inversion.clamped"] == clamped
+
+
+def test_every_reversion_derivative_passes_the_wrapped_methods():
+    """A reversion's derivatives are taken on a branch of the origin stack, through the class."""
+    spans = _spans()
+    tracer = spans.Tracer()
+    with spans.traced(tracer):
+        harness.experiment1(harness.CASES["C1"], methods=("1", "2", "3"), n_samples=2, seed=1)
+    for name in ("dlambda2", "dlambda3", "mixed_dlambda2"):
+        assert tracer.calls[f"calculus.{name}"] == 2
