@@ -39,6 +39,8 @@ from .inversion import (
 from .mesh import (
     MAX_DISK_REFINEMENT,
     Partition,
+    _lines,
+    _row,
     check_seed,
     cluster_partition,
     define_electrodes,
@@ -824,19 +826,12 @@ def read_matrix(path: str | Path) -> np.ndarray:
     A token that is not a number, or a row whose length differs from the
     first row's, raises ``ValueError`` naming the file and the line.
     """
-    rows = []
-    for number, line in enumerate(Path(path).read_text().splitlines(), 1):
-        if not line.strip():
-            continue
-        try:
-            rows.append([float(tok) for tok in line.split()])
-        except ValueError as exc:
-            raise ValueError(f"{path}: line {number}: {exc}") from None
-        if len(rows[-1]) != len(rows[0]):
-            raise ValueError(
-                f"{path}: line {number} has {len(rows[-1])} entries, the first row {len(rows[0])}"
-            )
-    return np.array(rows)
+    try:
+        lines = list(_lines(path))
+        # every row as wide as the first; an empty file reads as an empty array
+        return np.array([_row(*line, len(lines[0][1]), float) for line in lines])
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def param_to_json(pv: ParamVector) -> dict:

@@ -159,20 +159,14 @@ def _signed_volumes(vertices: np.ndarray, cells: np.ndarray) -> np.ndarray:
 def build_mesh(dimension: int, vertices: np.ndarray, cells: np.ndarray) -> SimplicialMesh:
     """Assemble a validated mesh from raw vertex and cell arrays.
 
-    Cells with negative signed volume are reoriented; degenerate or duplicate
+    A row of ``vertices`` holds ``dimension`` (2 or 3) finite coordinates, a
+    row of ``cells`` ``dimension + 1`` indices. Cells with negative signed
+    volume are reoriented; out-of-range indices, degenerate or duplicate
     cells, non-manifold facet incidences and vertices that no cell uses raise
     :class:`TopologyError`.
     """
-    if dimension not in (2, 3):
-        raise MeshFormatError(f"dimension must be 2 or 3, got {dimension}")
     vertices = np.ascontiguousarray(vertices, dtype=float)
     cells = np.ascontiguousarray(cells, dtype=int)
-    if vertices.ndim != 2 or vertices.shape[1] != dimension:
-        raise MeshFormatError("vertex array shape does not match dimension")
-    if not np.all(np.isfinite(vertices)):
-        raise MeshFormatError("vertex coordinates must be finite")
-    if cells.ndim != 2 or cells.shape[1] != dimension + 1:
-        raise MeshFormatError("cell array shape does not match dimension")
     if cells.size and (cells.min() < 0 or cells.max() >= len(vertices)):
         raise TopologyError("cell vertex index out of range")
     unused = np.flatnonzero(np.bincount(cells.ravel(), minlength=len(vertices)) == 0)
@@ -244,36 +238,56 @@ def save_mesh(mesh: SimplicialMesh, path: str | Path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def _tokens(path: str | Path) -> list[tuple[str, int]]:
-    """The whitespace-separated tokens of a text file, each with its line number."""
-    lines = Path(path).read_text().splitlines()
-    return [(tok, line) for line, text in enumerate(lines, 1) for tok in text.split()]
+def _lines(path: str | Path) -> Iterator[tuple[int, list[str]]]:
+    """The number and the whitespace-separated tokens of each non-blank line of a text file."""
+    for number, text in enumerate(Path(path).read_text().splitlines(), 1):
+        if tokens := text.split():
+            yield number, tokens
 
 
-_INDEX_RANGE = np.iinfo(np.intp)
+def _row(number: int, tokens: list[str], width: int, convert) -> list:
+    """``convert`` of each of the ``width`` tokens of line ``number``; errors name the line."""
+    try:
+        if len(tokens) != width:
+            raise ValueError(f"wrong number of entries: expected {width}, found {len(tokens)}")
+        return [convert(token) for token in tokens]
+    except ValueError as exc:
+        raise ValueError(f"line {number}: {exc}") from None
+
+
+_INDEX_MAX = np.iinfo(np.intp).max
 
 
 def _index(token: str) -> int:
-    """The integer ``token``, checked to fit an index array."""
+    """The integer ``token``, checked to be an index or a count that fits an index array."""
     value = int(token)
-    if not _INDEX_RANGE.min <= value <= _INDEX_RANGE.max:
+    if not 0 <= value <= _INDEX_MAX:
         raise ValueError(f"index {token} is out of range")
     return value
 
 
-def _read(convert, token: str, line: int):
-    """``convert(token)``; a ``ValueError`` names ``line``."""
-    try:
-        return convert(token)
-    except ValueError as exc:
-        raise ValueError(f"line {line}: {exc}") from None
+def _dimension(token: str) -> int:
+    """The mesh dimension ``token``: 2 or 3."""
+    value = int(token)
+    if value not in (2, 3):
+        raise ValueError(f"dimension must be 2 or 3, got {value}")
+    return value
+
+
+def _coordinate(token: str) -> float:
+    """The finite vertex coordinate ``token``."""
+    value = float(token)
+    if not -np.inf < value < np.inf:
+        raise ValueError(f"vertex coordinates must be finite, found {token!r}")
+    return value
 
 
 def load_mesh(path: str | Path) -> SimplicialMesh:
     """Read a mesh file; the boundary is recomputed, never read.
 
-    A keyword line holds the keyword and its count alone. Every malformed
-    token is named by its line.
+    Blank lines are skipped. A keyword line holds the keyword and its count
+    alone, a vertex line ``dim`` coordinates and a cell line ``dim + 1``
+    indices. A malformed line is named by its number.
 
     Raises
     ------
@@ -282,38 +296,27 @@ def load_mesh(path: str | Path) -> SimplicialMesh:
     TopologyError
         If the cell data is topologically invalid.
     """
-    tokens = _tokens(path)
-    pos = 0
+    lines = _lines(path)
 
-    def take(convert=str):
-        nonlocal pos
-        if pos >= len(tokens):
-            raise ValueError("unexpected end of file")
-        pos += 1
-        return _read(convert, *tokens[pos - 1])
-
-    def take_count(keyword: str) -> int:
-        found, line = take(), tokens[pos - 1][1]
-        words = [tok for tok, at in tokens if at == line]
-        if found != keyword or len(words) != 2:
-            found = " ".join(words)
-            raise ValueError(f"line {line}: expected {keyword!r} and a count, found {found!r}")
-        return take(int)
+    def count(keyword: str, convert=_index) -> int:
+        number, tokens = next(lines)
+        if tokens[0] != keyword or len(tokens) != 2:
+            found = " ".join(tokens)
+            raise ValueError(f"line {number}: expected {keyword!r} and a count, found {found!r}")
+        return _row(number, tokens[1:], 1, convert)[0]
 
     try:
-        dimension = take_count("dim")
-        n_vertices = take_count("vertices")
-        vertices = np.array([[take(float) for _ in range(dimension)] for _ in range(n_vertices)])
-        n_cells = take_count("cells")
-        cells = np.array(
-            [[take(_index) for _ in range(dimension + 1)] for _ in range(n_cells)],
-            dtype=int,
-        ).reshape(n_cells, dimension + 1)
-        if pos != len(tokens):
-            raise ValueError(f"line {tokens[pos][1]}: trailing data {tokens[pos][0]!r}")
+        dimension = count("dim", _dimension)
+        vertices = [_row(*next(lines), dimension, _coordinate) for _ in range(count("vertices"))]
+        cells = [_row(*next(lines), dimension + 1, _index) for _ in range(count("cells"))]
+        for number, tokens in lines:
+            raise ValueError(f"line {number}: trailing data {tokens[0]!r}")
+    except StopIteration:
+        raise MeshFormatError(f"malformed mesh file {path}: unexpected end of file") from None
     except ValueError as exc:
         raise MeshFormatError(f"malformed mesh file {path}: {exc}") from exc
-    return build_mesh(dimension, vertices, cells)
+    vertices = np.array(vertices).reshape(-1, dimension)
+    return build_mesh(dimension, vertices, np.array(cells, dtype=int).reshape(-1, dimension + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -1054,19 +1057,16 @@ def save_partition(partition: Partition, path: str | Path) -> None:
 
 
 def load_partition(mesh: SimplicialMesh, path: str | Path) -> Partition:
-    """Read a partition file written by :func:`save_partition`."""
+    """Read a partition file written by :func:`save_partition`: one label per non-blank line."""
     try:
-        labels = np.array([_read(_index, *token) for token in _tokens(path)], dtype=int)
+        labels = np.array([_row(*line, 1, _index)[0] for line in _lines(path)], dtype=int)
+        if labels.shape[0] != mesh.n_cells:
+            raise ValueError("partition length does not match the cell count")
+        k = int(labels.max()) + 1
+        if not np.all(np.bincount(labels)):
+            raise ValueError("partition file skips a cluster index")
     except ValueError as exc:
         raise MeshFormatError(f"malformed partition file {path}: {exc}") from exc
-    if labels.shape[0] != mesh.n_cells:
-        raise MeshFormatError("partition length does not match the cell count")
-    if labels.min() < 0:
-        raise MeshFormatError("negative cluster index")
-    k = int(labels.max()) + 1
-    counts = np.bincount(labels, minlength=k)
-    if np.any(counts == 0):
-        raise MeshFormatError("partition file skips a cluster index")
     for i in range(k):
         if len(_components(np.flatnonzero(labels == i), mesh.cell_adjacency)) != 1:
             raise MeshFormatError(f"cluster {i} in partition file {path} is not connected")

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from eitrev import fem
 from eitrev.calculus import DerivativeStack
@@ -12,6 +13,11 @@ from eitrev.mesh import (
     generate_disk_mesh,
 )
 from eitrev.model import ConductivityPair, ModelConfig, Parametrization
+
+# Every property test draws the same examples on every run, and a slow example
+# is not a failure: Tier-1 stays deterministic.
+settings.register_profile("tier1", derandomize=True, deadline=None)
+settings.load_profile("tier1")
 
 
 @pytest.fixture(scope="session")

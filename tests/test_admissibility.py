@@ -168,7 +168,7 @@ def _point(draw, layout, m, R):
     )
 
 
-@settings(deadline=None, max_examples=150)
+@settings(max_examples=150)
 @given(data=st.data())
 def test_mask_matches_the_scalar_check(layouts, data):
     name = data.draw(st.sampled_from(_NAMES), label="layout")
@@ -184,7 +184,7 @@ def test_mask_matches_the_scalar_check(layouts, data):
         assert contact_admissible(layout, m, p, config) == ok
 
 
-@settings(deadline=None, max_examples=60)
+@settings(max_examples=60)
 @given(data=st.data())
 def test_distances_match_the_scalar_formula_bit_for_bit(layouts, data):
     layout = layouts[data.draw(st.sampled_from(_NAMES), label="layout")]
@@ -199,7 +199,7 @@ def test_distances_match_the_scalar_formula_bit_for_bit(layouts, data):
     assert got.tobytes() == expect.tobytes()
 
 
-@settings(deadline=None, max_examples=40)
+@settings(max_examples=40)
 @given(data=st.data())
 def test_clamp_matches_the_scalar_bisection_at_every_midpoint(layouts, data):
     layout = layouts[data.draw(st.sampled_from(_NAMES), label="layout")]

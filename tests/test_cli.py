@@ -13,7 +13,7 @@ import eitrev
 from eitrev import harness
 from eitrev.cli import _load_case, build_parser, main
 from eitrev.harness import read_matrix
-from eitrev.mesh import load_mesh, load_partition
+from eitrev.mesh import generate_disk_mesh, load_mesh, load_partition, save_mesh
 
 
 @pytest.fixture(scope="module")
@@ -308,14 +308,23 @@ def test_missing_config_file_is_one_error_line(tmp_path, capsys):
     assert err.startswith("FileNotFoundError: ") and str(missing) in err
 
 
-def test_malformed_mesh_file_is_one_error_line(tmp_path, capsys):
+@pytest.mark.parametrize("bad", ["token", "token-count"])
+def test_malformed_mesh_file_is_one_error_line(tmp_path, capsys, bad):
     mesh_path = tmp_path / "mesh.txt"
-    mesh_path.write_text("dim 2\nvertices 3\n0 0\n1 0\n0 one\ncells 1\n0 1 2\n")
+    if bad == "token":
+        mesh_path.write_text("dim 2\nvertices 3\n0 0\n1 0\n0 one\ncells 1\n0 1 2\n")
+        line = "line 5"
+    else:
+        save_mesh(generate_disk_mesh(0), mesh_path)
+        lines = mesh_path.read_text().splitlines()
+        lines[3] = "0.0 0.0 0.0"
+        mesh_path.write_text("\n".join(lines) + "\n")
+        line = "line 4"
     argv = ["mesh", "cluster", "--mesh", str(mesh_path), "--clusters", "1"]
     status, err = _run_cli(argv + ["--out", str(tmp_path / "part.txt")], capsys)
     assert status == 2
     assert err.splitlines() == [err.strip()]
-    assert err.startswith("MeshFormatError: malformed mesh file")
+    assert err.startswith(f"MeshFormatError: malformed mesh file {mesh_path}: {line}: ")
     assert not (tmp_path / "part.txt").exists()
 
 

@@ -672,7 +672,7 @@ def _signed_pair(layout, rng, zero_fraction):
 class TestSystemPlan:
     """Matrices filled through a layout's system plan equal COO oracles built without it."""
 
-    @settings(derandomize=True, deadline=None, max_examples=40)
+    @settings(max_examples=40)
     @given(data=st.data())
     def test_matrices_equal_the_coo_oracles(self, plan_layouts, data):
         name = data.draw(st.sampled_from(sorted(plan_layouts)), label="geometry")

@@ -46,7 +46,7 @@ def _draw_system(data):
     return fem.AssembledSystem(layout, param.tau(iota)), rng
 
 
-@settings(deadline=None, max_examples=20)
+@settings(max_examples=20)
 @given(data=st.data())
 def test_forward_map_is_symmetric(data):
     system, _ = _draw_system(data)
@@ -54,7 +54,7 @@ def test_forward_map_is_symmetric(data):
     assert np.linalg.norm(lam - lam.T) <= 1e-10 * np.linalg.norm(lam)
 
 
-@settings(deadline=None, max_examples=20)
+@settings(max_examples=20)
 @given(data=st.data())
 def test_solve_forward_rejects_currents_that_are_not_mean_free(data):
     system, rng = _draw_system(data)

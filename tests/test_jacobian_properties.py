@@ -30,7 +30,7 @@ def _lam(param, flat):
     return vec(fem.forward_map(system))
 
 
-@settings(deadline=None, max_examples=40)
+@settings(max_examples=40)
 @given(data=st.data())
 def test_jacobian_columns_match_central_differences(data):
     level, M = data.draw(st.sampled_from(sorted(_LAYOUTS)), label="level, electrodes")

@@ -186,6 +186,13 @@ class TestLoadMesh:
             (2, "vertices 9.5", "invalid literal for int.* '9.5'"),
             (12, "cells 8 8", "expected 'cells' and a count, found 'cells 8 8'"),
             (2, "vertixes 9", "expected 'vertices' and a count, found 'vertixes 9'"),
+            (4, "0.0 0.0 0.0", "wrong number of entries: expected 2, found 3"),
+            (4, "0.0", "wrong number of entries: expected 2, found 1"),
+            (14, "0 1 2 3", "wrong number of entries: expected 3, found 4"),
+            (1, "dim 5", "dimension must be 2 or 3, got 5"),
+            (2, "vertices -1", "index -1 is out of range"),
+            (12, "cells -1", "index -1 is out of range"),
+            (4, "0.5 inf", "vertex coordinates must be finite, found 'inf'"),
         ],
     )
     def test_a_malformed_token_names_its_line(self, tmp_path, line, text, message):
@@ -499,6 +506,23 @@ class TestPartition:
         assert not again.cluster_of.flags.writeable
         assert not again.centers.flags.writeable
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda labels: labels[:-1], "partition length does not match the cell count"),
+            (lambda labels: labels[:5] + ["-1"] + labels[6:], "line 6: index -1 is out of range"),
+            (lambda labels: labels[:5] + ["0 0"] + labels[6:], "line 6: wrong number of entries"),
+            (lambda labels: labels[:-1] + ["2"], "partition file skips a cluster index"),
+        ],
+        ids=["short", "negative", "two-labels", "skipped-index"],
+    )
+    def test_a_malformed_partition_file_is_named(self, tmp_path, edit, message):
+        mesh = generate_disk_mesh(1)
+        path = tmp_path / "part.txt"
+        path.write_text("\n".join(edit(["0"] * mesh.n_cells)) + "\n")
+        with pytest.raises(MeshFormatError, match=f"malformed partition file .*part.txt: {message}"):
+            load_partition(mesh, path)
+
     def test_disconnected_cluster_in_file_is_rejected(self, tmp_path, disk2):
         assert 100 not in disk2.cell_adjacency[0]
         labels = np.zeros(disk2.n_cells, dtype=int)
@@ -566,7 +590,7 @@ class TestPartition:
         digest = "0831cba77aac4dcef3cb3097d5c4d5617aa228898b16f1331ed7d52b65def26c"
         assert hashlib.sha256(labels).hexdigest() == digest
 
-    @settings(derandomize=True, deadline=None, max_examples=200)
+    @settings(max_examples=200)
     @given(data=st.data())
     def test_balancing_equals_the_reference(self, data):
         mesh = _DISKS[data.draw(st.integers(1, 3), label="level")]

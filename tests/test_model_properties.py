@@ -55,7 +55,7 @@ def _draw_point(data, params, n_directions):
     return param, iota, [_direction(param, rng, np.array(m)) for m in masks]
 
 
-@settings(deadline=None, max_examples=20)
+@settings(max_examples=20)
 @given(data=st.data())
 def test_dtau_is_linear_in_each_direction(smooth8, cem8, data):
     order = data.draw(st.integers(1, 3), label="order")
@@ -74,7 +74,7 @@ def test_dtau_is_linear_in_each_direction(smooth8, cem8, data):
     assert _same_pair(combined, a * with_slot(u) + b * with_slot(v))
 
 
-@settings(deadline=None, max_examples=20)
+@settings(max_examples=20)
 @given(data=st.data())
 def test_dtau_is_symmetric_in_its_directions(smooth8, cem8, data):
     order = data.draw(st.integers(2, 3), label="order")
@@ -88,7 +88,7 @@ def _same_bytes(p, q):
     return p.sigma.tobytes() == q.sigma.tobytes() and p.zeta.tobytes() == q.zeta.tobytes()
 
 
-@settings(deadline=None, max_examples=20)
+@settings(max_examples=20)
 @given(data=st.data())
 def test_dtau_shares_terms_only_as_equal_values_would(smooth8, cem8, data):
     param, iota, (a, b) = _draw_point(data, {"smooth": smooth8, "cem": cem8}, 2)
@@ -103,7 +103,7 @@ class _DistinctDirections(Parametrization):
         return super().dtau(at, [1.0 * d for d in directions])
 
 
-@settings(deadline=None, max_examples=8)
+@settings(max_examples=8)
 @given(data=st.data())
 def test_stack_derivatives_share_terms_only_as_equal_values_would(smooth8, cem8, data):
     param, iota, (a, b) = _draw_point(data, {"smooth": smooth8, "cem": cem8}, 2)
@@ -114,7 +114,7 @@ def test_stack_derivatives_share_terms_only_as_equal_values_would(smooth8, cem8,
         assert shared.tobytes() == copied.tobytes()
 
 
-@settings(deadline=None, max_examples=20)
+@settings(max_examples=20)
 @given(
     kind=st.sampled_from(["smooth", "cem"]),
     seed=st.integers(0, 2**32 - 1),
@@ -139,7 +139,7 @@ def cube_params():
     return {kind: Parametrization(ModelConfig(), partition, layout, kind) for kind in kinds}
 
 
-@settings(deadline=None, max_examples=16)
+@settings(max_examples=16)
 @given(
     name=st.sampled_from(["disk smooth", "disk cem", "cube smooth", "cube cem"]),
     seed=st.integers(0, 2**32 - 1),

@@ -22,7 +22,7 @@ def _is_connected(cells, adjacency):
     return len(seen) == len(inside)
 
 
-@settings(deadline=None, max_examples=30)
+@settings(max_examples=30)
 @given(data=st.data())
 def test_partition_invariants(data):
     mesh = _MESHES[data.draw(st.sampled_from(sorted(_MESHES)), label="level")]

@@ -219,7 +219,7 @@ class TestPadded:
         local[0] = -0.0
         self._check(plan, mesh.cells, local)
 
-    @settings(deadline=None, max_examples=25)
+    @settings(max_examples=25)
     @given(data=st.data())
     def test_masked_elements(self, system, data):
         """Zeros of both signs on a random set of elements give ``tocsr`` of the padded array."""
