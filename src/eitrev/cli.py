@@ -106,7 +106,7 @@ def _cmd_reconstruct(args) -> int:
     upsilon, target, _ = harness.read_measurement(args.data)
     _check_target(args.data, case, target)
     recon = Reconstructor(harness.build_side(case, case.reconstruction))
-    outcome = recon.run(method, recon.item(upsilon, (method,)))
+    outcome = recon.run(method, recon.item(upsilon))
     harness.write_reconstruction(outcome, args.out)
     print(f"wrote reconstruction ({method}) to {args.out}")
     return 0

@@ -142,6 +142,7 @@ class ExperimentCase:
             )
         check_number("mu_kappa", self.mu_kappa)
         check_number("mu_zeta", self.mu_zeta)
+        self.config  # which checks their exponentials
         check_seed(self.seed)
         check_seed(self.cluster_seed, "cluster_seed")
         if self.reconstruction.contact != "smooth":
@@ -407,22 +408,20 @@ class Reconstructor:
     def lam0(self) -> np.ndarray:
         return self.stack0.lam
 
-    def item(self, data: np.ndarray, methods: Sequence[str]) -> "Item":
-        """The :class:`Item` of one data matrix, for the named methods that will run on it."""
-        return Item(self, data, methods)
+    def item(self, data: np.ndarray) -> "Item":
+        """The :class:`Item` of one data matrix."""
+        return Item(self, data)
 
     def run(self, method: str, item: "Item") -> ReconOutcome:
         """Reconstruct an item's data with one of the named methods.
 
         Methods "1", "2", "3" are one-step series reversions of that order;
         "1,1" and "1,1,1" are two and three sequential linearizations. The
-        item must be one that this reconstructor opened for ``method``.
+        item must be one that this reconstructor opened.
         """
         _check_methods((method,))
         if getattr(item, "recon", None) is not self:
             raise ValueError("run takes an item that this reconstructor's item() opened")
-        if method not in item.methods:
-            raise ValueError(f"the item was opened for the methods {item.methods}, not {method!r}")
         if "," in method:
             seq = item._linearize(method.count(",") + 1)
             return ReconOutcome(method, seq.iterates[-1], seq.iterates, any(seq.clamped))
@@ -443,48 +442,48 @@ class Reconstructor:
 class Item:
     """One data matrix and what its reconstructions keep, opened by :meth:`Reconstructor.item`.
 
-    It is opened with the methods that will run on it. Data not shaped like
-    the reference map, or with an entry that is not finite, raise
-    ``ValueError``; the item keeps a read-only copy. Methods "1", "2" and
-    "3" are partial sums of one reversion: the item keeps the highest order
-    computed, and every order continues or slices it. Method "1"'s point,
-    the clamped first increment of that reversion, is the first iterate of
-    the kept sequential chain; every sequential method goes on from the
-    chain, and the item keeps the longest computed. :meth:`map_at` holds the
-    stack it builds at the chain's last iterate while one of the item's
-    methods needs a longer chain, and the rebase there takes it.
+    Data not shaped like the reference map, or not finite, raise
+    ``ValueError``; the item keeps a read-only copy. Methods "1", "2" and "3"
+    are partial sums of one reversion, the highest order computed. Method
+    "1"'s point, the clamped first increment, is the first iterate of the
+    kept sequential chain, the longest computed, which every sequential
+    method goes on from. The item keeps the stack of each chain point it
+    rebases at or maps, found by identity; any other point's stack is built
+    and not kept. So each distinct point is built once, in any method order.
     """
 
-    def __init__(self, recon: Reconstructor, data: np.ndarray, methods: Sequence[str]):
-        self.methods = _check_methods(methods)
+    def __init__(self, recon: Reconstructor, data: np.ndarray):
         _check_data(data, recon.lam0)
         self.recon = recon
         self.data = np.array(data, dtype=float)
         self.data.setflags(write=False)
-        self._longest = max((m.count(",") + 1 for m in self.methods), default=0)
         self._reversion: ReversionResult | None = None
         self._chain: SequentialResult | None = None
-        self._held: DerivativeStack | None = None  # at the chain's last iterate
+        self._stacks: list[DerivativeStack] = []  # at points of the chain
+
+    def _stack(self, iota: ParamVector, keep: bool) -> DerivativeStack:
+        """The kept stack at ``iota`` (the same object), else a new one, kept if ``keep``."""
+        for stack in self._stacks:
+            if stack.iota is iota:
+                return stack
+        stack = DerivativeStack(self.recon.rec.param, iota)
+        if keep:
+            self._stacks.append(stack)
+        return stack
 
     def map_at(self, iota: ParamVector) -> np.ndarray:
         """Noiseless map of the reconstruction side at ``iota``, from a stack built there.
 
-        It is bitwise :func:`side_forward_map` at ``iota``. The stack is held,
-        in place of any held before, when ``iota`` is the kept chain's last
-        iterate (the same object) and a method of the item needs a longer chain.
+        It is bitwise :func:`side_forward_map` at ``iota``. The stack is kept
+        when ``iota`` is an iterate of the kept chain (the same object).
         """
-        stack = DerivativeStack(self.recon.rec.param, iota)
         chain = self._chain
-        if chain is not None and iota is chain.iterates[-1] and len(chain.iterates) < self._longest:
-            self._held = stack
-        return stack.lam
+        keep = chain is not None and any(iota is point for point in chain.iterates)
+        return self._stack(iota, keep).lam
 
     def _rebase(self, iota: ParamVector) -> TikhonovInverse:
-        """The regularized inverse linearized at ``iota``, from the held stack if it is there."""
-        stack, self._held = self._held, None
-        if stack is None or stack.iota is not iota:
-            stack = DerivativeStack(self.recon.rec.param, iota)
-        return TikhonovInverse(stack, self.recon.prior, self.recon.noise)
+        """The regularized inverse linearized at ``iota``, from a kept stack there."""
+        return TikhonovInverse(self._stack(iota, True), self.recon.prior, self.recon.noise)
 
     def _seeded(self) -> SequentialResult:
         """The kept chain; if there is none, one iterate long, at method "1"'s point.
@@ -692,7 +691,7 @@ def _study(
     sign_corr = np.full(n, np.nan)
     failures = []
     for i, (target, record, recon) in enumerate(items):
-        item = recon.item(record.upsilon, methods)
+        item = recon.item(record.upsilon)
         ref_res[i] = float(np.linalg.norm(recon.lam0 - record.upsilon))
         ref_err[i] = _pc_norm(meas.param.partition, target.kappa)
         for method in methods:
@@ -712,7 +711,7 @@ def _study(
             row["clamped"][i] = outcome.clamped
             if method == "3":
                 sign_corr[i] = outcome.diagnostics.get("eta2_eta3_sign_correlation", np.nan)
-        del item  # with its kept results and its held stack, before the next item starts
+        del item  # with its kept results and stacks, before the next item starts
     return StudyResult(
         case=case,
         methods=methods,

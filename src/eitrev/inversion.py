@@ -18,6 +18,7 @@ import scipy.linalg as sla
 
 from .calculus import DerivativeStack, vec
 from .fem import CurrentBasis, current_basis
+from .model import check_range
 
 RANK_CUTOFF = 1e-12
 _JITTER_TRIES = 3
@@ -55,9 +56,11 @@ class PriorGammas:
 
     def __post_init__(self) -> None:
         # gamma_xi is checked positive by build_prior, and only for the smooth model
-        for name in ("gamma_kappa", "lambda_kappa", "gamma_rho"):
-            check_number(name, getattr(self, name), positive=True)
-        check_number("gamma_xi", self.gamma_xi)
+        for name in ("gamma_kappa", "lambda_kappa", "gamma_rho", "gamma_xi"):
+            value = getattr(self, name)
+            check_number(name, value, positive=name != "gamma_xi")
+            if value:  # build_prior squares every field
+                check_range(name, value, float(value) * float(value), "square")
 
     def scaled(self, s: float) -> "PriorGammas":
         """Scale the log-conductivity and log-conductance deviations only."""
@@ -155,21 +158,24 @@ def build_noise_cov(delta1: float, delta2: float, lam_ref: np.ndarray) -> NoiseM
     measurements at the reference parameters, an (M-1) x (M-1) map whose
     shape fixes the electrode count M; the covariance of the data matrix
     follows by pushing the per-column mean removal and the basis changes
-    through the vectorization exactly.
+    through the vectorization exactly. Noise levels too large for a finite
+    covariance raise ``ValueError`` naming ``deltas``.
     """
     M = lam_ref.shape[0] + 1
     basis = current_basis(M)
     B, Bhat = basis.B, basis.Bhat
     U0 = B @ lam_ref @ basis.B_pinv @ Bhat  # noiseless physical measurements
     peak = np.abs(U0).max()
-    var = (delta1 * peak) ** 2 + (delta2 * np.abs(U0)) ** 2
-    pattern_std = np.sqrt(var)
-
     center = np.eye(M) - np.ones((M, M)) / M
     # vec(B_pinv C Theta Bhat_pinv B) = kron((Bhat_pinv B)^T, B_pinv C) vec(Theta)
     K = np.kron((basis.Bhat_pinv @ B).T, basis.B_pinv @ center)
-    scaled = K * pattern_std.reshape(-1, order="F")[None, :]
-    cov = scaled @ scaled.T
+    with np.errstate(over="ignore", invalid="ignore"):
+        var = (delta1 * peak) ** 2 + (delta2 * np.abs(U0)) ** 2
+        pattern_std = np.sqrt(var)
+        scaled = K * pattern_std.reshape(-1, order="F")[None, :]
+        cov = scaled @ scaled.T
+    if not np.isfinite(cov).all():
+        raise ValueError(f"deltas {(delta1, delta2)!r} are too large: their covariance overflows")
 
     if delta1 == 0.0 and delta2 == 0.0:
         inv = np.zeros_like(cov)

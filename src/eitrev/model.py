@@ -39,14 +39,21 @@ def check_finite(name: str, values) -> None:
         raise ValueError(f"{name}[{', '.join(map(str, at))}] is not finite: {float(values[at])!r}")
 
 
+def check_range(name: str, value, result, of: str) -> None:
+    """``ValueError`` naming ``name`` unless its ``of``, ``result``, is a positive normal float."""
+    if not np.finfo(float).tiny <= result < np.inf:
+        size, flow = ("large", "overflows") if result >= 1 else ("small", "underflows")
+        raise ValueError(f"{name} = {value!r} is too {size}: its {of} {flow}")
+
+
 def _exp(name: str, values: np.ndarray, shift) -> np.ndarray:
-    """``exp(values + shift)``; ``ValueError`` naming the first entry of ``values`` to overflow."""
+    """``exp(values + shift)``; ``ValueError`` naming the first entry to overflow or underflow."""
     with np.errstate(over="ignore"):
         out = np.exp(values + shift)
-    if not np.isfinite(out).all():
-        i = int(np.argmin(np.isfinite(out)))
-        value = float(values[i])
-        raise ValueError(f"{name}[{i}] = {value!r} is too large: its exponential overflows")
+    normal = (out >= np.finfo(float).tiny) & (out < np.inf)
+    if not normal.all():
+        i = int(np.argmin(normal))
+        check_range(f"{name}[{i}]", float(values[i]), out[i], "exponential")
     return out
 
 
@@ -111,6 +118,10 @@ class ModelConfig:
     def __post_init__(self) -> None:
         if self.R <= 0 or self.a <= 0:
             raise ValueError("contact shape constants R and a must be positive")
+        for key in ("mu_kappa", "mu_zeta"):  # each scales a conductivity by its exponential
+            value = getattr(self, key)
+            with np.errstate(over="ignore"):
+                check_range(key, value, np.exp(float(value)), "exponential")
 
 
 @dataclass(frozen=True, eq=False)
@@ -506,8 +517,8 @@ class Parametrization:
         density and the integral. An inadmissible contact location or a
         normalization integral whose fourth power is not a positive normal
         number raises :class:`AdmissibilityError`. A ``kappa`` or ``rho``
-        entry that is not finite, or whose exponential overflows, raises
-        ``ValueError`` naming it.
+        entry that is not finite, or whose exponential overflows or underflows
+        (is not a positive normal float), raises ``ValueError`` naming it.
         """
         config, layout = self.config, self.layout
         kappa, rho, xi = np.asarray(iota.kappa), np.asarray(iota.rho), iota.xi

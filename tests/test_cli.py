@@ -276,6 +276,8 @@ def test_bad_config_value_exits_nonzero(tmp_path, capsys):
         ({"contact_radius": 0.2}, "contact_radius"),
         ({"n_samples": "3"}, "n_samples"),
         ({"mu_kappa": 10**400}, "mu_kappa"),
+        ({"measurement": {"gammas": {"gamma_kappa": 1e200}}}, "gamma_kappa"),
+        ({"mu_zeta": -800}, "mu_zeta"),
     ],
     ids=[
         "side-list",
@@ -285,6 +287,8 @@ def test_bad_config_value_exits_nonzero(tmp_path, capsys):
         "radii",
         "n_samples",
         "huge-int",
+        "square-overflows",
+        "exponential-underflows",
     ],
 )
 def test_config_value_of_wrong_type_is_one_error_line(tmp_path, config, key, capsys):
@@ -602,4 +606,39 @@ def test_data_matrix_with_an_entry_that_is_not_finite_exits_2(
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.splitlines() == [f"ValueError: data[2, 5] is not finite: {token}"]
+    assert not out.exists()
+
+
+def test_reconstruction_whose_exponential_underflows_exits_2(recorded, tmp_path, capsys):
+    sim_dir, rec_path = recorded
+    record = json.loads(rec_path.read_text())
+    record["upsilon"]["rho"] = [-800.0] * len(record["upsilon"]["rho"])
+    bad = tmp_path / "rec.json"
+    bad.write_text(json.dumps(record))
+    out = tmp_path / "out"
+    argv = ["indicators", "--data", str(sim_dir), "--recon", str(bad), "--out", str(out)]
+    status, err = _run_cli(argv, capsys)
+    assert status == 2
+    assert err.splitlines() == [
+        "ValueError: rho[0] = -800.0 is too small: its exponential underflows"
+    ]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("side", ["measurement", "reconstruction"])
+def test_noise_levels_whose_covariance_overflows_exit_2(recorded, tmp_path, capsys, side):
+    sim_dir, _ = recorded
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({side: {"deltas": [1e300, 0.0]}}))
+    out = tmp_path / "out"
+    if side == "measurement":
+        argv = ["simulate", "--config", str(cfg), "--out", str(out)]
+    else:
+        argv = ["reconstruct", "--config", str(cfg), "--data", str(sim_dir), "--order", "1"]
+        argv += ["--out", str(out)]
+    status, err = _run_cli(argv, capsys)
+    assert status == 2
+    assert err.splitlines() == [
+        "ValueError: deltas (1e+300, 0.0) are too large: their covariance overflows"
+    ]
     assert not out.exists()

@@ -9,7 +9,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eitrev import fem, harness, model
@@ -409,11 +409,6 @@ def _bytes(outcome):
     return [p.to_flat().tobytes() for p in points], outcome.clamped
 
 
-def _distinct(points) -> bool:
-    """Whether no two of the points are the same object."""
-    return len({id(p) for p in points}) == len(points)
-
-
 class TestReconstructor:
     @pytest.fixture(scope="class")
     def data(self, sides):
@@ -435,7 +430,7 @@ class TestReconstructor:
     @staticmethod
     def _run(recon, method, data):
         """``method`` on a fresh item of ``data``."""
-        return recon.run(method, recon.item(data, (method,)))
+        return recon.run(method, recon.item(data))
 
     @pytest.fixture
     def stack_builds(self, monkeypatch):
@@ -453,7 +448,7 @@ class TestReconstructor:
         _, rec = sides
         fresh = {m: self._run(Reconstructor(rec), m, data) for m in ("1,1", "1,1,1")}
         recon = Reconstructor(rec)
-        item = recon.item(data, ("1,1", "1,1,1"))
+        item = recon.item(data)
         stack_builds.clear()
         two = recon.run("1,1", item)
         three = recon.run("1,1,1", item)
@@ -471,7 +466,7 @@ class TestReconstructor:
         _, rec = sides
         expected = self._run(Reconstructor(rec), "1,1,1", data)
         recon = Reconstructor(rec)
-        item = recon.item(data, ("1,1", "1,1,1"))
+        item = recon.item(data)
         recon.run("1,1", item)
         rebase = harness.Item._rebase
 
@@ -523,7 +518,7 @@ class TestReconstructor:
     ):
         _, rec = sides
         recon = Reconstructor(rec)
-        item = recon.item(data, orders.split(","))
+        item = recon.item(data)
         for method in orders.split(","):
             outcome = recon.run(method, item)
             self._assert_fresh(outcome, fresh[1.0][int(method)], tmp_path)
@@ -535,7 +530,7 @@ class TestReconstructor:
         base = Reconstructor(rec)
         other = base.with_gammas(rec.spec.gammas.scaled(2.0))
         orders = ("1", "2", "3")
-        items = {1.0: base.item(data, orders), 2.0: other.item(data, orders)}
+        items = {1.0: base.item(data), 2.0: other.item(data)}
         runs = [(base, 1.0, "1"), (other, 2.0, "2"), (base, 1.0, "3"), (other, 2.0, "1")]
         runs += [(other, 2.0, "3"), (base, 1.0, "2")]
         seen = {1.0: [], 2.0: []}
@@ -552,7 +547,7 @@ class TestReconstructor:
         recon = Reconstructor(rec)
         stack_builds.clear()
         mutable = data.copy()
-        item = recon.item(mutable, ("1,1",))
+        item = recon.item(mutable)
         mutable += 1.0
         outcome = recon.run("1,1", item)
         assert not outcome.upsilon.kappa.flags.writeable
@@ -574,30 +569,30 @@ class TestReconstructor:
         xi[2] = xi_m
         bad = ParamVector(iota.kappa, iota.rho, xi)
         assert not rec.param.admissible(bad)
-        item = recon.item(recon.lam0, harness.METHODS)
+        item = recon.item(recon.lam0)
         with pytest.raises(AdmissibilityError):
             item._rebase(bad)
 
     def test_stack_point_is_checked_once(self, sides, recon, layout_checks):
         _, rec = sides
-        recon.item(recon.lam0, harness.METHODS)._rebase(rec.param.zero())
+        recon.item(recon.lam0)._rebase(rec.param.zero())
         assert layout_checks == [list(range(rec.param.n_electrodes))]
 
     def test_data_of_another_shape_is_rejected(self, recon, data):
         for bad in (data[:1], data[:, :14], data.ravel()):
             with pytest.raises(ValueError, match=r"shape \(15, 15\)"):
-                recon.item(bad, harness.METHODS)
+                recon.item(bad)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_data_with_an_entry_that_is_not_finite_is_rejected(self, recon, data, value):
         bad = data.copy()
         bad[4, 7] = value
         with pytest.raises(ValueError, match=rf"data\[4, 7\] is not finite: {value!r}"):
-            recon.item(bad, harness.METHODS)
+            recon.item(bad)
 
     def test_an_item_of_another_reconstructor_is_rejected(self, sides, recon, data):
         other = recon.with_gammas(sides[1].spec.gammas.scaled(2.0))
-        for item in (other.item(data, ("1",)), data):
+        for item in (other.item(data), data):
             with pytest.raises(ValueError, match="item that this reconstructor"):
                 recon.run("1", item)
 
@@ -612,12 +607,9 @@ class TestReconstructor:
         for method in ("2", "1,1"):
             self._assert_same(self._run(other, method, data), self._run(fresh, method, data))
 
-    def test_a_method_the_item_was_not_opened_for_is_rejected(self, recon, data):
-        item = recon.item(data, ("1", "2"))
-        with pytest.raises(ValueError, match=r"opened for the methods \('1', '2'\), not '1,1'"):
-            recon.run("1,1", item)
+    def test_an_unknown_method_is_rejected(self, recon, data):
         with pytest.raises(ValueError, match="unknown method '4'"):
-            recon.item(data, ("1", "4"))
+            recon.run("4", recon.item(data))
 
     @staticmethod
     def _counted(monkeypatch, owner, attr):
@@ -636,7 +628,7 @@ class TestReconstructor:
         _, rec = sides
         recon = Reconstructor(rec)
         applies = self._counted(monkeypatch, TikhonovInverse, "__call__")
-        item = recon.item(data, ("1", "1,1,1"))
+        item = recon.item(data)
         first = recon.run("1", item)
         chain = recon.run("1,1,1", item)
         assert chain.components[0] is first.upsilon
@@ -661,7 +653,7 @@ class TestReconstructor:
         _, rec = sides
         recon = Reconstructor(rec)
         reversions = self._counted(monkeypatch, harness, "revert")
-        item = recon.item(data, methods)
+        item = recon.item(data)
         outcomes = [recon.run(method, item) for method in methods]
         # one reversion: method "2"'s, or the one the chain starts from
         assert len(reversions) == 1
@@ -669,21 +661,25 @@ class TestReconstructor:
         assert outcomes[-1].components[0].to_flat().tobytes() == first.to_flat().tobytes()
 
     @pytest.mark.parametrize(
-        "methods, held",
+        "methods, kept",
         [
-            (("1", "2", "3"), [False] * 3),
-            # u1's stack from "1" until "1,1" rebases there, then u2's until "1,1,1"
-            (harness.METHODS, [True, True, True, True, False]),
+            # u1's stack from "1" on, and nothing for the reversions' points
+            (("1", "2", "3"), [1, 1, 1]),
+            # then u2's from "1,1" and u3's from "1,1,1"
+            (harness.METHODS, [1, 1, 1, 2, 3]),
+            # "1,1,1" rebases at u1 and u2 and maps u3; the rest find them
+            (("1,1,1", "1,1", "1"), [3, 3, 3]),
         ],
-        ids=["1;2;3", "all"],
+        ids=["1;2;3", "all", "3;2;1 chains"],
     )
-    def test_no_stack_is_held_after_the_last_method(self, recon, data, methods, held):
-        item = recon.item(data, methods)
+    def test_the_item_keeps_the_stack_of_each_chain_point(self, recon, data, methods, kept):
+        item = recon.item(data)
         seen = []
         for method in methods:
             item.map_at(recon.run(method, item).upsilon)
-            seen.append(item._held is not None)
-        assert seen == held
+            seen.append(len(item._stacks))
+        assert seen == kept
+        assert all(s.iota is p for s, p in zip(item._stacks, item._chain.iterates, strict=True))
 
     @pytest.fixture(scope="class")
     def alone(self, sides, data):
@@ -693,52 +689,45 @@ class TestReconstructor:
 
     @settings(max_examples=30)
     @given(order=st.permutations(harness.METHODS), size=st.integers(1, len(harness.METHODS)))
+    @example(order=("1,1,1", "1,1", "1", "2", "3"), size=2)
+    @example(order=("1,1", "1", "2", "3", "1,1,1"), size=2)
+    @example(order=("1,1,1", "1,1", "1", "2", "3"), size=3)
     def test_methods_in_any_order_equal_each_alone(self, alone, data, order, size):
         """Run like a study: every method, then the indicators' map at its point.
 
-        Each stack the item builds is either the map of one method's point,
-        or a rebase at a chain iterate no map has been built at; so a rebase
-        never repeats a map, and no stack is held after the last method.
+        The points are each method's point and the kept chain's iterates,
+        told apart by identity. Whatever the order, each is built once, and
+        the item keeps the stacks of the chain's points and of no other.
         """
         recon, expected = alone
         methods = order[:size]
-        builds, in_map = [], []
-        map_at = harness.Item.map_at
+        builds = []
 
         class Stack(DerivativeStack):
             def __init__(self, param, iota):
                 super().__init__(param, iota)
-                builds.append((iota, bool(in_map)))
-
-        def mapped(item, iota):
-            in_map.append(True)
-            try:
-                return map_at(item, iota)
-            finally:
-                in_map.pop()
+                builds.append(iota)
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(harness, "DerivativeStack", Stack)
-            mp.setattr(harness.Item, "map_at", mapped)
-            item = recon.item(data, methods)
+            item = recon.item(data)
+            points = []
             for method in methods:
                 outcome = recon.run(method, item)
                 assert _bytes(outcome) == expected[method]
                 item.map_at(outcome.upsilon)
-        assert item._held is None
-        maps = [iota for iota, in_map in builds if in_map]
-        assert len(maps) == len(methods) and _distinct(maps)
-        assert _distinct([iota for iota, in_map in builds if not in_map])
-        for k, (iota, in_map) in enumerate(builds):
-            if not in_map:
-                assert _distinct([iota] + [p for p, m in builds[:k] if m])
+                points.append(outcome.upsilon)
+        chain = item._chain.iterates if item._chain is not None else ()
+        distinct = {id(p) for p in (*points, *chain)}
+        assert len(builds) == len(distinct) and {id(p) for p in builds} == distinct
+        assert [id(s.iota) for s in item._stacks] == [id(p) for p in chain]
 
     def test_a_reconstructor_holds_only_shared_state(self, sides, data):
         _, rec = sides
         recon = Reconstructor(rec)
         shared = dict(vars(recon))
         assert sorted(shared) == ["inverse0", "noise", "prior", "rec", "stack0"]
-        item = recon.item(data, harness.METHODS)
+        item = recon.item(data)
         for method in harness.METHODS:
             item.map_at(recon.run(method, item).upsilon)
         assert vars(recon).keys() == shared.keys()
@@ -750,7 +739,7 @@ class TestReconstructor:
         stack0 = recon.stack0
         J = stack0.jacobian()
         for shift in (0.0, 1e-6):
-            item = recon.item(data + shift, ("1", "2"))
+            item = recon.item(data + shift)
             for method in ("1", "2"):
                 recon.run(method, item)
             assert stack0._handles == [] and stack0._ops == {} and stack0._chains == {}
@@ -864,26 +853,26 @@ class TestOnePointOneSystem:
     def test_a_miss_builds_its_own_stack(self, sides):
         _, rec = sides
         recon = Reconstructor(rec)
-        item = recon.item(recon.lam0, ("1", "1,1"))
+        item = recon.item(recon.lam0)
         first = recon.run("1", item).upsilon
         item.map_at(first)
-        held = item._held
-        assert held.iota is first
+        [kept] = item._stacks
+        assert kept.iota is first
+        assert item._rebase(first).stack is kept
         # a point with the same bytes, in other arrays, is another point
         copied = replace(first, kappa=first.kappa.copy())
-        assert item._rebase(copied).stack is not held
-        assert item._held is None
-        item.map_at(first)
-        held = item._held
-        assert item._rebase(first).stack is held
-        assert item._held is None
+        item.map_at(copied)  # not a chain iterate: built, and not kept
+        assert item._stacks == [kept]
+        rebased = item._rebase(copied).stack  # a rebase keeps its point's stack
+        assert rebased is not kept and item._stacks == [kept, rebased]
+        assert item._rebase(copied).stack is rebased
 
 
 class TestStudyOrder:
     def test_no_state_crosses_items(self, small_case, sides):
         """The same items in reverse order give the same rows, byte for byte.
 
-        An item's kept reversion, kept chain or held stack that reached the
+        An item's kept reversion, kept chain or kept stacks that reached the
         next item would change that item's rows with the order.
         """
         meas, rec = sides
@@ -989,7 +978,7 @@ class TestSerialization:
         rng = sample_rng(11, 0)
         target = draw_target(meas, prior, rng)
         record = simulate_measurements(meas, target, noise, rng)
-        outcome = recon.run("2", recon.item(record.upsilon, ("2",)))
+        outcome = recon.run("2", recon.item(record.upsilon))
         path = tmp_path / "rec.json"
         write_reconstruction(outcome, path)
         import json
@@ -1144,6 +1133,17 @@ class TestCaseConfig:
             ({"electrode_radius": 10**400}, "electrode_radius"),
             ({"measurement": {"deltas": [10**400, 0.0]}}, "deltas"),
             ({"reconstruction": {"gammas": {"gamma_xi": 10**400}}}, "gamma_xi"),
+            # a scale whose square or exponential is not a positive finite number
+            ({"measurement": {"gammas": {"gamma_kappa": 1e200}}}, "gamma_kappa"),
+            ({"measurement": {"gammas": {"lambda_kappa": 1e200}}}, "lambda_kappa"),
+            ({"reconstruction": {"gammas": {"gamma_rho": 1e200}}}, "gamma_rho"),
+            ({"measurement": {"gammas": {"gamma_xi": 1e200}}}, "gamma_xi"),
+            ({"reconstruction": {"gammas": {"lambda_kappa": 1e-200}}}, "lambda_kappa"),
+            ({"reconstruction": {"gammas": {"lambda_kappa": 1e-160}}}, "lambda_kappa"),
+            ({"mu_zeta": -740}, "mu_zeta"),
+            ({"mu_zeta": -800}, "mu_zeta"),
+            ({"mu_kappa": 800}, "mu_kappa"),
+            ({"mu_kappa": -800.0}, "mu_kappa"),
         ],
     )
     def test_bad_value_raises_with_its_field(self, config, field):

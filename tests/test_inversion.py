@@ -109,6 +109,12 @@ class TestNoise:
         rel = np.linalg.norm(emp - noise.cov) / np.linalg.norm(noise.cov)
         assert rel < 0.05
 
+    @pytest.mark.parametrize("deltas", [(1e300, 0.0), (0.0, 1e300)])
+    def test_levels_whose_covariance_overflows_are_named(self, stack8, deltas):
+        # pyproject turns a RuntimeWarning on the way into a failure
+        with pytest.raises(ValueError, match=r"^deltas \(.*\) are too large: their covariance overflows$"):
+            build_noise_cov(*deltas, stack8.lam)
+
     def test_inverse_is_pseudo_inverse(self, stack8, basis8):
         noise = build_noise_cov(1e-4, 1e-3, stack8.lam)
         approx = noise.cov @ noise.inv @ noise.cov

@@ -134,16 +134,25 @@ class TestTau:
         # not an AdmissibilityError, which the indicators read as an infinite residual
         assert type(info.value) is ValueError
 
+    @pytest.mark.parametrize(
+        "value, flow",
+        [(800.0, "large: its exponential overflows"), (-800.0, "small: its exponential underflows")],
+    )
     @pytest.mark.parametrize("component", ["kappa", "rho"])
     @pytest.mark.parametrize("name", ["smooth8", "cem8"])
-    def test_rejects_an_entry_whose_exponential_overflows(self, request, name, component):
-        """The domain conductivity, the cem density and the smooth bump scale all check it."""
+    def test_rejects_an_entry_whose_exponential_overflows(
+        self, request, name, component, value, flow
+    ):
+        """The domain conductivity, the cem density and the smooth bump scale all check it.
+
+        An exponential that underflows to zero is named the same way.
+        """
         param = request.getfixturevalue(name)
         iota = tau_point(param)
         values = getattr(iota, component).copy()
-        values[3] = 800.0
+        values[3] = value
         bad = dataclasses.replace(iota, **{component: values})
-        message = rf"^{component}\[3\] = 800.0 is too large: its exponential overflows$"
+        message = rf"^{component}\[3\] = {value!r} is too {flow}$"
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # and no RuntimeWarning on the way
             with pytest.raises(ValueError, match=message) as info:

@@ -1,10 +1,12 @@
-"""Generated malformed files: every text reader names the file and the line at fault.
+"""Generated malformed inputs: every reader names what is at fault.
 
-Each property starts from a valid file, breaks one line of it and asks the
-reader to reject it with its documented error type, naming the file and the
-broken line's number.
+Each text-file property starts from a valid file, breaks one line of it and
+asks the reader to reject it with its documented error type, naming the file
+and the broken line's number. The configuration property puts one generated
+number at one numeric key of a valid configuration.
 """
 
+import json
 from functools import partial
 
 import numpy as np
@@ -12,7 +14,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from eitrev.harness import read_matrix, write_matrix
+from eitrev.harness import CASES, case_from_config, read_matrix, write_matrix
 from eitrev.mesh import (
     MeshFormatError,
     cluster_partition,
@@ -101,3 +103,55 @@ def test_a_broken_matrix_row_is_named(directory, valid, data):
     # the first row sets the width that every other row is held to
     text, number = _break_one_line(data, valid["upsilon"], 1)
     _assert_rejected(ValueError, read_matrix, directory / "upsilon.txt", text, number)
+
+
+# Every numeric key of a configuration, as its path in the mapping.
+_SIDE_KEYS = [
+    ("level",),
+    ("n_clusters",),
+    ("deltas", 0),
+    ("deltas", 1),
+    *[("gammas", key) for key in ("gamma_kappa", "lambda_kappa", "gamma_rho", "gamma_xi")],
+]
+NUMERIC_KEYS = [
+    *[
+        (key,)
+        for key in ("n_electrodes", "electrode_radius", "contact_radius", "mu_kappa", "mu_zeta")
+        + ("n_samples", "seed", "cluster_seed")
+    ],
+    *[(side, *key) for side in ("measurement", "reconstruction") for key in _SIDE_KEYS],
+]
+
+# Huge, tiny, negative and non-finite numbers, and ones whose square or
+# exponential leaves the floats; st.floats draws subnormals, nan and ±inf too.
+NUMBERS = st.one_of(
+    st.sampled_from([1e200, -1e200, 1e-200, 5e-324, -800.0, 800.0, float("nan"), float("inf")]),
+    st.floats(),
+    st.integers(-(10**400), 10**400),
+)
+
+
+@given(name=st.sampled_from(sorted(CASES)), path=st.sampled_from(NUMERIC_KEYS), value=NUMBERS)
+def test_a_config_number_loads_as_written_or_is_named(name, path, value):
+    """The case holds exactly the number at its key, or ``ValueError`` names the key."""
+    case = CASES[name]
+    config = {"case": name}
+    if len(path) == 1:
+        config[path[0]] = value
+    elif path[1] == "deltas":
+        deltas = list(getattr(case, path[0]).deltas)
+        deltas[path[2]] = value
+        config[path[0]] = {"deltas": deltas}
+    elif path[1] == "gammas":
+        config[path[0]] = {"gammas": {path[2]: value}}
+    else:
+        config[path[0]] = {path[1]: value}
+    key = [part for part in path if isinstance(part, str)][-1]
+    try:
+        loaded = case_from_config(json.loads(json.dumps(config)))
+    except ValueError as exc:
+        assert key in str(exc)
+        return
+    for part in path:
+        loaded = loaded[part] if isinstance(part, int) else getattr(loaded, part)
+    assert type(loaded) is type(value) and repr(loaded) == repr(value)
