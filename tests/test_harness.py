@@ -1133,7 +1133,7 @@ class TestCaseConfig:
             ({"electrode_radius": 10**400}, "electrode_radius"),
             ({"measurement": {"deltas": [10**400, 0.0]}}, "deltas"),
             ({"reconstruction": {"gammas": {"gamma_xi": 10**400}}}, "gamma_xi"),
-            # a scale whose square or exponential is not a positive finite number
+            # a scale whose square or exponential is not a positive normal float
             ({"measurement": {"gammas": {"gamma_kappa": 1e200}}}, "gamma_kappa"),
             ({"measurement": {"gammas": {"lambda_kappa": 1e200}}}, "lambda_kappa"),
             ({"reconstruction": {"gammas": {"gamma_rho": 1e200}}}, "gamma_rho"),

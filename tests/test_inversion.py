@@ -112,7 +112,8 @@ class TestNoise:
     @pytest.mark.parametrize("deltas", [(1e300, 0.0), (0.0, 1e300)])
     def test_levels_whose_covariance_overflows_are_named(self, stack8, deltas):
         # pyproject turns a RuntimeWarning on the way into a failure
-        with pytest.raises(ValueError, match=r"^deltas \(.*\) are too large: their covariance overflows$"):
+        message = r"^deltas \(.*\) are too large: their covariance overflows$"
+        with pytest.raises(ValueError, match=message):
             build_noise_cov(*deltas, stack8.lam)
 
     def test_inverse_is_pseudo_inverse(self, stack8, basis8):

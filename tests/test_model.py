@@ -136,7 +136,10 @@ class TestTau:
 
     @pytest.mark.parametrize(
         "value, flow",
-        [(800.0, "large: its exponential overflows"), (-800.0, "small: its exponential underflows")],
+        [
+            (800.0, "large: its exponential overflows"),
+            (-800.0, "small: its exponential underflows"),
+        ],
     )
     @pytest.mark.parametrize("component", ["kappa", "rho"])
     @pytest.mark.parametrize("name", ["smooth8", "cem8"])
@@ -145,7 +148,7 @@ class TestTau:
     ):
         """The domain conductivity, the cem density and the smooth bump scale all check it.
 
-        An exponential that underflows to zero is named the same way.
+        An exponential that underflows below the normal floats is named the same way.
         """
         param = request.getfixturevalue(name)
         iota = tau_point(param)
