@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import harness
+from .fem import IndefiniteSystemError
 from .harness import (
     CASES,
     Reconstructor,
@@ -114,7 +115,7 @@ def _cmd_reconstruct(args) -> int:
 
 def _cmd_experiment1(args) -> int:
     case = _load_case(args)
-    methods = tuple(args.methods.split(";")) if args.methods else harness.METHODS
+    methods = harness.METHODS if args.methods is None else tuple(args.methods.split(";"))
     result = harness.experiment1(
         case, methods=methods, n_samples=args.samples, seed=args.seed
     )
@@ -229,7 +230,8 @@ def main(argv: list[str] | None = None) -> int:
     """Run one subcommand and return its exit status.
 
     A rejected input is one stderr line and exit status 2; so is a rejected
-    command line, after argparse's usage line.
+    command line, after argparse's usage line, and an input whose system
+    matrix is not positive definite.
     """
     try:
         args = build_parser().parse_args(argv)
@@ -237,7 +239,7 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, IndefiniteSystemError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 

@@ -11,6 +11,12 @@ The pattern of the system matrix is fixed by the electrode layout. A
 and facet entry and every electrode term lands in it, so each system and
 each perturbation's nodal block is one fill of sparse data in place, with
 the bits that summing and converting sparse blocks gave.
+
+The fill-reducing ordering comes from ``splu``'s own MMD ordering of
+``K.T + K``. The plan keeps that of the last pattern it factored, and a
+system of the same compressed pattern is factored pre-permuted in its
+natural order: the same elimination, so the same factor, pivots and
+solutions, bit for bit, without computing the ordering again.
 """
 
 from __future__ import annotations
@@ -218,6 +224,50 @@ def _contact_terms(
     return fmats, R, D
 
 
+def _splu(K: sp.csc_matrix, permc_spec: str):
+    """The factor of ``K`` in the column order ``permc_spec``, pivoting on the diagonal."""
+    return spla.splu(
+        K, permc_spec=permc_spec, diag_pivot_thresh=0.0, options={"SymmetricMode": True}
+    )
+
+
+class Ordering:
+    """The fill-reducing ordering of one compressed CSC pattern, and how to apply it.
+
+    ``perm`` is ``splu``'s column permutation of a matrix ``K`` of the
+    pattern, taken when its rows were permuted alike: new row and column
+    ``perm[i]`` are old row and column ``i``. :meth:`permuted` gives
+    ``P K P.T`` for any matrix of the pattern, one gather of its data, and
+    factoring that in natural order repeats ``K``'s elimination exactly.
+    SuperLU's column search visits each column's rows in their stored
+    order, so each permuted column keeps ``K``'s row order, not sorted, and
+    the matrix is flagged canonical, since ``splu`` would otherwise sort it.
+    The factor, its pivots in elimination order and every solve are then
+    those of ``K``'s own factor, bit for bit. All arrays are read-only.
+    """
+
+    def __init__(self, K: sp.csc_matrix, perm: np.ndarray):
+        self.indptr, self.indices = K.indptr.copy(), K.indices.copy()
+        self.perm, self.inverse = perm.copy(), np.argsort(perm)
+        counts = np.diff(K.indptr)[self.inverse]
+        self.perm_indptr = np.concatenate([[0], np.cumsum(counts)]).astype(K.indptr.dtype)
+        starts = K.indptr[self.inverse] - self.perm_indptr[:-1]
+        self.gather = np.repeat(starts, counts) + np.arange(K.nnz)
+        self.perm_indices = perm[K.indices[self.gather]].astype(K.indices.dtype)
+        for arr in vars(self).values():
+            arr.setflags(write=False)
+
+    def fits(self, K: sp.csc_matrix) -> bool:
+        """Whether ``K`` has this ordering's compressed pattern."""
+        return np.array_equal(K.indptr, self.indptr) and np.array_equal(K.indices, self.indices)
+
+    def permuted(self, K: sp.csc_matrix) -> sp.csc_matrix:
+        """``P K P.T`` for a ``K`` of this pattern, each column's rows in ``K``'s order."""
+        Kp = sp.csc_matrix((K.data[self.gather], self.perm_indices, self.perm_indptr), K.shape)
+        Kp.has_canonical_format = True
+        return Kp
+
+
 class SystemPlan:
     """Where every term of the system matrix lands, for one electrode layout.
 
@@ -241,6 +291,12 @@ class SystemPlan:
     matrices (it adds the two entries where both are stored, and one entry
     plus zero is that entry) and for a COO to CSC conversion of the blocks'
     non-zero entries. Every array of the plan is read-only.
+
+    The plan also factors the systems of its layout (:meth:`factor`) and
+    keeps the fill-reducing ordering of the last compressed pattern it
+    factored. That is memoization only: dropping entries that sum to zero
+    can change the pattern from one point to the next, and a system of
+    another pattern is factored and ordered as if none were kept.
     """
 
     def __init__(self, layout: ElectrodeLayout):
@@ -278,6 +334,23 @@ class SystemPlan:
         for arr in (*self.coupling, *vars(self).values()):
             if isinstance(arr, np.ndarray):
                 arr.setflags(write=False)
+        self._ordering = None
+
+    def factor(self, K: sp.csc_matrix) -> tuple:
+        """``splu`` of ``K``, and the :class:`Ordering` its factor works in.
+
+        The ordering is ``None`` when the factor is of ``K`` itself: the
+        first system and any of a pattern other than the last one's. Its
+        MMD ordering is then kept for the next system, if the factor pivots
+        on the diagonal (every positive definite system does).
+        """
+        ordering = self._ordering
+        if ordering is not None and ordering.fits(K):
+            return _splu(ordering.permuted(K), "NATURAL"), ordering
+        lu = _splu(K, "MMD_AT_PLUS_A")
+        if np.array_equal(lu.perm_r, lu.perm_c):
+            self._ordering = Ordering(K, lu.perm_c)
+        return lu, None
 
     def _nodal_sums(self, cellmats: np.ndarray, fmats: np.ndarray) -> np.ndarray:
         data = np.zeros(len(self.nodal_indices))
@@ -390,28 +463,32 @@ class AssembledSystem:
         if not np.any(tau.zeta):
             raise IndefiniteSystemError("the contact density vanishes identically")
         B = self.basis.B
-        K = self.matrix = layout.system_plan.matrix(cellmats, fmats, R @ B, B.T @ (D[:, None] * B))
+        plan = layout.system_plan
+        K = self.matrix = plan.matrix(cellmats, fmats, R @ B, B.T @ (D[:, None] * B))
         try:
-            self._lu = spla.splu(
-                K,
-                permc_spec="MMD_AT_PLUS_A",
-                diag_pivot_thresh=0.0,
-                options={"SymmetricMode": True},
-            )
+            self._lu, self._ordering = plan.factor(K)
         except RuntimeError as exc:
             raise IndefiniteSystemError(f"factorization failed: {exc}") from exc
         pivots = self._lu.U.diagonal()
         if np.any(pivots <= 0):
+            first = np.flatnonzero(pivots <= 0)[0]
+            size = np.abs(pivots)
             raise IndefiniteSystemError(
-                "assembled system is not positive definite "
-                "(a contact density may vanish on an electrode)"
+                f"assembled system is not positive definite: pivot {first} of {len(pivots)} "
+                f"in elimination order is {pivots[first]:.6g}, and the min/max |pivot| ratio "
+                f"is {size.min() / size.max():.3g} (a conductivity may be out of range, "
+                "or a contact density vanish on an electrode)"
             )
         self.solve_count = 0
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         rhs = rhs if rhs.ndim == 2 else rhs[:, None]
         self.solve_count += rhs.shape[1]
-        return self._lu.solve(rhs)
+        ordering = self._ordering
+        if ordering is None:
+            return self._lu.solve(rhs)
+        x = self._lu.solve(rhs[ordering.inverse])
+        return np.take(x.T, ordering.perm, axis=1).T  # in the Fortran order of a solve
 
     def split(self, x: np.ndarray) -> SolutionSet:
         n = self.n_interior

@@ -303,6 +303,21 @@ def test_config_value_of_wrong_type_is_one_error_line(tmp_path, config, key, cap
     assert not out.exists()
 
 
+def test_config_whose_system_is_indefinite_is_one_error_line(tmp_path, capsys):
+    """``mu_kappa`` 700 passes the config check, but its conductivity breaks the system."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"case": "C1", "mu_kappa": 700}))
+    out = tmp_path / "out"
+    status, err = _run_cli(["simulate", "--config", str(cfg), "--out", str(out)], capsys)
+    assert status == 2
+    assert err.splitlines() == [err.strip()]
+    assert err.startswith(
+        "IndefiniteSystemError: assembled system is not positive definite: pivot "
+    )
+    assert "in elimination order is -" in err and "min/max |pivot| ratio is " in err
+    assert not out.exists()
+
+
 def test_missing_config_file_is_one_error_line(tmp_path, capsys):
     missing = tmp_path / "absent.json"
     argv = ["simulate", "--config", str(missing), "--out", str(tmp_path / "sim")]

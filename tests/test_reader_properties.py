@@ -3,18 +3,23 @@
 Each text-file property starts from a valid file, breaks one line of it and
 asks the reader to reject it with its documented error type, naming the file
 and the broken line's number. The configuration property puts one generated
-number at one numeric key of a valid configuration.
+number at one numeric key of a valid configuration, and the command-line
+property one mutated value at one option of a valid ``eitrev`` command.
 """
 
+import contextlib
+import inspect
+import io
 import json
 from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eitrev.harness import CASES, case_from_config, read_matrix, write_matrix
+from eitrev import cli, harness
+from eitrev.harness import CASES, METHODS, case_from_config, read_matrix, write_matrix
 from eitrev.mesh import (
     MeshFormatError,
     cluster_partition,
@@ -155,3 +160,102 @@ def test_a_config_number_loads_as_written_or_is_named(name, path, value):
     for part in path:
         loaded = loaded[part] if isinstance(part, int) else getattr(loaded, part)
     assert type(loaded) is type(value) and repr(loaded) == repr(value)
+
+
+# Each command-line option that takes a value the program parses itself, with
+# the command it is given to and a valid value.
+CLI_OPTIONS = [
+    ("experiment1", "--seed", "3"),
+    ("experiment1", "--methods", "1;2;1,1"),
+    ("experiment2", "--seed", "3"),
+    ("experiment2", "--s-grid", "0.5,1,2"),
+    ("simulate", "--seed", "3"),
+    ("simulate", "--sample", "2"),
+]
+CLI_CHARACTERS = "0123456789,;.-+e _xn"
+CLI_VALUES = ["", "-1", str(2**64), str(2**64 - 1), "nan", "inf", "1e400", "1e-400", ";", ","]
+
+
+class _Ran(Exception):
+    """Raised where a command's set-up starts, after every check of its values."""
+
+
+def _mutated(data, text: str) -> str:
+    """``text`` with one to three characters inserted, dropped or replaced, or another value."""
+    if data.draw(st.booleans(), label="another value"):
+        return data.draw(st.sampled_from(CLI_VALUES) | st.text(CLI_CHARACTERS, max_size=8))
+    for _ in range(data.draw(st.integers(1, 3), label="mutations")):
+        kind = data.draw(st.sampled_from(["insert", "drop", "replace"] if text else ["insert"]))
+        at = data.draw(st.integers(0, len(text) - (kind != "insert")), label="at")
+        new = data.draw(st.sampled_from(CLI_CHARACTERS)) if kind != "drop" else ""
+        text = text[:at] + new + text[at + (kind != "insert") :]
+    return text
+
+
+def _as_written(option: str, text: str):
+    """The value ``text`` says, as the program should take it, and whether it is admissible."""
+    if option == "--methods":
+        value = tuple(text.split(";"))
+        return value, all(method in METHODS for method in value)
+    if option == "--s-grid":
+        value = [float(token) for token in text.split(",") if token.strip()]
+        return value, bool(value) and all(1e-100 < s < 1e100 for s in value)
+    value = int(text)  # argparse's own conversion
+    return value, 0 <= value < 2**64
+
+
+def _recording(calls: list, function):
+    def call(*args, **kwargs):
+        calls.append(inspect.signature(function).bind(*args, **kwargs).arguments)
+        return function(*args, **kwargs)
+
+    return call
+
+
+def _stop(*args, **kwargs):
+    raise _Ran
+
+
+@pytest.mark.parametrize("option", CLI_OPTIONS, ids=[" ".join(o[:2]) for o in CLI_OPTIONS])
+@settings(max_examples=50)
+@given(data=st.data())
+def test_a_cli_value_runs_as_written_or_is_one_error_line(directory, option, data):
+    """A mutated value reaches the run as it is written, or ``main`` writes one error line.
+
+    The run stops where set-up starts: the case's models are not built. A
+    value that argparse rejects is one error line after its usage lines.
+    Every admissible value runs.
+    """
+    command, name, valid = option
+    text = _mutated(data, valid)
+    out = directory / "cli-out"
+    rest = ["--s-grid=1"] if command == "experiment2" and name != "--s-grid" else []
+    argv = [command, f"{name}={text}", *rest, "--out", str(out)]
+    calls = []
+    with pytest.MonkeyPatch.context() as patch:
+        for driver in ("experiment1", "experiment2"):
+            patch.setattr(harness, driver, _recording(calls, getattr(harness, driver)))
+        patch.setattr(cli, "sample_rng", _recording(calls, harness.sample_rng))
+        patch.setattr(harness, "_setup", _stop)
+        patch.setattr(cli, "build_models", _stop)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            try:
+                status = cli.main(argv)
+            except _Ran:
+                status = None
+    assert not out.exists()
+    try:
+        value, admissible = _as_written(name, text)
+    except ValueError:
+        value, admissible = None, False
+    if status is None:
+        key = {"--s-grid": "s_values", "--sample": "index"}.get(name, name[2:])
+        assert calls[0][key] == value
+        return
+    assert not admissible
+    assert status == 2
+    lines = err.getvalue().splitlines()
+    while lines and (lines[0].startswith("usage: ") or lines[0].startswith(" ")):
+        del lines[0]
+    assert len(lines) == 1 and lines[0] and not lines[0].startswith(" ")
