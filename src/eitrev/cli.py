@@ -49,26 +49,25 @@ def _load_case(args) -> harness.ExperimentCase:
     return case_from_config(data)
 
 
-def _check_target(data: str, case: harness.ExperimentCase, target) -> None:
-    """``ValueError`` naming ``data``'s ``record.json`` unless its target fits the case.
+def _check_point(path, name: str, case: harness.ExperimentCase, side: str, point) -> None:
+    """``ValueError`` naming ``path`` unless the record's ``name``, ``point``, fits ``side``.
 
-    The target's kappa, rho and xi must have the shapes of the case's
-    measurement side: one kappa per cluster, one rho per electrode, and an
-    (M, 2) xi for the smooth contact model only.
+    On the case's ``side`` (measurement or reconstruction) a point has one kappa per
+    cluster, one rho per electrode, and an (M, 2) xi for the smooth contact model only.
     """
 
     def described(shape) -> str:
         return "absent" if shape is None else f"of shape {shape}"
 
-    side, M = case.measurement, case.n_electrodes
-    xi = (M, 2) if side.contact == "smooth" else None
-    for key, want in (("kappa", (side.n_clusters,)), ("rho", (M,)), ("xi", xi)):
-        value = getattr(target, key)
+    spec, M = getattr(case, side), case.n_electrodes
+    xi = (M, 2) if spec.contact == "smooth" else None
+    for key, want in (("kappa", (spec.n_clusters,)), ("rho", (M,)), ("xi", xi)):
+        value = getattr(point, key)
         got = None if value is None else value.shape
         if got != want:
             raise ValueError(
-                f"{Path(data) / 'record.json'}: target {key!r} is {described(got)}; "
-                f"the case's measurement side needs it {described(want)}"
+                f"{path}: {name} {key!r} is {described(got)}; "
+                f"the case's {side} side needs it {described(want)}"
             )
 
 
@@ -105,7 +104,7 @@ def _cmd_reconstruct(args) -> int:
     case = _load_case(args)
     method = str(args.order) if args.order else ",".join(["1"] * args.sequential)
     upsilon, target, _ = harness.read_measurement(args.data)
-    _check_target(args.data, case, target)
+    _check_point(Path(args.data) / "record.json", "target", case, "measurement", target)
     recon = Reconstructor(harness.build_side(case, case.reconstruction))
     outcome = recon.run(method, recon.item(upsilon))
     harness.write_reconstruction(outcome, args.out)
@@ -145,7 +144,8 @@ def _cmd_indicators(args) -> int:
     case = _load_case(args)
     upsilon_data, target, _ = harness.read_measurement(args.data)
     upsilon_i = harness.read_reconstruction(args.recon)
-    _check_target(args.data, case, target)
+    _check_point(Path(args.data) / "record.json", "target", case, "measurement", target)
+    _check_point(args.recon, "upsilon", case, "reconstruction", upsilon_i)
     meas, rec = build_models(case)
     lam0 = side_forward_map(rec, rec.param.zero())
     ind = indicators(rec, meas, upsilon_i, target, upsilon_data, lam0)

@@ -848,18 +848,36 @@ def _entry(where: str, mapping, key: str):
     return mapping[key]
 
 
+def _numeric(value) -> bool:
+    """Whether a JSON value is a number, or lists of numbers nested to any depth."""
+    if isinstance(value, list):
+        return all(map(_numeric, value))
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def param_from_json(data: dict) -> ParamVector:
-    """The parameters of :func:`param_to_json`; a malformed record raises ``ValueError``."""
+    """The parameters of :func:`param_to_json`; a malformed record raises ``ValueError``.
+
+    ``kappa``, ``rho`` and, for the smooth model, ``xi`` hold finite numbers
+    (not a string, boolean, null or NaN) in lists nested to one shape. A
+    ``kind`` entry, where there is one, is ``smooth`` if ``xi`` is there and
+    ``cem`` if not.
+    """
 
     def numbers(key: str) -> np.ndarray:
         value = _entry("the parameter record", data, key)
         try:
-            return np.array(value, dtype=float)
-        except (TypeError, ValueError):
-            raise ValueError(f"{key!r} of the parameter record must hold numbers") from None
+            array = np.array(value, dtype=float) if _numeric(value) else None
+        except (ValueError, OverflowError):  # lists of unequal lengths, an int beyond float
+            array = None
+        if array is None or not np.isfinite(array).all():
+            raise ValueError(f"{key!r} of the parameter record must be finite numbers of one shape")
+        return array
 
-    xi = numbers("xi") if isinstance(data, Mapping) and "xi" in data else None
-    return ParamVector(numbers("kappa"), numbers("rho"), xi)
+    point = ParamVector(numbers("kappa"), numbers("rho"), numbers("xi") if "xi" in data else None)
+    if data.get("kind", point.kind) != point.kind:
+        raise ValueError(f"kind {data['kind']!r} of the parameter record does not fit its entries")
+    return point
 
 
 def _read_json(path: Path, parse):

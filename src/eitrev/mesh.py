@@ -401,29 +401,21 @@ class LocalMap:
 
 
 class ContactGeometry(NamedTuple):
-    """Local images that decide where a contact center may sit, all electrodes flattened.
+    """The rim of each electrode image and its clamp anchor, all electrodes flattened.
 
-    Segment rows hold, electrode by electrode, first the rim entities (2D rim
-    points as segments of length zero, 3D rim edges) and then the facet
-    images (2D facet segments, or the three edges of each 3D facet). A
+    Segment rows hold, electrode by electrode, the rim entities in local
+    coordinates: 2D rim points as segments of length zero, 3D rim edges. A
     segment is stored as its start ``a``, its direction ``ab = b - a`` and
-    ``ab . ab``. In 3D, ``tri`` holds the barycentric system
-    ``[[y_0 y_1 y_2], [1 1 1]]`` of each facet image, in electrode-facet
-    order. Every value is computed per facet or per electrode with the same
-    operations a single-electrode check would use, so batched kernels over
-    these arrays reproduce it bit for bit.
+    ``ab . ab``. Every value is computed per rim entity or per electrode with
+    the same operations a single-electrode check would use, so batched
+    kernels over these arrays reproduce it bit for bit.
     """
 
-    dimension: int
     a: np.ndarray  # (n_seg, 2) segment starts
     ab: np.ndarray  # (n_seg, 2) segment directions
     ab2: np.ndarray  # (n_seg,) squared segment lengths
     seg_start: np.ndarray  # (M,) first segment row of each electrode
-    n_rim: np.ndarray  # (M,) rim rows, which lead each electrode's segment rows
     n_seg: np.ndarray  # (M,) segment rows of each electrode
-    tri: np.ndarray  # (n_ef, 3, 3) in 3D, empty in 2D
-    facet_start: np.ndarray  # (M,) first electrode facet of each electrode
-    n_facets: np.ndarray  # (M,)
     anchors: np.ndarray  # (M, 2) weighted centroid of each electrode image
 
 
@@ -482,8 +474,24 @@ class ElectrodeLayout:
 
     @cached_property
     def contact_geometry(self) -> ContactGeometry:
-        """Read-only local images of the facets and rims, for contact admissibility."""
-        return _contact_geometry(self)
+        """Read-only local rim images and clamp anchors, for contact admissibility."""
+        a = np.concatenate([rim[:, 0] for rim in self.rim_local])
+        ab = np.concatenate([rim[:, -1] for rim in self.rim_local]) - a
+        n_seg = np.array([len(rim) for rim in self.rim_local])
+        w, y = self.equad_weights, self.equad_local
+        anchors = [
+            (w[sl, :, None] * y[sl]).sum(axis=(0, 1)) / w[sl].sum() for sl in self.efacet_slices
+        ]
+        geometry = ContactGeometry(
+            a=a,
+            ab=ab,
+            ab2=np.array([float(d @ d) for d in ab]),
+            seg_start=np.cumsum(n_seg) - n_seg,
+            n_seg=n_seg,
+            anchors=np.array(anchors),
+        )
+        _freeze(*geometry)
+        return geometry
 
     @cached_property
     def contact_measures(self) -> np.ndarray:
@@ -493,44 +501,6 @@ class ElectrodeLayout:
                 [self.efacet_measures[sl][self.contact_mask[sl]].sum() for sl in self.efacet_slices]
             )
         )
-
-
-def _contact_geometry(layout: ElectrodeLayout) -> ContactGeometry:
-    vertices = layout.mesh.vertices
-    starts, ends, tri, anchors = [], [], [], []
-    n_rim, n_seg = [], []
-    for m, sl in enumerate(layout.efacet_slices):
-        images = [layout.local_maps[m].to_local(vertices[fv]) for fv in layout.efacet_vertices[sl]]
-        if layout.mesh.dimension == 2:
-            edges = [(loc[0], loc[1]) for loc in images]
-        else:
-            edges = [(loc[i], loc[(i + 1) % 3]) for loc in images for i in range(3)]
-            tri.extend(np.vstack([loc.T, np.ones(3)]) for loc in images)
-        segments = [(rim[0], rim[-1]) for rim in layout.rim_local[m]] + edges
-        starts.extend(s[0] for s in segments)
-        ends.extend(s[1] for s in segments)
-        n_rim.append(len(layout.rim_local[m]))
-        n_seg.append(len(segments))
-        w = layout.equad_weights[sl]
-        anchors.append((w[..., None] * layout.equad_local[sl]).sum(axis=(0, 1)) / w.sum())
-    a = np.array(starts)
-    ab = np.array(ends) - a
-    n_seg = np.array(n_seg)
-    geometry = ContactGeometry(
-        dimension=layout.mesh.dimension,
-        a=a,
-        ab=ab,
-        ab2=np.array([float(d @ d) for d in ab]),
-        seg_start=np.cumsum(n_seg) - n_seg,
-        n_rim=np.array(n_rim),
-        n_seg=n_seg,
-        tri=np.array(tri).reshape(-1, 3, 3),
-        facet_start=np.array([sl.start for sl in layout.efacet_slices]),
-        n_facets=np.array([sl.stop - sl.start for sl in layout.efacet_slices]),
-        anchors=np.array(anchors),
-    )
-    _freeze(*geometry[1:])
-    return geometry
 
 
 def _principal_axes(centered: np.ndarray, dim: int) -> np.ndarray:

@@ -214,6 +214,26 @@ class _BumpGroup(NamedTuple):
     scale: np.ndarray  # exp(rho_m + mu_zeta)
 
 
+def _facet_groups(layout: ElectrodeLayout, electrodes):
+    """Per facet count: the places in ``electrodes`` of that count and their (G, n_f) rows."""
+    slices = [layout.efacet_slices[m] for m in electrodes]
+    starts = np.array([sl.start for sl in slices])
+    counts = np.array([sl.stop for sl in slices]) - starts
+    for n_f in np.unique(counts):
+        at = np.flatnonzero(counts == n_f)
+        yield at, starts[at, None] + np.arange(n_f)
+
+
+def _integral(w: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """The quadrature integral of each electrode's (n_f, n_q) block of ``values``."""
+    return (w * values).reshape(len(w), -1).sum(axis=1)
+
+
+def _positive_normal(x: np.ndarray) -> np.ndarray:
+    """Whether each entry of ``x`` is finite and at least the smallest positive normal number."""
+    return (np.finfo(x.dtype).tiny <= x) & (x < np.inf)
+
+
 class BumpData:
     """Smooth-contact bumps at one base point, for every electrode, read-only.
 
@@ -241,15 +261,11 @@ class BumpData:
         t = np.sum(d * d, axis=-1) / self.R2
         h = _bump_h123(t, dtype.type(config.a))
         w = layout.equad_weights.astype(dtype)
-        counts = np.array([sl.stop - sl.start for sl in layout.efacet_slices])
         self.groups: list[_BumpGroup] = []
-        for n_f in np.unique(counts):
-            electrodes = np.flatnonzero(counts == n_f)
-            slices = [layout.efacet_slices[m] for m in electrodes]
-            rows = np.stack([np.arange(sl.start, sl.stop) for sl in slices])
+        for electrodes, rows in _facet_groups(layout, range(layout.n_electrodes)):
             hs = [v[rows] for v in h]
             ws = w[rows]
-            Z = (ws * hs[0]).reshape(len(electrodes), -1).sum(axis=1)
+            Z = _integral(ws, hs[0])
             # A float64 scalar's ** (libm pow) and an array's ** (square, SIMD
             # pow) can differ in the last bit; keep the scalar rounding.
             powers = [np.array([z**p for z in Z], dtype=Z.dtype) for p in (2, 3, 4)]
@@ -284,7 +300,7 @@ class _Expansion:
         return out
 
     def integral(self, values: np.ndarray) -> np.ndarray:
-        return (self.g.w * values).reshape(len(values), -1).sum(axis=1)[:, None, None]
+        return _integral(self.g.w, values)[:, None, None]
 
     # Center derivatives of the node values, for directions x in R^2:
     # dt(x) = -2 (y - xi) . x / R^2 and ddt(x1, x2) = 2 x1 . x2 / R^2.
@@ -372,8 +388,8 @@ def _segment_distances(
 
     A segment of length zero is the point a_i.
     """
-    # a point at infinity meets 0 * inf here; its distances come out nan or
-    # inf, which fail the patch test, so the point is inadmissible all the same
+    # a point at infinity meets 0 * inf here; its nan or inf distances pass the
+    # rim test, but its bump misses every node, so it is inadmissible all the same
     with np.errstate(invalid="ignore"):
         t = np.divide(_dot(p - a, ab), ab2, out=np.zeros(len(p)), where=ab2 != 0.0)
         d = p - (a + np.clip(t, 0.0, 1.0)[:, None] * ab)
@@ -383,14 +399,11 @@ def _segment_distances(
 def _admissible_contacts(
     layout: ElectrodeLayout, electrodes: np.ndarray, xi: np.ndarray, config: ModelConfig
 ) -> np.ndarray:
-    """Whether the contact disk of radius R around xi[i] stays on electrode electrodes[i].
+    """Whether every rim entity of electrode electrodes[i] is at least R away from xi[i].
 
-    Every rim entity of the electrode image must be at least R away from the
-    center, and the center must hit the patch image: inside a facet image for
-    surface patches, within R of the facet polyline for 2D meshes, whose
-    electrode image is a curve. One pass over the flattened
-    :attr:`~eitrev.mesh.ElectrodeLayout.contact_geometry` decides all the
-    electrodes asked for.
+    The location half of :func:`_admissible`, and all that
+    :meth:`Parametrization.tau` checks before it builds the bumps: one pass
+    over the flattened :attr:`~eitrev.mesh.ElectrodeLayout.contact_geometry`.
     """
     g = layout.contact_geometry
     electrodes = np.asarray(electrodes, dtype=int)
@@ -399,39 +412,41 @@ def _admissible_contacts(
         raise ValueError(f"expected contact locations of shape ({len(electrodes)}, 2)")
     counts = g.n_seg[electrodes]
     rows, first = _ranges(g.seg_start[electrodes], counts)
-    p = np.repeat(xi, counts, axis=0)
-    dist = _segment_distances(p, g.a[rows], g.ab[rows], g.ab2[rows])
-    # reduce the rim rows and the facet rows of each electrode separately
-    bounds = np.column_stack([first, first + g.n_rim[electrodes]]).ravel()
-    near_rim = np.logical_or.reduceat(dist < config.R + ADMISSIBILITY_MARGIN, bounds)[0::2]
-    to_patch = np.minimum.reduceat(dist, bounds)[1::2]
-    if g.dimension == 2:
-        return ~near_rim & (to_patch <= config.R - ADMISSIBILITY_MARGIN)
-    counts = g.n_facets[electrodes]
-    rows, first = _ranges(g.facet_start[electrodes], counts)
-    rhs = np.column_stack([np.repeat(xi, counts, axis=0), np.ones(len(rows))])
-    bary = np.linalg.solve(g.tri[rows], rhs[..., None])[..., 0]
-    inside = np.logical_or.reduceat((bary >= -1e-12).all(axis=1), first)
-    return ~near_rim & (inside | (to_patch <= 1e-12))
+    dist = _segment_distances(np.repeat(xi, counts, axis=0), g.a[rows], g.ab[rows], g.ab2[rows])
+    return ~np.logical_or.reduceat(dist < config.R + ADMISSIBILITY_MARGIN, first)
+
+
+def _admissible(
+    layout: ElectrodeLayout, electrodes: np.ndarray, xi: np.ndarray, config: ModelConfig
+) -> np.ndarray:
+    """Whether xi[i] is an admissible contact location on electrode electrodes[i].
+
+    The one admissible set: the rim is at least R away, and the bump's
+    integral Z over the electrode has a fourth power that is a positive
+    normal number (:meth:`Parametrization.dtau` divides by Z**2 to Z**4).
+    Z and Z**4 are computed as in :class:`BumpData`, so
+    :meth:`Parametrization.tau` accepts a float64 point exactly when all its
+    locations are admissible.
+    """
+    electrodes, xi = np.asarray(electrodes, dtype=int), np.asarray(xi, dtype=float)
+    ok = _admissible_contacts(layout, electrodes, xi, config)
+    R2, a = np.float64(config.R) ** 2, np.float64(config.a)
+    for at, rows in _facet_groups(layout, electrodes):
+        d = layout.equad_local[rows] - xi[at][:, None, None, :]
+        Z = _integral(layout.equad_weights[rows], _bump_h123(np.sum(d * d, axis=-1) / R2, a)[0])
+        ok[at] &= _positive_normal(np.array([z**4 for z in Z]))
+    return ok
 
 
 def contact_admissible(
     layout: ElectrodeLayout, m: int, xi: np.ndarray, config: ModelConfig
 ) -> bool:
-    """Whether the contact disk of radius R around xi stays on electrode m.
+    """Whether xi is an admissible contact location on electrode m.
 
-    Every rim entity of the electrode image must be at least R away from xi,
-    and xi must hit the patch image: inside it for surface patches, within
-    R of the facet polyline for 2D meshes, whose electrode image is a curve.
-    This is the one-electrode view of the kernel that checks all electrodes.
+    The rim must be at least R away and the bump normalizable: the
+    one-electrode view of the kernel that checks all electrodes.
     """
-    return bool(_admissible_contacts(layout, [m], np.asarray(xi)[None], config)[0])
-
-
-def _inadmissible(layout: ElectrodeLayout, xi: np.ndarray, config: ModelConfig) -> np.ndarray:
-    """The electrodes whose contact location in xi, shaped (M, 2), is inadmissible, ascending."""
-    everyone = np.arange(layout.n_electrodes)
-    return np.flatnonzero(~_admissible_contacts(layout, everyone, xi, config))
+    return bool(_admissible(layout, [m], np.asarray(xi)[None], config)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -514,11 +529,10 @@ class Parametrization:
         the normalized bump exp(mu_zeta + rho_m) psi_xi / integral(psi_xi)
         for smooth. Either way its integral over electrode m equals
         exp(mu_zeta + rho_m), because the same facet quadrature defines the
-        density and the integral. An inadmissible contact location or a
-        normalization integral whose fourth power is not a positive normal
-        number raises :class:`AdmissibilityError`. A ``kappa`` or ``rho``
-        entry that is not finite, or whose exponential overflows or underflows
-        (is not a positive normal float), raises ``ValueError`` naming it.
+        density and the integral. A point that is not :meth:`admissible`
+        raises :class:`AdmissibilityError`. A ``kappa`` or ``rho`` entry that
+        is not finite, or whose exponential overflows or underflows (is not a
+        positive normal float), raises ``ValueError`` naming it.
         """
         config, layout = self.config, self.layout
         kappa, rho, xi = np.asarray(iota.kappa), np.asarray(iota.rho), iota.xi
@@ -538,20 +552,15 @@ class Parametrization:
         xi = np.asarray(xi)
         if rho.shape != (M,) or xi.shape != (M, 2):
             raise ValueError("contact parameters must provide (rho_m, xi_m) per electrode")
-        outside = _inadmissible(layout, xi, config)
-        if outside.size:
-            m = outside[0]
+        clear = _admissible_contacts(layout, np.arange(M), xi, config)
+        if not clear.all():
+            m = np.argmin(clear)
             raise AdmissibilityError(
                 f"contact location {np.asarray(xi[m], float)} leaves electrode {m}"
             )
         bumps = BumpData(config, layout, rho, xi)
         # dtau divides by Z**2, Z**3 and Z**4, so each must be a positive normal number
-        vanishing = [
-            m
-            for g in bumps.groups
-            for m, Z4 in zip(g.electrodes, g.Z4.ravel())
-            if not np.finfo(Z4.dtype).tiny <= Z4 < np.inf
-        ]
+        vanishing = [m for g in bumps.groups for m in g.electrodes[~_positive_normal(g.Z4.ravel())]]
         if vanishing:
             raise AdmissibilityError(
                 f"contact normalization integral vanishes on electrode {min(vanishing)} "
@@ -640,9 +649,10 @@ class Parametrization:
         return ConductivityPair(dsigma, dzeta)
 
     def admissible(self, iota: ParamVector) -> bool:
+        """Whether :meth:`tau` accepts ``iota``, a float64 point: is every location admissible?"""
         if self.kind == "cem":
             return True
-        return _inadmissible(self.layout, iota.xi, self.config).size == 0
+        return bool(_admissible(self.layout, range(self.n_electrodes), iota.xi, self.config).all())
 
     def clamp(self, iota: ParamVector) -> tuple[ParamVector, bool]:
         """Pull inadmissible contact locations back inside their electrodes.
@@ -654,12 +664,13 @@ class Parametrization:
         """
         if self.kind == "cem":
             return iota, False
-        bad = _inadmissible(self.layout, iota.xi, self.config)
+        everyone = range(self.n_electrodes)
+        bad = np.flatnonzero(~_admissible(self.layout, everyone, iota.xi, self.config))
         if bad.size == 0:
             return iota, False
         target = np.asarray(iota.xi[bad], dtype=float)
         anchor = self.layout.contact_geometry.anchors[bad]
-        anchor_ok = _admissible_contacts(self.layout, bad, anchor, self.config)
+        anchor_ok = _admissible(self.layout, bad, anchor, self.config)
         finite = np.isfinite(target).all(axis=1)
         if not (anchor_ok & finite).all():
             i = np.argmin(anchor_ok & finite)
@@ -671,7 +682,7 @@ class Parametrization:
         lo, hi = np.zeros(bad.size), np.ones(bad.size)
         for _ in range(60):
             mid = 0.5 * (lo + hi)
-            inside = _admissible_contacts(
+            inside = _admissible(
                 self.layout, bad, anchor + mid[:, None] * (target - anchor), self.config
             )
             lo = np.where(inside, mid, lo)

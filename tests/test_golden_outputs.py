@@ -61,8 +61,10 @@ def test_outputs_match_references(name, tmp_path):
     argv, files = RUNS[name]
     _run(argv, tmp_path)
     for fname in files:
-        got = list(csv.reader((tmp_path / fname).open()))
-        want = list(csv.reader((GOLDEN / name / fname).open()))
+        with open(tmp_path / fname, newline="") as f:
+            got = list(csv.reader(f))
+        with open(GOLDEN / name / fname, newline="") as f:
+            want = list(csv.reader(f))
         assert len(got) == len(want), fname
         for r, (row, ref) in enumerate(zip(got, want)):
             assert len(row) == len(ref), (fname, r)

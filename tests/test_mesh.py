@@ -368,12 +368,13 @@ class TestElectrodes:
         geometry = layout16.contact_geometry
         assert geometry is layout16.contact_geometry
         arrays = list(_arrays(geometry))
-        assert len(arrays) == len(geometry) - 1
+        assert len(arrays) == len(geometry)
         assert [a.shape for a in arrays if a.flags.writeable] == []
-        # 2D: two rim points, then one segment per facet, for every electrode
-        assert geometry.n_rim.tolist() == [2] * 16
-        assert (geometry.n_seg - geometry.n_rim).tolist() == geometry.n_facets.tolist()
-        assert geometry.tri.shape == (0, 3, 3)
+        # 2D: the two rim points of every electrode, as segments of length zero
+        assert geometry.n_seg.tolist() == [2] * 16
+        assert geometry.seg_start.tolist() == list(range(0, 32, 2))
+        assert not geometry.ab.any() and not geometry.ab2.any()
+        assert geometry.anchors.shape == (16, 2)
 
     def test_patch_that_closes_on_itself_is_rejected(self):
         # a 3 x 3 grid of unit squares without the middle one: electrode 0

@@ -273,17 +273,18 @@ class TestZetaSmooth:
 
     def test_far_center_vanishing_normalization(self, smooth16, layout16):
         # a contact narrower than the node spacing, centred on an interior facet
-        # vertex of every electrode: admissible, yet far from every quadrature node
+        # vertex of every electrode: clear of the rim, yet far from every
+        # quadrature node, so not admissible
         config = ModelConfig(R=0.01)
-        g = layout16.contact_geometry
         xi = np.zeros((16, 2))
         for m in range(16):
-            rim = slice(g.seg_start[m], g.seg_start[m] + g.n_rim[m])
-            facets = slice(rim.stop, g.seg_start[m] + g.n_seg[m])
-            ends = np.concatenate([g.a[facets], g.a[facets] + g.ab[facets]])
-            to_rim = np.linalg.norm(ends[:, None] - g.a[rim][None], axis=2).min(axis=1)
+            facets = layout16.efacet_vertices[layout16.efacet_slices[m]]
+            ends = layout16.local_maps[m].to_local(layout16.mesh.vertices[facets.ravel()])
+            rim = layout16.rim_local[m][:, 0]
+            to_rim = np.linalg.norm(ends[:, None] - rim[None], axis=2).min(axis=1)
             xi[m] = ends[np.argmax(to_rim)]
-            assert contact_admissible(layout16, m, xi[m], config)
+            assert to_rim.max() > 0.1
+            assert not contact_admissible(layout16, m, xi[m], config)
         param = dataclasses.replace(smooth16, config=config)
         with pytest.raises(AdmissibilityError, match="vanishes on electrode 0"):
             smooth_zeta(param, np.zeros(16), xi)
@@ -299,7 +300,7 @@ class TestZetaSmooth:
         rng = np.random.default_rng(200)
         draws = [param.from_flat(0.2 * rng.standard_normal(param.dim)) for _ in range(4)]
         iota = draws[3]
-        assert param.admissible(iota)  # the location is admissible
+        assert not param.admissible(iota)  # the rim is clear, the bump is not normalizable
         assert np.allclose(iota.xi[13], [-0.4834, -0.5849], atol=1e-4)
         with pytest.raises(AdmissibilityError, match="vanishes on electrode 13"):
             param.tau(iota)

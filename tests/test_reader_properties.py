@@ -4,13 +4,17 @@ Each text-file property starts from a valid file, breaks one line of it and
 asks the reader to reject it with its documented error type, naming the file
 and the broken line's number. The configuration property puts one generated
 number at one numeric key of a valid configuration, and the command-line
-property one mutated value at one option of a valid ``eitrev`` command.
+property one mutated value at one option of a valid ``eitrev`` command. The
+record properties make one mutation of a valid measurement or reconstruction
+record, which loads as its text says or is rejected naming the file.
 """
 
 import contextlib
+import copy
 import inspect
 import io
 import json
+import math
 from functools import partial
 
 import numpy as np
@@ -19,7 +23,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eitrev import cli, harness
-from eitrev.harness import CASES, METHODS, case_from_config, read_matrix, write_matrix
+from eitrev.harness import (
+    CASES,
+    METHODS,
+    MeasurementRecord,
+    ReconOutcome,
+    case_from_config,
+    read_matrix,
+    read_measurement,
+    read_reconstruction,
+    write_matrix,
+    write_measurement,
+    write_reconstruction,
+)
 from eitrev.mesh import (
     MeshFormatError,
     cluster_partition,
@@ -29,6 +45,7 @@ from eitrev.mesh import (
     save_mesh,
     save_partition,
 )
+from eitrev.model import ParamVector
 
 # Tokens that neither ``int`` nor ``float`` reads.
 NOT_A_NUMBER = ["x", "one", "1,5", "0x1", "1e", "--1", "."]
@@ -216,6 +233,18 @@ def _stop(*args, **kwargs):
     raise _Ran
 
 
+def _main_until_setup(patch, argv):
+    """``cli.main(argv)`` stopped where set-up starts: its status (None there) and stderr."""
+    for module, name in ((harness, "_setup"), (harness, "build_side"), (cli, "build_models")):
+        patch.setattr(module, name, _stop)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        try:
+            return cli.main(argv), err.getvalue()
+        except _Ran:
+            return None, err.getvalue()
+
+
 @pytest.mark.parametrize("option", CLI_OPTIONS, ids=[" ".join(o[:2]) for o in CLI_OPTIONS])
 @settings(max_examples=50)
 @given(data=st.data())
@@ -236,14 +265,7 @@ def test_a_cli_value_runs_as_written_or_is_one_error_line(directory, option, dat
         for driver in ("experiment1", "experiment2"):
             patch.setattr(harness, driver, _recording(calls, getattr(harness, driver)))
         patch.setattr(cli, "sample_rng", _recording(calls, harness.sample_rng))
-        patch.setattr(harness, "_setup", _stop)
-        patch.setattr(cli, "build_models", _stop)
-        err = io.StringIO()
-        with contextlib.redirect_stderr(err):
-            try:
-                status = cli.main(argv)
-            except _Ran:
-                status = None
+        status, err = _main_until_setup(patch, argv)
     assert not out.exists()
     try:
         value, admissible = _as_written(name, text)
@@ -255,7 +277,163 @@ def test_a_cli_value_runs_as_written_or_is_one_error_line(directory, option, dat
         return
     assert not admissible
     assert status == 2
-    lines = err.getvalue().splitlines()
+    lines = err.splitlines()
     while lines and (lines[0].startswith("usage: ") or lines[0].startswith(" ")):
         del lines[0]
     assert len(lines) == 1 and lines[0] and not lines[0].startswith(" ")
+
+
+# ---------------------------------------------------------------------------
+# Measurement and reconstruction records
+# ---------------------------------------------------------------------------
+
+# A value of each JSON type, numbers written as numbers and as strings.
+JSON_VALUES = ["x", "1.5", 1.5, 2, True, None, {}, [], [1.5]]
+
+
+def _mutated_record(data, tree):
+    """A copy of the JSON value ``tree`` with one value mutated.
+
+    The value is the whole document or one reached by descending into it. Its
+    type is swapped, one of its keys dropped, its nesting changed (wrapped in
+    a list or a mapping, or a list replaced by its first item) or it is NaN.
+    """
+    tree = copy.deepcopy(tree)
+    parent, key, node = None, None, tree
+    while isinstance(node, (dict, list)) and node and data.draw(st.booleans(), label="descend"):
+        keys = sorted(node) if isinstance(node, dict) else range(len(node))
+        parent, key = node, data.draw(st.sampled_from(keys), label="key")
+        node = node[key]
+    kinds = ["type", "nest", "nan"] + (["drop"] if isinstance(node, dict) and node else [])
+    kind = data.draw(st.sampled_from(kinds), label="mutation")
+    if kind == "type":
+        others = [v for v in JSON_VALUES if type(v) is not type(node)]
+        new = copy.deepcopy(data.draw(st.sampled_from(others), label="value"))
+    elif kind == "nest":
+        nestings = [[node], {"value": node}]
+        nestings += [node[0]] if isinstance(node, list) and node else []
+        new = data.draw(st.sampled_from(nestings), label="nesting")
+    elif kind == "drop":
+        new = dict(node)
+        del new[data.draw(st.sampled_from(sorted(node)), label="dropped")]
+    else:
+        new = float("nan")
+    if parent is None:
+        return new
+    parent[key] = new
+    return tree
+
+
+def _array_as_written(value):
+    """The array a JSON value spells (finite numbers in lists nested to one shape), or None."""
+    if isinstance(value, list):
+        items = [_array_as_written(item) for item in value]
+        if any(item is None for item in items) or len({item.shape for item in items}) > 1:
+            return None
+        return np.stack(items) if items else np.zeros(0)
+    if isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value):
+        return np.array(float(value))
+    return None
+
+
+def _point_as_written(value):
+    """kappa, rho and, for the smooth model, xi of a parameter record, by key; None if malformed."""
+    if not isinstance(value, dict) or "kappa" not in value or "rho" not in value:
+        return None
+    arrays = {key: _array_as_written(value[key]) for key in ("kappa", "rho", "xi") if key in value}
+    kind = "smooth" if "xi" in arrays else "cem"
+    if any(array is None for array in arrays.values()) or value.get("kind", kind) != kind:
+        return None
+    return arrays
+
+
+def _assert_point(point: ParamVector, arrays):
+    for key in ("kappa", "rho", "xi"):
+        got, want = getattr(point, key), arrays.get(key)
+        assert (got is None) == (want is None), key
+        if got is not None:
+            assert got.shape == want.shape and np.array_equal(got, want), key
+
+
+def _fits_c1(arrays) -> bool:
+    """Whether a point has the shapes of both C1 sides: L3/80 with 16 smooth contacts."""
+    shapes = {key: array.shape for key, array in arrays.items()}
+    return shapes == {"kappa": (80,), "rho": (16,), "xi": (16, 2)}
+
+
+@pytest.fixture(scope="module")
+def records(directory):
+    """A valid measurement record (a directory) and a valid reconstruction record, for C1."""
+    rng = np.random.default_rng(5)
+    target = ParamVector(rng.standard_normal(80), rng.standard_normal(16), rng.random((16, 2)))
+    upsilon = rng.standard_normal((15, 15))
+    measurement = directory / "measurement"
+    write_measurement(MeasurementRecord(upsilon, target, None, (5e-5, 5e-4), None), measurement)
+    reconstruction = directory / "reconstruction.json"
+    outcome = ReconOutcome("1", 0.5 * target, (0.5 * target,), False, {"steps": 1})
+    write_reconstruction(outcome, reconstruction)
+    return measurement, reconstruction
+
+
+def _assert_cli(argv, path, fits: bool):
+    """A record that loads and fits the case reaches set-up; any other is one error line on it."""
+    with pytest.MonkeyPatch.context() as patch:
+        status, err = _main_until_setup(patch, argv)
+    if fits:
+        assert status is None and err == ""
+        return
+    assert status == 2
+    assert err.count("\n") == 1 and err.startswith("ValueError: ") and str(path) in err
+
+
+@settings(max_examples=60)
+@given(data=st.data())
+def test_a_mutated_measurement_record_loads_as_written_or_is_named(directory, records, data):
+    valid, reconstruction = records
+    meta = _mutated_record(data, json.loads((valid / "record.json").read_text()))
+    record = directory / "mutated-measurement"
+    record.mkdir(exist_ok=True)
+    (record / "upsilon.txt").write_text((valid / "upsilon.txt").read_text())
+    path = record / "record.json"
+    path.write_text(json.dumps(meta, indent=1))
+    target = meta.get("target") if isinstance(meta, dict) else None
+    arrays = _point_as_written(target)
+    deltas = meta.get("deltas") if isinstance(meta, dict) else None
+    readable = arrays is not None and isinstance(deltas, list)
+    try:
+        upsilon, point, loaded_deltas = read_measurement(record)
+    except ValueError as exc:
+        assert not readable and str(path) in str(exc)
+    else:
+        assert readable
+        assert upsilon.tobytes() == read_matrix(valid / "upsilon.txt").tobytes()
+        _assert_point(point, arrays)
+        assert repr(loaded_deltas) == repr(tuple(deltas))
+    fits = readable and _fits_c1(arrays)
+    out = directory / "cli-out"
+    argv = ["reconstruct", "--data", str(record), "--order", "1", "--out", str(out)]
+    _assert_cli(argv, path, fits)
+    argv = ["indicators", "--data", str(record), "--recon", str(reconstruction), "--out", str(out)]
+    _assert_cli(argv, path, fits)
+    assert not out.exists()
+
+
+@settings(max_examples=60)
+@given(data=st.data())
+def test_a_mutated_reconstruction_record_loads_as_written_or_is_named(directory, records, data):
+    measurement, valid = records
+    record = _mutated_record(data, json.loads(valid.read_text()))
+    path = directory / "mutated-reconstruction.json"
+    path.write_text(json.dumps(record, indent=1))
+    arrays = _point_as_written(record.get("upsilon") if isinstance(record, dict) else None)
+    try:
+        point = read_reconstruction(path)
+    except ValueError as exc:
+        assert arrays is None and str(path) in str(exc)
+    else:
+        assert arrays is not None
+        _assert_point(point, arrays)
+    out = directory / "cli-out"
+    argv = ["indicators", "--data", str(measurement), "--recon", str(path), "--out", str(out)]
+    _assert_cli(argv, path, arrays is not None and _fits_c1(arrays))
+    assert not out.exists()
