@@ -54,11 +54,13 @@ METHODS = ("1", "2", "3", "1,1", "1,1,1")
 
 
 def _check_methods(methods: Sequence[str]) -> tuple[str, ...]:
-    """The method names as a tuple; an unknown name raises ``ValueError`` naming it."""
+    """The method names as a tuple; an unknown or repeated name raises ``ValueError`` naming it."""
     methods = tuple(methods)
-    for method in methods:
+    for i, method in enumerate(methods):
         if method not in METHODS:
             raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
+        if method in methods[:i]:
+            raise ValueError(f"method {method!r} is given twice")
     return methods
 
 
@@ -679,8 +681,9 @@ def _study(
     reconstructor that serves it. The study opens an :class:`Item` of the
     data there, runs every method on it and takes the indicators' maps from
     its :meth:`~Item.map_at`; the item is dropped when the item ends, so
-    only shared state crosses items. A reconstruction that raises is
-    recorded in ``failures`` when ``record_failures`` is set, else re-raised.
+    only shared state crosses items. A numerical failure (``ValueError`` or
+    ``RuntimeError``) is recorded in ``failures`` when ``record_failures`` is
+    set, else re-raised; any other exception propagates.
     """
     ref_res = np.full(n, np.nan)
     ref_err = np.full(n, np.nan)
@@ -697,7 +700,7 @@ def _study(
         for method in methods:
             try:
                 outcome = recon.run(method, item)
-            except Exception as exc:
+            except (ValueError, RuntimeError) as exc:
                 if not record_failures:
                     raise
                 failures.append((i, method, repr(exc)))
@@ -749,8 +752,8 @@ def experiment1(
     Draws targets from the measurement-side prior, simulates noisy data,
     reconstructs with every requested method, and aggregates the indicators
     over the retained samples (the top fifth by initial-guess residual is
-    excluded). Per-sample failures are recorded, not fatal. Deterministic for
-    a fixed seed.
+    excluded). Per-sample numerical failures are recorded, not fatal.
+    Deterministic for a fixed seed.
     """
     methods = _check_methods(methods)
     n = case.n_samples if n_samples is None else n_samples

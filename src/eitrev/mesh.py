@@ -9,7 +9,9 @@ The geometry layer provides:
 * :class:`Partition` -- connected, roughly balanced cell clusters used as the
   support of piecewise-constant conductivity parameters.
 
-All values are immutable after construction and safe to share across threads.
+Arrays built here are read-only, but two caches change: a layout's
+``system_plan`` keeps the ordering of the last pattern it factored, and a
+partition fills its memo of nearest clusters per source partition.
 """
 
 from __future__ import annotations
@@ -492,6 +494,14 @@ class ElectrodeLayout:
         )
         _freeze(*geometry)
         return geometry
+
+    @cached_property
+    def facet_groups(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """Read-only electrodes of equal facet count, each group with its (G, n_f) facet rows."""
+        counts = np.array([sl.stop - sl.start for sl in self.efacet_slices])
+        groups = [np.flatnonzero(counts == n_f) for n_f in np.unique(counts)]
+        rows = [np.array([np.r_[self.efacet_slices[m]] for m in ms]) for ms in groups]
+        return tuple((_freeze(ms), _freeze(r)) for ms, r in zip(groups, rows))
 
     @cached_property
     def contact_measures(self) -> np.ndarray:

@@ -214,16 +214,6 @@ class _BumpGroup(NamedTuple):
     scale: np.ndarray  # exp(rho_m + mu_zeta)
 
 
-def _facet_groups(layout: ElectrodeLayout, electrodes):
-    """Per facet count: the places in ``electrodes`` of that count and their (G, n_f) rows."""
-    slices = [layout.efacet_slices[m] for m in electrodes]
-    starts = np.array([sl.start for sl in slices])
-    counts = np.array([sl.stop for sl in slices]) - starts
-    for n_f in np.unique(counts):
-        at = np.flatnonzero(counts == n_f)
-        yield at, starts[at, None] + np.arange(n_f)
-
-
 def _integral(w: np.ndarray, values: np.ndarray) -> np.ndarray:
     """The quadrature integral of each electrode's (n_f, n_q) block of ``values``."""
     return (w * values).reshape(len(w), -1).sum(axis=1)
@@ -234,16 +224,34 @@ def _positive_normal(x: np.ndarray) -> np.ndarray:
     return (np.finfo(x.dtype).tiny <= x) & (x < np.inf)
 
 
+def _bump_groups(layout: ElectrodeLayout, xi: np.ndarray, config: ModelConfig):
+    """The bump of each electrode m at centre xi[m], per group of the layout's ``facet_groups``.
+
+    Yields the electrodes, their facet rows, the node offsets, the weights,
+    h and its first three t-derivatives, and Z to Z**4, in the precision of
+    ``xi``; each electrode's values are those of a one-electrode computation.
+    """
+    dtype = np.result_type(layout.equad_local, xi)
+    xi = np.asarray(xi, dtype=dtype)
+    R2, a = dtype.type(config.R) ** 2, dtype.type(config.a)
+    for electrodes, rows in layout.facet_groups:
+        d = layout.equad_local[rows].astype(dtype) - xi[electrodes][:, None, None, :]
+        h = _bump_h123(np.sum(d * d, axis=-1) / R2, a)
+        w = layout.equad_weights[rows].astype(dtype)
+        Z = _integral(w, h[0])
+        # keep a float64 scalar's ** (libm pow): an array's ** (SIMD pow) can differ in the last bit
+        powers = [np.array([z**p for z in Z], dtype=Z.dtype) for p in (2, 3, 4)]
+        yield electrodes, rows, d, w, h, [Z, *powers]
+
+
 class BumpData:
     """Smooth-contact bumps at one base point, for every electrode, read-only.
 
-    Holds the node offsets from the contact center, the bump values and their
-    first three derivatives in t = |y - xi|^2 / R^2, the quadrature weights,
-    the normalization integrals and exp(rho_m + mu_zeta). Electrodes with
-    equal facet counts are stacked into one group, so one array operation
-    serves a group, ragged 3D layouts included. Every per-electrode
-    reduction and scalar keeps the operation order of a single electrode,
-    which makes the results independent of the grouping bit for bit.
+    Holds, per group of electrodes with equal facet counts, what
+    :func:`_bump_groups` computes (the bump values and their first three
+    derivatives in t = |y - xi|^2 / R^2 among them) and exp(rho_m + mu_zeta),
+    so one array operation serves a group, ragged 3D layouts included, with
+    results independent of the grouping bit for bit.
 
     :meth:`Parametrization.tau` builds this for its point and keeps it in
     the pair it returns, for every :meth:`Parametrization.dtau` at that pair.
@@ -252,25 +260,13 @@ class BumpData:
     def __init__(
         self, config: ModelConfig, layout: ElectrodeLayout, rho: np.ndarray, xi: np.ndarray
     ):
-        local = layout.equad_local
-        dtype = np.result_type(local, xi)
-        xi = np.asarray(xi, dtype=dtype)
+        dtype = np.result_type(layout.equad_local, xi)
         scale = _exp("rho", rho, np.result_type(rho, dtype).type(config.mu_zeta))
         self.R2 = dtype.type(config.R) ** 2
-        d = local.astype(dtype) - xi[layout.efacet_electrode][:, None, :]
-        t = np.sum(d * d, axis=-1) / self.R2
-        h = _bump_h123(t, dtype.type(config.a))
-        w = layout.equad_weights.astype(dtype)
         self.groups: list[_BumpGroup] = []
-        for electrodes, rows in _facet_groups(layout, range(layout.n_electrodes)):
-            hs = [v[rows] for v in h]
-            ws = w[rows]
-            Z = _integral(ws, hs[0])
-            # A float64 scalar's ** (libm pow) and an array's ** (square, SIMD
-            # pow) can differ in the last bit; keep the scalar rounding.
-            powers = [np.array([z**p for z in Z], dtype=Z.dtype) for p in (2, 3, 4)]
-            per_electrode = [v[:, None, None] for v in (Z, *powers, scale[electrodes])]
-            group = _BumpGroup(electrodes, rows, d[rows], ws, *hs, *per_electrode)
+        for electrodes, rows, d, w, h, Zs in _bump_groups(layout, xi, config):
+            per_electrode = [v[:, None, None] for v in (*Zs, scale[electrodes])]
+            group = _BumpGroup(electrodes, rows, d, w, *h, *per_electrode)
             for a in group:
                 a.flags.writeable = False
             self.groups.append(group)
@@ -370,12 +366,6 @@ class _Expansion:
         )
 
 
-def _ranges(starts: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rows of the concatenated ranges [starts_i, starts_i + counts_i) and where each begins."""
-    first = np.cumsum(counts) - counts
-    return np.arange(counts.sum()) + np.repeat(starts - first, counts), first
-
-
 def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     # one (1, 2) @ (2, 1) product per row, which numpy computes as the dot of two 2-vectors
     return np.matmul(u[:, None, :], v[:, :, None])[:, 0, 0]
@@ -397,56 +387,44 @@ def _segment_distances(
 
 
 def _admissible_contacts(
-    layout: ElectrodeLayout, electrodes: np.ndarray, xi: np.ndarray, config: ModelConfig
+    layout: ElectrodeLayout, xi: np.ndarray, config: ModelConfig
 ) -> np.ndarray:
-    """Whether every rim entity of electrode electrodes[i] is at least R away from xi[i].
+    """Whether every rim entity of electrode m is at least R away from xi[m], for every m.
 
-    The location half of :func:`_admissible`, and all that
-    :meth:`Parametrization.tau` checks before it builds the bumps: one pass
-    over the flattened :attr:`~eitrev.mesh.ElectrodeLayout.contact_geometry`.
+    The location half of :func:`_admissible`, which :meth:`Parametrization.tau`
+    checks before it builds the bumps: one pass over the ``contact_geometry``.
     """
     g = layout.contact_geometry
-    electrodes = np.asarray(electrodes, dtype=int)
     xi = np.asarray(xi, dtype=float)
-    if xi.shape != (len(electrodes), 2):
-        raise ValueError(f"expected contact locations of shape ({len(electrodes)}, 2)")
-    counts = g.n_seg[electrodes]
-    rows, first = _ranges(g.seg_start[electrodes], counts)
-    dist = _segment_distances(np.repeat(xi, counts, axis=0), g.a[rows], g.ab[rows], g.ab2[rows])
-    return ~np.logical_or.reduceat(dist < config.R + ADMISSIBILITY_MARGIN, first)
+    if xi.shape != (layout.n_electrodes, 2):
+        raise ValueError(f"expected contact locations of shape ({layout.n_electrodes}, 2)")
+    dist = _segment_distances(np.repeat(xi, g.n_seg, axis=0), g.a, g.ab, g.ab2)
+    return ~np.logical_or.reduceat(dist < config.R + ADMISSIBILITY_MARGIN, g.seg_start)
 
 
-def _admissible(
-    layout: ElectrodeLayout, electrodes: np.ndarray, xi: np.ndarray, config: ModelConfig
-) -> np.ndarray:
-    """Whether xi[i] is an admissible contact location on electrode electrodes[i].
+def _admissible(layout: ElectrodeLayout, xi: np.ndarray, config: ModelConfig) -> np.ndarray:
+    """Whether xi[m] is an admissible contact location on electrode m, for every m.
 
     The one admissible set: the rim is at least R away, and the bump's
     integral Z over the electrode has a fourth power that is a positive
     normal number (:meth:`Parametrization.dtau` divides by Z**2 to Z**4).
-    Z and Z**4 are computed as in :class:`BumpData`, so
-    :meth:`Parametrization.tau` accepts a float64 point exactly when all its
-    locations are admissible.
+    Z**4 comes from :func:`_bump_groups`, as in :class:`BumpData`, so a
+    float64 point passes :meth:`Parametrization.tau` exactly when it is
+    admissible. Each verdict reads its own location only.
     """
-    electrodes, xi = np.asarray(electrodes, dtype=int), np.asarray(xi, dtype=float)
-    ok = _admissible_contacts(layout, electrodes, xi, config)
-    R2, a = np.float64(config.R) ** 2, np.float64(config.a)
-    for at, rows in _facet_groups(layout, electrodes):
-        d = layout.equad_local[rows] - xi[at][:, None, None, :]
-        Z = _integral(layout.equad_weights[rows], _bump_h123(np.sum(d * d, axis=-1) / R2, a)[0])
-        ok[at] &= _positive_normal(np.array([z**4 for z in Z]))
+    xi = np.asarray(xi, dtype=float)
+    ok = _admissible_contacts(layout, xi, config)
+    for electrodes, *_, Zs in _bump_groups(layout, xi, config):
+        ok[electrodes] &= _positive_normal(Zs[3])
     return ok
 
 
 def contact_admissible(
     layout: ElectrodeLayout, m: int, xi: np.ndarray, config: ModelConfig
 ) -> bool:
-    """Whether xi is an admissible contact location on electrode m.
-
-    The rim must be at least R away and the bump normalizable: the
-    one-electrode view of the kernel that checks all electrodes.
-    """
-    return bool(_admissible(layout, [m], np.asarray(xi)[None], config)[0])
+    """Whether xi is an admissible contact location on electrode m: entry m of a pass over all."""
+    xi = np.repeat(np.asarray(xi, dtype=float)[None], layout.n_electrodes, axis=0)
+    return bool(_admissible(layout, xi, config)[m])
 
 
 # ---------------------------------------------------------------------------
@@ -461,8 +439,9 @@ class Parametrization:
     Bundles the model constants and geometry needed to evaluate tau and its
     derivatives, and owns the flat-vector layout (kappa, rho, xi) used by
     priors and by the regularized inversion. The partition and the electrode
-    layout must live on the same mesh, and for the cem model every contact
-    region must have positive area.
+    layout must live on the same mesh. For the cem model every contact
+    region must have positive area, and for the smooth model the centre of
+    every electrode, xi = 0, must be an admissible contact location.
     """
 
     config: ModelConfig
@@ -477,6 +456,11 @@ class Parametrization:
             raise ValueError("the partition and the electrode layout are on different meshes")
         if self.kind == "cem" and np.any(self.layout.contact_measures <= 0):
             raise ValueError("every contact region must have positive area")
+        if self.kind == "smooth":
+            centred = _admissible(self.layout, np.zeros((self.n_electrodes, 2)), self.config)
+            if not centred.all():
+                R, a, m = self.config.R, self.config.a, np.argmin(centred)
+                raise ValueError(f"R = {R!r}, a = {a!r}: electrode {m}'s centre is inadmissible")
 
     @property
     def n_clusters(self) -> int:
@@ -552,7 +536,7 @@ class Parametrization:
         xi = np.asarray(xi)
         if rho.shape != (M,) or xi.shape != (M, 2):
             raise ValueError("contact parameters must provide (rho_m, xi_m) per electrode")
-        clear = _admissible_contacts(layout, np.arange(M), xi, config)
+        clear = _admissible_contacts(layout, xi, config)
         if not clear.all():
             m = np.argmin(clear)
             raise AdmissibilityError(
@@ -652,25 +636,27 @@ class Parametrization:
         """Whether :meth:`tau` accepts ``iota``, a float64 point: is every location admissible?"""
         if self.kind == "cem":
             return True
-        return bool(_admissible(self.layout, range(self.n_electrodes), iota.xi, self.config).all())
+        return bool(_admissible(self.layout, iota.xi, self.config).all())
 
     def clamp(self, iota: ParamVector) -> tuple[ParamVector, bool]:
         """Pull inadmissible contact locations back inside their electrodes.
 
         Each offending center is moved along the ray toward the electrode
         image's surface centroid until it re-enters the admissible set: 60
-        bisection steps, taken by all offending electrodes in lockstep. The
-        flag reports whether any component was moved.
+        bisection steps, taken by all offending electrodes in lockstep while
+        the others stay at their points. The flag reports whether any
+        component was moved.
         """
         if self.kind == "cem":
             return iota, False
-        everyone = range(self.n_electrodes)
-        bad = np.flatnonzero(~_admissible(self.layout, everyone, iota.xi, self.config))
+        probe = np.array(iota.xi, dtype=float)
+        bad = np.flatnonzero(~_admissible(self.layout, probe, self.config))
         if bad.size == 0:
             return iota, False
-        target = np.asarray(iota.xi[bad], dtype=float)
+        target = probe[bad]
         anchor = self.layout.contact_geometry.anchors[bad]
-        anchor_ok = _admissible(self.layout, bad, anchor, self.config)
+        probe[bad] = anchor
+        anchor_ok = _admissible(self.layout, probe, self.config)[bad]
         finite = np.isfinite(target).all(axis=1)
         if not (anchor_ok & finite).all():
             i = np.argmin(anchor_ok & finite)
@@ -682,9 +668,8 @@ class Parametrization:
         lo, hi = np.zeros(bad.size), np.ones(bad.size)
         for _ in range(60):
             mid = 0.5 * (lo + hi)
-            inside = _admissible(
-                self.layout, bad, anchor + mid[:, None] * (target - anchor), self.config
-            )
+            probe[bad] = anchor + mid[:, None] * (target - anchor)
+            inside = _admissible(self.layout, probe, self.config)[bad]
             lo = np.where(inside, mid, lo)
             hi = np.where(inside, hi, mid)
         xi = iota.xi.copy()

@@ -12,7 +12,7 @@ import hashlib
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from eitrev.mesh import (
@@ -159,13 +159,11 @@ def test_mask_matches_the_scalar_check(layouts, data):
     name = data.draw(st.sampled_from(_NAMES), label="layout")
     layout = layouts[name]
     config = ModelConfig(R=data.draw(_R, label="R"))
-    M = layout.n_electrodes
-    electrodes = data.draw(st.lists(st.integers(0, M - 1), min_size=1, max_size=M), label="ms")
-    xi = np.array([_point(data.draw, layout, m, config.R) for m in electrodes])
-    mask = _admissible(layout, np.array(electrodes), xi, config)
-    expect = [reference_admissible(layout, m, p, config) for m, p in zip(electrodes, xi)]
+    xi = np.array([_point(data.draw, layout, m, config.R) for m in range(layout.n_electrodes)])
+    mask = _admissible(layout, xi, config)
+    expect = [reference_admissible(layout, m, p, config) for m, p in enumerate(xi)]
     assert mask.tolist() == expect
-    for m, p, ok in zip(electrodes, xi, expect):
+    for m, (p, ok) in enumerate(zip(xi, expect)):
         assert contact_admissible(layout, m, p, config) == ok
 
 
@@ -188,8 +186,11 @@ def test_distances_match_the_scalar_formula_bit_for_bit(layouts, data):
 @given(data=st.data())
 def test_clamp_matches_the_scalar_bisection_at_every_midpoint(layouts, data):
     layout = layouts[data.draw(st.sampled_from(_NAMES), label="layout")]
-    param = _param(layout, data.draw(_R, label="R"))
+    R = data.draw(_R, label="R")
     M = layout.n_electrodes
+    # a parametrization whose electrode centres are inadmissible cannot be built
+    assume(all(contact_admissible(layout, m, np.zeros(2), ModelConfig(R=R)) for m in range(M)))
+    param = _param(layout, R)
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
     xi = param.layout.contact_geometry.anchors.copy()
     moved = data.draw(st.lists(st.integers(0, M - 1), min_size=1, max_size=M, unique=True))
@@ -202,7 +203,7 @@ def test_clamp_matches_the_scalar_bisection_at_every_midpoint(layouts, data):
             param.clamp(iota)
         return
     for m, point, inside in probes:
-        assert _admissible(layout, [m], point[None], param.config)[0] == inside
+        assert contact_admissible(layout, m, point, param.config) == inside
     clamped, flagged = param.clamp(iota)
     assert flagged == bool(probes)
     assert clamped.xi.tobytes() == expect.tobytes()
@@ -234,19 +235,19 @@ def _accepted(param, iota):
 # rng seeds 0-19, seed 2 the first
 @example(name="L3/16", R=0.6, a=4.0, scale=0.3, seed=2)
 def test_admissible_tau_and_clamp_decide_one_set(layouts, name, R, a, scale, seed):
-    param = _param(layouts[name], R, a)
-    M = param.n_electrodes
+    layout, config = layouts[name], ModelConfig(R=R, a=a)
+    M = layout.n_electrodes
+    centred = [contact_admissible(layout, m, np.zeros(2), config) for m in range(M)]
+    if not all(centred):
+        first = centred.index(False)
+        with pytest.raises(ValueError, match=f"electrode {first}'s centre is inadmissible"):
+            _param(layout, R, a)
+        return
+    param = _param(layout, R, a)
     xi = scale * np.random.default_rng(seed).standard_normal((M, 2))
     iota = ParamVector(np.zeros(1), np.zeros(M), xi)
     assert param.admissible(iota) == _accepted(param, iota)
-    try:
-        clamped, moved = param.clamp(iota)
-    except AdmissibilityError as err:
-        assert str(err).endswith("has no admissible contact location")
-        m = int(str(err).split()[1])
-        anchor = param.layout.contact_geometry.anchors[m]
-        assert not contact_admissible(param.layout, m, anchor, param.config)
-        return
+    clamped, moved = param.clamp(iota)
     assert moved != param.admissible(iota)
     assert param.admissible(clamped) and _accepted(param, clamped)
 

@@ -230,6 +230,15 @@ def test_unknown_method_exits_nonzero(tmp_path, capsys):
     assert not (tmp_path / "summary.csv").exists()
 
 
+def test_repeated_method_exits_nonzero(tmp_path, capsys):
+    out = tmp_path / "out"
+    argv = ["experiment1", "--case", "C1", "--samples", "2", "--seed", "1"]
+    status, err = _run_cli(argv + ["--methods", "1;1", "--out", str(out)], capsys)
+    assert status == 2
+    assert err == "ValueError: method '1' is given twice\n"
+    assert not out.exists()
+
+
 def test_zero_samples_exits_nonzero(tmp_path, capsys):
     argv = ["experiment1", "--samples", "0", "--methods", "1", "--out", str(tmp_path)]
     status, err = _run_cli(argv, capsys)

@@ -66,9 +66,9 @@ def layout_checks(monkeypatch):
     calls = []
     check = model._admissible_contacts
 
-    def counted(layout, electrodes, xi, config):
-        calls.append(np.asarray(electrodes).tolist())
-        return check(layout, electrodes, xi, config)
+    def counted(layout, xi, config):
+        calls.append(list(range(len(xi))))
+        return check(layout, xi, config)
 
     monkeypatch.setattr(model, "_admissible_contacts", counted)
     return calls
@@ -318,6 +318,14 @@ class TestExperiment1:
         assert result.failures[0][0] == 1  # second sample
         assert np.isnan(result.table["1"]["res"][1])
 
+    def test_a_programming_error_propagates(self, small_case, monkeypatch):
+        def broken(self, method, data):
+            raise TypeError("planted")
+
+        monkeypatch.setattr(Reconstructor, "run", broken)
+        with pytest.raises(TypeError, match="planted"):
+            experiment1(small_case, methods=("1",), n_samples=2, seed=15)
+
     def test_unknown_method_raises_before_any_model_is_built(self, small_case, monkeypatch):
         monkeypatch.setattr(harness, "build_models", _no_models)
         with pytest.raises(ValueError, match="'4'"):
@@ -363,6 +371,11 @@ class TestExperiment2:
         monkeypatch.setattr(harness, "build_models", _no_models)
         with pytest.raises(ValueError, match="'1,2'"):
             experiment2(small_case, [0.5], seed=1, methods=("1", "1,2"))
+
+    def test_repeated_method_raises_before_any_model_is_built(self, small_case, monkeypatch):
+        monkeypatch.setattr(harness, "build_models", _no_models)
+        with pytest.raises(ValueError, match="method '1' is given twice"):
+            experiment2(small_case, [0.5], seed=1, methods=("1", "1"))
 
     def test_empty_grid_raises_before_any_model_is_built(self, small_case, monkeypatch):
         monkeypatch.setattr(harness, "build_models", _no_models)

@@ -375,6 +375,14 @@ class TestElectrodes:
         assert geometry.seg_start.tolist() == list(range(0, 32, 2))
         assert not geometry.ab.any() and not geometry.ab2.any()
         assert geometry.anchors.shape == (16, 2)
+        # the facet groups of the bump kernel: each electrode once, with its own rows
+        groups = layout16.facet_groups
+        assert groups is layout16.facet_groups
+        assert [a.shape for a in _arrays(groups) if a.flags.writeable] == []
+        rows = {int(m): r.tolist() for ms, block in groups for m, r in zip(ms, block)}
+        assert rows == {
+            m: list(range(sl.start, sl.stop)) for m, sl in enumerate(layout16.efacet_slices)
+        }
 
     def test_patch_that_closes_on_itself_is_rejected(self):
         # a 3 x 3 grid of unit squares without the middle one: electrode 0

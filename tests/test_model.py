@@ -274,7 +274,8 @@ class TestZetaSmooth:
     def test_far_center_vanishing_normalization(self, smooth16, layout16):
         # a contact narrower than the node spacing, centred on an interior facet
         # vertex of every electrode: clear of the rim, yet far from every
-        # quadrature node, so not admissible
+        # quadrature node, so not admissible; the electrode centres are not
+        # either, so the parametrization is rejected when it is built
         config = ModelConfig(R=0.01)
         xi = np.zeros((16, 2))
         for m in range(16):
@@ -285,9 +286,9 @@ class TestZetaSmooth:
             xi[m] = ends[np.argmax(to_rim)]
             assert to_rim.max() > 0.1
             assert not contact_admissible(layout16, m, xi[m], config)
-        param = dataclasses.replace(smooth16, config=config)
-        with pytest.raises(AdmissibilityError, match="vanishes on electrode 0"):
-            smooth_zeta(param, np.zeros(16), xi)
+            assert not contact_admissible(layout16, m, np.zeros(2), config)
+        with pytest.raises(ValueError, match=r"R = 0\.01, a = 4\.0: electrode 0's centre is inad"):
+            dataclasses.replace(smooth16, config=config)
 
     def test_normalization_whose_fourth_power_underflows_is_rejected(self):
         # a contact about R from its electrode curve: Z = 3.1e-204 is above

@@ -213,7 +213,7 @@ def _as_written(option: str, text: str):
     """The value ``text`` says, as the program should take it, and whether it is admissible."""
     if option == "--methods":
         value = tuple(text.split(";"))
-        return value, all(method in METHODS for method in value)
+        return value, all(method in METHODS for method in value) and len(set(value)) == len(value)
     if option == "--s-grid":
         value = [float(token) for token in text.split(",") if token.strip()]
         return value, bool(value) and all(1e-100 < s < 1e100 for s in value)
