@@ -12,6 +12,11 @@ and facet entry and every electrode term lands in it, so each system and
 each perturbation's nodal block is one fill of sparse data in place, with
 the bits that summing and converting sparse blocks gave.
 
+Every cell's stiffness matrix is one broadcast product per axis over the
+mesh's axis-major gradients, ``(w * g_i) * g_j`` with ``w = volume *
+sigma``, the axes added in order to +0.0: the product and summation order
+of ``np.einsum("c,cid,cjd->cij", ...)``, so its bits.
+
 The fill-reducing ordering comes from ``splu``'s own MMD ordering of
 ``K.T + K``. The plan keeps that of the last pattern it factored, and a
 system of the same compressed pattern is factored pre-permuted in its
@@ -183,9 +188,21 @@ class PerturbationOperator:
 
 
 def _cell_matrices(mesh, sigma: np.ndarray) -> np.ndarray:
-    """The stiffness matrix of every cell for the per-cell field ``sigma``, (n_cells, d+1, d+1)."""
-    grads = mesh.cell_gradients
-    return np.einsum("c,cid,cjd->cij", mesh.cell_volumes * sigma, grads, grads)
+    """The stiffness matrix of every cell for the per-cell field ``sigma``, (n_cells, d+1, d+1).
+
+    Entry (c, i, j) is ``sum_d (w_c g_cid) g_cjd`` with ``w = volume * sigma``:
+    per axis d the product ``(w * g_i) * g_j``, the axes added in order to
+    +0.0. That is the product and summation order of
+    ``np.einsum("c,cid,cjd->cij", w, grads, grads)``, so the bits are its
+    bits, zeros of either sign included. Each axis is one broadcast product
+    over rows of all cells (:attr:`~eitrev.mesh.SimplicialMesh.gradient_axes`).
+    """
+    w = mesh.cell_volumes * sigma
+    axes = mesh.gradient_axes
+    out = np.zeros((axes.shape[1], axes.shape[1], len(w)))
+    for g in axes:
+        out += (w * g)[:, None, :] * g[None, :, :]
+    return out.transpose(2, 0, 1).copy()
 
 
 def _form_terms(layout: ElectrodeLayout, pair: ConductivityPair) -> tuple:
@@ -380,23 +397,40 @@ class SystemPlan:
 
 
 # Labels per batched product in the block Gram kernels. It bounds their
-# temporaries, about 2 * CHUNK * n * k floats for n vertices and k
-# solutions, to a few times those of one perturbation's form.
+# buffer, CHUNK * n * k floats for n vertices and k solutions, to a few
+# times the temporaries of one perturbation's form.
 CHUNK = 4
 
 
-def _chunks(n_labels: int):
+def _sparse_grams(
+    u: np.ndarray, n_labels: int, label: np.ndarray, row: np.ndarray, values: np.ndarray
+) -> np.ndarray:
+    """``u.T @ X_i`` for each label ``i``, (n_labels, k, k), ``u`` of shape (n, k).
+
+    ``X_i`` is (n, k), +0.0 save the rows ``row[e]`` of the ``e`` with
+    ``label[e] == i``, which hold ``values[e]``; ``label`` is ascending. The
+    products are batched ``CHUNK`` labels at a time through one zero buffer
+    of the dense ``(CHUNK, n, k)`` operand, whose written rows are reset to
+    +0.0 after each product. Each operand has the bits and the shape of a
+    fresh dense one, so each product does too.
+    """
+    n, k = u.shape
+    out = np.empty((n_labels, k, k))
+    buffer = np.zeros((min(CHUNK, n_labels), n, k))
     for lo in range(0, n_labels, CHUNK):
-        yield lo, min(lo + CHUNK, n_labels)
+        hi = min(lo + CHUNK, n_labels)
+        a, b = np.searchsorted(label, (lo, hi))
+        at = (label[a:b] - lo, row[a:b])
+        buffer[at] = values[a:b]
+        np.matmul(u.T, buffer[: hi - lo], out=out[lo:hi])
+        buffer[at] = 0.0
+    return out
 
 
 def _stacked_grams(stack, local: np.ndarray, u: np.ndarray) -> np.ndarray:
     """``u.T @ (block @ u)`` for each block of a :class:`~eitrev.scatter.StackedPlan`, (L, k, k)."""
     product = stack.assemble(local) @ u
-    out = np.empty((stack.n_labels, u.shape[1], u.shape[1]))
-    for lo, hi in _chunks(stack.n_labels):
-        out[lo:hi] = np.matmul(u.T, stack.blocks(product, lo, hi))
-    return out
+    return _sparse_grams(u, stack.n_labels, stack.row_label, stack.row_vertex, product)
 
 
 def cluster_grams(system: "AssembledSystem", sigma: np.ndarray, stack, sols: SolutionSet):
@@ -425,16 +459,17 @@ def electrode_grams(system: "AssembledSystem", zeta: np.ndarray, sols: SolutionS
     sums one product with zeros of either sign, save row ``m`` of
     ``R.T @ u``, which is that of the same ``(M, n) @ (n, k)`` product here.
     A BLAS sum starts at +0.0, so such a sum is that one product, or +0.0
-    where the product is zero: the outer product below, plus 0.0. ``R @ U``
-    enters ``u.T @ ...`` with the operator's shapes, and the four terms are
-    combined in the operator's order.
+    where the product is zero: the outer product ``R[:, m] U[m]``, plus 0.0.
+    Its rows where ``R[:, m]`` is zero are +0.0, so only the others are
+    written. ``R @ U`` enters ``u.T @ ...`` with the operator's shapes, and
+    the four terms are combined in the operator's order.
     """
     layout = system.layout
     u, U = sols.u, sols.U
     fmats, R, D = _contact_terms(layout, layout.equad_weights * zeta)
     out = _stacked_grams(layout.facet_stack, fmats, u)
-    for lo, hi in _chunks(len(out)):
-        out[lo:hi] -= np.matmul(u.T, R.T[lo:hi, :, None] * U[lo:hi, None, :] + 0.0)
+    m, r = np.nonzero(R.T)
+    out -= _sparse_grams(u, len(out), m, r, R[r, m][:, None] * U[m] + 0.0)
     out -= U[:, :, None] * (R.T @ u)[:, None, :] + 0.0
     out += U[:, :, None] * (D[:, None] * U)[:, None, :] + 0.0
     return out

@@ -382,7 +382,9 @@ class Reconstructor:
     It holds only what every item shares, built once and not changed after:
     the origin stack (with its coordinate Jacobian), the noise model, the
     prior and the regularized inverse. :meth:`with_gammas` gives one for
-    another prior that shares the stack and the noise model. :meth:`item`
+    another prior that shares the stack, the noise model and the origin
+    normal product, which the origin inverse keeps from the first such
+    call. :meth:`item`
     opens the state of one data matrix, and :meth:`run` reconstructs it.
     """
 
@@ -390,20 +392,20 @@ class Reconstructor:
         self.rec = rec
         self.stack0 = DerivativeStack(rec.param, rec.param.zero())
         self.noise = build_noise_cov(*rec.spec.deltas, self.stack0.lam)
-        self._set_prior(gammas if gammas is not None else rec.spec.gammas)
-
-    def _set_prior(self, gammas: PriorGammas) -> None:
-        self.prior = build_prior(self.rec.param, gammas)
+        self.prior = build_prior(rec.param, gammas if gammas is not None else rec.spec.gammas)
         self.inverse0 = TikhonovInverse(self.stack0, self.prior, self.noise)
 
     def with_gammas(self, gammas: PriorGammas) -> "Reconstructor":
         """A reconstructor with another prior on the same model.
 
-        It shares the origin stack, its cached Jacobian and the noise model,
-        and builds only its own prior and regularized inverse.
+        It shares the origin stack, its cached Jacobian, the noise model and
+        the origin normal product ``J.T Gamma^-1 J``
+        (:meth:`~eitrev.inversion.TikhonovInverse.with_prior`), and builds
+        only its own prior and the factor of its normal matrix.
         """
         other = copy.copy(self)
-        other._set_prior(gammas)
+        other.prior = build_prior(self.rec.param, gammas)
+        other.inverse0 = self.inverse0.with_prior(other.prior)
         return other
 
     @property
@@ -782,8 +784,9 @@ def experiment2(
     strengths are scaled along with the target; the noise level tracks the
     absolute size of the reference data and so does not vanish with s. Only
     the prior changes with s: the origin model (stack, Jacobian, noise model)
-    is built once, in set-up, and shared through
-    :meth:`Reconstructor.with_gammas`. The first failed reconstruction raises.
+    is built once, in set-up, and shared, with the origin normal product,
+    through :meth:`Reconstructor.with_gammas`. The first failed
+    reconstruction raises.
     """
     methods = _check_methods(methods)
     seed = case.seed if seed is None else check_seed(seed)

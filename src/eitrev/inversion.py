@@ -9,8 +9,10 @@ inverse is reused for every order of the recursion.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -135,15 +137,29 @@ class NoiseModel:
     ``pattern_std[i, m]`` is the standard deviation of the noise on electrode
     i under the m-th physical current pattern; ``cov`` is the exact covariance
     of the transformed noise on the vectorized data matrix, and ``inv`` its
-    (pseudo-)inverse with a relative rank cutoff.
+    (pseudo-)inverse with a relative rank cutoff, computed on first read: a
+    model that only draws noise never needs it.
     """
 
     delta1: float
     delta2: float
     pattern_std: np.ndarray  # (M, M-1)
     cov: np.ndarray  # ((M-1)^2, (M-1)^2)
-    inv: np.ndarray
     basis: CurrentBasis
+
+    @cached_property
+    def inv(self) -> np.ndarray:
+        """The read-only pseudo-inverse of ``cov`` by ``eigh``; zero without noise."""
+        if self.delta1 == 0.0 and self.delta2 == 0.0:
+            inv = np.zeros_like(self.cov)
+        else:
+            evals, evecs = np.linalg.eigh(self.cov)
+            cut = RANK_CUTOFF * evals.max()
+            with np.errstate(divide="ignore"):
+                inv_evals = np.where(evals > cut, 1.0 / evals, 0.0)
+            inv = (evecs * inv_evals[None, :]) @ evecs.T
+        inv.setflags(write=False)
+        return inv
 
     def draw_raw(self, rng: np.random.Generator) -> np.ndarray:
         """One draw of the physical noise matrix (columns per pattern)."""
@@ -176,23 +192,7 @@ def build_noise_cov(delta1: float, delta2: float, lam_ref: np.ndarray) -> NoiseM
         cov = scaled @ scaled.T
     if not np.isfinite(cov).all():
         raise ValueError(f"deltas {(delta1, delta2)!r} are too large: their covariance overflows")
-
-    if delta1 == 0.0 and delta2 == 0.0:
-        inv = np.zeros_like(cov)
-    else:
-        evals, evecs = np.linalg.eigh(cov)
-        cut = RANK_CUTOFF * evals.max()
-        with np.errstate(divide="ignore"):
-            inv_evals = np.where(evals > cut, 1.0 / evals, 0.0)
-        inv = (evecs * inv_evals[None, :]) @ evecs.T
-    return NoiseModel(
-        delta1=delta1,
-        delta2=delta2,
-        pattern_std=pattern_std,
-        cov=cov,
-        inv=inv,
-        basis=basis,
-    )
+    return NoiseModel(delta1=delta1, delta2=delta2, pattern_std=pattern_std, cov=cov, basis=basis)
 
 
 # ---------------------------------------------------------------------------
@@ -279,6 +279,8 @@ class TikhonovInverse:
     Minimizes |vec(J eta - Psi)|^2 in the inverse noise covariance plus
     |eta|^2 in the inverse prior covariance, through the normal equations;
     the solution is unique because the normal matrix is positive definite.
+    :meth:`with_prior` gives the inverse of the same linearization under
+    another prior.
     """
 
     def __init__(
@@ -298,8 +300,25 @@ class TikhonovInverse:
             J = self._proj @ J
         self.jacobian = J
         self._JtGi = J.T @ noise.inv
-        H = self._JtGi @ J + prior.inv
-        self._cho = sla.cho_factor(H)
+        self._cho = sla.cho_factor(self._JtGi @ J + prior.inv)
+
+    @cached_property
+    def _normal(self) -> np.ndarray:
+        """``J.T Gamma^-1 J``, kept once :meth:`with_prior` has read it."""
+        return self._JtGi @ self.jacobian
+
+    def with_prior(self, prior: PriorModel) -> "TikhonovInverse":
+        """The inverse of this linearization and projection under ``prior``.
+
+        It shares the Jacobian, ``J.T Gamma^-1`` and ``J.T Gamma^-1 J``, which
+        it and every inverse it gives keep, and only adds ``prior.inv`` and
+        factors: bit for bit the inverse built afresh with ``prior``.
+        """
+        normal = self._normal
+        other = copy.copy(self)
+        other.prior = prior
+        other._cho = sla.cho_factor(normal + prior.inv)
+        return other
 
     def __call__(self, matrix: np.ndarray):
         rhs = vec(matrix)

@@ -102,7 +102,18 @@ class SimplicialMesh:
 
     @cached_property
     def cell_gradients(self) -> np.ndarray:
-        """Constant gradients of the nodal hat functions per cell, (n_cells, d+1, d)."""
+        """Constant gradients of the nodal hat functions per cell, (n_cells, d+1, d).
+
+        A copy of :attr:`gradient_axes`, made on first read.
+        """
+        return _freeze(np.ascontiguousarray(self.gradient_axes.transpose(2, 1, 0)))
+
+    @cached_property
+    def gradient_axes(self) -> np.ndarray:
+        """The hat function gradients axis by axis, (d, d+1, n_cells).
+
+        Row ``[a, i]`` holds component ``a`` of hat ``i``'s gradient in every cell.
+        """
         d = self.dimension
         coords = self.vertices[self.cells]  # (nc, d+1, d)
         edges = coords[:, 1:, :] - coords[:, :1, :]  # (nc, d, d)
@@ -110,7 +121,7 @@ class SimplicialMesh:
         grads = np.empty((self.n_cells, d + 1, d))
         grads[:, 1:, :] = np.swapaxes(inv, 1, 2)
         grads[:, 0, :] = -grads[:, 1:, :].sum(axis=1)
-        return _freeze(grads)
+        return _freeze(np.ascontiguousarray(grads.transpose(2, 1, 0)))
 
     @cached_property
     def cell_plan(self) -> ScatterPlan:

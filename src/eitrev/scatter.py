@@ -139,8 +139,8 @@ class StackedPlan:
     partial sum as it is and the other terms in their order, a zero partial
     sum plus the next term is that term, and an entry whose sum is zero is
     dropped either way. Most rows of the stack are empty, so the plan keeps
-    only the others, ordered by label and then by row, and :meth:`blocks`
-    puts a product of them back in place.
+    only the others, ordered by label and then by row: row ``r`` of
+    :meth:`assemble` is row ``row_vertex[r]`` of block ``row_label[r]``.
 
     Entries that sum to zero stay stored, where :func:`compressed` drops
     them. A product with finite operands is the same bit for bit either way:
@@ -165,14 +165,12 @@ class StackedPlan:
         self.indptr = np.append(row_starts, len(starts)).astype(plan.indptr.dtype)
         self.row_label = label[starts[row_starts]]
         self.row_vertex = entry_row[entry[starts[row_starts]]]
-        self.label_start = np.searchsorted(self.row_label, np.arange(n_labels + 1))
         for arr in (
             self.first,
             self.indices,
             self.indptr,
             self.row_label,
             self.row_vertex,
-            self.label_start,
             *(a for r in self.ranks for a in r),
         ):
             arr.setflags(write=False)
@@ -182,14 +180,3 @@ class StackedPlan:
         data = _summed(local, self.first, self.ranks)
         shape = (len(self.row_label), self.n)
         return sp.csr_matrix((data, self.indices, self.indptr), shape=shape)
-
-    def blocks(self, rows: np.ndarray, lo: int, hi: int) -> np.ndarray:
-        """Blocks ``lo`` to ``hi - 1`` of a product ``assemble(local) @ x``, shaped (hi - lo, n, k).
-
-        ``rows`` is that product, one row for each non-empty row of the stack;
-        the empty rows are +0.0, as a sparse product leaves them.
-        """
-        a, b = self.label_start[lo], self.label_start[hi]
-        out = np.zeros((hi - lo, self.n, rows.shape[1]))
-        out[self.row_label[a:b] - lo, self.row_vertex[a:b]] = rows[a:b]
-        return out

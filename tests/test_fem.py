@@ -669,6 +669,36 @@ def _signed_pair(layout, rng, zero_fraction):
     return ConductivityPair(field(layout.mesh.n_cells), field(layout.equad_weights.shape))
 
 
+class TestCellMatrices:
+    """The broadcast stiffness kernel gives the bits of the einsum formula it replaced."""
+
+    @settings(max_examples=60)
+    @given(data=st.data())
+    def test_cell_matrices_equal_the_einsum_formula(self, plan_layouts, data):
+        name = data.draw(st.sampled_from(sorted(plan_layouts)), label="geometry")
+        zero_fraction = data.draw(st.sampled_from([0.0, 0.3, 0.9, 1.0]), label="zero fraction")
+        spread = data.draw(st.sampled_from([0.0, 5.0, 100.0]), label="log10 spread")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        mesh = plan_layouts[name].mesh
+        n, d = mesh.n_cells, mesh.dimension
+        values = rng.standard_normal(n) * 10.0 ** (spread * rng.uniform(-1.0, 1.0, n))
+        sigma = np.where(rng.random(n) < zero_fraction, _signed_zeros(rng, n), values)
+        grads = mesh.cell_gradients
+        oracle = np.einsum("c,cid,cjd->cij", mesh.cell_volumes * sigma, grads, grads)
+        cellmats = fem._cell_matrices(mesh, sigma)
+        assert cellmats.shape == (n, d + 1, d + 1) and cellmats.flags.c_contiguous
+        # tobytes, not array_equal: the sign of a zero entry must match too
+        assert cellmats.tobytes() == oracle.tobytes()
+
+    def test_gradient_axes_are_cached_read_only_and_the_gradients(self, plan_layouts):
+        for layout in plan_layouts.values():
+            mesh = layout.mesh
+            axes = mesh.gradient_axes
+            assert mesh.gradient_axes is axes and not axes.flags.writeable
+            assert axes.flags.c_contiguous
+            assert axes.tobytes() == np.ascontiguousarray(mesh.cell_gradients.T).tobytes()
+
+
 class TestSystemPlan:
     """Matrices filled through a layout's system plan equal COO oracles built without it."""
 

@@ -99,6 +99,22 @@ class TestDraws:
         corr = np.corrcoef(draws[i], draws[j])[0, 1]
         assert corr == pytest.approx(math.exp(-0.5), abs=0.05)
 
+    def test_sample_covariance_matches_the_prior_covariance(self, sides):
+        # the Monte Carlo pattern of acceptance criterion 5, on C1's reconstruction side
+        _, rec = sides
+        prior = build_prior(rec.param, rec.spec.gammas)
+        cov = prior.cov
+        n, chunk = 50_000, 5_000
+        rng = sample_rng(79, 0)
+        acc = np.zeros_like(cov)
+        for _ in range(n // chunk):
+            draws = np.column_stack([prior.sample(rng) for _ in range(chunk)])
+            acc += draws @ draws.T
+        rel = np.linalg.norm(acc / n - cov) / np.linalg.norm(cov)
+        # E|S - C|_F^2 = (|C|_F^2 + tr(C)^2) / n for n zero-mean Gaussian draws
+        rms = math.sqrt((1.0 + np.trace(cov) ** 2 / np.sum(cov * cov)) / n)
+        assert rel < 3.0 * rms < 0.03
+
     @pytest.mark.parametrize("seed, index", [(-1, 0), (2**64, 0), (0, -1)])
     def test_sample_stream_outside_key_range_raises(self, seed, index):
         with pytest.raises(ValueError, match="must be an integer in 0..2"):
@@ -395,6 +411,15 @@ class TestExperiment2:
         with pytest.raises(ValueError, match="seed must be an integer"):
             experiment2(small_case, [0.5], seed=-1)
 
+    @pytest.mark.parametrize("name", ["C1", "C3"])
+    def test_set_up_computes_one_noise_inverse(self, name, monkeypatch):
+        # the reconstruction side's, for its inverse; the measurement noise only draws
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
+        *_, recon, _, meas_noise = harness._setup(CASES[name])
+        assert calls == [recon.noise.cov.shape]
+        assert "inv" in vars(recon.noise) and "inv" not in vars(meas_noise)
 
     def test_one_origin_model_per_call(self, small_case, monkeypatch):
         stacks, noise_models = [], []
@@ -619,6 +644,38 @@ class TestReconstructor:
         fresh = Reconstructor(rec, gammas=gammas)
         for method in ("2", "1,1"):
             self._assert_same(self._run(other, method, data), self._run(fresh, method, data))
+
+    S_GRID = np.geomspace(0.1, 3.2, 8)  # the scaling grid of the l4-scaling benchmark
+
+    @staticmethod
+    def _assert_same_inverse(inverse, fresh, data):
+        """The same Cholesky factor and the same step on ``data``, bit for bit."""
+        (factor, lower), (fresh_factor, fresh_lower) = inverse._cho, fresh._cho
+        assert lower == fresh_lower and factor.tobytes() == fresh_factor.tobytes()
+        assert inverse(data).to_flat().tobytes() == fresh(data).to_flat().tobytes()
+
+    def test_with_gammas_inverse_equals_a_fresh_build_on_the_grid(self, sides, data):
+        _, rec = sides
+        base = recon = Reconstructor(rec)
+        for s in self.S_GRID:  # chained, as experiment2 rebuilds it point by point
+            gammas = rec.spec.gammas.scaled(float(s))
+            recon = recon.with_gammas(gammas)
+            fresh = TikhonovInverse(recon.stack0, build_prior(rec.param, gammas), recon.noise)
+            assert recon.inverse0.jacobian is base.inverse0.jacobian
+            assert recon.inverse0._JtGi is base.inverse0._JtGi
+            self._assert_same_inverse(recon.inverse0, fresh, data)
+
+    def test_with_prior_keeps_the_feed_and_measure_projections(self, sides, data):
+        _, rec = sides
+        recon = Reconstructor(rec)
+        feed, measure = range(0, 16, 2), range(1, 16, 3)
+        inverse = TikhonovInverse(recon.stack0, recon.prior, recon.noise, feed, measure)
+        for s in self.S_GRID:
+            prior = build_prior(rec.param, rec.spec.gammas.scaled(float(s)))
+            inverse = inverse.with_prior(prior)
+            fresh = TikhonovInverse(recon.stack0, prior, recon.noise, feed, measure)
+            assert inverse.prior is prior
+            self._assert_same_inverse(inverse, fresh, data)
 
     def test_an_unknown_method_is_rejected(self, recon, data):
         with pytest.raises(ValueError, match="unknown method '4'"):

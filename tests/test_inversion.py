@@ -116,6 +116,29 @@ class TestNoise:
         with pytest.raises(ValueError, match=message):
             build_noise_cov(*deltas, stack8.lam)
 
+    @staticmethod
+    def _eager_inverse(noise):
+        """The pseudo-inverse as ``build_noise_cov`` once computed it while building the model."""
+        if noise.delta1 == 0.0 and noise.delta2 == 0.0:
+            return np.zeros_like(noise.cov)
+        evals, evecs = np.linalg.eigh(noise.cov)
+        cut = 1e-12 * evals.max()
+        with np.errstate(divide="ignore"):
+            inv_evals = np.where(evals > cut, 1.0 / evals, 0.0)
+        return (evecs * inv_evals[None, :]) @ evecs.T
+
+    @pytest.mark.parametrize("deltas", [(0.0, 0.0), (0.01, 0.0), (0.0, 0.01), (1e-4, 1e-3)])
+    def test_inverse_on_first_read_equals_the_eager_formula(self, stack8, deltas, monkeypatch):
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(1) or eigh(a))
+        noise = build_noise_cov(*deltas, stack8.lam)
+        assert not calls  # building the model computes no inverse
+        inv = noise.inv
+        assert noise.inv is inv and not inv.flags.writeable
+        assert len(calls) == (deltas != (0.0, 0.0))
+        assert inv.tobytes() == self._eager_inverse(noise).tobytes()
+
     def test_inverse_is_pseudo_inverse(self, stack8, basis8):
         noise = build_noise_cov(1e-4, 1e-3, stack8.lam)
         approx = noise.cov @ noise.inv @ noise.cov
