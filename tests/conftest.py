@@ -1,5 +1,7 @@
 """Shared fixtures: desk-scale meshes, layouts, partitions, and stacks."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -7,6 +9,7 @@ from hypothesis import settings
 from eitrev import fem
 from eitrev.calculus import DerivativeStack
 from eitrev.mesh import (
+    build_mesh,
     cluster_partition,
     define_electrodes,
     disk_electrode_midpoints,
@@ -18,6 +21,31 @@ from eitrev.model import ConductivityPair, ModelConfig, Parametrization
 # is not a failure: Tier-1 stays deterministic.
 settings.register_profile("tier1", derandomize=True, deadline=None)
 settings.load_profile("tier1")
+
+
+def kuhn_cube(n: int = 2):
+    """Unit cube split into n^3 subcubes of six tetrahedra each."""
+    pts = np.linspace(0.0, 1.0, n + 1)
+    index = {}
+    vertices = []
+    for i, x in enumerate(pts):
+        for j, y in enumerate(pts):
+            for k, z in enumerate(pts):
+                index[(i, j, k)] = len(vertices)
+                vertices.append([x, y, z])
+    # Kuhn decomposition of each subcube along permutations of (1,1,1)
+    cells = []
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                for perm in itertools.permutations(range(3)):
+                    path = [(i, j, k)]
+                    for axis in perm:
+                        prev = list(path[-1])
+                        prev[axis] += 1
+                        path.append(tuple(prev))
+                    cells.append([index[p] for p in path])
+    return build_mesh(3, np.array(vertices), np.array(cells, dtype=int))
 
 
 @pytest.fixture(scope="session")

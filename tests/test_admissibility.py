@@ -32,7 +32,7 @@ from eitrev.model import (
     bump,
     contact_admissible,
 )
-from test_three_dimensional import kuhn_cube
+from conftest import kuhn_cube
 
 # ---------------------------------------------------------------------------
 # Reference: the scalar per-electrode check

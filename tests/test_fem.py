@@ -17,7 +17,7 @@ from eitrev.mesh import (
 from eitrev.model import ConductivityPair, ModelConfig, Parametrization
 from eitrev.fem import IndefiniteSystemError
 from test_scatter import _contact_reference, _stiffness_reference
-from test_three_dimensional import kuhn_cube
+from conftest import kuhn_cube
 
 
 def one_cell_setup():

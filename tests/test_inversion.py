@@ -22,7 +22,7 @@ from eitrev.inversion import (
 )
 from eitrev.mesh import cluster_partition, define_electrodes
 from eitrev.model import ConductivityPair, ModelConfig, Parametrization, ParamVector
-from test_three_dimensional import kuhn_cube
+from conftest import kuhn_cube
 
 
 class TestPrior:

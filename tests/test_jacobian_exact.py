@@ -22,7 +22,7 @@ from eitrev.mesh import (
     generate_disk_mesh,
 )
 from eitrev.model import ModelConfig, Parametrization
-from test_three_dimensional import kuhn_cube
+from conftest import kuhn_cube
 
 CUBE_MIDPOINTS = np.array([[0.5, 0.0, 0.5], [1.0, 0.5, 0.5], [0.5, 1.0, 0.5], [0.0, 0.5, 0.5]])
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from eitrev.calculus import DerivativeStack
 from eitrev.mesh import cluster_partition, define_electrodes
 from eitrev.model import ModelConfig, ParamVector, Parametrization
-from test_three_dimensional import kuhn_cube
+from conftest import kuhn_cube
 
 CUBE_MIDPOINTS = np.array([[0.5, 0.0, 0.5], [1.0, 0.5, 0.5], [0.5, 1.0, 0.5], [0.0, 0.5, 0.5]])
 

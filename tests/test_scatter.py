@@ -10,7 +10,7 @@ from eitrev import fem, scatter
 from eitrev.mesh import define_electrodes, disk_electrode_midpoints, generate_disk_mesh
 from eitrev.model import ConductivityPair
 from eitrev.scatter import ScatterPlan
-from test_three_dimensional import kuhn_cube
+from conftest import kuhn_cube
 
 CUBE_MIDPOINTS = np.array([[0.5, 0.0, 0.5], [1.0, 0.5, 0.5], [0.5, 1.0, 0.5], [0.0, 0.5, 0.5]])
 GEOMETRIES = ["disk1", "disk2", "disk3", "disk4", "cube2", "cube3"]

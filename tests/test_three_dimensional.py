@@ -7,33 +7,7 @@ from eitrev import fem
 from eitrev.calculus import DerivativeStack
 from eitrev.mesh import TopologyError, build_mesh, cluster_partition, define_electrodes
 from eitrev.model import ModelConfig, ParamVector, Parametrization
-
-
-def kuhn_cube(n: int = 2):
-    """Unit cube split into n^3 subcubes of six tetrahedra each."""
-    pts = np.linspace(0.0, 1.0, n + 1)
-    index = {}
-    vertices = []
-    for i, x in enumerate(pts):
-        for j, y in enumerate(pts):
-            for k, z in enumerate(pts):
-                index[(i, j, k)] = len(vertices)
-                vertices.append([x, y, z])
-    # Kuhn decomposition of each subcube along permutations of (1,1,1)
-    import itertools
-
-    cells = []
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                for perm in itertools.permutations(range(3)):
-                    path = [(i, j, k)]
-                    for axis in perm:
-                        prev = list(path[-1])
-                        prev[axis] += 1
-                        path.append(tuple(prev))
-                    cells.append([index[p] for p in path])
-    return build_mesh(3, np.array(vertices), np.array(cells, dtype=int))
+from conftest import kuhn_cube
 
 
 @pytest.fixture(scope="module")
