@@ -300,12 +300,8 @@ class TikhonovInverse:
             J = self._proj @ J
         self.jacobian = J
         self._JtGi = J.T @ noise.inv
-        self._cho = sla.cho_factor(self._JtGi @ J + prior.inv)
-
-    @cached_property
-    def _normal(self) -> np.ndarray:
-        """``J.T Gamma^-1 J``, kept once :meth:`with_prior` has read it."""
-        return self._JtGi @ self.jacobian
+        self._normal = self._JtGi @ J  # J.T Gamma^-1 J, which with_prior shares
+        self._cho = sla.cho_factor(self._normal + prior.inv)
 
     def with_prior(self, prior: PriorModel) -> "TikhonovInverse":
         """The inverse of this linearization and projection under ``prior``.
@@ -314,10 +310,9 @@ class TikhonovInverse:
         it and every inverse it gives keep, and only adds ``prior.inv`` and
         factors: bit for bit the inverse built afresh with ``prior``.
         """
-        normal = self._normal
         other = copy.copy(self)
         other.prior = prior
-        other._cho = sla.cho_factor(normal + prior.inv)
+        other._cho = sla.cho_factor(self._normal + prior.inv)
         return other
 
     def __call__(self, matrix: np.ndarray):

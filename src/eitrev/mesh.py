@@ -24,7 +24,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .quadrature import facet_measure, facet_rule
+from .quadrature import facet_rule
 from .scatter import ScatterPlan, StackedPlan
 
 MAX_DISK_REFINEMENT = 8
@@ -101,14 +101,6 @@ class SimplicialMesh:
         return _freeze(self.vertices[self.boundary_facets].mean(axis=1))
 
     @cached_property
-    def cell_gradients(self) -> np.ndarray:
-        """Constant gradients of the nodal hat functions per cell, (n_cells, d+1, d).
-
-        A copy of :attr:`gradient_axes`, made on first read.
-        """
-        return _freeze(np.ascontiguousarray(self.gradient_axes.transpose(2, 1, 0)))
-
-    @cached_property
     def gradient_axes(self) -> np.ndarray:
         """The hat function gradients axis by axis, (d, d+1, n_cells).
 
@@ -132,7 +124,7 @@ class SimplicialMesh:
     def cell_adjacency(self) -> tuple[np.ndarray, ...]:
         """Face-adjacent neighbor cells for every cell, each in ascending order."""
         n_local = self.dimension + 1
-        entries, starts, sizes = _facet_incidence(self.cells)
+        entries, starts, sizes, _ = _facet_incidence(self.cells)
         first = starts[sizes == 2]
         a, b = entries[first] // n_local, entries[first + 1] // n_local
         cell, neighbor = np.concatenate([a, b]), np.concatenate([b, a])
@@ -141,75 +133,107 @@ class SimplicialMesh:
         return tuple(_freeze(n) for n in np.split(neighbor[order], split))
 
 
-def _facet_incidence(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _facet_incidence(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The facets of all cells, grouped by vertex set.
 
     Entry ``e`` is the facet of cell ``e // (d + 1)`` that omits its local
-    vertex ``e % (d + 1)``. Returns the entries sorted by facet, the start
-    of each group of equal facets and the group sizes; within a group the
-    entries keep ascending order.
+    vertex ``e % (d + 1)``; row ``e`` of ``facets`` lists its vertices in
+    cell order. Returns the entries sorted by facet, the start of each group
+    of equal facets, the group sizes and ``facets``; within a group the
+    entries keep ascending order. Groups of one are the facets on the rim of
+    the cells: the boundary of a mesh, or the rim of an electrode patch.
     """
     n_local = cells.shape[1]
     omit = np.array([[j for j in range(n_local) if j != k] for k in range(n_local)])
-    keys = np.sort(cells[:, omit], axis=2).reshape(-1, n_local - 1)
+    facets = cells[:, omit].reshape(-1, n_local - 1)
+    keys = np.sort(facets, axis=1)
     entries = np.lexsort(keys.T[::-1])
     keys = keys[entries]
     new = np.ones(len(keys), dtype=bool)
     new[1:] = np.any(keys[1:] != keys[:-1], axis=1)
     starts = np.flatnonzero(new)
     sizes = np.diff(np.append(starts, len(keys)))
-    return entries, starts, sizes
+    return entries, starts, sizes, facets
+
+
+def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The dot product of each row pair, with the bits of ``np.dot`` (so ``sqrt`` of it: ``norm``).
+
+    One (1, d) @ (d, 1) product per row, which numpy computes as the dot of two d-vectors.
+    """
+    return np.matmul(u[:, None, :], v[:, :, None])[:, 0, 0]
 
 
 def _signed_volumes(vertices: np.ndarray, cells: np.ndarray) -> np.ndarray:
     coords = vertices[cells]
-    edges = coords[:, 1:, :] - coords[:, :1, :]
-    det = np.linalg.det(edges)
-    dim = vertices.shape[1]
-    return det / (2.0 if dim == 2 else 6.0)
+    return np.linalg.det(coords[:, 1:] - coords[:, :1]) / (2.0 if vertices.shape[1] == 2 else 6.0)
 
 
 def build_mesh(dimension: int, vertices: np.ndarray, cells: np.ndarray) -> SimplicialMesh:
     """Assemble a validated mesh from raw vertex and cell arrays.
 
     A row of ``vertices`` holds ``dimension`` (2 or 3) finite coordinates, a
-    row of ``cells`` ``dimension + 1`` indices. Cells with negative signed
-    volume are reoriented; out-of-range indices, degenerate or duplicate
-    cells, non-manifold facet incidences and vertices that no cell uses raise
-    :class:`TopologyError`.
+    row of ``cells`` ``dimension + 1`` integer indices. Cells with negative
+    signed volume are reoriented; another dimension, arrays of another
+    shape, coordinates that are not finite, indices that are not integers
+    or out of range, degenerate or duplicate cells, non-manifold facet
+    incidences and vertices that no cell uses raise :class:`TopologyError`,
+    which names the shape or the first entry at fault.
     """
-    vertices = np.ascontiguousarray(vertices, dtype=float)
-    cells = np.ascontiguousarray(cells, dtype=int)
-    if cells.size and (cells.min() < 0 or cells.max() >= len(vertices)):
-        raise TopologyError("cell vertex index out of range")
+    if dimension not in (2, 3):
+        raise TopologyError(f"dimension must be 2 or 3, got {dimension!r}")
+    vertices = np.array(vertices, dtype=float, order="C")
+    cells = np.asarray(cells)
+    for name, array, width in (("vertices", vertices, dimension), ("cells", cells, dimension + 1)):
+        if array.ndim != 2 or array.shape[1] != width:
+            raise TopologyError(f"{name} of shape {array.shape}: expected rows of {width}")
+    bad = np.argwhere(~np.isfinite(vertices))
+    if bad.size:
+        v, a = bad[0]
+        raise TopologyError(f"vertex {v} has coordinate {vertices[v, a]}, which is not finite")
+    if cells.dtype.kind not in "iu":
+        cells = cells.astype(float)
+        bad = np.argwhere(cells != np.floor(cells))
+        if bad.size:
+            c, k = bad[0]
+            raise TopologyError(f"cell {c} has vertex index {cells[c, k]}, not an integer")
+    bad = np.argwhere((cells < 0) | (cells >= len(vertices)))
+    if bad.size:
+        c, k = bad[0]
+        raise TopologyError(f"cell {c} has vertex index {cells[c, k]}, which is out of range")
+    cells = np.array(cells, dtype=int, order="C")
     unused = np.flatnonzero(np.bincount(cells.ravel(), minlength=len(vertices)) == 0)
     if unused.size:
         raise TopologyError(f"vertex {unused[0]} belongs to no cell")
 
-    cells = cells.copy()
     vol = _signed_volumes(vertices, cells)
     flip = vol < 0
-    cells[flip, -2], cells[flip, -1] = cells[flip, -1].copy(), cells[flip, -2].copy()
-    vol = np.abs(vol)
-    if np.any(vol <= 0):
+    cells[flip, -2:] = cells[flip, -1:-3:-1]
+    if np.any(vol == 0):
         raise TopologyError("mesh contains a degenerate (zero volume) cell")
 
     if len(np.unique(np.sort(cells, axis=1), axis=0)) != len(cells):
         raise TopologyError("mesh contains duplicated cells")
 
     # Facet incidence: boundary facets belong to exactly one cell.
-    entries, starts, sizes = _facet_incidence(cells)
+    entries, starts, sizes, facets = _facet_incidence(cells)
     if np.any(sizes > 2):
         raise TopologyError("non-manifold facet shared by more than two cells")
-    bcells, omitted = np.divmod(entries[starts[sizes == 1]], dimension + 1)
-    if bcells.size == 0:
+    outer = entries[starts[sizes == 1]]
+    if outer.size == 0:
         raise TopologyError("mesh has no boundary")
-    bfacets = [
-        _orient_outward(vertices, cells[ci], np.delete(cells[ci], k))
-        for ci, k in zip(bcells, omitted)
-    ]
-    order = np.lexsort(np.array(bfacets, dtype=int).T[::-1])
-    boundary_facets = np.array(bfacets, dtype=int)[order]
+    # Outward: swap the last two vertices of a facet whose normal points into its cell.
+    bfacets = facets[outer]
+    coords = vertices[bfacets]
+    edges = coords[:, 1:] - coords[:, :1]
+    if dimension == 2:
+        normals = np.column_stack([edges[:, 0, 1], -edges[:, 0, 0]])
+    else:
+        normals = np.cross(edges[:, 0], edges[:, 1])
+    away = coords.mean(axis=1) - vertices[cells[outer // (dimension + 1)]].mean(axis=1)
+    inward = _dot(normals, away) < 0
+    bfacets[inward, -2:] = bfacets[inward, -1:-3:-1]
+    boundary_facets = bfacets[np.lexsort(bfacets.T[::-1])]
 
     _freeze(vertices, cells, boundary_facets)
     return SimplicialMesh(dimension, vertices, cells, boundary_facets)
@@ -220,21 +244,6 @@ def _freeze(*arrays: np.ndarray) -> np.ndarray:
     for arr in arrays:
         arr.setflags(write=False)
     return arrays[0]
-
-
-def _orient_outward(vertices: np.ndarray, cell: np.ndarray, facet: np.ndarray) -> np.ndarray:
-    coords = vertices[facet]
-    cell_centroid = vertices[cell].mean(axis=0)
-    facet_centroid = coords.mean(axis=0)
-    if len(facet) == 2:
-        t = coords[1] - coords[0]
-        normal = np.array([t[1], -t[0]])
-    else:
-        normal = np.cross(coords[1] - coords[0], coords[2] - coords[0])
-    if np.dot(normal, facet_centroid - cell_centroid) < 0:
-        facet = facet.copy()
-        facet[-2], facet[-1] = facet[-1], facet[-2]
-    return facet
 
 
 # ---------------------------------------------------------------------------
@@ -367,27 +376,31 @@ def generate_disk_mesh(refinement_level: int) -> SimplicialMesh:
 
 
 def _refine_once(mesh: SimplicialMesh) -> SimplicialMesh:
-    boundary = {tuple(sorted(f)) for f in mesh.boundary_facets}
-    vertices = [v for v in mesh.vertices]
-    midpoint: dict[tuple[int, int], int] = {}
+    """Split every triangle into four at its edge midpoints.
 
-    def mid(a: int, b: int) -> int:
-        key = (a, b) if a < b else (b, a)
-        idx = midpoint.get(key)
-        if idx is None:
-            p = 0.5 * (mesh.vertices[a] + mesh.vertices[b])
-            if key in boundary:
-                p = p / np.linalg.norm(p)
-            idx = len(vertices)
-            vertices.append(p)
-            midpoint[key] = idx
-        return idx
+    The edges are the facet groups of the cells, boundary edges the groups
+    of one, whose midpoints go onto the unit circle. New vertices are
+    numbered in the order a walk over the cells meets the edges: ab, bc, ca
+    of each cell, which omit its local vertex 2, 0 and 1.
+    """
+    cells = mesh.cells
+    entries, starts, sizes, facets = _facet_incidence(cells)
+    first = entries[starts]  # an edge is met first in the lowest of its cells
+    order = np.argsort(first - first % 3 + np.array([1, 2, 0])[first % 3])
+    number = np.empty(len(starts), dtype=int)
+    number[order] = mesh.n_vertices + np.arange(len(starts))
+    mid = np.empty(len(entries), dtype=int)
+    mid[entries] = np.repeat(number, sizes)
+    bc, ca, ab = mid.reshape(-1, 3).T
 
-    new_cells = []
-    for a, b, c in mesh.cells:
-        ab, bc, ca = mid(a, b), mid(b, c), mid(c, a)
-        new_cells += [[a, ab, ca], [ab, b, bc], [ca, bc, c], [ab, bc, ca]]
-    return build_mesh(2, np.array(vertices), np.array(new_cells, dtype=int))
+    ends = mesh.vertices[facets[first[order]]]
+    points = 0.5 * (ends[:, 0] + ends[:, 1])
+    rim = points[sizes[order] == 1]
+    points[sizes[order] == 1] = rim / np.sqrt(_dot(rim, rim))[:, None]
+
+    a, b, c = cells.T
+    new_cells = np.column_stack([a, ab, ca, ab, b, bc, ca, bc, c, ab, bc, ca]).reshape(-1, 3)
+    return build_mesh(2, np.concatenate([mesh.vertices, points]), new_cells)
 
 
 # ---------------------------------------------------------------------------
@@ -410,6 +423,7 @@ class LocalMap:
     scale: float
 
     def to_local(self, points: np.ndarray) -> np.ndarray:
+        """The images of ``points`` (..., dim); each 2D slice is one matrix product."""
         return (np.asarray(points) - self.origin) @ self.axes.T * self.scale
 
 
@@ -418,10 +432,10 @@ class ContactGeometry(NamedTuple):
 
     Segment rows hold, electrode by electrode, the rim entities in local
     coordinates: 2D rim points as segments of length zero, 3D rim edges. A
-    segment is stored as its start ``a``, its direction ``ab = b - a`` and
-    ``ab . ab``. Every value is computed per rim entity or per electrode with
-    the same operations a single-electrode check would use, so batched
-    kernels over these arrays reproduce it bit for bit.
+    segment is stored as its start ``a`` (the lower vertex id), its
+    direction ``ab = b - a`` and ``ab . ab``. Every value has the bits of
+    the same operations on one rim entity or one electrode, so batched
+    kernels over these arrays reproduce a single-electrode check bit for bit.
     """
 
     a: np.ndarray  # (n_seg, 2) segment starts
@@ -436,28 +450,26 @@ class ContactGeometry(NamedTuple):
 class ElectrodeLayout:
     """Electrode patches, contact regions, local charts, and their quadrature.
 
-    ``electrodes[m]`` and ``contact_regions[m]`` index into the mesh boundary
-    facets; contact regions are strict subsets built with a smaller radius.
-    The quadrature block caches, for every electrode facet, the physical
-    quadrature nodes, their images in the local chart, and physical weights,
-    so that all surface integrals share one fixed rule.
+    ``electrodes[m]`` indexes into the mesh boundary facets. The quadrature
+    block caches, electrode by electrode, every electrode facet's vertices,
+    the images of its quadrature nodes in the local chart, its physical
+    weights and whether it belongs to the contact region, a strict subset
+    built with a smaller radius; all surface integrals share one fixed rule.
     """
 
     mesh: SimplicialMesh
     electrodes: tuple[np.ndarray, ...]
-    contact_regions: tuple[np.ndarray, ...]
     local_maps: tuple[LocalMap, ...]
 
     # Quadrature over electrode facets, electrode-major ordering.
-    efacets: np.ndarray  # (n_ef,) boundary facet indices
     efacet_electrode: np.ndarray  # (n_ef,) owning electrode
-    efacet_slices: tuple[slice, ...]  # per-electrode range into efacets
+    efacet_slices: tuple[slice, ...]  # per-electrode range of electrode facets
     efacet_vertices: np.ndarray  # (n_ef, dim) vertex ids
     equad_local: np.ndarray  # (n_ef, n_q, 2)
     equad_weights: np.ndarray  # (n_ef, n_q) physical weights
     efacet_measures: np.ndarray  # (n_ef,)
     contact_mask: np.ndarray  # (n_ef,) facet belongs to its contact region
-    rim_local: tuple[np.ndarray, ...]  # per-electrode rim vertices in local coords
+    contact_geometry: ContactGeometry  # local rim images and clamp anchors
 
     @property
     def n_electrodes(self) -> int:
@@ -484,27 +496,6 @@ class ElectrodeLayout:
         from .fem import SystemPlan  # fem builds on this module
 
         return SystemPlan(self)
-
-    @cached_property
-    def contact_geometry(self) -> ContactGeometry:
-        """Read-only local rim images and clamp anchors, for contact admissibility."""
-        a = np.concatenate([rim[:, 0] for rim in self.rim_local])
-        ab = np.concatenate([rim[:, -1] for rim in self.rim_local]) - a
-        n_seg = np.array([len(rim) for rim in self.rim_local])
-        w, y = self.equad_weights, self.equad_local
-        anchors = [
-            (w[sl, :, None] * y[sl]).sum(axis=(0, 1)) / w[sl].sum() for sl in self.efacet_slices
-        ]
-        geometry = ContactGeometry(
-            a=a,
-            ab=ab,
-            ab2=np.array([float(d @ d) for d in ab]),
-            seg_start=np.cumsum(n_seg) - n_seg,
-            n_seg=n_seg,
-            anchors=np.array(anchors),
-        )
-        _freeze(*geometry)
-        return geometry
 
     @cached_property
     def facet_groups(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
@@ -540,19 +531,6 @@ def _principal_axes(centered: np.ndarray, dim: int) -> np.ndarray:
     return np.array(axes)
 
 
-def _rim_entities(facets: np.ndarray) -> list[tuple[int, ...]]:
-    """Sub-facets (vertices in 2D, edges in 3D) on the rim of a patch."""
-    counts: dict[tuple[int, ...], int] = {}
-    for f in facets:
-        if len(f) == 2:
-            subs = [(f[0],), (f[1],)]
-        else:
-            subs = [tuple(sorted((f[i], f[(i + 1) % 3]))) for i in range(3)]
-        for s in subs:
-            counts[s] = counts.get(s, 0) + 1
-    return [s for s, c in counts.items() if c == 1]
-
-
 def define_electrodes(
     mesh: SimplicialMesh,
     midpoints: np.ndarray,
@@ -563,7 +541,9 @@ def define_electrodes(
 
     A boundary facet belongs to electrode ``m`` when its centroid lies within
     ``electrode_radius`` of the midpoint ``x_m``; the contact region uses the
-    same construction with the smaller ``contact_radius``.
+    same construction with the smaller ``contact_radius``. The rim of a patch
+    is its sub-facets (vertices in 2D, edges in 3D) that one of its facets
+    holds.
 
     Raises
     ------
@@ -571,8 +551,19 @@ def define_electrodes(
         If two electrodes claim the same boundary facet.
     EmptyElectrodeError
         If some electrode captures no facet.
+    LayoutError
+        If the midpoints are not finite rows of ``mesh.dimension``
+        coordinates, fewer than two, the radii are not ordered, or a patch is
+        degenerate or has no rim.
     """
     midpoints = np.atleast_2d(np.asarray(midpoints, dtype=float))
+    d = mesh.dimension
+    if midpoints.ndim != 2 or midpoints.shape[1] != d:
+        raise LayoutError(f"midpoints of shape {midpoints.shape}: expected rows of {d}")
+    bad = np.argwhere(~np.isfinite(midpoints))
+    if bad.size:
+        m, a = bad[0]
+        raise LayoutError(f"midpoint {m} has coordinate {midpoints[m, a]}, which is not finite")
     if len(midpoints) < 2:
         raise LayoutError("at least two electrodes are required")
     if not contact_radius < electrode_radius:
@@ -582,7 +573,6 @@ def define_electrodes(
     dist = np.linalg.norm(centroids[None, :, :] - midpoints[:, None, :], axis=2)
     owner = np.full(len(centroids), -1, dtype=int)
     electrodes: list[np.ndarray] = []
-    contacts: list[np.ndarray] = []
     for m in range(len(midpoints)):
         inside = np.where(dist[m] < electrode_radius)[0]
         if inside.size == 0:
@@ -594,62 +584,59 @@ def define_electrodes(
             )
         owner[inside] = m
         electrodes.append(inside)
-        contacts.append(inside[dist[m, inside] < contact_radius])
-
-    local_maps = []
-    for m, facet_ids in enumerate(electrodes):
-        vert_ids = np.unique(mesh.boundary_facets[facet_ids])
-        cloud = mesh.vertices[vert_ids]
-        origin = cloud.mean(axis=0)
-        axes = _principal_axes(cloud - origin, mesh.dimension)
-        proj = (cloud - origin) @ axes.T
-        extent = np.abs(proj).max()
-        if extent <= 0:
-            raise LayoutError(f"electrode {m} is degenerate")
-        _freeze(origin, axes)
-        local_maps.append(LocalMap(origin, axes, 1.0 / extent))
 
     # Electrode-major quadrature cache.
-    bary, ref_w = facet_rule(mesh.dimension)
-    ef, ef_el, slices, contact_mask = [], [], [], []
-    start = 0
-    for m, facet_ids in enumerate(electrodes):
-        ef.extend(facet_ids.tolist())
-        ef_el.extend([m] * len(facet_ids))
-        contact_mask.extend(np.isin(facet_ids, contacts[m]).tolist())
-        slices.append(slice(start, start + len(facet_ids)))
-        start += len(facet_ids)
-    efacets = np.array(ef, dtype=int)
-    efacet_electrode = np.array(ef_el, dtype=int)
+    efacets = np.concatenate(electrodes)
+    counts = [len(facet_ids) for facet_ids in electrodes]
+    stops = np.cumsum(counts).tolist()
+    slices = [slice(stop - n, stop) for n, stop in zip(counts, stops)]
+    efacet_electrode = np.repeat(np.arange(len(electrodes)), counts)
+    contact_mask = dist[efacet_electrode, efacets] < contact_radius
     efacet_vertices = mesh.boundary_facets[efacets]
     coords = mesh.vertices[efacet_vertices]  # (n_ef, dim_facet, dim)
+    # a segment's length |e1|, a triangle's area |e1 x e2| / 2
+    edges = coords[:, 1:] - coords[:, :1]
+    spans = edges[:, 0] if d == 2 else np.cross(edges[:, 0], edges[:, 1])
+    measures = np.sqrt(_dot(spans, spans)) / (d - 1)
+    bary, ref_w = facet_rule(d)
     equad_points = np.einsum("qk,fkd->fqd", bary, coords)
-    measures = np.array([facet_measure(c) for c in coords])
     equad_weights = measures[:, None] * ref_w[None, :]
     equad_local = np.empty(equad_points.shape[:2] + (2,))
-    for m in range(len(midpoints)):
-        sl = slices[m]
-        pts = equad_points[sl].reshape(-1, mesh.dimension)
-        equad_local[sl] = local_maps[m].to_local(pts).reshape(sl.stop - sl.start, -1, 2)
 
-    rim_local = []
-    for m, facet_ids in enumerate(electrodes):
-        rims = _rim_entities(mesh.boundary_facets[facet_ids])
-        if not rims:
+    local_maps, rim_starts, rim_ends, anchors = [], [], [], []
+    for m, (facet_ids, sl) in enumerate(zip(electrodes, slices)):
+        patch = mesh.boundary_facets[facet_ids]
+        cloud = mesh.vertices[np.unique(patch)]
+        origin = cloud.mean(axis=0)
+        axes = _principal_axes(cloud - origin, d)
+        extent = np.abs((cloud - origin) @ axes.T).max()
+        if extent <= 0:
+            raise LayoutError(f"electrode {m} is degenerate")
+        chart = LocalMap(_freeze(origin, axes), axes, 1.0 / extent)
+        pts = equad_points[sl].reshape(-1, d)
+        equad_local[sl] = chart.to_local(pts).reshape(sl.stop - sl.start, -1, 2)
+        w, y = equad_weights[sl], equad_local[sl]
+        anchors.append((w[:, :, None] * y).sum(axis=(0, 1)) / w.sum())
+        entries, starts, sizes, subs = _facet_incidence(patch)
+        rims = np.sort(subs[entries[starts[sizes == 1]]], axis=1)
+        if not len(rims):
             raise LayoutError(f"electrode {m} has no rim: its patch closes on itself")
-        rim_local.append(
-            np.array([local_maps[m].to_local(mesh.vertices[list(r)]) for r in rims])
-        )
+        ends = chart.to_local(mesh.vertices[rims])  # one product per rim entity
+        local_maps.append(chart)
+        rim_starts.append(ends[:, 0])
+        rim_ends.append(ends[:, -1])
 
-    contact_mask = np.array(contact_mask, dtype=bool)
-    _freeze(*electrodes, *contacts, *rim_local, efacets, efacet_electrode, efacet_vertices)
+    a = np.concatenate(rim_starts)
+    ab = np.concatenate(rim_ends) - a
+    n_seg = np.array([len(r) for r in rim_starts])
+    seg_start = np.cumsum(n_seg) - n_seg
+    geometry = ContactGeometry(a, ab, _dot(ab, ab), seg_start, n_seg, np.array(anchors))
+    _freeze(*electrodes, *geometry, efacet_electrode, efacet_vertices)
     _freeze(equad_local, equad_weights, measures, contact_mask)
     return ElectrodeLayout(
         mesh=mesh,
         electrodes=tuple(electrodes),
-        contact_regions=tuple(contacts),
         local_maps=tuple(local_maps),
-        efacets=efacets,
         efacet_electrode=efacet_electrode,
         efacet_slices=tuple(slices),
         efacet_vertices=efacet_vertices,
@@ -657,7 +644,7 @@ def define_electrodes(
         equad_weights=equad_weights,
         efacet_measures=measures,
         contact_mask=contact_mask,
-        rim_local=tuple(rim_local),
+        contact_geometry=geometry,
     )
 
 

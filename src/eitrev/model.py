@@ -21,7 +21,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .mesh import ElectrodeLayout, Partition
+from .mesh import ElectrodeLayout, Partition, _dot
 
 ADMISSIBILITY_MARGIN = 1e-9
 
@@ -364,11 +364,6 @@ class _Expansion:
             + 2.0 * u * (d2Z[(0, 1)] * dZ[2] + d2Z[(0, 2)] * dZ[1] + d2Z[(1, 2)] * dZ[0]) / Z3
             - 6.0 * u * dZ[0] * dZ[1] * dZ[2] / Z4
         )
-
-
-def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    # one (1, 2) @ (2, 1) product per row, which numpy computes as the dot of two 2-vectors
-    return np.matmul(u[:, None, :], v[:, :, None])[:, 0, 0]
 
 
 def _segment_distances(

@@ -53,15 +53,3 @@ def facet_rule(dim: int) -> tuple[np.ndarray, np.ndarray]:
         return bary, weights / weights.sum()
     raise ValueError(f"unsupported mesh dimension {dim}")
 
-
-def facet_measure(coords: np.ndarray) -> float:
-    """Length of a segment (2 x d coords) or area of a triangle (3 x d)."""
-    if coords.shape[0] == 2:
-        return float(np.linalg.norm(coords[1] - coords[0]))
-    if coords.shape[0] == 3:
-        e1 = coords[1] - coords[0]
-        e2 = coords[2] - coords[0]
-        if coords.shape[1] == 2:
-            return 0.5 * abs(e1[0] * e2[1] - e1[1] * e2[0])
-        return 0.5 * float(np.linalg.norm(np.cross(e1, e2)))
-    raise ValueError("facet must have 2 or 3 vertices")

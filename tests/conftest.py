@@ -48,6 +48,17 @@ def kuhn_cube(n: int = 2):
     return build_mesh(3, np.array(vertices), np.array(cells, dtype=int))
 
 
+def einsum_cell_matrices(mesh, sigma):
+    """The local stiffness matrices sigma_c |T_c| grad(phi_i) . grad(phi_j), by one einsum.
+
+    The oracle of ``fem._cell_matrices``, whose kernel keeps einsum's product
+    and summation order: the gradients in the (n_cells, d+1, d) layout,
+    contiguous, as einsum reads them.
+    """
+    grads = np.ascontiguousarray(mesh.gradient_axes.transpose(2, 1, 0))
+    return np.einsum("c,cid,cjd->cij", mesh.cell_volumes * sigma, grads, grads)
+
+
 @pytest.fixture(scope="session")
 def disk2():
     return generate_disk_mesh(2)

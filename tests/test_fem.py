@@ -17,7 +17,7 @@ from eitrev.mesh import (
 from eitrev.model import ConductivityPair, ModelConfig, Parametrization
 from eitrev.fem import IndefiniteSystemError
 from test_scatter import _contact_reference, _stiffness_reference
-from conftest import kuhn_cube
+from conftest import einsum_cell_matrices, kuhn_cube
 
 
 def one_cell_setup():
@@ -274,7 +274,7 @@ class TestBformEval:
         nodes, weights = np.polynomial.legendre.leggauss(12)
         ts = 0.5 * (nodes + 1.0)
         ws = 0.5 * weights
-        for k, fid in enumerate(layout.efacets):
+        for k, fid in enumerate(np.concatenate(layout.electrodes)):
             fverts = mesh.vertices[mesh.boundary_facets[fid]]
             m = layout.efacet_electrode[k]
             length = np.linalg.norm(fverts[1] - fverts[0])
@@ -350,7 +350,7 @@ class TestShuntLimit:
             nodes, weights = np.polynomial.legendre.leggauss(6)
             ts = 0.5 * (nodes + 1.0)
             ws = 0.5 * weights
-            for k, fid in enumerate(layout.efacets):
+            for k, fid in enumerate(np.concatenate(layout.electrodes)):
                 fv = mesh.boundary_facets[fid]
                 coords = mesh.vertices[fv]
                 length = np.linalg.norm(coords[1] - coords[0])
@@ -683,8 +683,7 @@ class TestCellMatrices:
         n, d = mesh.n_cells, mesh.dimension
         values = rng.standard_normal(n) * 10.0 ** (spread * rng.uniform(-1.0, 1.0, n))
         sigma = np.where(rng.random(n) < zero_fraction, _signed_zeros(rng, n), values)
-        grads = mesh.cell_gradients
-        oracle = np.einsum("c,cid,cjd->cij", mesh.cell_volumes * sigma, grads, grads)
+        oracle = einsum_cell_matrices(mesh, sigma)
         cellmats = fem._cell_matrices(mesh, sigma)
         assert cellmats.shape == (n, d + 1, d + 1) and cellmats.flags.c_contiguous
         # tobytes, not array_equal: the sign of a zero entry must match too
@@ -696,7 +695,12 @@ class TestCellMatrices:
             axes = mesh.gradient_axes
             assert mesh.gradient_axes is axes and not axes.flags.writeable
             assert axes.flags.c_contiguous
-            assert axes.tobytes() == np.ascontiguousarray(mesh.cell_gradients.T).tobytes()
+            # hat i's gradient dotted with the edge x_j - x_0 is delta_ij - delta_i0
+            coords = mesh.vertices[mesh.cells]
+            edges = coords[:, 1:] - coords[:, :1]
+            eye = np.eye(mesh.dimension + 1)
+            dots = np.einsum("dic,cjd->cij", axes, edges)
+            assert np.allclose(dots, eye[:, 1:] - eye[:, :1], atol=1e-10)
 
 
 class TestSystemPlan:

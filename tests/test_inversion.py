@@ -201,6 +201,16 @@ class TestTikhonov:
         scale = np.linalg.norm(2.0 * J.T @ noise.inv @ vec(psi))
         assert np.linalg.norm(grad) < 1e-8 * scale
 
+    def test_the_normal_product_is_formed_once_and_shared(self, stack8, smooth8):
+        prior = build_prior(smooth8, PriorGammas(0.1, 1.0, 0.1, 0.02))
+        inverse = TikhonovInverse(stack8, prior, build_noise_cov(1e-4, 1e-3, stack8.lam))
+        # held from the start, as a plain attribute, and the product it factored
+        normal = vars(inverse)["_normal"]
+        assert normal.tobytes() == (inverse._JtGi @ inverse.jacobian).tobytes()
+        rebased = inverse.with_prior(build_prior(smooth8, PriorGammas(0.2, 1.0, 0.1, 0.02)))
+        assert vars(rebased)["_normal"] is normal
+        assert rebased.with_prior(prior)._normal is normal
+
 
 def coordinate_directions(param, indices):
     dirs = []

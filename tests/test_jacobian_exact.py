@@ -22,7 +22,7 @@ from eitrev.mesh import (
     generate_disk_mesh,
 )
 from eitrev.model import ModelConfig, Parametrization
-from conftest import kuhn_cube
+from conftest import einsum_cell_matrices, kuhn_cube
 
 CUBE_MIDPOINTS = np.array([[0.5, 0.0, 0.5], [1.0, 0.5, 0.5], [0.5, 1.0, 0.5], [0.0, 0.5, 0.5]])
 
@@ -37,8 +37,7 @@ def _coo(elements, local, n):
 def _oracle_column(system, pair, base):
     mesh, layout = system.mesh, system.layout
     n, M = mesh.n_vertices, layout.n_electrodes
-    grads = mesh.cell_gradients
-    cellmats = np.einsum("c,cid,cjd->cij", mesh.cell_volumes * pair.sigma, grads, grads)
+    cellmats = einsum_cell_matrices(mesh, pair.sigma)
     wz = layout.equad_weights * pair.zeta
     bary = layout.facet_bary
     fmats = np.einsum("fq,qa,qb->fab", wz, bary, bary)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import math
 import warnings
 from unittest import mock
 
@@ -255,6 +256,38 @@ class TestLoadMesh:
             load_mesh(path)
 
 
+_TRIANGLE = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+
+
+class TestBuildMesh:
+    @pytest.mark.parametrize(
+        "dimension, vertices, cells, message",
+        [
+            (2, [[0, 0], [1, np.nan], [0, 1]], [[0, 1, 2]], "vertex 1 has coordinate nan, which"),
+            (2, [[0, 0], [1, 0], [-np.inf, 1]], [[0, 1, 2]], "vertex 2 has coordinate -inf, which"),
+            (2, _TRIANGLE, [[0, 1.5, 2]], r"cell 0 has vertex index 1\.5, not an integer"),
+            (2, _TRIANGLE, [[0, 1, np.nan]], "cell 0 has vertex index nan, not an integer"),
+            (2, _TRIANGLE, [[0, 1, np.inf]], "cell 0 has vertex index inf, which is out of range"),
+            (2, _TRIANGLE, [[0, 1, 1e30]], r"cell 0 has vertex index 1e\+30, which is out"),
+            (2, _TRIANGLE, [[0, 1, 3]], "cell 0 has vertex index 3, which is out of range"),
+            (4, np.eye(5, 4), [[0, 1, 2, 3, 4]], "dimension must be 2 or 3, got 4"),
+            (2, np.eye(4, 3), [[0, 1, 2]], r"vertices of shape \(4, 3\): expected rows of 2"),
+            (3, np.eye(4, 3), [[0, 1, 2]], r"cells of shape \(1, 3\): expected rows of 4"),
+            (2, [0.0, 1.0, 2.0], [[0, 1, 2]], r"vertices of shape \(3,\): expected rows of 2"),
+            (2, _TRIANGLE, [0, 1, 2], r"cells of shape \(3,\): expected rows of 3"),
+        ],
+    )
+    def test_a_bad_input_is_named(self, dimension, vertices, cells, message):
+        with pytest.raises(TopologyError, match=message):
+            build_mesh(dimension, np.array(vertices, dtype=float), np.array(cells))
+
+    def test_integral_float_indices_are_accepted_and_the_inputs_left_alone(self):
+        vertices, cells = _TRIANGLE.copy(), np.array([[0.0, 2.0, 1.0]])
+        mesh = build_mesh(2, vertices, cells)
+        assert mesh.cells.tolist() == [[0, 1, 2]]  # reoriented
+        assert vertices.flags.writeable and cells.tolist() == [[0.0, 2.0, 1.0]]
+
+
 class TestDiskMesh:
     def test_level0_is_hardcoded_fan(self):
         mesh = generate_disk_mesh(0)
@@ -304,10 +337,9 @@ class TestDiskMesh:
 class TestElectrodes:
     def test_paper_radii_contacts_inside_electrodes(self, layout8):
         # radius 0.3 / 0.2 construction: e_m strictly inside E_m
-        for m in range(layout8.n_electrodes):
-            electrode = set(layout8.electrodes[m].tolist())
-            contact = set(layout8.contact_regions[m].tolist())
-            assert contact < electrode
+        for m, sl in enumerate(layout8.efacet_slices):
+            contact = layout8.contact_mask[sl]
+            assert contact.any() and not contact.all()
 
     def test_disjoint(self, layout16):
         seen = set()
@@ -328,6 +360,18 @@ class TestElectrodes:
     def test_contact_radius_must_be_smaller(self, disk3):
         with pytest.raises(ValueError):
             define_electrodes(disk3, disk_electrode_midpoints(8), 0.2, 0.2)
+
+    def test_midpoints_of_another_width_are_rejected(self, disk3):
+        mids = np.column_stack([disk_electrode_midpoints(8), np.zeros(8)])
+        with pytest.raises(LayoutError, match=r"midpoints of shape \(8, 3\): expected rows of 2"):
+            define_electrodes(disk3, mids, 0.3, 0.2)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_midpoints_that_are_not_finite_are_rejected(self, disk3, value):
+        mids = disk_electrode_midpoints(8)
+        mids[5, 1] = value
+        with pytest.raises(LayoutError, match=f"midpoint 5 has coordinate {value}, which is not"):
+            define_electrodes(disk3, mids, 0.3, 0.2)
 
     def test_local_map_touches_square(self, layout16):
         mesh = layout16.mesh
@@ -404,6 +448,96 @@ class TestElectrodes:
         assert np.allclose(
             layout16.equad_weights.sum(axis=1), layout16.efacet_measures
         )
+
+
+def _layout_oracle(mesh, midpoints, r_e, r_c):
+    """A disk layout from its definitions, in Python floats: the error it raises, or its facts.
+
+    Facet f belongs to electrode m when the distance from its centroid to
+    midpoint m is below ``r_e`` (and to its contact region below ``r_c``);
+    a facet's measure is its length; the rim of a patch is the vertices that
+    one of its facets holds. Returns the error class, or per electrode the
+    facets, contact flags and rim vertices, and every electrode facet's measure.
+    """
+    if not r_c < r_e:
+        return LayoutError
+    vertices = mesh.vertices.tolist()
+    centroids = [
+        [(vertices[i][k] + vertices[j][k]) / 2 for k in range(2)] for i, j in mesh.boundary_facets
+    ]
+    owned = set()
+    electrodes, contacts, rims = [], [], []
+    for x, y in midpoints.tolist():
+        dist = [math.sqrt((cx - x) * (cx - x) + (cy - y) * (cy - y)) for cx, cy in centroids]
+        facets = [f for f, d in enumerate(dist) if d < r_e]
+        if not facets:
+            return EmptyElectrodeError
+        if owned & set(facets):
+            return ElectrodeOverlapError
+        owned |= set(facets)
+        counts = {}
+        for f in facets:
+            for v in mesh.boundary_facets[f].tolist():
+                counts[v] = counts.get(v, 0) + 1
+        electrodes.append(facets)
+        contacts.append([dist[f] < r_c for f in facets])
+        rims.append(sorted(v for v, n in counts.items() if n == 1))
+    measures = [
+        float(np.linalg.norm(np.diff(mesh.vertices[mesh.boundary_facets[f]], axis=0)))
+        for facets in electrodes
+        for f in facets
+    ]
+    return electrodes, contacts, rims, measures
+
+
+class TestLayoutsOverGeneratedInputs:
+    @pytest.fixture(scope="class")
+    def disks(self):
+        return {level: generate_disk_mesh(level) for level in range(1, 6)}
+
+    @settings(max_examples=100)
+    @given(data=st.data())
+    def test_a_layout_is_an_error_or_agrees_with_its_definitions(self, disks, data):
+        mesh = disks[data.draw(st.integers(1, 5), label="level")]
+        M = data.draw(st.integers(2, 32), label="electrodes")
+        offset = data.draw(st.floats(0.0, 2.0 * np.pi / M), label="offset")
+        angles = offset + 2.0 * np.pi * np.arange(M) / M
+        midpoints = np.column_stack([np.cos(angles), np.sin(angles)])
+        # radii in units of the chord between neighbouring midpoints
+        chord = 2.0 * np.sin(np.pi / M)
+        r_e = chord * data.draw(st.floats(0.01, 0.8), label="r_e / chord")
+        r_c = r_e * data.draw(st.floats(0.0, 1.0, exclude_max=True), label="r_c / r_e")
+        oracle = _layout_oracle(mesh, midpoints, r_e, r_c)
+        if isinstance(oracle, type):
+            with pytest.raises(oracle):
+                define_electrodes(mesh, midpoints, r_e, r_c)
+            return
+        layout = define_electrodes(mesh, midpoints, r_e, r_c)
+        electrodes, contacts, rims, measures = oracle
+        assert [e.tolist() for e in layout.electrodes] == electrodes
+        assert [layout.contact_mask[sl].tolist() for sl in layout.efacet_slices] == contacts
+        assert layout.efacet_slices[-1].stop == len(layout.efacet_electrode)
+        for m, sl in enumerate(layout.efacet_slices):
+            assert layout.efacet_electrode[sl].tolist() == [m] * len(electrodes[m])
+            assert np.array_equal(
+                layout.efacet_vertices[sl], mesh.boundary_facets[layout.electrodes[m]]
+            )
+        assert layout.efacet_measures.tolist() == measures
+        # rim rows: each rim vertex's chart image, alone, as a segment of length zero
+        g = layout.contact_geometry
+        assert g.n_seg.tolist() == [len(r) for r in rims]
+        assert g.seg_start.tolist() == np.cumsum([0] + g.n_seg.tolist()[:-1]).tolist()
+        assert not g.ab.any() and not g.ab2.any()
+        for m, rim in enumerate(rims):
+            chart = layout.local_maps[m]
+            expect = sorted(chart.to_local(mesh.vertices[[v]])[0].tobytes() for v in rim)
+            rows = g.a[g.seg_start[m] : g.seg_start[m] + g.n_seg[m]]
+            assert sorted(row.tobytes() for row in rows) == expect
+            # the clamp anchor: the weighted centroid of the electrode image
+            sl = layout.efacet_slices[m]
+            w, y = layout.equad_weights[sl], layout.equad_local[sl]
+            anchor = [math.fsum((w * y[..., k]).ravel()) / math.fsum(w.ravel()) for k in range(2)]
+            assert np.allclose(g.anchors[m], anchor, rtol=0.0, atol=1e-13)
 
 
 class TestPartition:

@@ -281,7 +281,8 @@ class TestZetaSmooth:
         for m in range(16):
             facets = layout16.efacet_vertices[layout16.efacet_slices[m]]
             ends = layout16.local_maps[m].to_local(layout16.mesh.vertices[facets.ravel()])
-            rim = layout16.rim_local[m][:, 0]
+            g = layout16.contact_geometry
+            rim = g.a[g.seg_start[m] : g.seg_start[m] + g.n_seg[m]]
             to_rim = np.linalg.norm(ends[:, None] - rim[None], axis=2).min(axis=1)
             xi[m] = ends[np.argmax(to_rim)]
             assert to_rim.max() > 0.1

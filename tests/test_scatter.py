@@ -10,7 +10,7 @@ from eitrev import fem, scatter
 from eitrev.mesh import define_electrodes, disk_electrode_midpoints, generate_disk_mesh
 from eitrev.model import ConductivityPair
 from eitrev.scatter import ScatterPlan
-from conftest import kuhn_cube
+from conftest import einsum_cell_matrices, kuhn_cube
 
 CUBE_MIDPOINTS = np.array([[0.5, 0.0, 0.5], [1.0, 0.5, 0.5], [0.5, 1.0, 0.5], [0.0, 0.5, 0.5]])
 GEOMETRIES = ["disk1", "disk2", "disk3", "disk4", "cube2", "cube3"]
@@ -57,8 +57,7 @@ def _coo_reference(elements, local, n):
 
 def _stiffness_reference(system, sigma):
     mesh = system.mesh
-    grads = mesh.cell_gradients
-    cellmats = np.einsum("c,cid,cjd->cij", mesh.cell_volumes * sigma, grads, grads)
+    cellmats = einsum_cell_matrices(mesh, sigma)
     return _coo_reference(mesh.cells, cellmats, mesh.n_vertices)
 
 
@@ -139,8 +138,7 @@ class TestScatterPlan:
         mesh = system.mesh
         sigma = _sigma_fields(mesh, np.random.default_rng(5))["one cluster"]
         A = _stiffness(system, sigma)
-        grads = mesh.cell_gradients
-        cellmats = np.einsum("c,cid,cjd->cij", mesh.cell_volumes * sigma, grads, grads)
+        cellmats = einsum_cell_matrices(mesh, sigma)
         with_zeros = _coo_with_zeros(mesh.cells, cellmats, mesh.n_vertices)
         assert np.count_nonzero(with_zeros.data) < with_zeros.nnz
         assert np.count_nonzero(A.data) == A.nnz < with_zeros.nnz
@@ -170,7 +168,7 @@ class TestScatterPlan:
         assert system.mesh.cell_plan is system.mesh.cell_plan
         assert system.layout.facet_plan is system.layout.facet_plan
         assert system.layout.system_plan is system.layout.system_plan
-        assert not system.mesh.cell_gradients.flags.writeable
+        assert not system.mesh.gradient_axes.flags.writeable
         assert not system.layout.facet_bary.flags.writeable
 
 
@@ -286,8 +284,7 @@ def test_a_stable_summation_order_fails(name, monkeypatch):
     system = _system(name)
     mesh = system.mesh
     sigma = np.random.default_rng(7).standard_normal(mesh.n_cells)
-    grads = mesh.cell_gradients
-    cellmats = np.einsum("c,cid,cjd->cij", mesh.cell_volumes * sigma, grads, grads)
+    cellmats = einsum_cell_matrices(mesh, sigma)
     ref = _stiffness_reference(system, sigma)
     assert _same_bits(_assembled(ScatterPlan(mesh.cells, mesh.n_vertices), cellmats), ref)
     monkeypatch.setattr(scatter, "_summation_order", stable_order)
