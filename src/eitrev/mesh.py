@@ -395,8 +395,8 @@ def _refine_once(mesh: SimplicialMesh) -> SimplicialMesh:
 
     ends = mesh.vertices[facets[first[order]]]
     points = 0.5 * (ends[:, 0] + ends[:, 1])
-    rim = points[sizes[order] == 1]
-    points[sizes[order] == 1] = rim / np.sqrt(_dot(rim, rim))[:, None]
+    boundary = sizes[order] == 1
+    points[boundary] /= np.sqrt(_dot(points[boundary], points[boundary]))[:, None]
 
     a, b, c = cells.T
     new_cells = np.column_stack([a, ab, ca, ab, b, bc, ca, bc, c, ab, bc, ca]).reshape(-1, 3)

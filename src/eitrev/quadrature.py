@@ -52,4 +52,3 @@ def facet_rule(dim: int) -> tuple[np.ndarray, np.ndarray]:
         weights = np.array([_TRI_WA] * 3 + [_TRI_WB] * 3)
         return bary, weights / weights.sum()
     raise ValueError(f"unsupported mesh dimension {dim}")
-
