@@ -542,8 +542,8 @@ def define_electrodes(
     A boundary facet belongs to electrode ``m`` when its centroid lies within
     ``electrode_radius`` of the midpoint ``x_m``; the contact region uses the
     same construction with the smaller ``contact_radius``. The rim of a patch
-    is its sub-facets (vertices in 2D, edges in 3D) that one of its facets
-    holds.
+    is its sub-facets (vertices in 2D, edges in 3D) that exactly one of its
+    facets holds.
 
     Raises
     ------
