@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property
 from pathlib import Path
 from typing import Iterator, NamedTuple
 
@@ -212,11 +212,13 @@ def build_mesh(dimension: int, vertices: np.ndarray, cells: np.ndarray) -> Simpl
     if np.any(vol == 0):
         raise TopologyError("mesh contains a degenerate (zero volume) cell")
 
-    if len(np.unique(np.sort(cells, axis=1), axis=0)) != len(cells):
-        raise TopologyError("mesh contains duplicated cells")
-
-    # Facet incidence: boundary facets belong to exactly one cell.
+    # Facet incidence: boundary facets belong to exactly one cell. Distinct simplices share at
+    # most one facet, so a pair of cells (``o`` entries apart in a group) met twice is a duplicate.
     entries, starts, sizes, facets = _facet_incidence(cells)
+    c, g = entries // (dimension + 1), np.repeat(np.arange(len(sizes)), sizes)  # cell, group
+    pairs = [(c[:-o] * len(c) + c[o:])[g[o:] == g[:-o]] for o in range(1, sizes.max(initial=2))]
+    if np.any(np.diff(np.sort(np.concatenate(pairs))) == 0):
+        raise TopologyError("mesh contains duplicated cells")
     if np.any(sizes > 2):
         raise TopologyError("non-manifold facet shared by more than two cells")
     outer = entries[starts[sizes == 1]]
@@ -721,8 +723,8 @@ def _weighted_centers(
     return np.column_stack(acc) / np.bincount(labels, weights=weights, minlength=k)[:, None]
 
 
-def _components(cells: np.ndarray, adjacency: tuple[np.ndarray, ...]) -> list[list[int]]:
-    """Connected components of a cell subset under face adjacency.
+def _components(cells: np.ndarray, adjacency: list[list[int]]) -> list[list[int]]:
+    """Connected components of a cell subset under face adjacency (the neighbours of each cell).
 
     Each component is a sorted cell list; the largest comes first and ties
     go to the component with the smallest cell.
@@ -735,13 +737,19 @@ def _components(cells: np.ndarray, adjacency: tuple[np.ndarray, ...]) -> list[li
         remaining.discard(seed)
         comp = [seed]
         while stack:
-            for nb in adjacency[stack.pop()].tolist():
+            for nb in adjacency[stack.pop()]:
                 if nb in remaining:
                     remaining.discard(nb)
                     comp.append(nb)
                     stack.append(nb)
         comps.append(sorted(comp))
     return sorted(comps, key=lambda c: (-len(c), c[0]))
+
+
+def _piece_counts(labels: np.ndarray, adjacency: list[list[int]], k: int) -> list[int]:
+    """The number of connected pieces of each of the clusters ``0..k-1`` (0: empty)."""
+    parts = np.split(np.argsort(labels, kind="stable"), np.cumsum(np.bincount(labels, minlength=k)))
+    return [len(_components(cells, adjacency)) for cells in parts[:-1]]
 
 
 class _ClusterState:
@@ -754,10 +762,10 @@ class _ClusterState:
     to ``a``.
     """
 
-    def __init__(self, labels: np.ndarray, adjacency: tuple[np.ndarray, ...], k: int):
+    def __init__(self, labels: np.ndarray, adjacency: list[list[int]], k: int):
         self.array = labels.copy()
         self.labels = labels.tolist()
-        self.adjacency = [a.tolist() for a in adjacency]
+        self.adjacency = adjacency
         self.counts = np.bincount(labels, minlength=k).tolist()
         self.rims: list[dict[int, set[int]]] = [{} for _ in range(k)]
         # Sorted neighbour lists, rebuilt when a cluster gains or loses a neighbour.
@@ -846,7 +854,7 @@ def _balance_clusters(
     labels: np.ndarray,
     points: np.ndarray,
     weights: np.ndarray,
-    adjacency: tuple[np.ndarray, ...],
+    adjacency: list[list[int]],
     n_clusters: int,
 ) -> np.ndarray:
     """Even out cluster cell counts while preserving connectivity.
@@ -860,31 +868,41 @@ def _balance_clusters(
 
     A chain that fails changes no state, so until the next commit the
     smallest cluster changes only by becoming stuck (which lasts until a
-    commit), its donor search resumes where a fresh one skipping the failed
-    donor would go on, and the centers, rim distances and picked rim cells
-    stay. Each cluster on a chain's path takes one cell from its child before
-    it gives one to its parent; the child lies two breadth-first levels from
-    the parent, so that cell does not border it. A chain is therefore tried
-    with only that cell's label set, and ``move`` runs when it commits.
+    commit), and its donor search resumes where a fresh one skipping the
+    failed donor would go on. Each cluster on a chain's path takes one cell
+    from its child before it gives one to its parent; the child lies two
+    breadth-first levels from the parent, so that cell does not border it. A
+    chain is therefore tried with only that cell's label set, and ``move``
+    runs when it commits. A pick depends only on the node's cells, its rim
+    toward the receiver and the receiver's center, and a move changes
+    ``rims[a][b]`` only where ``a`` or ``b`` is its source or target: a pick
+    stands until a commit moves a cell into or out of its node or receiver.
     """
     state = _ClusterState(labels, adjacency, n_clusters)
     counts, label, rims = state.counts, state.labels, state.rims
     stuck: set[int] = set()
     donors, centers = None, _weighted_centers(points, weights, labels, n_clusters)
-    distance = cache(lambda c, receiver: np.linalg.norm(points[c] - centers[receiver]))
+    distances: list[dict[int, float]] = [{} for _ in range(n_clusters)]  # per receiver
+    picks: dict[tuple[int, int, int], tuple[int, int]] = {}  # the cell and the step it was made
+    touched_at = [0] * n_clusters  # the step after the last commit that moved a cell in or out
 
-    @cache
     def rim_cell(node: int, receiver: int, incoming: int) -> int:
         # The cell ``node`` gives ``receiver`` after taking ``incoming`` (-1: none), or -1.
-        if incoming >= 0:
-            child, label[incoming] = label[incoming], node
-        candidates = sorted(rims[node][receiver], key=lambda c: (distance(c, receiver), c))
-        cell = next((c for c in candidates if state.stays_connected(c)), -1)
-        if incoming >= 0:
-            label[incoming] = child
+        cell, made = picks.get((node, receiver, incoming), (-1, -1))
+        if made < touched_at[node] or made < touched_at[receiver]:
+            rim, near = rims[node][receiver], distances[receiver]
+            for c in rim.difference(near):
+                near[c] = np.linalg.norm(points[c] - centers[receiver])
+            if incoming >= 0:
+                child, label[incoming] = label[incoming], node
+            candidates = sorted(rim, key=lambda c: (near[c], c))
+            cell = next((c for c in candidates if state.stays_connected(c)), -1)
+            if incoming >= 0:
+                label[incoming] = child
+            picks[node, receiver, incoming] = cell, step
         return cell
 
-    for _ in range(_BALANCE_MAX_MOVES):
+    for step in range(_BALANCE_MAX_MOVES):
         if donors is None:
             # The smallest cluster not stuck (ties to the lower index), if it
             # is two cells short of the largest.
@@ -912,9 +930,14 @@ def _balance_clusters(
             for move in chain:
                 state.move(*move)
             stuck.clear()
-            donors, centers = None, _weighted_centers(points, weights, state.array, n_clusters)
-            distance.cache_clear()
-            rim_cell.cache_clear()
+            donors, changed = None, sorted({a for move in chain for a in move[1:]})
+            for a in changed:
+                touched_at[a] = step + 1
+                distances[a].clear()
+            # New centers: a bincount over their cells in ascending order sums as a recount does.
+            cells = np.flatnonzero((np.bincount(changed, minlength=n_clusters) > 0)[state.array])
+            index = np.searchsorted(changed, state.array[cells])
+            centers[changed] = _weighted_centers(points[cells], weights[cells], index, len(changed))
     else:
         warnings.warn(
             f"cluster balancing stopped at its cap of {_BALANCE_MAX_MOVES} iterations "
@@ -923,6 +946,48 @@ def _balance_clusters(
             stacklevel=3,
         )
     return state.array
+
+
+def _squared_distances(columns, center_columns, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """``sum_j (columns[j] - center_columns[j]) ** 2`` into ``out``, left to right as ``np.sum``."""
+    np.square(np.subtract(columns[0], center_columns[0], out=out), out=out)
+    for p, c in zip(columns[1:], center_columns[1:]):
+        np.add(out, np.square(np.subtract(p, c, out=scratch), out=scratch), out=out)
+    return out
+
+
+def _kmeans(points: np.ndarray, weights: np.ndarray, k: int, seed: int) -> np.ndarray:
+    """Lloyd labels from k-means++ seeds drawn with ``seed`` (Arthur & Vassilvitskii, SODA 2007)."""
+    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+    n, columns = len(points), np.ascontiguousarray(points.T)
+    centers = np.empty((k, points.shape[1]))
+    d2, near, scratch = np.full(n, np.inf), np.empty(n), np.empty(n)
+    for i in range(k):
+        total = d2.sum()
+        if i == 0 or total <= 0:
+            centers[i] = points[int(rng.integers(n))]
+        else:
+            centers[i] = points[int(rng.choice(n, p=d2 / total))]
+        np.minimum(d2, _squared_distances(columns, centers[i], near, scratch), out=d2)
+    labels = np.zeros(n, dtype=int)
+    dist, work = np.empty((n, k)), np.empty((2, n * k))
+    moved = np.arange(k)  # the clusters whose center moved since their distances were taken
+    for _ in range(_KMEANS_MAX_ITER):
+        block, scratch = (w[: n * len(moved)].reshape(n, len(moved)) for w in work)
+        _squared_distances(columns[:, :, None], centers[moved].T, block, scratch)
+        dist[:, moved] = np.sqrt(block, out=block)
+        new_labels = np.argmin(dist, axis=1)
+        if not np.bincount(new_labels, minlength=k).all():  # re-seed from the farthest-off point
+            for i in range(k):
+                if not np.any(new_labels == i):
+                    far = int(np.argmax(dist[np.arange(n), new_labels]))
+                    new_labels[far] = i
+        if np.array_equal(new_labels, labels):
+            return new_labels
+        labels, old = new_labels, centers
+        centers = _weighted_centers(points, weights, labels, k)
+        moved = np.flatnonzero(np.any(centers != old, axis=1))
+    return labels
 
 
 def cluster_partition(mesh: SimplicialMesh, n_clusters: int, seed: int) -> Partition:
@@ -936,44 +1001,11 @@ def cluster_partition(mesh: SimplicialMesh, n_clusters: int, seed: int) -> Parti
     """
     if n_clusters < 1 or n_clusters > mesh.n_cells:
         raise ValueError("n_clusters must be between 1 and the cell count")
-    seed = check_seed(seed)
     points = mesh.cell_centroids
     weights = mesh.cell_volumes
-    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+    labels = _kmeans(points, weights, n_clusters, check_seed(seed))
 
-    # k-means++ seeding on cell centroids.
-    centers = np.empty((n_clusters, points.shape[1]))
-    first = int(rng.integers(mesh.n_cells))
-    centers[0] = points[first]
-    d2 = np.sum((points - centers[0]) ** 2, axis=1)
-    for i in range(1, n_clusters):
-        total = d2.sum()
-        if total <= 0:
-            centers[i] = points[int(rng.integers(mesh.n_cells))]
-        else:
-            centers[i] = points[int(rng.choice(mesh.n_cells, p=d2 / total))]
-        d2 = np.minimum(d2, np.sum((points - centers[i]) ** 2, axis=1))
-
-    labels = np.zeros(mesh.n_cells, dtype=int)
-    for _ in range(_KMEANS_MAX_ITER):
-        # Summed one coordinate at a time, with no (n_cells, k, d) temporary.
-        dist = np.sqrt(
-            sum((points[:, i, None] - centers[:, i]) ** 2 for i in range(points.shape[1]))
-        )
-        new_labels = np.argmin(dist, axis=1)
-        # Re-seed empty clusters from the farthest-off cell, one at a time.
-        if not np.bincount(new_labels, minlength=n_clusters).all():
-            for i in range(n_clusters):
-                if not np.any(new_labels == i):
-                    far = int(np.argmax(dist[np.arange(len(points)), new_labels]))
-                    new_labels[far] = i
-        if np.array_equal(new_labels, labels):
-            labels = new_labels
-            break
-        labels = new_labels
-        centers = _weighted_centers(points, weights, labels, n_clusters)
-
-    adjacency = mesh.cell_adjacency
+    adjacency = [a.tolist() for a in mesh.cell_adjacency]
     for _ in range(_REPAIR_MAX_PASSES):
         centers = _weighted_centers(points, weights, labels, n_clusters)
         moved = False
@@ -1002,12 +1034,9 @@ def cluster_partition(mesh: SimplicialMesh, n_clusters: int, seed: int) -> Parti
 
     labels = _balance_clusters(labels, points, weights, adjacency, n_clusters)
 
-    for i in range(n_clusters):
-        cells = np.flatnonzero(labels == i)
-        if cells.size == 0:
-            raise PartitionError(f"cluster {i} is empty after repair")
-        if len(_components(cells, adjacency)) != 1:
-            raise PartitionError(f"cluster {i} is disconnected after repair")
+    for i, n in enumerate(_piece_counts(labels, adjacency, n_clusters)):
+        if n != 1:
+            raise PartitionError(f"cluster {i} is {'disconnected' if n else 'empty'} after repair")
 
     centers = _weighted_centers(points, weights, labels, n_clusters)
     return Partition(mesh=mesh, cluster_of=_freeze(labels, centers), centers=centers)
@@ -1045,8 +1074,9 @@ def load_partition(mesh: SimplicialMesh, path: str | Path) -> Partition:
             raise ValueError("partition file skips a cluster index")
     except ValueError as exc:
         raise MeshFormatError(f"malformed partition file {path}: {exc}") from exc
-    for i in range(k):
-        if len(_components(np.flatnonzero(labels == i), mesh.cell_adjacency)) != 1:
+    adjacency = [a.tolist() for a in mesh.cell_adjacency]
+    for i, n in enumerate(_piece_counts(labels, adjacency, k)):
+        if n != 1:
             raise MeshFormatError(f"cluster {i} in partition file {path} is not connected")
     centers = _weighted_centers(mesh.cell_centroids, mesh.cell_volumes, labels, k)
     return Partition(mesh=mesh, cluster_of=_freeze(labels, centers), centers=centers)

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import eitrev.mesh
+from conftest import kuhn_cube
 from eitrev import fem
 from eitrev.mesh import (
     ElectrodeOverlapError,
@@ -123,7 +124,80 @@ def _reference_balance(labels, points, weights, adjacency, n_clusters):
     return state.array
 
 
+def _reference_start(mesh, n_clusters, seed):
+    """Seeding, Lloyd and repair in their first form, the oracle of ``cluster_partition``.
+
+    Returns the labels it passes to balancing and how many empty clusters Lloyd re-seeded.
+    """
+    reseeds = 0
+    points = mesh.cell_centroids
+    weights = mesh.cell_volumes
+    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+
+    # k-means++ seeding on cell centroids.
+    centers = np.empty((n_clusters, points.shape[1]))
+    first = int(rng.integers(mesh.n_cells))
+    centers[0] = points[first]
+    d2 = np.sum((points - centers[0]) ** 2, axis=1)
+    for i in range(1, n_clusters):
+        total = d2.sum()
+        if total <= 0:
+            centers[i] = points[int(rng.integers(mesh.n_cells))]
+        else:
+            centers[i] = points[int(rng.choice(mesh.n_cells, p=d2 / total))]
+        d2 = np.minimum(d2, np.sum((points - centers[i]) ** 2, axis=1))
+
+    labels = np.zeros(mesh.n_cells, dtype=int)
+    for _ in range(eitrev.mesh._KMEANS_MAX_ITER):
+        # Summed one coordinate at a time, with no (n_cells, k, d) temporary.
+        dist = np.sqrt(
+            sum((points[:, i, None] - centers[:, i]) ** 2 for i in range(points.shape[1]))
+        )
+        new_labels = np.argmin(dist, axis=1)
+        # Re-seed empty clusters from the farthest-off cell, one at a time.
+        if not np.bincount(new_labels, minlength=n_clusters).all():
+            for i in range(n_clusters):
+                if not np.any(new_labels == i):
+                    far = int(np.argmax(dist[np.arange(len(points)), new_labels]))
+                    new_labels[far] = i
+                    reseeds += 1
+        if np.array_equal(new_labels, labels):
+            labels = new_labels
+            break
+        labels = new_labels
+        centers = eitrev.mesh._weighted_centers(points, weights, labels, n_clusters)
+
+    adjacency = mesh.cell_adjacency
+    for _ in range(eitrev.mesh._REPAIR_MAX_PASSES):
+        centers = eitrev.mesh._weighted_centers(points, weights, labels, n_clusters)
+        moved = False
+        for i in range(n_clusters):
+            for frag in _components(np.flatnonzero(labels == i), adjacency)[1:]:
+                neighbor_clusters = sorted(
+                    {
+                        int(labels[nb])
+                        for c in frag
+                        for nb in adjacency[c]
+                        if labels[nb] != i
+                    }
+                )
+                if not neighbor_clusters:
+                    continue
+                frag_w = weights[frag]
+                frag_center = (points[frag] * frag_w[:, None]).sum(axis=0) / frag_w.sum()
+                dists = [np.linalg.norm(centers[j] - frag_center) for j in neighbor_clusters]
+                target = neighbor_clusters[int(np.argmin(dists))]
+                labels[frag] = target
+                moved = True
+        if not moved:
+            break
+    else:
+        raise eitrev.mesh.PartitionError("connectivity repair did not converge")
+    return labels, reseeds
+
+
 _DISKS = {level: generate_disk_mesh(level) for level in (1, 2, 3)}
+_START_MESHES = {**{f"disk{level}": mesh for level, mesh in _DISKS.items()}, "cube3": kuhn_cube(3)}
 
 
 class _Captured(Exception):
@@ -280,6 +354,14 @@ class TestBuildMesh:
     def test_a_bad_input_is_named(self, dimension, vertices, cells, message):
         with pytest.raises(TopologyError, match=message):
             build_mesh(dimension, np.array(vertices, dtype=float), np.array(cells))
+
+    @pytest.mark.parametrize("mesh", [generate_disk_mesh(1), kuhn_cube(2)], ids=["disk1", "cube2"])
+    def test_a_duplicated_cell_is_named_before_its_shared_facets(self, mesh):
+        # The copy of a cell that borders d + 1 others: each of its facets is in three cells.
+        c = next(c for c, nbs in enumerate(mesh.cell_adjacency) if len(nbs) == mesh.dimension + 1)
+        cells = np.vstack([mesh.cells, mesh.cells[c, ::-1]])
+        with pytest.raises(TopologyError, match="mesh contains duplicated cells"):
+            build_mesh(mesh.dimension, mesh.vertices, cells)
 
     def test_integral_float_indices_are_accepted_and_the_inputs_left_alone(self):
         vertices, cells = _TRIANGLE.copy(), np.array([[0.0, 2.0, 1.0]])
@@ -732,6 +814,47 @@ class TestPartition:
         labels = part.cluster_of.astype("<i8").tobytes()
         digest = "0831cba77aac4dcef3cb3097d5c4d5617aa228898b16f1331ed7d52b65def26c"
         assert hashlib.sha256(labels).hexdigest() == digest
+
+    def test_level_five_cap_is_reported(self):
+        # An L5/400 partition with seed 7 does not balance within the cap either.
+        message = "cap of 20000 iterations with cluster sizes 18..36"
+        with pytest.warns(RuntimeWarning, match=message):
+            part = cluster_partition(generate_disk_mesh(5), 400, seed=7)
+        labels = part.cluster_of.astype("<i8").tobytes()
+        digest = "7a830e64dcfcdcd993e56c8117aa8a1b5b829d2ee4a4c37b3e7c5bea8c713450"
+        assert hashlib.sha256(labels).hexdigest() == digest
+
+    @settings(max_examples=150)
+    @given(data=st.data())
+    def test_seeding_lloyd_and_repair_equal_the_reference(self, data):
+        mesh = _START_MESHES[data.draw(st.sampled_from(sorted(_START_MESHES)), label="mesh")]
+        n_clusters = data.draw(st.integers(1, mesh.n_cells), label="n_clusters")
+        seed = data.draw(st.integers(0, 2**64 - 1), label="seed")
+        labels = _balance_arguments(mesh, n_clusters, seed)[0]
+        expected, _ = _reference_start(mesh, n_clusters, seed)
+        assert labels.dtype == expected.dtype
+        assert labels.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize(
+        "centroids, n_clusters",
+        [
+            ([[1, 1], [1, 1]], 2),  # the second seed repeats the first
+            ([[17, 14], [0, 29], [13, 28], [29, 28], [11, 19], [12, 22], [26, 24]], 4),
+        ],
+        ids=["repeated-seed", "emptied-by-lloyd"],
+    )
+    def test_an_empty_cluster_is_reseeded_as_the_reference_does(self, centroids, n_clusters):
+        # One triangle per centroid, the i-th of leg 3 i; no two share a vertex. In the
+        # second mesh a Lloyd step leaves a cluster empty while the cells lie off their
+        # centers, so which cell re-seeds it decides the labels.
+        corners = [(-1, -1), (2, -1), (-1, 2)]
+        vertices = [[x + i * a, y + i * b]
+                    for i, (x, y) in enumerate(centroids, 1) for a, b in corners]
+        mesh = build_mesh(2, np.array(vertices, float), np.arange(len(vertices)).reshape(-1, 3))
+        assert np.array_equal(mesh.cell_centroids, centroids)
+        expected, reseeds = _reference_start(mesh, n_clusters, 0)
+        assert reseeds > 0
+        assert _balance_arguments(mesh, n_clusters, 0)[0].tobytes() == expected.tobytes()
 
     @settings(max_examples=200)
     @given(data=st.data())
