@@ -20,7 +20,7 @@ import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Iterator, NamedTuple
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -29,6 +29,7 @@ from .scatter import ScatterPlan, StackedPlan
 
 MAX_DISK_REFINEMENT = 8
 _KMEANS_MAX_ITER = 100
+_LLOYD_ROWS = 128
 _REPAIR_MAX_PASSES = 50
 _BALANCE_MAX_MOVES = 20000
 
@@ -723,7 +724,7 @@ def _weighted_centers(
     return np.column_stack(acc) / np.bincount(labels, weights=weights, minlength=k)[:, None]
 
 
-def _components(cells: np.ndarray, adjacency: list[list[int]]) -> list[list[int]]:
+def _components(cells: np.ndarray, adjacency: Sequence[Sequence[int]]) -> list[list[int]]:
     """Connected components of a cell subset under face adjacency (the neighbours of each cell).
 
     Each component is a sorted cell list; the largest comes first and ties
@@ -746,7 +747,7 @@ def _components(cells: np.ndarray, adjacency: list[list[int]]) -> list[list[int]
     return sorted(comps, key=lambda c: (-len(c), c[0]))
 
 
-def _piece_counts(labels: np.ndarray, adjacency: list[list[int]], k: int) -> list[int]:
+def _piece_counts(labels: np.ndarray, adjacency: Sequence[Sequence[int]], k: int) -> list[int]:
     """The number of connected pieces of each of the clusters ``0..k-1`` (0: empty)."""
     parts = np.split(np.argsort(labels, kind="stable"), np.cumsum(np.bincount(labels, minlength=k)))
     return [len(_components(cells, adjacency)) for cells in parts[:-1]]
@@ -762,7 +763,7 @@ class _ClusterState:
     to ``a``.
     """
 
-    def __init__(self, labels: np.ndarray, adjacency: list[list[int]], k: int):
+    def __init__(self, labels: np.ndarray, adjacency: Sequence[Sequence[int]], k: int):
         self.array = labels.copy()
         self.labels = labels.tolist()
         self.adjacency = adjacency
@@ -854,7 +855,7 @@ def _balance_clusters(
     labels: np.ndarray,
     points: np.ndarray,
     weights: np.ndarray,
-    adjacency: list[list[int]],
+    adjacency: Sequence[Sequence[int]],
     n_clusters: int,
 ) -> np.ndarray:
     """Even out cluster cell counts while preserving connectivity.
@@ -969,13 +970,13 @@ def _kmeans(points: np.ndarray, weights: np.ndarray, k: int, seed: int) -> np.nd
         else:
             centers[i] = points[int(rng.choice(n, p=d2 / total))]
         np.minimum(d2, _squared_distances(columns, centers[i], near, scratch), out=d2)
-    labels = np.zeros(n, dtype=int)
-    dist, work = np.empty((n, k)), np.empty((2, n * k))
+    labels, dist = np.zeros(n, dtype=int), np.empty((n, k))
     moved = np.arange(k)  # the clusters whose center moved since their distances were taken
     for _ in range(_KMEANS_MAX_ITER):
-        block, scratch = (w[: n * len(moved)].reshape(n, len(moved)) for w in work)
-        _squared_distances(columns[:, :, None], centers[moved].T, block, scratch)
-        dist[:, moved] = np.sqrt(block, out=block)
+        for r in range(0, n, _LLOYD_ROWS):  # a block of rows whose arrays stay in cache
+            block = np.empty((2, len(columns[0, r : r + _LLOYD_ROWS]), len(moved)))
+            _squared_distances(columns[:, r : r + _LLOYD_ROWS, None], centers[moved].T, *block)
+            dist[r : r + _LLOYD_ROWS, moved] = np.sqrt(block[0], out=block[0])
         new_labels = np.argmin(dist, axis=1)
         if not np.bincount(new_labels, minlength=k).all():  # re-seed from the farthest-off point
             for i in range(k):
@@ -1074,8 +1075,7 @@ def load_partition(mesh: SimplicialMesh, path: str | Path) -> Partition:
             raise ValueError("partition file skips a cluster index")
     except ValueError as exc:
         raise MeshFormatError(f"malformed partition file {path}: {exc}") from exc
-    adjacency = [a.tolist() for a in mesh.cell_adjacency]
-    for i, n in enumerate(_piece_counts(labels, adjacency, k)):
+    for i, n in enumerate(_piece_counts(labels, mesh.cell_adjacency, k)):
         if n != 1:
             raise MeshFormatError(f"cluster {i} in partition file {path} is not connected")
     centers = _weighted_centers(mesh.cell_centroids, mesh.cell_volumes, labels, k)
